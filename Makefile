@@ -3,7 +3,7 @@ PYTHONPATH := src
 
 .PHONY: test coverage lint reprolint typecheck check docs docs-coverage \
 	bench-incremental bench-shards bench-hotpath bench-exec \
-	bench-serving bench-faults bench-parallel
+	bench-serving bench-faults
 
 test:
 	PYTHONPATH=$(PYTHONPATH) python -m pytest -x -q
@@ -72,6 +72,3 @@ bench-serving:
 
 bench-faults:
 	PYTHONPATH=$(PYTHONPATH) python benchmarks/bench_faults.py --smoke
-
-bench-parallel:
-	PYTHONPATH=$(PYTHONPATH) python benchmarks/bench_parallel.py --smoke

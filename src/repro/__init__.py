@@ -66,7 +66,7 @@ from .inference import (
     get_algorithm,
     register_algorithm,
 )
-from .pipeline import ProbeConfig, WWTAnswer, WWTEngine
+from .pipeline import ProbeConfig, WWTAnswer
 from .query import WORKLOAD, Query
 from .serve import ReproServer, ServeClient, ServeConfig
 from .service import (
@@ -114,7 +114,6 @@ __all__ = [
     "UnknownAlgorithmError",
     "WORKLOAD",
     "WWTAnswer",
-    "WWTEngine",
     "WWTService",
     "__version__",
     "build_corpus_index",

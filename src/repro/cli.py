@@ -41,7 +41,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence, TextIO
+from typing import Optional, Sequence, TextIO
 
 from .corpus.generator import CorpusConfig, generate_corpus
 from .evaluation.harness import METHODS, build_environment, run_method
@@ -75,13 +75,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="serve a persisted corpus directory "
                             "(see 'index build') instead of generating one")
         p.add_argument("--parallel-mode", default=None,
-                       choices=("serial", "thread", "process"),
-                       help="sharded scatter execution: 'serial', "
-                            "'thread' (config default), or 'process' "
-                            "(spawned workers, each mmap-ing its own "
-                            "shard; needs a persisted corpus via "
-                            "--index). Rankings are identical across "
-                            "modes (see DESIGN.md)")
+                       choices=("serial", "thread"),
+                       help="sharded scatter execution: 'serial' or "
+                            "'thread' (config default; a pool once "
+                            "probe_workers > 1). Rankings are identical "
+                            "either way (see DESIGN.md)")
 
     query = sub.add_parser("query", help="answer a column-keyword query")
     query.add_argument("text", help='e.g. "country | currency"')
@@ -135,11 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "sizes, domain mixing) streamed straight to "
                             "disk in O(shard) memory, instead of the "
                             "HTML-extraction corpus shaped by --scale")
-    build.add_argument("--parallel-mode", default=None,
-                       choices=("serial", "thread", "process"),
-                       help="after the build, reopen the corpus in this "
-                            "scatter mode and run a one-query smoke "
-                            "probe (process = spawned per-shard workers)")
     build.add_argument("--stream", action="store_true",
                        help="stream the extraction corpus to disk in "
                             "O(shard) memory (implied by --tables)")
@@ -216,13 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="default per-request deadline in ms; requests "
                             "over budget shed to degraded answers "
                             "(see DESIGN.md, 'Serving layer')")
-    serve.add_argument("--execution-mode", default="thread",
-                       choices=("thread", "async"),
-                       help="queued-request execution: a pool of "
-                            "--workers threads (default) or one asyncio "
-                            "event loop running --workers concurrent "
-                            "query tasks (pairs with --parallel-mode "
-                            "process)")
     return parser
 
 
@@ -241,13 +227,6 @@ def _build_service(args: argparse.Namespace) -> WWTService:
         config = config.replace(deadline_ms=args.deadline_ms)
     if getattr(args, "parallel_mode", None) is not None:
         config = config.replace(parallel_mode=args.parallel_mode)
-        if args.parallel_mode == "process" and not (
-            args.index or config.index_path
-        ):
-            raise ValueError(
-                "--parallel-mode process needs a persisted corpus: pass "
-                "--index DIR (see 'repro index build')"
-            )
     def _warn_ignored_corpus_flags(source: str) -> None:
         # A persisted corpus has its scale/seed baked in; flags that shape
         # a generated corpus silently doing nothing would be a footgun.
@@ -363,41 +342,6 @@ def _cmd_corpus(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
-def _index_smoke_probe(path: str, mode: str, out: TextIO) -> None:
-    """Reopen a freshly built corpus in scatter mode ``mode``, probe once.
-
-    The probe terms come from the first table's own header, so the query
-    is guaranteed to hit the index regardless of how the corpus was
-    generated.  For ``mode="process"`` this also proves the persisted
-    layout round-trips through spawned workers before anyone serves it.
-    """
-    from .index.sharded import load_corpus
-    from .text.tokenize import tokenize
-
-    with load_corpus(path, probe_workers=2, parallel_mode=mode) as corpus:
-        ids = corpus.ids()
-        if not ids:
-            print("smoke probe skipped: empty corpus", file=out)
-            return
-        table = corpus.get_table(ids[0])
-        terms: List[str] = []
-        for row in table.header_rows():
-            for cell in row:
-                terms.extend(tokenize(cell.text))
-        terms = list(dict.fromkeys(terms))[:3]
-        if not terms:
-            print("smoke probe skipped: first table has no header terms",
-                  file=out)
-            return
-        t0 = wall_clock()
-        hits = corpus.search(terms, limit=5)
-        probe_ms = (wall_clock() - t0) * 1000.0
-        print(
-            f"smoke probe ({mode} scatter): {len(hits)} hits for "
-            f"{' '.join(terms)!r} in {probe_ms:.1f}ms", file=out,
-        )
-
-
 def _cmd_index(args: argparse.Namespace, out: TextIO) -> int:
     if args.index_command == "build":
         kind = "monolithic" if args.num_shards is None else (
@@ -428,8 +372,6 @@ def _cmd_index(args: argparse.Namespace, out: TextIO) -> int:
                 f"{args.out} (format {args.format}, streamed)", file=out,
             )
             print(f"stream+index+persist {build_s:.2f}s", file=out)
-            if args.parallel_mode is not None:
-                _index_smoke_probe(args.out, args.parallel_mode, out)
             return 0
         t0 = wall_clock()
         synthetic = generate_corpus(
@@ -447,8 +389,6 @@ def _cmd_index(args: argparse.Namespace, out: TextIO) -> int:
             print(f"shard sizes: {corpus.shard_sizes()}", file=out)
         print(f"generate+index {generate_s:.2f}s, persist {persist_s:.2f}s",
               file=out)
-        if args.parallel_mode is not None:
-            _index_smoke_probe(args.out, args.parallel_mode, out)
         return 0
 
     if args.index_command == "add":
@@ -562,7 +502,6 @@ def _build_server(args: argparse.Namespace) -> ReproServer:
         rate_limit=args.rate_limit,
         rate_burst=args.burst,
         default_deadline_ms=args.deadline_ms,
-        execution_mode=args.execution_mode,
     )
     return ReproServer(service, config)
 

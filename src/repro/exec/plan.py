@@ -17,7 +17,6 @@ stage and checking cancellation + deadline *between* stages.
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
@@ -83,48 +82,19 @@ class ExecutionPlan:
         exhausted with ``degraded_ok`` off.
         """
         for stage in self._stages:
-            self._run_stage(stage, ctx, state)
-        return state
-
-    def _run_stage(
-        self, stage: Stage, ctx: ExecutionContext, state: Any
-    ) -> None:
-        """One stage under the plan's boundary policy.
-
-        The single decision point shared by :meth:`run` and
-        :meth:`run_async` — cancellation and deadline checks, the
-        skip/fallback/required degradation ladder, and span recording all
-        live here, so the two runners cannot drift apart.
-        """
-        ctx.check_cancelled()
-        if ctx.check_deadline():
-            if stage.skippable:
-                ctx.skip(stage.name)
-                return
-            if stage.fallback is not None:
-                ctx.mark_degraded()
-                with ctx.span(stage.name, status=SPAN_DEGRADED) as span:
-                    span.note = stage.fallback_note or "fallback"
-                    stage.fallback(ctx, state)
-                return
-            # Required stage: run it even over budget — this is the
-            # plan's "one stage granularity" overshoot.
-        with ctx.span(stage.name):
-            stage.fn(ctx, state)
-
-    async def run_async(self, ctx: ExecutionContext, state: Any) -> Any:
-        """Execute every stage in order on the running asyncio event loop.
-
-        Behaviourally identical to :meth:`run` — same deadline checks,
-        same skip/fallback ladder, same spans, byte-identical answers —
-        but stage boundaries become ``await`` points: the coroutine
-        yields to the loop between stages, so a serving layer can
-        interleave thousands of in-flight queries, and an
-        ``asyncio``-level cancellation lands at the next boundary (stage
-        bodies themselves are synchronous and never preempted mid-stage,
-        exactly like the threaded path).
-        """
-        for stage in self._stages:
-            await asyncio.sleep(0)
-            self._run_stage(stage, ctx, state)
+            ctx.check_cancelled()
+            if ctx.check_deadline():
+                if stage.skippable:
+                    ctx.skip(stage.name)
+                    continue
+                if stage.fallback is not None:
+                    ctx.mark_degraded()
+                    with ctx.span(stage.name, status=SPAN_DEGRADED) as span:
+                        span.note = stage.fallback_note or "fallback"
+                        stage.fallback(ctx, state)
+                    continue
+                # Required stage: run it even over budget — this is the
+                # plan's "one stage granularity" overshoot.
+            with ctx.span(stage.name):
+                stage.fn(ctx, state)
         return state

@@ -33,7 +33,6 @@ from .injection import (
     POINT_SERVE_WORKER,
     POINT_SHARD_MATERIALIZE,
     POINT_SHARD_SEARCH,
-    POINT_SHARD_WORKER,
     POINT_STORE_GET,
     EveryNth,
     FaultInjector,
@@ -65,7 +64,6 @@ __all__ = [
     "POINT_SERVE_WORKER",
     "POINT_SHARD_MATERIALIZE",
     "POINT_SHARD_SEARCH",
-    "POINT_SHARD_WORKER",
     "POINT_STORE_GET",
     "WithProbability",
     "activate",

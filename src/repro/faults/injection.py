@@ -25,8 +25,6 @@ point                     guarded edge
                           (write + flush + fsync)
 ``serve.worker``          one worker-pool execution in
                           :class:`~repro.serve.server.ReproServer`
-``shard.worker``          one scatter request executed *inside* a process-
-                          pool worker (:mod:`repro.index.procpool`)
 ========================  ====================================================
 """
 
@@ -49,7 +47,6 @@ __all__ = [
     "POINT_SERVE_WORKER",
     "POINT_SHARD_MATERIALIZE",
     "POINT_SHARD_SEARCH",
-    "POINT_SHARD_WORKER",
     "POINT_STORE_GET",
     "TriggerPolicy",
     "WithProbability",
@@ -70,10 +67,6 @@ POINT_STORE_GET = "store.get"
 POINT_JOURNAL_APPEND = "journal.append"
 #: One serve-worker execution, before the engine is invoked.
 POINT_SERVE_WORKER = "serve.worker"
-#: One scatter request inside a process-pool worker, before the shard
-#: probe runs (:mod:`repro.index.procpool`).  Trips in the *worker*
-#: process, so arming it requires shipping rules at pool spawn.
-POINT_SHARD_WORKER = "shard.worker"
 
 #: Every point name compiled into the engine.  :class:`FaultRule`
 #: validates against this set so a typo in a chaos config fails loudly
@@ -81,7 +74,6 @@ POINT_SHARD_WORKER = "shard.worker"
 KNOWN_POINTS = frozenset({
     POINT_SHARD_MATERIALIZE,
     POINT_SHARD_SEARCH,
-    POINT_SHARD_WORKER,
     POINT_STORE_GET,
     POINT_JOURNAL_APPEND,
     POINT_SERVE_WORKER,
@@ -101,15 +93,6 @@ class InjectedFault(RuntimeError):
         self.key = key
         at = f" (key={key!r})" if key is not None else ""
         super().__init__(f"injected fault at {point}{at}")
-
-    def __reduce__(
-        self,
-    ) -> Tuple[type, Tuple[str, Optional[str]]]:
-        """Pickle as ``(point, key)`` so a fault raised inside a process-
-        pool worker crosses the IPC boundary with its attributes intact
-        (the default exception reduction would re-init from the message
-        string, garbling ``point``)."""
-        return (type(self), (self.point, self.key))
 
 
 class TriggerPolicy:
@@ -262,15 +245,6 @@ class FaultInjector:
                     break
         if fired is not None:
             raise InjectedFault(point, key)
-
-    def rules(self) -> List[FaultRule]:
-        """The armed rules (frozen value objects, safe to share/pickle).
-
-        The process scatter pool uses this to ship ``shard.worker`` rules
-        to freshly spawned workers — rules are immutable dataclasses, so
-        crossing the pickle boundary cannot leak trigger state.
-        """
-        return list(self._rules)
 
     def snapshot(self) -> List[Dict[str, object]]:
         """Per-rule ``{point, key, evaluations, fires}`` (test assertions)."""

@@ -857,6 +857,7 @@ class JournaledCorpus:
 
         if getattr(self.base, "shards", None) is not None:
             probe_workers = self.base.probe_workers
+            parallel_mode = self.base.parallel_mode
             health = getattr(self.base, "health_policy", None)
             clock = getattr(self.base, "_clock", None)
             self.base.close()
@@ -867,6 +868,7 @@ class JournaledCorpus:
             self.base = ShardedCorpus(
                 shards=shards, stats=merged, probe_workers=probe_workers,
                 validate=False, health=health, clock=clock,
+                parallel_mode=parallel_mode,
             )
         else:
             index, store = pairs[0]

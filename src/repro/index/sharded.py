@@ -21,12 +21,8 @@ answers the pipeline's probes by scatter-gather:
 ``probe_workers > 1`` fans the scatter across a persistent thread pool —
 worthwhile once shards are large or back disk/remote storage; for small
 in-memory shards the serial loop (the default) is faster than thread
-dispatch.  ``parallel_mode="process"`` goes further and routes shard
-probes to a :class:`~repro.index.procpool.ProcessScatterPool` of worker
-processes (each opening its own shard from the persisted corpus
-directory), escaping the GIL for the CPU-bound scoring loops; the gather
-merge, corpus-global IDF, and coverage accounting stay in the parent, so
-rankings remain bit-identical to serial execution.
+dispatch.  ``parallel_mode="serial"`` forces the serial loop whatever
+``probe_workers`` says; rankings are bit-identical either way.
 
 Persistence is a directory (see DESIGN.md): ``manifest.json`` +
 ``stats.json`` (the shared :class:`~repro.text.tfidf.TermStatistics`) +
@@ -80,7 +76,6 @@ from .builder import (
     save_corpus_dir,
 )
 from .inverted import FIELD_BOOSTS, InvertedIndex, SearchHit, lucene_idf
-from .procpool import ProcessScatterPool
 from .protocol import ShardProtocol
 from .store import TableStore
 
@@ -99,10 +94,10 @@ T = TypeVar("T")
 
 #: How a :class:`ShardedCorpus` executes its scatter: ``"serial"`` runs
 #: probes inline (no pool, even with ``probe_workers > 1``), ``"thread"``
-#: fans out over a thread pool when ``probe_workers > 1``, ``"process"``
-#: routes probes to a :class:`~repro.index.procpool.ProcessScatterPool`
-#: of worker processes (requires a persisted corpus directory).
-PARALLEL_MODES = ("serial", "thread", "process")
+#: fans out over a thread pool when ``probe_workers > 1``.  ``"serial"``
+#: is therefore redundant with ``probe_workers=1`` (DESIGN.md, "Modes
+#: removed"); it stays only while callers still pass it.
+PARALLEL_MODES = ("serial", "thread")
 
 
 def shard_of(table_id: str, num_shards: int) -> int:
@@ -138,7 +133,6 @@ class ShardedCorpus:
         health: Optional[HealthPolicy] = None,
         clock: Optional[Callable[[], float]] = None,
         parallel_mode: str = "thread",
-        corpus_path: Optional[Path] = None,
     ) -> None:
         if not shards:
             raise ValueError("a ShardedCorpus needs at least one shard")
@@ -148,14 +142,6 @@ class ShardedCorpus:
             raise ValueError(
                 f"unknown parallel_mode {parallel_mode!r}; expected one of "
                 f"{PARALLEL_MODES}"
-            )
-        if parallel_mode == "process" and corpus_path is None:
-            raise ValueError(
-                'parallel_mode="process" needs a persisted corpus '
-                "directory — load one with ShardedCorpus.load()/"
-                "load_corpus() so worker processes can open their own "
-                "shards (in-memory shards cannot cross the process "
-                "boundary)"
             )
         self.shards: List[ShardProtocol] = list(shards)
         # Table access routes by shard_of(), so the shards MUST be the
@@ -180,7 +166,6 @@ class ShardedCorpus:
         self.probe_workers = probe_workers
         #: Scatter execution mode (one of :data:`PARALLEL_MODES`).
         self.parallel_mode = parallel_mode
-        self._corpus_path = corpus_path
         #: The policy this corpus was constructed with (``None`` = strict
         #: all-or-nothing scatter, the pre-failure-domain behaviour) —
         #: kept so compaction can rebuild an equivalent corpus.
@@ -199,9 +184,7 @@ class ShardedCorpus:
         )
         # Created eagerly (not lazily) so concurrent first probes — e.g.
         # WWTService.answer_batch fanning out over this corpus — can't race
-        # a lazy init and leak a second pool.  In process mode the thread
-        # pool stays: its threads only *dispatch* IPC requests and block on
-        # replies (GIL released), overlapping the workers' compute.
+        # a lazy init and leak a second pool.
         self._executor: Optional[ThreadPoolExecutor] = None
         if (
             parallel_mode != "serial"
@@ -211,14 +194,6 @@ class ShardedCorpus:
             self._executor = ThreadPoolExecutor(
                 max_workers=min(self.probe_workers, self.num_shards),
                 thread_name_prefix="shard-probe",
-            )
-        # The worker-process pool (process mode only).  Its executor
-        # spawns lazily on the first scatter and respawns after a crash.
-        self._procpool: Optional[ProcessScatterPool] = None
-        if parallel_mode == "process" and corpus_path is not None:
-            self._procpool = ProcessScatterPool(
-                corpus_path,
-                workers=min(self.probe_workers, self.num_shards),
             )
 
     # -- shape -----------------------------------------------------------------
@@ -277,24 +252,20 @@ class ShardedCorpus:
         return self._run_jobs([partial(fn, shard) for shard in self.shards])
 
     def _probe_jobs(
-        self, fn: Callable[[int, ShardProtocol], T], point: str
+        self, fn: Callable[[ShardProtocol], T], point: str
     ) -> List[Callable[[], T]]:
-        """Per-shard strict probe jobs, each guarded by fault point ``point``.
-
-        ``fn`` receives ``(ordinal, shard)`` — local probes use the shard,
-        process-mode probes use the ordinal to address the worker pool.
-        """
+        """Per-shard strict probe jobs, each guarded by fault point ``point``."""
 
         def job(si: int, shard: ShardProtocol) -> T:
             trip(point, key=str(si))
-            return fn(si, shard)
+            return fn(shard)
 
         return [partial(job, si, shard) for si, shard in enumerate(self.shards)]
 
     def _scatter_health(
         self,
         tracker: HealthTracker,
-        fn: Callable[[int, ShardProtocol], T],
+        fn: Callable[[ShardProtocol], T],
         point: str,
     ) -> List[Optional[T]]:
         """Health-gated scatter: per-shard result, or ``None`` for a shard
@@ -308,7 +279,7 @@ class ShardedCorpus:
                 return None
             try:
                 trip(point, key=str(si))
-                result = fn(si, shard)
+                result = fn(shard)
             except Exception as exc:
                 tracker.record_failure(si, exc)
                 return None
@@ -333,13 +304,7 @@ class ShardedCorpus:
         is actually scored with — and bypasses the cache, so values
         computed under partial visibility never leak into full-coverage
         probes (or vice versa).
-
-        In process mode the df probes route to the worker pool (one IPC
-        round per shard) so the parent never materializes shard indexes;
-        see :meth:`_global_idfs` for the batched form the scatter uses.
         """
-        if self._procpool is not None:
-            return self._global_idfs([term])[term]
         tracker = self._health
         if tracker is not None and not tracker.all_healthy():
             df = 0
@@ -357,79 +322,6 @@ class ShardedCorpus:
             cached = lucene_idf(self._num_tables, df)
             self._idf_cache.put(term, cached)
         return cached
-
-    def _global_idfs(self, terms: Sequence[str]) -> Dict[str, float]:
-        """Corpus-global IDF for every term, batched over the worker pool.
-
-        Phase one of the process-mode scatter: one
-        ``document_frequencies`` request per shard covers *all* uncached
-        terms, the parent sums the per-shard dfs (each document lives in
-        exactly one shard) and applies :func:`lucene_idf` — the same
-        expression, over the same counts, as the serial path, which is
-        what lets phase two ship explicit ``{term: idf}`` floats to the
-        workers and stay bit-identical.
-
-        Mirrors :meth:`global_idf`'s visibility rules: with any shard
-        unhealthy (or failing mid-batch), dfs cover reachable shards only
-        and nothing is cached.  Without failure domains a worker failure
-        raises through — the strict all-or-nothing contract.
-        """
-        pool = self._procpool
-        if pool is None:  # pragma: no cover - callers gate on the pool
-            raise RuntimeError("_global_idfs needs process parallel mode")
-        unique = list(dict.fromkeys(terms))
-        tracker = self._health
-        degraded = tracker is not None and not tracker.all_healthy()
-        out: Dict[str, float] = {}
-        missing: List[str] = []
-        if degraded:
-            missing = unique
-        else:
-            for term in unique:
-                cached = self._idf_cache.get(term)
-                if cached is None:
-                    missing.append(term)
-                else:
-                    out[term] = cached
-        if not missing:
-            return out
-        if tracker is None:
-            counts = self._run_jobs([
-                partial(pool.document_frequencies, si, missing)
-                for si in range(self.num_shards)
-            ])
-            for term in missing:
-                idf = lucene_idf(
-                    self._num_tables, sum(c[term] for c in counts)
-                )
-                self._idf_cache.put(term, idf)
-                out[term] = idf
-            return out
-
-        def attempt(si: int) -> Optional[Dict[str, int]]:
-            if not tracker.available(si):
-                return None
-            try:
-                result = pool.document_frequencies(si, missing)
-            except Exception as exc:
-                tracker.record_failure(si, exc)
-                return None
-            tracker.record_success(si)
-            return result
-
-        gathered = self._run_jobs(
-            [partial(attempt, si) for si in range(self.num_shards)]
-        )
-        reached = [c for c in gathered if c is not None]
-        partial_visibility = degraded or len(reached) < self.num_shards
-        for term in missing:
-            idf = lucene_idf(
-                self._num_tables, sum(c[term] for c in reached)
-            )
-            out[term] = idf
-            if not partial_visibility:
-                self._idf_cache.put(term, idf)
-        return out
 
     # -- CorpusProtocol --------------------------------------------------------
 
@@ -462,30 +354,11 @@ class ShardedCorpus:
             return []
         field_list = list(fields) if fields is not None else None
 
-        pool = self._procpool
-        if pool is not None:
-            # Two-phase process scatter: resolve every term's corpus-
-            # global IDF first (batched df scatter), then ship the
-            # explicit floats with the search requests — workers score
-            # with exactly the values the serial path would.
-            idf_values = self._global_idfs(terms)
-
-            def probe(si: int, s: ShardProtocol) -> List[SearchHit]:
-                return [
-                    SearchHit(doc_id, score, field_scores)
-                    for doc_id, score, field_scores in pool.search(
-                        si, terms, limit, field_list, idf_values,
-                        with_field_scores,
-                    )
-                ]
-        else:
-
-            def probe(si: int, s: ShardProtocol) -> List[SearchHit]:
-                return s.index.search(
-                    terms, limit=limit, fields=field_list,
-                    idf=self.global_idf,
-                    with_field_scores=with_field_scores,
-                )
+        def probe(s: ShardProtocol) -> List[SearchHit]:
+            return s.index.search(
+                terms, limit=limit, fields=field_list, idf=self.global_idf,
+                with_field_scores=with_field_scores,
+            )
 
         tracker = self._health
         if tracker is None:
@@ -511,15 +384,8 @@ class ShardedCorpus:
         """Scatter-gather conjunctive containment probe (PMI²'s H and B sets)."""
         field_list = list(fields)
 
-        pool = self._procpool
-        if pool is not None:
-
-            def probe(si: int, s: ShardProtocol) -> Set[str]:
-                return set(pool.docs_containing_all(si, terms, field_list))
-        else:
-
-            def probe(si: int, s: ShardProtocol) -> Set[str]:
-                return s.index.docs_containing_all(terms, field_list)
+        def probe(s: ShardProtocol) -> Set[str]:
+            return s.index.docs_containing_all(terms, field_list)
 
         tracker = self._health
         if tracker is None:
@@ -614,24 +480,19 @@ class ShardedCorpus:
     # -- lifecycle -------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut down the scatter pools (idempotent).
+        """Shut down the scatter thread pool (idempotent).
 
         Long-lived processes that cycle through corpora (benchmark sweeps,
         index reloads) should close discarded instances; probes after
         ``close`` fall back to the serial scatter path.  The executor
         reference is cleared *before* the shutdown so scatters starting
         mid-close go serial, while in-flight scatters hold their own
-        snapshot of the pool and are waited for.  In process mode the
-        worker pool shuts down too; a probe arriving after ``close``
-        would respawn it, so close only discarded corpora.
+        snapshot of the pool and are waited for.
         """
         executor = self._executor
         self._executor = None
         if executor is not None:
             executor.shutdown(wait=True)
-        pool = self._procpool
-        if pool is not None:
-            pool.close()
 
     def __enter__(self) -> ShardedCorpus:
         return self
@@ -682,9 +543,7 @@ class ShardedCorpus:
         aware entry point.  ``health`` enables per-shard failure domains
         (see :meth:`search`); ``clock`` injects the tracker's clock.
         ``parallel_mode`` selects the scatter execution (see
-        :data:`PARALLEL_MODES`); loading from a persisted directory is
-        what makes ``"process"`` possible — worker processes reopen their
-        shards from this very path.
+        :data:`PARALLEL_MODES`).
         """
         path = Path(path)
         manifest = read_manifest(path)
@@ -716,7 +575,7 @@ class ShardedCorpus:
         return cls(
             shards=shards, stats=stats, probe_workers=probe_workers,
             validate=False, health=health, clock=clock,
-            parallel_mode=parallel_mode, corpus_path=path,
+            parallel_mode=parallel_mode,
         )
 
 
@@ -815,9 +674,7 @@ def load_corpus(
 
     ``parallel_mode`` selects the sharded scatter execution (see
     :data:`PARALLEL_MODES`); monolithic corpora have nothing to scatter
-    and ignore it.  Note the journaled wrapper's *delta-merge* probes
-    (only taken while unfolded journal records exist) run in the parent
-    regardless of mode; compaction returns queries to the pooled path.
+    and ignore it.
     """
     from .journal import JournaledCorpus
 

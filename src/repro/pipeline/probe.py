@@ -117,10 +117,15 @@ def table_confidences(
     feature_cache: Optional[FeatureCache] = None,
     pmi_scorer: Optional[PmiScorer] = None,
 ) -> List[float]:
-    """Per-table relevance confidence from independent max-marginals."""
+    """Per-table relevance confidence from independent max-marginals.
+
+    Max-marginals read node potentials and the mutex/all-Irr structure
+    only (Section 4.2.3), never ``problem.edges`` — so none are built.
+    """
     problem = build_problem(
         query, tables, corpus.stats, params,
         pmi_scorer=pmi_scorer, feature_cache=feature_cache,
+        with_edges=False,
     )
     distributions = column_distributions(problem, all_max_marginals(problem))
     confidences = []

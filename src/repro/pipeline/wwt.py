@@ -1,30 +1,26 @@
-"""Query-time artifacts (Figure 2) and the legacy engine shim.
+"""Query-time artifacts (Figure 2).
 
 :class:`QueryTiming` and :class:`WWTAnswer` describe everything the
 pipeline produced for one query — they are the artifact types shared by
-the serving layer.  :class:`WWTEngine` is the pre-service entry point,
-kept as a thin deprecated shim over :class:`repro.service.WWTService`.
+the serving layer (:class:`repro.service.WWTService`).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional
 
 from ..consolidate.merge import AnswerTable
 from ..core.model import ColumnMappingProblem
-from ..core.params import DEFAULT_PARAMS, ModelParams
-from ..index.builder import IndexedCorpus
 from ..inference import MappingResult
 from ..query.model import Query
-from .probe import PROBE_TIMING_SPANS, ProbeConfig, ProbeResult
+from .probe import PROBE_TIMING_SPANS, ProbeResult
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..exec.context import Span
     from ..faults.health import Coverage
 
-__all__ = ["QueryTiming", "WWTAnswer", "WWTEngine"]
+__all__ = ["QueryTiming", "WWTAnswer"]
 
 
 @dataclass
@@ -110,62 +106,3 @@ class WWTAnswer:
     #: Worst shard coverage the probes saw; ``None`` when the corpus has
     #: no failure domains or every shard answered every probe.
     coverage: Optional[Coverage] = None
-
-
-class WWTEngine:
-    """Deprecated constructor-style entry point.
-
-    Use :class:`repro.service.WWTService` instead — it adds request/response
-    types, caching, batching, and serving stats.  This shim wires the old
-    constructor arguments into an :class:`~repro.service.EngineConfig`
-    (caches off, matching the old always-recompute behaviour) and delegates.
-    """
-
-    def __init__(
-        self,
-        corpus: IndexedCorpus,
-        params: ModelParams = DEFAULT_PARAMS,
-        inference: str = "table-centric",
-        probe_config: Optional[ProbeConfig] = None,
-    ) -> None:
-        warnings.warn(
-            "WWTEngine is deprecated; use repro.service.WWTService "
-            "(see DESIGN.md for the migration map)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        # Imported here: repro.service depends on this module's artifacts.
-        from ..service import EngineConfig, WWTService
-
-        config = EngineConfig(
-            params=params,
-            probe=probe_config if probe_config is not None else ProbeConfig(),
-            inference=inference,
-            cache_size=0,
-            probe_cache_size=0,
-        )
-        self._service = WWTService(corpus, config)
-
-    @property
-    def corpus(self) -> IndexedCorpus:
-        """The indexed corpus being served."""
-        return self._service.corpus
-
-    @property
-    def params(self) -> ModelParams:
-        """The model parameters in use."""
-        return self._service.config.params
-
-    @property
-    def inference_name(self) -> str:
-        """The configured inference algorithm."""
-        return self._service.config.inference
-
-    @property
-    def probe_config(self) -> ProbeConfig:
-        """The two-stage probe tunables."""
-        return self._service.config.probe
-
-    def answer(self, query: Query) -> WWTAnswer:
-        """Run the full pipeline for one query."""
-        return self._service.answer_full(query, use_cache=False)

@@ -65,13 +65,6 @@ class ServeConfig:
     #: default 0.0 never fails readiness on coverage (any partial corpus
     #: still serves degraded answers); 1.0 demands a fully healthy corpus.
     min_coverage: float = 0.0
-    #: How queued requests execute: ``"thread"`` (a pool of ``workers``
-    #: OS threads, the default) or ``"async"`` (one event-loop thread
-    #: running up to ``workers`` queries concurrently as asyncio tasks —
-    #: pairs with the engine's ``parallel_mode="process"`` so the loop
-    #: stays responsive while worker processes burn CPU).  Responses are
-    #: byte-identical across both modes.
-    execution_mode: str = "thread"
 
     def __post_init__(self) -> None:
         if not self.host:
@@ -98,11 +91,6 @@ class ServeConfig:
             raise ValueError("client_header must be non-empty")
         if not 0.0 <= self.min_coverage <= 1.0:
             raise ValueError("min_coverage must be in [0.0, 1.0]")
-        if self.execution_mode not in ("thread", "async"):
-            raise ValueError(
-                f"unknown execution_mode {self.execution_mode!r}; "
-                "options: ['async', 'thread']"
-            )
 
     def replace(self, **changes: Any) -> ServeConfig:
         """Copy with some fields replaced (re-validates)."""

@@ -28,18 +28,10 @@ its budget executes under a near-zero budget and comes back degraded
 
 Shutdown is graceful: new work is refused with 503, queued work drains
 through the workers, then the listener closes.
-
-With ``execution_mode="async"`` the fixed thread pool is replaced by a
-single event-loop thread that drains the same bounded queue and runs up
-to ``workers`` queries concurrently as asyncio tasks (via the engine's
-``answer_async``).  Admission, deadline deduction, counters, and the
-drain protocol are identical — only the execution substrate changes, so
-response envelopes are byte-identical across both modes.
 """
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
 import json
 import math
@@ -97,9 +89,7 @@ class AnswerService(Protocol):
 
     A Protocol rather than the concrete class so tests can stand in a
     stub (e.g. one that blocks on an event to make queue states
-    deterministic).  The async serving mode additionally *duck-types* an
-    optional ``answer_async`` coroutine method; services without one are
-    driven through a thread so they never block the event loop.
+    deterministic).
     """
 
     def answer(self, request: QueryRequest) -> QueryResponse:
@@ -318,26 +308,13 @@ class ReproServer:
             (self.config.host, self.config.port), _Handler
         )
         self._httpd.repro = self
-        if self.config.execution_mode == "async":
-            # One event-loop thread is the whole "pool": it drains the
-            # same queue and fans queries out as up to ``workers``
-            # concurrent asyncio tasks.  Being the only ``_workers``
-            # entry keeps shutdown's one-sentinel-per-worker drain
-            # protocol unchanged.
+        for i in range(self.config.workers):
             worker = threading.Thread(
-                target=self._async_loop_main, name="repro-serve-async-loop",
+                target=self._worker_loop, name=f"repro-serve-worker-{i}",
                 daemon=True,
             )
             worker.start()
             self._workers.append(worker)
-        else:
-            for i in range(self.config.workers):
-                worker = threading.Thread(
-                    target=self._worker_loop, name=f"repro-serve-worker-{i}",
-                    daemon=True,
-                )
-                worker.start()
-                self._workers.append(worker)
         self._accept_thread = threading.Thread(
             target=self._httpd.serve_forever, name="repro-serve-accept",
             daemon=True,
@@ -489,87 +466,6 @@ class ReproServer:
                 self._counters.finish_execution(
                     self._clock() - picked_up, degraded, failed
                 )
-
-    # -- the async execution mode -----------------------------------------
-
-    def _async_loop_main(self) -> None:
-        """Thread body for ``execution_mode="async"``: own the event loop."""
-        asyncio.run(self._async_main())
-
-    async def _async_main(self) -> None:
-        """Drain the queue onto the event loop until the shutdown sentinel.
-
-        Concurrency is bounded the same way the thread pool bounds it:
-        an ``asyncio.Semaphore(workers)`` slot is taken *before* a job
-        leaves the queue, so under overload requests keep waiting in the
-        bounded queue (where admission control can see and shed them)
-        rather than piling up as unbounded loop tasks.
-        """
-        loop = asyncio.get_running_loop()
-        slots = asyncio.Semaphore(self.config.workers)
-        tasks: "set[asyncio.Task[None]]" = set()
-        while True:
-            await slots.acquire()
-            # queue.Queue.get blocks; run it on a helper thread so the
-            # loop keeps scheduling in-flight query tasks meanwhile.
-            job = await loop.run_in_executor(None, self._queue.get)
-            if job is None:  # shutdown sentinel: stop accepting
-                slots.release()
-                break
-            task = loop.create_task(self._run_job_async(job, slots))
-            tasks.add(task)
-            task.add_done_callback(tasks.discard)
-        if tasks:
-            # Graceful drain: every admitted job resolves its future
-            # before the loop (and with it the "pool") exits.
-            await asyncio.gather(*tasks)
-
-    async def _run_job_async(
-        self, job: _Job, slots: asyncio.Semaphore
-    ) -> None:
-        """One job as an asyncio task — :meth:`_worker_loop`'s body with
-        the engine call awaited instead of blocking a pool thread."""
-        try:
-            picked_up = self._clock()
-            queue_wait_s = max(0.0, picked_up - job.enqueued_at)
-            self._counters.start_execution(queue_wait_s)
-            degraded = False
-            failed = False
-            try:
-                request = job.request
-                if job.deadline_ms is not None:
-                    # Same end-to-end budget rule as the thread pool.
-                    remaining = job.deadline_ms - queue_wait_s * 1000.0
-                    request = dataclasses.replace(
-                        request, deadline_ms=max(remaining, MIN_BUDGET_MS)
-                    )
-                trip(POINT_SERVE_WORKER)
-                response = await self._answer_on_loop(request)
-                degraded = response.degraded
-                job.future.set_result((response, queue_wait_s * 1000.0))
-            except BaseException as exc:
-                failed = True
-                job.future.set_exception(exc)
-            finally:
-                self._counters.finish_execution(
-                    self._clock() - picked_up, degraded, failed
-                )
-        finally:
-            slots.release()
-
-    async def _answer_on_loop(self, request: QueryRequest) -> QueryResponse:
-        """Answer via the engine's coroutine surface when it has one.
-
-        Stub services (tests) that only implement the sync protocol are
-        dispatched to a helper thread so a blocking stub cannot starve
-        the event loop.
-        """
-        answer_async = getattr(self.service, "answer_async", None)
-        if answer_async is not None:
-            response: QueryResponse = await answer_async(request)
-            return response
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, self.service.answer, request)
 
     # -- observability ----------------------------------------------------
 

@@ -3,8 +3,8 @@
 ``WWTService`` answers column-keyword queries against an indexed corpus
 behind a request/response API with LRU result + probe caching, thread-pool
 batch fan-out, pagination, and per-stage timing — the seam every scaling
-change (sharded index, async probe, multi-backend) plugs into.  All
-behaviour is configured by one frozen :class:`EngineConfig`.
+change (sharded index, journaled mutation, the HTTP front door) plugs
+into.  All behaviour is configured by one frozen :class:`EngineConfig`.
 
 Queries execute through the staged engine in :mod:`repro.exec`: the
 config's ``deadline_ms`` budget and ``degraded_ok`` policy bound tail

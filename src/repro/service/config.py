@@ -80,11 +80,11 @@ class EngineConfig:
     #: wins for small in-memory shards; raise it for large/disk shards).
     probe_workers: int = 1
     #: How a sharded corpus executes its scatter: ``"serial"`` (in the
-    #: calling thread), ``"thread"`` (GIL-bound thread pool — the
-    #: default), or ``"process"`` (persistent spawn workers, each holding
-    #: its own mmap'd shard; needs ``index_path``/a persisted corpus).
-    #: Monolithic corpora ignore it.  Rankings are bit-identical across
-    #: all three modes (see DESIGN.md, "Process-parallel scatter-gather").
+    #: calling thread, whatever ``probe_workers`` says) or ``"thread"``
+    #: (a thread pool once ``probe_workers > 1`` — the default).
+    #: Redundant with ``probe_workers=1``; kept only until nothing passes
+    #: it (see DESIGN.md, "Modes removed").  Monolithic corpora ignore it;
+    #: rankings are bit-identical either way.
     parallel_mode: str = "thread"
     #: Journal depth at which :meth:`WWTService.add_tables` /
     #: :meth:`WWTService.delete_tables` trigger an automatic ``compact()``
@@ -128,10 +128,10 @@ class EngineConfig:
             raise ValueError("num_shards must be >= 1 (None for monolithic)")
         if self.probe_workers < 1:
             raise ValueError("probe_workers must be >= 1")
-        if self.parallel_mode not in ("serial", "thread", "process"):
+        if self.parallel_mode not in ("serial", "thread"):
             raise ValueError(
                 f"unknown parallel_mode {self.parallel_mode!r}; "
-                "options: ['process', 'serial', 'thread']"
+                "options: ['serial', 'thread']"
             )
         if self.index_format not in ("json", "bin"):
             raise ValueError(

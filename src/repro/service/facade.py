@@ -2,13 +2,11 @@
 
 Owns the full query-time pipeline of Figure 2 (two-stage probe, collective
 column mapping, consolidation, ranking) behind a request/response API with
-result + probe caching, batch fan-out, and serving statistics.  The legacy
-``WWTEngine`` is now a deprecated shim over this class.
+result + probe caching, batch fan-out, and serving statistics.
 """
 
 from __future__ import annotations
 
-import asyncio
 import random
 import threading
 import warnings
@@ -211,8 +209,8 @@ class WWTService:
         elif self.config.parallel_mode == "serial":
             warnings.warn(
                 f"probe_workers={self.config.probe_workers} has no effect "
-                'with parallel_mode="serial"; use "thread" or "process" '
-                "to fan the scatter out",
+                'with parallel_mode="serial"; use "thread" to fan the '
+                "scatter out",
                 RuntimeWarning,
                 stacklevel=3,
             )
@@ -236,66 +234,6 @@ class WWTService:
         :class:`~repro.pipeline.wwt.QueryTiming` and the service's
         per-stage aggregates.
         """
-        ctx, state, hit, probe_key, entry = self._begin_compute(
-            query, inference, deadline_ms
-        )
-        try:
-            if hit:
-                state.probe, probe_spans = entry
-                _PARSE_PLAN.run(ctx, state)
-                ctx.adopt(probe_spans)
-                _MAPPING_PLAN.run(ctx, state)
-            else:
-                _FULL_PLAN.run(ctx, state)
-        finally:
-            self._record_execution(ctx, state)
-        return self._finish_compute(ctx, state, hit, probe_key)
-
-    async def _compute_async(
-        self,
-        query: Query,
-        inference: str,
-        deadline_ms: Optional[float] = None,
-    ) -> WWTAnswer:
-        """:meth:`_compute` on the running asyncio event loop.
-
-        Identical setup, probe-cache policy, accounting, and answer —
-        the only difference is that the plans run via
-        :meth:`~repro.exec.plan.ExecutionPlan.run_async`, whose stage
-        boundaries yield to the loop so concurrent queries interleave.
-        """
-        ctx, state, hit, probe_key, entry = self._begin_compute(
-            query, inference, deadline_ms
-        )
-        try:
-            if hit:
-                state.probe, probe_spans = entry
-                await _PARSE_PLAN.run_async(ctx, state)
-                ctx.adopt(probe_spans)
-                await _MAPPING_PLAN.run_async(ctx, state)
-            else:
-                await _FULL_PLAN.run_async(ctx, state)
-        finally:
-            self._record_execution(ctx, state)
-        return self._finish_compute(ctx, state, hit, probe_key)
-
-    def _begin_compute(
-        self,
-        query: Query,
-        inference: str,
-        deadline_ms: Optional[float],
-    ) -> tuple:
-        """Shared setup for :meth:`_compute` / :meth:`_compute_async`.
-
-        Builds the execution context and query state and consults the
-        probe cache.  Returns ``(ctx, state, hit, probe_key, entry)``
-        where a hit's ``entry`` is the cached ``(probe, probe_spans)``
-        pair — the probe cache stores the probe's spans next to the
-        result so a hit still reports the probe's original cost
-        (Figure 7's slices), not a misleading zero; the runner then
-        executes without probe stages, grafting the cached spans in the
-        probe's place.
-        """
         algorithm = DEFAULT_REGISTRY.get_algorithm(inference)  # fail fast
         ctx = ExecutionContext(
             deadline_ms=(
@@ -315,18 +253,23 @@ class WWTService:
             feature_cache=self._feature_cache,
             pmi_scorer=self._pmi_scorer,
         )
+
+        # The probe cache stores the probe's spans next to the result so a
+        # hit still reports the probe's original cost (Figure 7's slices),
+        # not a misleading zero; the plan then runs without probe stages,
+        # grafting the cached spans in the probe's place.
         probe_key = normalized_query_key(query)
         hit, entry = self._probe_cache.get(probe_key)
-        return ctx, state, hit, probe_key, entry
-
-    def _finish_compute(
-        self,
-        ctx: ExecutionContext,
-        state: QueryState,
-        hit: bool,
-        probe_key: Any,
-    ) -> WWTAnswer:
-        """Shared tail: probe-cache admission + answer assembly."""
+        try:
+            if hit:
+                state.probe, probe_spans = entry
+                _PARSE_PLAN.run(ctx, state)
+                ctx.adopt(probe_spans)
+                _MAPPING_PLAN.run(ctx, state)
+            else:
+                _FULL_PLAN.run(ctx, state)
+        finally:
+            self._record_execution(ctx, state)
         if not hit:
             # A truncated probe (skipped stages) is partial — caching it
             # would serve short candidate sets to unbounded queries.  A
@@ -441,49 +384,6 @@ class WWTService:
             with self._lock:
                 self._inflight.pop(flight_key, None)
 
-    async def _cached_answer_async(
-        self,
-        query: Query,
-        name: str,
-        use_cache: bool,
-        deadline_ms: Optional[float] = None,
-    ) -> tuple:
-        """:meth:`_cached_answer` for the asyncio serving path.
-
-        Same LRU lookup, same single-flight map (shared with the threaded
-        path — a thread leader's future satisfies an async follower and
-        vice versa), same admission policy.  Followers ``await`` the
-        leader's future via :func:`asyncio.wrap_future` instead of
-        blocking the loop.
-        """
-        if not use_cache:
-            return False, await self._compute_async(query, name, deadline_ms)
-        key = (normalized_query_key(query), name)
-        hit, cached = self._result_cache.get(key)
-        if hit:
-            return True, cached
-        flight_key = key + (deadline_ms,)
-        with self._lock:
-            future = self._inflight.get(flight_key)
-            leader = future is None
-            if leader:
-                future = Future()
-                self._inflight[flight_key] = future
-        if not leader:
-            return True, await asyncio.wrap_future(future)
-        try:
-            full = await self._compute_async(query, name, deadline_ms)
-            if not full.degraded:
-                self._result_cache.put(key, full)
-            future.set_result(full)
-            return False, full
-        except BaseException as exc:
-            future.set_exception(exc)
-            raise
-        finally:
-            with self._lock:
-                self._inflight.pop(flight_key, None)
-
     def answer_full(
         self,
         query: Union[Query, str],
@@ -516,37 +416,7 @@ class WWTService:
         cache_hit, full = self._cached_answer(
             request.query, name, request.use_cache, request.deadline_ms
         )
-        return self._build_response(request, name, cache_hit, full, start)
 
-    async def answer_async(self, request: RequestLike) -> QueryResponse:
-        """:meth:`answer` as a coroutine for the asyncio serving mode.
-
-        Returns a byte-identical response envelope to :meth:`answer` for
-        the same request and corpus state — the pipeline stages run on
-        the event loop with their boundaries as await points, which
-        changes *when* the CPU work happens relative to other in-flight
-        queries, never *what* it computes.
-        """
-        request = QueryRequest.of(request)
-        start = wall_clock()
-        name = (
-            request.inference if request.inference is not None
-            else self.config.inference
-        )
-        cache_hit, full = await self._cached_answer_async(
-            request.query, name, request.use_cache, request.deadline_ms
-        )
-        return self._build_response(request, name, cache_hit, full, start)
-
-    def _build_response(
-        self,
-        request: QueryRequest,
-        name: str,
-        cache_hit: bool,
-        full: WWTAnswer,
-        start: float,
-    ) -> QueryResponse:
-        """Shared response assembly for :meth:`answer` / :meth:`answer_async`."""
         page_size = (
             request.page_size if request.page_size is not None
             else self.config.page_size

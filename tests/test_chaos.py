@@ -8,13 +8,11 @@ inert: with no injector active (or an armed injector whose rules never
 fire), a health-enabled corpus answers bit-identically to the plain
 sharded baseline.
 
-Determinism notes: every corpus here scatters serially
-(``probe_workers=1`` — including the process-mode corpus, whose single
-worker process evaluates triggers in probe order) and every health
-tracker runs on a fake clock advanced only between queries, so trigger
-sequences and backoff windows are exact — the same chaos config
-replayed twice produces byte-for-byte the same outcomes, which the
-replay test asserts.
+Determinism notes: every corpus here is serial (``probe_workers=1``) and
+every health tracker runs on a fake clock advanced only between queries,
+so trigger sequences and backoff windows are exact — the same chaos
+config replayed twice produces byte-for-byte the same outcomes, which
+the replay test asserts.
 """
 
 import pytest
@@ -24,13 +22,11 @@ from repro.faults import (
     EveryNth,
     FaultRule,
     HealthPolicy,
-    Once,
     WithProbability,
     injected,
 )
 from repro.faults.injection import (
     POINT_SHARD_SEARCH,
-    POINT_SHARD_WORKER,
     POINT_STORE_GET,
 )
 from repro.index import ShardedCorpus, build_sharded_corpus
@@ -236,60 +232,3 @@ class TestChaosMatrix:
         for _, full in outcomes:
             if full.degraded:
                 assert full.coverage.shards_reachable == NUM_SHARDS - 1
-
-
-@pytest.fixture(scope="module")
-def persisted_dir(tables, tmp_path_factory):
-    """The same corpus persisted to disk, for process-pool workers."""
-    built = build_sharded_corpus(tables, NUM_SHARDS)
-    path = tmp_path_factory.mktemp("chaos-proc") / "corpus"
-    built.save(path)
-    return path
-
-
-class TestShardWorkerChaos:
-    """Faults raised *inside* a process-pool worker obey the same bar.
-
-    ``shard.worker`` rules ship to workers at pool spawn, so the fault
-    fires across the IPC boundary — the parent must fold it into the
-    same degrade-accurately-then-heal lifecycle as an in-process shard
-    failure, without respawning the pool (an application fault is not a
-    dead worker).  ``probe_workers=1`` keeps the single worker process's
-    trigger counters deterministic.
-    """
-
-    def test_worker_fault_degrades_then_heals_without_respawn(
-        self, persisted_dir, small_env, baseline, tables
-    ):
-        clock = FakeClock()
-        with injected(
-            FaultRule(POINT_SHARD_WORKER, Once(at=1), key="1")
-        ):
-            corpus = ShardedCorpus.load(
-                persisted_dir, parallel_mode="process",
-                health=HEALING, clock=clock,
-            )
-            service = WWTService(corpus)
-            try:
-                wq = small_env.queries[0]
-                full = service.answer_full(wq.query, use_cache=False)
-                assert full.degraded
-                assert full.degraded_reasons == [REASON_SHARD_FAILURE]
-                coverage = full.coverage
-                assert coverage is not None and not coverage.complete
-                assert coverage.shards_total == NUM_SHARDS
-                assert coverage.shards_reachable == NUM_SHARDS - 1
-                assert coverage.tables_total == len(tables)
-                spawns = corpus._procpool.spawns
-                assert spawns == 1
-
-                clock.advance(10.0)  # past HEALING's reopen window
-                healed = service.answer_full(wq.query, use_cache=False)
-                assert not healed.degraded
-                assert healed.coverage is None
-                assert fingerprint(healed) == baseline[wq.query_id]
-                # The injected fault was an application error inside a
-                # live worker — healing must not have respawned the pool.
-                assert corpus._procpool.spawns == spawns
-            finally:
-                corpus.close()

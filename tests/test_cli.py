@@ -37,6 +37,22 @@ class TestParser:
         args = build_parser().parse_args(["workload"])
         assert args.command == "workload"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["query", "a | b", "--parallel-mode", "process"],
+         "invalid choice: 'process' (choose from 'serial', 'thread')"),
+        (["serve", "--execution-mode", "async"],
+         "unrecognized arguments: --execution-mode async"),
+        (["index", "build", "--out", "d", "--parallel-mode", "serial"],
+         "unrecognized arguments: --parallel-mode serial"),
+    ], ids=["parallel-mode-process", "serve-execution-mode",
+            "index-build-parallel-mode"])
+    def test_removed_modes_exit_2(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as err:
+            build_parser().parse_args(argv)
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("usage:") and message in stderr
+
 
 class TestCommands:
     def test_workload_lists_queries(self):

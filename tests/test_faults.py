@@ -142,7 +142,7 @@ class TestTriggerPolicies:
 
     def test_known_points_catalog_is_closed(self):
         assert POINT_SHARD_SEARCH in KNOWN_POINTS
-        assert len(KNOWN_POINTS) == 6
+        assert len(KNOWN_POINTS) == 5
 
 
 # ---------------------------------------------------------------------------

@@ -424,6 +424,19 @@ class TestCrashRecovery:
         assert manifest["journal_seq"] == 4
         assert manifest["num_tables"] == 10
 
+    @pytest.mark.parametrize("mode", ["serial", "thread"])
+    def test_compaction_keeps_the_scatter_mode(self, tmp_path, mode):
+        """Regression: ``_swap_base`` rebuilt the sharded base in the
+        default mode, so a serial corpus grew a thread pool on compact."""
+        build_corpus_index(make_tables(8), num_shards=2, save=tmp_path / "c")
+        with load_corpus(
+            tmp_path / "c", probe_workers=2, parallel_mode=mode
+        ) as corpus:
+            corpus.add_tables(make_tables(3, prefix="new"))
+            corpus.compact()
+            assert corpus.base.parallel_mode == mode
+            assert (corpus.base._executor is not None) == (mode == "thread")
+
     def test_read_journal_round_trip(self, tmp_path):
         journal = tmp_path / JOURNAL_FILE
         records = [

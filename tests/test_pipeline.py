@@ -1,12 +1,22 @@
-"""Integration tests: two-stage probe, WWT engine, answer quality."""
+"""Integration tests: two-stage probe, end-to-end service, answer quality."""
 
 import pytest
 
+import repro.core.model as core_model
+import repro.pipeline.probe as probe_module
+from repro.core.model import build_problem
 from repro.evaluation.answer_quality import answer_row_error, answer_rows
-from repro.pipeline.probe import ProbeConfig, two_stage_probe
-from repro.pipeline.wwt import WWTEngine
+from repro.pipeline.probe import ProbeConfig, table_confidences, two_stage_probe
 from repro.query.model import Query
 from repro.query.workload import query_by_id
+from repro.service import EngineConfig, WWTService
+
+
+def uncached_service(corpus, **config):
+    """A service that recomputes every query (no result/probe cache)."""
+    return WWTService(
+        corpus, EngineConfig(cache_size=0, probe_cache_size=0, **config)
+    )
 
 
 class TestTwoStageProbe:
@@ -50,11 +60,47 @@ class TestTwoStageProbe:
         assert [t.table_id for t in a.tables] == [t.table_id for t in b.tables]
 
 
-class TestWWTEngine:
+class TestConfidencePass:
+    def test_builds_no_edges_and_matches_with_edges_values(
+        self, small_env, monkeypatch
+    ):
+        """Max-marginals never read edges, so the pass must not build
+        them — and skipping them must not move a single confidence."""
+        corpus = small_env.synthetic.corpus
+        params = EngineConfig().params
+        cases = [
+            (wq.query, small_env.candidates[wq.query_id].tables)
+            for wq in small_env.queries
+            if small_env.candidates[wq.query_id].tables
+        ][:12]
+        assert len(cases) >= 10
+
+        def build_with_edges(*args, **kwargs):
+            kwargs.pop("with_edges", None)
+            return build_problem(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(probe_module, "build_problem", build_with_edges)
+            expected = [
+                table_confidences(q, t, corpus, params) for q, t in cases
+            ]
+
+        calls = []
+        real = core_model.build_edges
+        monkeypatch.setattr(
+            core_model, "build_edges",
+            lambda *a, **kw: calls.append(1) or real(*a, **kw),
+        )
+        got = [table_confidences(q, t, corpus, params) for q, t in cases]
+        assert calls == []
+        assert got == expected
+
+
+class TestEndToEndService:
     def test_end_to_end_answer(self, small_env):
-        engine = WWTEngine(small_env.synthetic.corpus)
+        service = uncached_service(small_env.synthetic.corpus)
         wq = query_by_id("country | currency")
-        result = engine.answer(wq.query)
+        result = service.answer_full(wq.query)
         assert result.answer.num_rows > 0
         assert result.answer.header() == ["country", "currency"]
         # A real country/currency pair should surface near the top.
@@ -63,8 +109,8 @@ class TestWWTEngine:
                       "china", "canada", "united states"}
 
     def test_timing_breakdown_complete(self, small_env):
-        engine = WWTEngine(small_env.synthetic.corpus)
-        result = engine.answer(Query.parse("dog breed"))
+        service = uncached_service(small_env.synthetic.corpus)
+        result = service.answer_full(Query.parse("dog breed"))
         timing = result.timing.as_dict()
         assert set(timing) == {
             "1st Index", "1st Table Read", "2nd Index", "2nd Table Read",
@@ -74,13 +120,15 @@ class TestWWTEngine:
 
     def test_inference_choice_validated(self, small_env):
         with pytest.raises(ValueError):
-            WWTEngine(small_env.synthetic.corpus, inference="nope")
+            uncached_service(small_env.synthetic.corpus, inference="nope")
 
     def test_all_inference_engines_run(self, small_env):
         query = Query.parse("name of explorers | nationality")
         for inference in ("none", "table-centric", "alpha-expansion"):
-            engine = WWTEngine(small_env.synthetic.corpus, inference=inference)
-            result = engine.answer(query)
+            service = uncached_service(
+                small_env.synthetic.corpus, inference=inference
+            )
+            result = service.answer_full(query)
             assert result.mapping.algorithm
 
 

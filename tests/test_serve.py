@@ -123,6 +123,13 @@ class TestServeConfig:
         with pytest.raises(ValueError, match="unknown ServeConfig keys"):
             ServeConfig.from_dict({"worker": 2})
 
+    def test_removed_execution_mode_is_an_unknown_key(self):
+        with pytest.raises(ValueError, match="unknown ServeConfig keys") as err:
+            ServeConfig.from_dict({"execution_mode": "async"})
+        assert "'workers'" in str(err.value)  # the known-key list
+        with pytest.raises(TypeError):
+            ServeConfig(execution_mode="async")
+
     @pytest.mark.parametrize("bad", [
         {"host": ""},
         {"port": -1},

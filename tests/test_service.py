@@ -10,7 +10,7 @@ from repro.inference.registry import (
     InferenceRegistry,
     UnknownAlgorithmError,
 )
-from repro.pipeline.wwt import WWTAnswer, WWTEngine
+from repro.pipeline.wwt import WWTAnswer
 from repro.query.model import Query
 from repro.service import (
     EngineConfig,
@@ -58,6 +58,13 @@ class TestEngineConfig:
     def test_unknown_inference_rejected(self):
         with pytest.raises(ValueError, match="unknown inference"):
             EngineConfig(inference="nope")
+
+    def test_removed_process_scatter_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown parallel_mode") as err:
+            EngineConfig(parallel_mode="process")
+        assert "['serial', 'thread']" in str(err.value)
+        with pytest.raises(ValueError, match="unknown parallel_mode"):
+            EngineConfig.from_dict({"parallel_mode": "process"})
 
     def test_serving_knobs_validated(self):
         with pytest.raises(ValueError):
@@ -361,33 +368,6 @@ class TestWWTService:
         service.clear_caches()
         response = service.answer("dog breed")
         assert not response.cache_hit
-
-
-class TestEngineShim:
-    def test_deprecation_warning(self, small_env):
-        with pytest.warns(DeprecationWarning, match="WWTService"):
-            WWTEngine(small_env.synthetic.corpus)
-
-    def test_top_level_import_still_works(self):
-        import repro
-
-        assert repro.WWTEngine is WWTEngine
-
-    def test_answers_like_the_service(self, small_env):
-        with pytest.warns(DeprecationWarning):
-            engine = WWTEngine(small_env.synthetic.corpus)
-        query = Query.parse("country | currency")
-        old = engine.answer(query)
-        new = WWTService(small_env.synthetic.corpus).answer_full(query)
-        assert [r.cells for r in old.answer.rows] == (
-            [r.cells for r in new.answer.rows]
-        )
-        assert engine.inference_name == "table-centric"
-        assert engine.params == new.problem.params
-
-    def test_unknown_inference_still_valueerror(self, small_env):
-        with pytest.warns(DeprecationWarning), pytest.raises(ValueError):
-            WWTEngine(small_env.synthetic.corpus, inference="nope")
 
 
 class TestShardedServing:

@@ -18,6 +18,7 @@ from repro.index import (
     load_corpus,
     shard_of,
 )
+from repro.index.sharded import PARALLEL_MODES
 from repro.pipeline.probe import ProbeConfig, two_stage_probe
 from repro.query.workload import WORKLOAD
 from repro.tables.table import WebTable
@@ -368,6 +369,39 @@ class TestShardedValidation:
         after = c.search(["country"], limit=10)  # serial fallback still works
         assert [(h.doc_id, h.score) for h in before] == [
             (h.doc_id, h.score) for h in after
+        ]
+
+
+class TestParallelModes:
+    """The scatter-mode contracts: a closed catalogue, threaded end to end."""
+
+    def test_modes_catalog(self):
+        assert PARALLEL_MODES == ("serial", "thread")
+
+    @pytest.mark.parametrize("mode", ["gpu", "process"])
+    def test_unknown_mode_rejected(self, sharded_by_k, mode):
+        built = sharded_by_k[2]
+        with pytest.raises(ValueError, match="parallel_mode") as err:
+            ShardedCorpus(
+                built.shards, built.stats, validate=False, parallel_mode=mode
+            )
+        assert str(PARALLEL_MODES) in str(err.value)
+
+    @pytest.mark.parametrize("mode", PARALLEL_MODES)
+    def test_load_corpus_threads_the_mode(self, sharded_by_k, tmp_path, mode):
+        built = sharded_by_k[4]
+        path = built.save(tmp_path / "corpus")
+        with load_corpus(
+            path, probe_workers=2, parallel_mode=mode
+        ) as corpus:
+            assert isinstance(corpus, JournaledCorpus)
+            assert corpus.base.parallel_mode == mode
+            assert (corpus.base._executor is not None) == (mode == "thread")
+            assert f"mode={mode}" in repr(corpus.base)
+            got = corpus.search(["country", "currency"], limit=25)
+        expected = built.search(["country", "currency"], limit=25)
+        assert [(h.doc_id, h.score) for h in got] == [
+            (h.doc_id, h.score) for h in expected
         ]
 
 

@@ -20,7 +20,6 @@ from .r005_lock_discipline import LockDisciplineRule
 from .r006_swallowed_cancellation import SwallowedCancellationRule
 from .r007_mutable_default import MutableDefaultRule
 from .r008_unrecorded_recovery import UnrecordedRecoveryRule
-from .r009_fork_safety import ForkSafetyRule
 
 __all__ = [
     "ALL_RULES",
@@ -33,7 +32,6 @@ __all__ = [
     "SwallowedCancellationRule",
     "MutableDefaultRule",
     "UnrecordedRecoveryRule",
-    "ForkSafetyRule",
 ]
 
 #: Every rule, instantiated, in id order.
@@ -46,7 +44,6 @@ ALL_RULES: List[Rule] = [
     SwallowedCancellationRule(),
     MutableDefaultRule(),
     UnrecordedRecoveryRule(),
-    ForkSafetyRule(),
 ]
 
 #: Rule lookup by id (``"R001"`` …), used for disable-comment validation.

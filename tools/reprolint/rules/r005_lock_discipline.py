@@ -152,8 +152,7 @@ class LockDisciplineRule(Rule):
     to it anywhere else in the class without that lock is a race window
     (half-applied mutations become visible to the locked readers).  This
     is exactly the discipline the journal's probe/mutation serialization
-    and the service's stats counters rely on, and the surface the
-    ROADMAP's process-parallel scatter-gather will multiply.
+    and the service's stats counters rely on.
 
     The analysis is per class, flow-insensitive, and propagates through
     private helpers: a method only ever invoked (or referenced) while the

@@ -53,9 +53,8 @@ class SwallowedCancellationRule(Rule):
     ``repro.exec`` that catches them (directly, or via ``TimeoutError``/
     ``Exception``/a bare ``except``) and does not re-raise turns a
     hard-deadline query into a silent full-latency one and makes
-    ``CancellationToken.cancel()`` a no-op — precisely the failure modes
-    an async executor would amplify.  Catch narrower exceptions, or
-    re-raise after cleanup.
+    ``CancellationToken.cancel()`` a no-op.  Catch narrower exceptions,
+    or re-raise after cleanup.
     """
 
     id = "R006"
