@@ -2,7 +2,7 @@
 PYTHONPATH := src
 
 .PHONY: test coverage lint reprolint typecheck check docs docs-coverage \
-	bench-incremental bench-shards bench-hotpath bench-exec \
+	bench-incremental bench-hotpath bench-exec \
 	bench-serving bench-faults
 
 test:
@@ -57,9 +57,6 @@ docs-coverage:
 
 bench-incremental:
 	PYTHONPATH=$(PYTHONPATH) python benchmarks/bench_incremental.py --smoke
-
-bench-shards:
-	PYTHONPATH=$(PYTHONPATH) python benchmarks/bench_shard_scaling.py --smoke
 
 bench-hotpath:
 	PYTHONPATH=$(PYTHONPATH) python benchmarks/bench_hotpath.py --smoke

@@ -175,7 +175,7 @@ def main(argv=None) -> int:
     queries = [wq.query for wq in WORKLOAD[: args.queries]]
     t0 = time.perf_counter()
     synthetic = generate_corpus(CorpusConfig(seed=args.seed, scale=args.scale))
-    tables = list(synthetic.corpus.store)
+    tables = list(synthetic.corpus)
     print(f"faults benchmark: scale={args.scale} "
           f"({len(tables)} tables, {NUM_SHARDS} shards, "
           f"{time.perf_counter() - t0:.1f}s to build), "

@@ -118,7 +118,7 @@ def test_fig7_method_cost_comparison(env, benchmark):
     from repro.inference import table_centric_inference
 
     stats = env.synthetic.corpus.stats
-    index = env.synthetic.corpus.index
+    corpus = env.synthetic.corpus
     sample = env.queries[::6]  # every 6th query keeps this test quick
 
     def time_method(fn):
@@ -139,7 +139,7 @@ def test_fig7_method_cost_comparison(env, benchmark):
     )
     t_pmi = time_method(
         lambda wq: pmi_method(
-            wq.query, env.candidates[wq.query_id].tables, index, stats
+            wq.query, env.candidates[wq.query_id].tables, corpus, stats
         )
     )
     text = (

@@ -31,7 +31,7 @@ def test_html_extraction(benchmark):
 
 def test_index_probe(env, benchmark):
     tokens = Query.parse("country | currency | population").all_tokens()
-    hits = benchmark(env.synthetic.corpus.index.search, tokens, 60)
+    hits = benchmark(env.synthetic.corpus.search, tokens, 60)
     assert hits
 
 

@@ -76,5 +76,5 @@ def test_probe_one_stage_ablation(env, benchmark):
     # Kernel: the one-stage probe (keyword-only retrieval).
     wq = env.queries[14]
     benchmark(
-        env.synthetic.corpus.index.search, wq.query.all_tokens(), 60
+        env.synthetic.corpus.search, wq.query.all_tokens(), 60
     )

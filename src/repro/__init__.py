@@ -17,9 +17,9 @@ Package map (see DESIGN.md for the full inventory):
 
 - :mod:`repro.html`, :mod:`repro.tables`, :mod:`repro.text` — offline
   extraction substrate (Section 2.1);
-- :mod:`repro.index` — Lucene-style fielded index + table store, with a
-  sharded, persistent backend (:class:`ShardedCorpus`, :func:`load_corpus`)
-  interchangeable with the monolithic one via :class:`CorpusProtocol`;
+- :mod:`repro.index` — Lucene-style fielded index + table store behind
+  one sharded, persistent backend (:class:`ShardedCorpus`,
+  :func:`load_corpus`) that serves :class:`CorpusProtocol`;
 - :mod:`repro.corpus` — the synthetic web crawl substitute;
 - :mod:`repro.query` — column-keyword queries + the 59-query workload;
 - :mod:`repro.core` — the graphical model (SegSim, PMI², potentials);
@@ -49,7 +49,6 @@ from .exec import (
 )
 from .index import (
     CorpusProtocol,
-    IndexedCorpus,
     JournaledCorpus,
     NaiveScorer,
     ShardedCorpus,
@@ -93,7 +92,6 @@ __all__ = [
     "ExecutionPlan",
     "FeatureCache",
     "GroundTruth",
-    "IndexedCorpus",
     "InferenceRegistry",
     "JournaledCorpus",
     "MappingResult",

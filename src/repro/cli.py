@@ -5,7 +5,7 @@ Commands
 ``query``    answer a column-keyword query against a generated corpus
 ``batch``    answer many queries through the service (caching + fan-out)
 ``corpus``   generate a corpus and print its census / save the table store
-``index``    ``build`` a persisted (optionally sharded) corpus; ``add``
+``index``    ``build`` a persisted corpus of N >= 1 shards; ``add``
              journal new tables into it; ``compact`` fold the journal into
              fresh snapshots; ``info`` describe it; ``verify`` scrub every
              shard offline (checksums + full decode, exit 1 on corruption);
@@ -47,6 +47,7 @@ from .corpus.generator import CorpusConfig, generate_corpus
 from .evaluation.harness import METHODS, build_environment, run_method
 from .exec.context import wall_clock
 from .index.builder import read_manifest
+from .index.store import TableStore
 from .inference import REGISTRY
 from .query.workload import WORKLOAD
 from .serve import ReproServer, ServeConfig
@@ -110,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "answers (see DESIGN.md, 'Execution engine')")
 
     index = sub.add_parser(
-        "index", help="build / inspect a persisted (sharded) corpus"
+        "index", help="build / inspect a persisted corpus"
     )
     isub = index.add_subparsers(dest="index_command", required=True)
     build = isub.add_parser(
@@ -121,13 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--scale", type=float, default=1.0,
                        help="corpus scale factor (default 1.0)")
     build.add_argument("--seed", type=int, default=42)
-    build.add_argument("--num-shards", type=int, default=None,
-                       help="hash-partition across N shards "
-                            "(default: monolithic single index)")
-    build.add_argument("--format", choices=("json", "bin"), default="bin",
-                       help="shard snapshot format: 'bin' (version-3 "
-                            "binary columnar, mmap'd + lazily loaded; the "
-                            "default) or 'json' (version-2 layout)")
+    build.add_argument("--num-shards", type=int, default=1,
+                       help="hash-partition across N shards (default 1)")
     build.add_argument("--tables", type=int, default=None, metavar="N",
                        help="build from N fast synthetic tables (zipfian "
                             "sizes, domain mixing) streamed straight to "
@@ -153,10 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
         "compact", help="fold the journal into fresh shard snapshots"
     )
     compact.add_argument("path", metavar="DIR", help="corpus directory")
-    compact.add_argument("--format", choices=("json", "bin"), default="bin",
-                         help="snapshot format to rewrite in (default "
-                              "'bin'; compacting a version-2 directory "
-                              "upgrades it)")
     info = isub.add_parser("info", help="describe a persisted corpus")
     info.add_argument("path", metavar="DIR", help="corpus directory")
     verify = isub.add_parser(
@@ -337,16 +329,13 @@ def _cmd_corpus(args: argparse.Namespace, out: TextIO) -> int:
                  3: ">2 header rows"}[k]
         print(f"  {label:<15} {count:>5}  ({count / total:.0%})", file=out)
     if args.save:
-        synthetic.corpus.store.save(args.save)
+        TableStore(synthetic.corpus).save(args.save)
         print(f"table store written to {args.save}", file=out)
     return 0
 
 
 def _cmd_index(args: argparse.Namespace, out: TextIO) -> int:
     if args.index_command == "build":
-        kind = "monolithic" if args.num_shards is None else (
-            f"{args.num_shards}-shard"
-        )
         if args.tables is not None or args.stream:
             # Streaming build: tables go straight to the staged shard
             # files, one shard in memory at a time (build_corpus_stream);
@@ -361,15 +350,12 @@ def _cmd_index(args: argparse.Namespace, out: TextIO) -> int:
                                               scale=args.scale))
             )
             t0 = wall_clock()
-            build_corpus_stream(
-                tables, args.out, num_shards=args.num_shards,
-                index_format=args.format,
-            )
+            build_corpus_stream(tables, args.out, num_shards=args.num_shards)
             build_s = wall_clock() - t0
             manifest = read_manifest(args.out)
             print(
-                f"{manifest['num_tables']} tables -> {kind} corpus at "
-                f"{args.out} (format {args.format}, streamed)", file=out,
+                f"{manifest['num_tables']} tables -> {args.num_shards}-shard "
+                f"corpus at {args.out} (streamed)", file=out,
             )
             print(f"stream+index+persist {build_s:.2f}s", file=out)
             return 0
@@ -381,12 +367,11 @@ def _cmd_index(args: argparse.Namespace, out: TextIO) -> int:
         corpus = synthetic.corpus
         generate_s = wall_clock() - t0
         t0 = wall_clock()
-        corpus.save(args.out, index_format=args.format)
+        corpus.save(args.out)
         persist_s = wall_clock() - t0
-        print(f"{corpus.num_tables} tables -> {kind} corpus at {args.out}",
-              file=out)
-        if args.num_shards is not None:
-            print(f"shard sizes: {corpus.shard_sizes()}", file=out)
+        print(f"{corpus.num_tables} tables -> {args.num_shards}-shard corpus "
+              f"at {args.out}", file=out)
+        print(f"shard sizes: {corpus.shard_sizes()}", file=out)
         print(f"generate+index {generate_s:.2f}s, persist {persist_s:.2f}s",
               file=out)
         return 0
@@ -417,7 +402,7 @@ def _cmd_index(args: argparse.Namespace, out: TextIO) -> int:
 
         with load_corpus(args.path) as corpus:
             t0 = wall_clock()
-            folded = corpus.compact(index_format=args.format)
+            folded = corpus.compact()
             compact_s = wall_clock() - t0
             print(f"folded {folded} journal records into fresh snapshots "
                   f"at {args.path} in {compact_s:.2f}s", file=out)

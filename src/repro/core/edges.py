@@ -127,20 +127,22 @@ class MappingEdge:
     nsim_ba: float  # normalized from b's perspective
 
 
-def all_similar_pairs(
-    tables: Sequence[WebTable],
-    stats: Optional[TermStatistics] = None,
-    sim_floor: float = SIM_FLOOR,
-) -> List[Tuple[Tuple[int, int], Tuple[int, int], float]]:
-    """Every cross-table column pair above the similarity floor.
+_ColumnKey = Tuple[int, int]  # (table_idx, col_idx)
 
-    This is the *unprotected* neighbor structure the NbrText baseline uses
-    (Section 5): no max-matching, no normalization, no confidence gating —
-    exactly the ad hoc variant the paper shows to be fragile.  Returns
-    ``(a, b, sim)`` triples.
+
+def _blocked_pairs(
+    tables: Sequence[WebTable], stats: Optional[TermStatistics]
+) -> Tuple[
+    Dict[_ColumnKey, ColumnProfile], List[Tuple[_ColumnKey, _ColumnKey]]
+]:
+    """Profile every column and block the cross-table candidate pairs.
+
+    Blocking: column pairs (different tables) sharing >= 2 normalized cell
+    values, or 1 when either column is tiny.  Returns the profiles and the
+    candidate ``(a, b)`` pairs (``a < b``) in first-shared-value order.
     """
-    profiles: Dict[Tuple[int, int], ColumnProfile] = {}
-    by_value: Dict[str, List[Tuple[int, int]]] = defaultdict(list)
+    profiles: Dict[_ColumnKey, ColumnProfile] = {}
+    by_value: Dict[str, List[_ColumnKey]] = defaultdict(list)
     for ti, table in enumerate(tables):
         for ci in range(table.num_cols):
             profile = ColumnProfile.build(ti, ci, table, stats)
@@ -148,10 +150,10 @@ def all_similar_pairs(
             for value in profile.values:
                 by_value[value].append((ti, ci))
 
-    shared: Dict[Tuple[Tuple[int, int], Tuple[int, int]], int] = defaultdict(int)
+    shared: Dict[Tuple[_ColumnKey, _ColumnKey], int] = defaultdict(int)
     for _value, cols in by_value.items():
         if len(cols) > 60:
-            continue
+            continue  # stop-value (e.g. "euro" everywhere) — too common to block on
         for i in range(len(cols)):
             for j in range(i + 1, len(cols)):
                 a, b = cols[i], cols[j]
@@ -160,13 +162,32 @@ def all_similar_pairs(
                 key = (a, b) if a < b else (b, a)
                 shared[key] += 1
 
-    out: List[Tuple[Tuple[int, int], Tuple[int, int], float]] = []
+    candidates: List[Tuple[_ColumnKey, _ColumnKey]] = []
     for (a, b), cnt in shared.items():
         small = min(len(profiles[a].values), len(profiles[b].values)) < 4
         if cnt >= 2 or (small and cnt >= 1):
-            sim = column_pair_similarity(profiles[a], profiles[b])
-            if sim >= sim_floor:
-                out.append((a, b, sim))
+            candidates.append((a, b))
+    return profiles, candidates
+
+
+def all_similar_pairs(
+    tables: Sequence[WebTable],
+    stats: Optional[TermStatistics] = None,
+    sim_floor: float = SIM_FLOOR,
+) -> List[Tuple[_ColumnKey, _ColumnKey, float]]:
+    """Every cross-table column pair above the similarity floor.
+
+    This is the *unprotected* neighbor structure the NbrText baseline uses
+    (Section 5): no max-matching, no normalization, no confidence gating —
+    exactly the ad hoc variant the paper shows to be fragile.  Returns
+    ``(a, b, sim)`` triples.
+    """
+    profiles, candidates = _blocked_pairs(tables, stats)
+    out: List[Tuple[_ColumnKey, _ColumnKey, float]] = []
+    for a, b in candidates:
+        sim = column_pair_similarity(profiles[a], profiles[b])
+        if sim >= sim_floor:
+            out.append((a, b, sim))
     out.sort()
     return out
 
@@ -181,34 +202,12 @@ def build_edges(
 
     Returns max-matching edges with both directional nsim values filled in.
     """
-    profiles: Dict[Tuple[int, int], ColumnProfile] = {}
-    by_value: Dict[str, List[Tuple[int, int]]] = defaultdict(list)
-    for ti, table in enumerate(tables):
-        for ci in range(table.num_cols):
-            profile = ColumnProfile.build(ti, ci, table, stats)
-            profiles[(ti, ci)] = profile
-            for value in profile.values:
-                by_value[value].append((ti, ci))
-
-    # Blocking: column pairs (different tables) sharing >= 2 values, or 1
-    # when either column is tiny.
-    shared: Dict[Tuple[Tuple[int, int], Tuple[int, int]], int] = defaultdict(int)
-    for _value, cols in by_value.items():
-        if len(cols) > 60:
-            continue  # stop-value (e.g. "euro" everywhere) — too common to block on
-        for i in range(len(cols)):
-            for j in range(i + 1, len(cols)):
-                a, b = cols[i], cols[j]
-                if a[0] == b[0]:
-                    continue
-                key = (a, b) if a < b else (b, a)
-                shared[key] += 1
-
-    candidate_pairs: Dict[Tuple[int, int], List[Tuple[Tuple[int, int], Tuple[int, int]]]] = defaultdict(list)
-    for (a, b), cnt in shared.items():
-        small = min(len(profiles[a].values), len(profiles[b].values)) < 4
-        if cnt >= 2 or (small and cnt >= 1):
-            candidate_pairs[(a[0], b[0])].append((a, b))
+    profiles, candidates = _blocked_pairs(tables, stats)
+    candidate_pairs: Dict[
+        Tuple[int, int], List[Tuple[_ColumnKey, _ColumnKey]]
+    ] = defaultdict(list)
+    for a, b in candidates:
+        candidate_pairs[(a[0], b[0])].append((a, b))
 
     # Per table pair: maximum one-one matching over candidate column pairs.
     matched: List[Tuple[Tuple[int, int], Tuple[int, int], float]] = []

@@ -15,19 +15,12 @@ stage-2 tables only.
 engine"): a cache is valid for one ``(stats, reliabilities, pmi_scorer)``
 triple, pinned by object identity on first use and auto-cleared whenever a
 different triple arrives.  That rule is correct by construction for live
-corpora served with the default exact statistics —
-:class:`~repro.index.journal.JournaledCorpus` materializes a *new* merged
-:class:`~repro.text.tfidf.TermStatistics` object whenever a stats refresh
-folds journaled mutations, so the identity flip clears the cache exactly
-when features could go stale.  One caveat inherits the journal's own
-contract: under ``stats_staleness > 0`` the stats object (and therefore
-this cache) may lag mutations by up to that bound — including a
-delete-then-re-add of a table id with changed content inside the window —
-so callers who mutate a corpus served with a positive bound must clear
-the cache on mutation themselves.  The serving facade always does
-(``WWTService.clear_caches`` runs on every ``add_tables``/
-``delete_tables``), which is why serving is safe at any staleness
-setting.
+corpora — :class:`~repro.index.journal.JournaledCorpus` materializes a
+*new* merged :class:`~repro.text.tfidf.TermStatistics` object at the first
+probe after any journaled mutation, so the identity flip clears the cache
+exactly when features could go stale.  The serving facade clears it on
+every mutation besides (``WWTService.clear_caches`` runs on every
+``add_tables``/``delete_tables``).
 
 :class:`BoundedCache` is the underlying thread-safe LRU; it also backs the
 corpus-level PMI² containment-probe caches

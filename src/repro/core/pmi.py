@@ -44,9 +44,8 @@ class PmiScorer:
     """Computes PMI² scores against a corpus index, with caching.
 
     ``index`` is anything exposing ``docs_containing_all(terms, fields)`` —
-    a bare :class:`~repro.index.inverted.InvertedIndex`, the monolithic
-    :class:`~repro.index.IndexedCorpus`, or the scatter-gather
-    :class:`~repro.index.ShardedCorpus` (whose union-over-shards
+    a bare :class:`~repro.index.inverted.InvertedIndex` or a whole corpus
+    (:class:`~repro.index.ShardedCorpus`, whose union-over-shards
     conjunction returns the identical set).
 
     The ``H(Q_l)`` / ``B(cell)`` containment-probe results are cached in

@@ -16,7 +16,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..html.parser import parse_html
 from ..index.builder import build_corpus_index
-from ..index.protocol import CorpusProtocol
+from ..index.sharded import ShardedCorpus
 from ..tables.extractor import ExtractionCensus, extract_tables
 from ..tables.table import ContextSnippet, WebTable
 from .domains import REGISTRY, Domain
@@ -50,14 +50,12 @@ class CorpusConfig:
 class SyntheticCorpus:
     """The generated corpus bundle.
 
-    ``corpus`` is an :class:`IndexedCorpus` by default, or a
-    :class:`~repro.index.sharded.ShardedCorpus` when ``generate_corpus``
-    was called with ``num_shards`` — callers that reach past the
-    :class:`CorpusProtocol` surface (``.index`` / ``.store``) must build
-    monolithic.
+    ``corpus`` is a :class:`~repro.index.sharded.ShardedCorpus` of
+    ``num_shards`` shards (one unless ``generate_corpus`` was told
+    otherwise).
     """
 
-    corpus: CorpusProtocol
+    corpus: ShardedCorpus
     pages: List[GeneratedPage]
     provenance: Dict[str, TableProvenance]
     census: ExtractionCensus
@@ -265,8 +263,8 @@ def generate_corpus(
     exact ground truth.
 
     ``num_shards``/``probe_workers`` pass through to
-    :func:`~repro.index.builder.build_corpus_index`, so a sharded corpus is
-    indexed once here rather than generated monolithic and re-indexed.
+    :func:`~repro.index.builder.build_corpus_index` (``None`` means one
+    shard).
     """
     config = config if config is not None else CorpusConfig()
     registry = registry if registry is not None else REGISTRY

@@ -156,7 +156,7 @@ def _method_fn(name: str) -> MethodFn:
         return pmi_method(
             wq.query,
             probe.tables,
-            env.synthetic.corpus.index,
+            env.synthetic.corpus,
             env.synthetic.corpus.stats,
             basic_params,
         ).labels

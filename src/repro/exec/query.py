@@ -59,17 +59,13 @@ __all__ = [
 def _note_coverage(ctx: ExecutionContext, s: QueryState) -> None:
     """After a corpus-touching stage: record shard coverage, flag partials.
 
-    Corpora without failure domains either expose no ``coverage`` surface
-    or always report complete coverage, so this costs one attribute probe
-    on the fault-free path.  With failure domains, the *worst* coverage
-    seen across the query's stages is kept (the answer is only as
-    complete as its least-complete probe) and the context is marked
-    degraded with :data:`~repro.exec.context.REASON_SHARD_FAILURE`.
+    Corpora without failure domains always report complete coverage, so
+    this costs one call on the fault-free path.  With failure domains, the
+    *worst* coverage seen across the query's stages is kept (the answer is
+    only as complete as its least-complete probe) and the context is
+    marked degraded with :data:`~repro.exec.context.REASON_SHARD_FAILURE`.
     """
-    coverage_fn = getattr(s.corpus, "coverage", None)
-    if coverage_fn is None:
-        return
-    coverage = coverage_fn()
+    coverage = s.corpus.coverage()
     if coverage.complete:
         return
     if s.coverage is None or coverage.fraction < s.coverage.fraction:

@@ -1,45 +1,43 @@
 """Index substrate: fielded inverted index, table store, corpus builders.
 
-Two interchangeable backends implement :class:`CorpusProtocol`:
-:class:`IndexedCorpus` (one in-memory index) and :class:`ShardedCorpus`
-(hash-partitioned scatter-gather over N of them, with directory
-persistence via ``save``/:func:`load_corpus`).  :class:`JournaledCorpus`
-wraps either with a crash-safe write-ahead journal for live
-``add_tables``/``delete_tables`` mutation and ``compact()`` folding —
-:func:`load_corpus` returns one for any persisted directory.
+One snapshot backend implements :class:`CorpusProtocol`:
+:class:`ShardedCorpus`, hash-partitioned scatter-gather over N >= 1
+shards (an eager :class:`Shard` or an mmap-backed :class:`LazyShard`
+each), with directory persistence via ``save``/:func:`load_corpus`.
+:class:`JournaledCorpus` wraps it with a crash-safe write-ahead journal
+for live ``add_tables``/``delete_tables`` mutation and ``compact()``
+folding — :func:`load_corpus` returns one for any persisted directory.
 
-Persisted shard snapshots come in two formats: the version-3 binary
-columnar layout of :mod:`repro.index.binfmt` (the default — mmap'd,
-checksummed, lazily materialized per shard) and the version-2 JSON
-layout (still read and written; select with ``index_format="json"``).
-:func:`build_corpus_stream` builds a persisted corpus from a table
-stream in O(shard) memory.
+Every save writes the version-3 binary columnar layout of
+:mod:`repro.index.binfmt` (mmap'd, checksummed, lazily materialized per
+shard); version-2 JSON directories are read-only legacy input that
+``compact()`` upgrades.  :func:`build_corpus_stream` builds a persisted
+corpus from a table stream in O(shard) memory.
 """
 
 from .binfmt import LazyShard, read_index_bin, write_index_bin
-from .builder import (
-    DEFAULT_INDEX_FORMAT,
-    IndexedCorpus,
-    analyze_table,
-    build_corpus_index,
-    build_corpus_stream,
-)
+from .builder import analyze_table, build_corpus_index, build_corpus_stream
 from .inverted import FIELD_BOOSTS, InvertedIndex, NaiveScorer, SearchHit
 from .journal import JournaledCorpus
 from .protocol import CorpusProtocol, ShardProtocol
-from .sharded import ShardedCorpus, build_sharded_corpus, load_corpus, shard_of
+from .sharded import (
+    Shard,
+    ShardedCorpus,
+    build_sharded_corpus,
+    load_corpus,
+    shard_of,
+)
 from .store import TableStore
 
 __all__ = [
     "CorpusProtocol",
-    "DEFAULT_INDEX_FORMAT",
     "FIELD_BOOSTS",
-    "IndexedCorpus",
     "InvertedIndex",
     "JournaledCorpus",
     "LazyShard",
     "NaiveScorer",
     "SearchHit",
+    "Shard",
     "ShardProtocol",
     "ShardedCorpus",
     "TableStore",

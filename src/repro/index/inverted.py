@@ -72,8 +72,8 @@ def lucene_idf(num_docs: int, df: int) -> float:
 
     The one shared definition: :meth:`InvertedIndex.idf` evaluates it with
     index-local counts, ``ShardedCorpus.global_idf`` with corpus-global
-    counts — keeping them textually identical is what guarantees sharded
-    and monolithic rankings stay bit-identical.
+    counts — keeping them textually identical is what guarantees rankings
+    do not depend on the shard count.
     """
     return 1.0 + math.log(num_docs / (df + 1.0))
 
@@ -302,7 +302,7 @@ class InvertedIndex:
 
         ``idf`` overrides the per-term IDF (default: this index's own
         :meth:`idf`).  A sharded corpus passes a corpus-global IDF here so
-        every shard scores documents exactly as one monolithic index would —
+        every shard scores documents exactly as one index over all would —
         tf, field length, and boost are per-document quantities, so a global
         IDF is the only ingredient needed for shard-invariant scores.  The
         override is evaluated once per term per search (cached locally),
@@ -391,35 +391,16 @@ class InvertedIndex:
 
     # -- persistence -----------------------------------------------------------
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-compatible snapshot of the full posting structure.
-
-        Loading a snapshot (:meth:`from_dict`) restores the index in O(read)
-        — no re-tokenization, no re-counting — which is what makes a
-        persisted corpus cheap to open.  The format is unchanged from the
-        pre-compiled index (string-keyed postings and field lengths), so
-        snapshots round-trip across the compilation boundary.
-        """
-        names = self._doc_names
-        return {
-            "boosts": dict(self.boosts),
-            "doc_ids": sorted(self._doc_nums),
-            "field_lengths": {
-                f: {names[num]: n for num, n in lengths.items()}
-                for f, lengths in self._lengths.items()
-            },
-            "postings": {
-                f: {
-                    t: {names[d]: tf for d, tf in zip(p.doc_nums, p.tfs)}
-                    for t, p in terms.items()
-                }
-                for f, terms in self._postings.items()
-            },
-        }
-
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> InvertedIndex:
-        """Inverse of :meth:`to_dict` — compiles the snapshot on load."""
+        """Compile a version-2 ``index.json`` snapshot (legacy input).
+
+        The snapshot keys postings and field lengths by document-id string
+        (``boosts`` / ``doc_ids`` / ``field_lengths`` / ``postings`` — see
+        DESIGN.md, "On-disk corpus format, version 2"); nothing writes it
+        any more.  Restores the index in O(read): no re-tokenization, no
+        re-counting.
+        """
         index = cls(boosts={str(f): float(b) for f, b in dict(data["boosts"]).items()})
         for doc_id in data["doc_ids"]:
             index._intern(str(doc_id))

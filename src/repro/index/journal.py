@@ -17,11 +17,11 @@ the ranking-equivalence guarantee:
   journaled table is searchable *immediately* — no shard is re-indexed.
 - **Exact lazy statistics.**  Corpus-global IDF and
   :class:`~repro.text.tfidf.TermStatistics` are maintained as signed
-  deltas and re-derived lazily, at most once per probe, bounded by
-  ``stats_staleness`` (default 0 = always exact).  With an exact refresh,
-  every per-document score equals what a full rebuild would produce —
-  journaled and compacted corpora answer the 59-query workload identically
-  to freshly built ones (``tests/test_journal.py``).
+  deltas and re-derived lazily, at most once per probe, whenever a
+  mutation is pending.  Every per-document score therefore equals what a
+  full rebuild would produce — journaled and compacted corpora answer the
+  59-query workload identically to freshly built ones
+  (``tests/test_journal.py``).
 - **Compaction.**  :meth:`JournaledCorpus.compact` folds the journal into
   fresh shard snapshots through the same atomic write-new-then-rename
   writer as ``save`` (:func:`~repro.index.builder.save_corpus_dir`), so an
@@ -36,6 +36,7 @@ compaction loses nothing.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import json
 import os
@@ -43,7 +44,6 @@ import threading
 from collections import Counter
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING,
     Any,
     Dict,
     Iterable,
@@ -61,18 +61,14 @@ from ..faults.injection import POINT_JOURNAL_APPEND, trip
 from ..tables.table import WebTable
 from ..text.tfidf import TermStatistics
 from .builder import (
-    _FORMAT_VERSIONS,
-    DEFAULT_INDEX_FORMAT,
+    INDEX_VERSION,
     JOURNAL_FILE,
-    IndexedCorpus,
     analyze_table,
     save_corpus_dir,
 )
 from .inverted import InvertedIndex, SearchHit, lucene_idf
+from .sharded import Shard, ShardedCorpus, shard_of
 from .store import TableStore
-
-if TYPE_CHECKING:
-    from .sharded import ShardedCorpus
 
 __all__ = [
     "JournaledCorpus",
@@ -233,13 +229,6 @@ class JournaledCorpus:
     ``path=None`` gives an ephemeral in-memory journal (no WAL, no
     durability) — handy for tests and streaming experiments.
 
-    ``stats_staleness`` bounds how many mutations the *derived* ranking
-    state (cached IDF, merged ``stats``) may lag behind; the default 0
-    refreshes lazily before the next probe, which keeps rankings
-    bit-identical to a full rebuild.  Journaled tables are always visible
-    regardless — staleness only defers IDF/stats refreshes during bulk
-    ingest.
-
     Concurrency: mutations, compaction, and the delta-merge probe path
     are serialized by one internal lock (a probe racing a mutation sees
     the state from before or after it, never a torn one); probes against
@@ -249,32 +238,26 @@ class JournaledCorpus:
 
     def __init__(
         self,
-        base: Union[IndexedCorpus, ShardedCorpus],
+        base: ShardedCorpus,
         path: Optional[Union[str, Path]] = None,
         base_seq: int = 0,
-        stats_staleness: int = 0,
     ) -> None:
-        if stats_staleness < 0:
-            raise ValueError("stats_staleness must be >= 0")
         self.base = base
         self._path = Path(path) if path is not None else None
         self._base_seq = base_seq
         self._next_seq = base_seq + 1
-        self._staleness = stats_staleness
         self._lock = threading.Lock()
         #: Manifest version of the backing directory (set by :meth:`open`);
-        #: compaction rewrites when it trails the requested format even if
+        #: compaction rewrites when it trails the written version even if
         #: the journal is empty, which is how ``compact()`` upgrades a
         #: version-2 directory to the binary format.
         self._disk_version: Optional[int] = None
 
-        # Route and boost metadata come from the base's cheap surfaces, NOT
-        # from its (index, store) pairs — touching those would materialize
-        # every lazy version-3 shard at open and forfeit the O(manifest)
-        # load this wrapper sits on top of.
-        shards = getattr(base, "shards", None)
-        self._num_route_shards = len(shards) if shards is not None else 1
-        self._boosts = dict(base.boosts)
+        # Boosts (like the shard count _route reads) come from the base's
+        # cheap surfaces, NOT from its (index, store) pairs — touching
+        # those would materialize every lazy version-3 shard at open and
+        # forfeit the O(manifest) load this wrapper sits on top of.
+        self._boosts = base.boosts
         self._delta_index = InvertedIndex(self._boosts)
         self._delta_store = TableStore()
         #: Distinct analyzed terms per delta table (for df decrements when
@@ -286,10 +269,10 @@ class JournaledCorpus:
         self._df_delta: Counter = Counter()
         self._docs_delta = 0
 
-        # Derived ranking state, refreshed lazily under the staleness bound.
-        # The synced_* snapshots pin the delta vintage every cached AND
-        # uncached IDF is computed from, so one probe never mixes
-        # statistics from two different corpus states.
+        # Derived ranking state, refreshed lazily at the next probe after a
+        # mutation.  The synced_* snapshots pin the delta vintage every
+        # cached AND uncached IDF is computed from, so one probe never
+        # mixes statistics from two different corpus states.
         self._idf_cache: BoundedCache[str, float] = BoundedCache(
             STATS_CACHE_SIZE
         )
@@ -308,9 +291,8 @@ class JournaledCorpus:
     def open(
         cls,
         path: Union[str, Path],
-        base: Union[IndexedCorpus, ShardedCorpus],
+        base: ShardedCorpus,
         manifest: dict,
-        stats_staleness: int = 0,
     ) -> JournaledCorpus:
         """Wrap a freshly loaded snapshot, replaying any surviving journal.
 
@@ -321,10 +303,7 @@ class JournaledCorpus:
         committed).
         """
         path = Path(path)
-        corpus = cls(
-            base, path=path, base_seq=manifest["journal_seq"],
-            stats_staleness=stats_staleness,
-        )
+        corpus = cls(base, path=path, base_seq=manifest["journal_seq"])
         corpus._disk_version = manifest["version"]
         pending: List[Tuple[int, Path, dict]] = []
         for entry in manifest["shards"]:
@@ -352,10 +331,7 @@ class JournaledCorpus:
 
     def _base_pairs(self) -> List[Tuple[InvertedIndex, TableStore]]:
         """The base's ``(index, store)`` shards, in shard order."""
-        shards = getattr(self.base, "shards", None)
-        if shards is not None:
-            return [(s.index, s.store) for s in shards]
-        return [(self.base.index, self.base.store)]
+        return [(s.index, s.store) for s in self.base.shards]
 
     # -- shape -----------------------------------------------------------------
 
@@ -451,9 +427,7 @@ class JournaledCorpus:
         return len(ids)
 
     def _route(self, table_id: str) -> int:
-        from .sharded import shard_of
-
-        return shard_of(table_id, self._num_route_shards)
+        return shard_of(table_id, self.base.num_shards)
 
     def _write_records(self, by_shard: Dict[int, List[dict]]) -> None:
         """Append one batch to the touched shard WALs, all-or-nothing.
@@ -518,16 +492,14 @@ class JournaledCorpus:
     # -- derived ranking state -------------------------------------------------
 
     def _maybe_refresh(self) -> None:
-        """Re-derive IDF/stats caches once the staleness bound is exceeded.
+        """Re-derive the IDF/stats caches when a mutation is pending.
 
-        Called at probe entry.  With the default ``stats_staleness=0`` any
-        pending mutation triggers a refresh, so the next probe scores with
-        exact corpus-global statistics; a positive bound lets bulk ingest
-        keep serving from the previous derivation for up to that many
-        mutations.  The merged stats are rebuilt *here* (not lazily) so
-        what :attr:`stats` serves is never staler than the bound promises.
+        Called at probe entry, so every probe scores with exact
+        corpus-global statistics.  The merged stats are rebuilt *here*
+        (not lazily) so what :attr:`stats` serves is the same vintage the
+        probe scored with.
         """
-        if self._mutations - self._synced_at > self._staleness:
+        if self._mutations != self._synced_at:
             self._idf_cache.clear()
             self._synced_df_delta = Counter(self._df_delta)
             self._synced_docs_delta = self._docs_delta
@@ -539,11 +511,8 @@ class JournaledCorpus:
     def _base_df(self, term: str) -> int:
         cached = self._base_df_cache.get(term)
         if cached is None:
-            shards = getattr(self.base, "shards", None)
-            cached = (
-                sum(s.index.document_frequency(term) for s in shards)
-                if shards is not None
-                else self.base.index.document_frequency(term)
+            cached = sum(
+                s.index.document_frequency(term) for s in self.base.shards
             )
             self._base_df_cache.put(term, cached)
         return cached
@@ -555,9 +524,8 @@ class JournaledCorpus:
         adjusted by the journal's signed deltas — the ingredient that
         keeps journaled rankings bit-identical to a full rebuild.  Reads
         the *synced* delta snapshot (not the live counters) so cache
-        misses and cache hits agree on one corpus vintage; with the
-        default staleness 0 the sync happens before the probe and the
-        vintage is the live corpus.
+        misses and cache hits agree on one corpus vintage; the sync
+        happens before the probe, so the vintage is the live corpus.
         """
         cached = self._idf_cache.get(term)
         if cached is None:
@@ -585,9 +553,7 @@ class JournaledCorpus:
         The base object itself while the journal nets out to nothing (so
         identity — and therefore bit-identical feature weights — is
         preserved for an unchanged corpus); a merged view otherwise,
-        re-derived under the staleness bound.  Before the first refresh is
-        due, the base statistics *are* the last-derived view (lag ≤ the
-        bound, by construction).
+        re-derived here when a mutation is pending.
         """
         if self._clean:
             return self.base.stats
@@ -632,21 +598,12 @@ class JournaledCorpus:
             self._maybe_refresh()
             field_list = list(fields) if fields is not None else None
             eff_limit = limit + len(self._tombstones)
-            map_shards = getattr(self.base, "_map_shards", None)
-            results = (
-                map_shards(
-                    lambda s: s.index.search(
-                        terms, limit=eff_limit, fields=field_list,
-                        idf=self._effective_idf,
-                        with_field_scores=with_field_scores,
-                    )
-                )
-                if map_shards is not None
-                else [self.base.index.search(
+            results = self.base._map_shards(
+                lambda s: s.index.search(
                     terms, limit=eff_limit, fields=field_list,
                     idf=self._effective_idf,
                     with_field_scores=with_field_scores,
-                )]
+                )
             )
             merged = [
                 hit for hits in results for hit in hits
@@ -749,7 +706,7 @@ class JournaledCorpus:
                 pairs[si] = (new_index, new_store)
             elif si in adds:
                 if not in_place:
-                    index = InvertedIndex.from_dict(index.to_dict())
+                    index = copy.deepcopy(index)
                     store = TableStore(list(store))
                 for table in adds[si]:
                     store.add(table)
@@ -757,17 +714,7 @@ class JournaledCorpus:
                 pairs[si] = (index, store)
         return pairs
 
-    def _kind(self) -> str:
-        return (
-            "sharded" if getattr(self.base, "shards", None) is not None
-            else "monolithic"
-        )
-
-    def save(
-        self,
-        path: Union[str, Path],
-        index_format: str = DEFAULT_INDEX_FORMAT,
-    ) -> Path:
+    def save(self, path: Union[str, Path]) -> Path:
         """Export the *live* corpus (snapshot + journal folded) to ``path``.
 
         This instance is left untouched — same journal, same in-memory
@@ -775,7 +722,6 @@ class JournaledCorpus:
         (its manifest's ``journal_seq`` already covers every record).  To
         fold the served directory itself, prefer :meth:`compact`, which
         does the same write without copying add-only shards.
-        ``index_format`` selects the shard snapshot format of the export.
         """
         with self._lock:
             merged = (
@@ -784,12 +730,10 @@ class JournaledCorpus:
             )
             pairs = self._folded_pairs(in_place=False)
             return save_corpus_dir(
-                path, pairs, merged, kind=self._kind(),
-                journal_seq=self._next_seq - 1,
-                index_format=index_format,
+                path, pairs, merged, journal_seq=self._next_seq - 1
             )
 
-    def compact(self, index_format: str = DEFAULT_INDEX_FORMAT) -> int:
+    def compact(self) -> int:
         """Fold the journal into fresh shard snapshots; returns records folded.
 
         Only shards with deletions are rebuilt; shards with only adds are
@@ -803,18 +747,17 @@ class JournaledCorpus:
         snapshot, never a mix.  Stale temp/backup dirs from a previous
         crash are pruned by the same writer.
 
-        The rewrite lands in ``index_format`` (binary by default), so
-        compacting a version-2 directory *upgrades* it to version 3 — even
-        when there is nothing to fold: a clean corpus whose on-disk
-        version trails the requested format is rewritten anyway (returning
-        0, since no journal records were folded).
+        The rewrite is version 3, so compacting a version-2 directory
+        *upgrades* it — even when there is nothing to fold: a clean corpus
+        whose on-disk version trails is rewritten anyway (returning 0,
+        since no journal records were folded).
         """
         with self._lock:
             folded = self.journal_depth
             upgrade = (
                 self._path is not None
                 and self._disk_version is not None
-                and self._disk_version != _FORMAT_VERSIONS[index_format]
+                and self._disk_version != INDEX_VERSION
             )
             if folded == 0 and self._clean and not upgrade:
                 return 0
@@ -834,11 +777,9 @@ class JournaledCorpus:
             folded_through = self._next_seq - 1
             if self._path is not None:
                 save_corpus_dir(
-                    self._path, pairs, merged, kind=self._kind(),
-                    journal_seq=folded_through,
-                    index_format=index_format,
+                    self._path, pairs, merged, journal_seq=folded_through
                 )
-                self._disk_version = _FORMAT_VERSIONS[index_format]
+                self._disk_version = INDEX_VERSION
             self._base_seq = folded_through
             return folded
 
@@ -850,29 +791,20 @@ class JournaledCorpus:
         """Rebuild ``self.base`` around the folded shards and reset the delta.
 
         Reconstructing (rather than patching) the base refreshes its
-        internal caches — table counts, the sharded IDF cache, the scatter
-        pool — in one stroke.
+        internal caches — table counts, the IDF cache, the scatter pool —
+        in one stroke.
         """
-        from .sharded import ShardedCorpus
-
-        if getattr(self.base, "shards", None) is not None:
-            probe_workers = self.base.probe_workers
-            parallel_mode = self.base.parallel_mode
-            health = getattr(self.base, "health_policy", None)
-            clock = getattr(self.base, "_clock", None)
-            self.base.close()
-            shards = [
-                IndexedCorpus(index=index, store=store, stats=merged)
+        old = self.base
+        old.close()
+        self.base = ShardedCorpus(
+            shards=[
+                Shard(index=index, store=store, stats=merged)
                 for index, store in pairs
-            ]
-            self.base = ShardedCorpus(
-                shards=shards, stats=merged, probe_workers=probe_workers,
-                validate=False, health=health, clock=clock,
-                parallel_mode=parallel_mode,
-            )
-        else:
-            index, store = pairs[0]
-            self.base = IndexedCorpus(index=index, store=store, stats=merged)
+            ],
+            stats=merged, probe_workers=old.probe_workers, validate=False,
+            health=old.health_policy, clock=old._clock,
+            parallel_mode=old.parallel_mode,
+        )
         self._delta_index = InvertedIndex(self._boosts)
         self._delta_store = TableStore()
         self._delta_terms = {}
@@ -887,9 +819,8 @@ class JournaledCorpus:
     # -- lifecycle -------------------------------------------------------------
 
     def close(self) -> None:
-        """Release base resources (the sharded scatter pool); idempotent."""
-        if hasattr(self.base, "close"):
-            self.base.close()
+        """Release base resources (the scatter pool); idempotent."""
+        self.base.close()
 
     def __enter__(self) -> JournaledCorpus:
         return self
@@ -900,9 +831,8 @@ class JournaledCorpus:
     def __getattr__(self, name: str) -> Any:
         """Delegate anything not defined here to the wrapped base corpus.
 
-        Keeps the wrapper transparent for base-specific surfaces
-        (``num_shards``, ``shard_sizes``, ``store``, ``index``, …) so
-        existing callers of the PR 2 backends keep working unchanged.
+        Keeps the wrapper transparent for the base's other surfaces
+        (``num_shards``, ``shard_sizes``, ``coverage``, ``shards``, …).
         """
         return getattr(self.base, name)
 

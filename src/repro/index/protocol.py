@@ -1,20 +1,19 @@
-"""The corpus backend contract shared by monolithic and sharded indexes.
+"""The corpus contract the query pipeline is written against.
 
 ``two_stage_probe`` (Section 2.2.1) and the PMI² containment probes
 (Section 3.2.3) only need five operations from a corpus: disjunctive ranked
 retrieval, conjunctive containment, table reads, and the corpus-global
 :class:`~repro.text.tfidf.TermStatistics` that keeps every similarity's IDF
 weights comparable.  :class:`CorpusProtocol` names that contract so the
-pipeline is written once and runs unchanged against
-:class:`~repro.index.builder.IndexedCorpus` (one in-memory index) or
-:class:`~repro.index.sharded.ShardedCorpus` (hash-partitioned scatter-gather
-over N of them).
+pipeline is written once and runs unchanged against a
+:class:`~repro.index.sharded.ShardedCorpus` snapshot (hash-partitioned
+scatter-gather over N >= 1 shards) or the mutable
+:class:`~repro.index.journal.JournaledCorpus` wrapped around one.
 
 :class:`ShardProtocol` is the narrower *per-shard* contract
-``ShardedCorpus`` consumes: the eager
-:class:`~repro.index.builder.IndexedCorpus` and the mmap-backed
-:class:`~repro.index.binfmt.LazyShard` (version-3 snapshots, materialized
-on first probe) both satisfy it.
+``ShardedCorpus`` consumes: the eager :class:`~repro.index.sharded.Shard`
+and the mmap-backed :class:`~repro.index.binfmt.LazyShard` (version-3
+snapshots, materialized on first probe) both satisfy it.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from typing import (
     runtime_checkable,
 )
 
+from ..faults.health import Coverage
 from ..tables.table import WebTable
 from ..text.tfidf import TermStatistics
 from .inverted import InvertedIndex, SearchHit
@@ -74,28 +74,33 @@ class ShardProtocol(Protocol):
 
 @runtime_checkable
 class CorpusProtocol(Protocol):
-    """What a corpus backend must provide to serve the query pipeline.
+    """What a corpus must provide to serve the query pipeline.
 
-    Code written against this contract runs unchanged on every backend —
-    monolithic, sharded, or journaled::
+    Code written against this contract runs unchanged on a snapshot and
+    on a journaled corpus, whatever the shard count::
 
         def candidate_ids(corpus: CorpusProtocol, tokens):
             hits = corpus.search(tokens, limit=60)
             return [h.doc_id for h in hits]
 
-        candidate_ids(build_corpus_index(tables), tokens)       # monolithic
-        candidate_ids(build_sharded_corpus(tables, 4), tokens)  # sharded
+        candidate_ids(build_corpus_index(tables), tokens)       # one shard
+        candidate_ids(build_sharded_corpus(tables, 4), tokens)  # four
         candidate_ids(load_corpus("corpus-dir"), tokens)        # journaled
     """
 
-    #: Corpus-global document-frequency table.  Both backends expose the
-    #: statistics of the *whole* corpus here (never of one shard), which is
-    #: the invariant that keeps scores backend-invariant.
+    #: Corpus-global document-frequency table: the statistics of the
+    #: *whole* corpus (never of one shard), which is the invariant that
+    #: keeps scores independent of the shard count.
     stats: TermStatistics
 
     @property
     def num_tables(self) -> int:
         """Number of tables in the corpus."""
+        ...
+
+    @property
+    def num_shards(self) -> int:
+        """Number of shards the corpus is partitioned into (>= 1)."""
         ...
 
     def search(
@@ -124,4 +129,12 @@ class CorpusProtocol(Protocol):
 
     def get_many(self, table_ids: Iterable[str]) -> List[WebTable]:
         """Fetch several tables, preserving input order, skipping unknowns."""
+        ...
+
+    def coverage(self) -> Coverage:
+        """How much of the corpus a probe routed right now reaches."""
+        ...
+
+    def close(self) -> None:
+        """Release the corpus's resources (idempotent)."""
         ...

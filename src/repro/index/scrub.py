@@ -24,7 +24,10 @@ from what the manifest recorded, the manifest is rewritten atomically
 too — the snapshot and its checksum move together or not at all.
 Defects in the source data itself (a corrupt ``tables.jsonl``, a table
 count that contradicts the manifest) are *not* repairable from within
-the directory and are reported as such, never guessed at.
+the directory and are reported as such, never guessed at.  Neither is a
+corrupt snapshot in a version-2 directory: nothing writes ``index.json``
+any more, so the report names the way out (rebuild from the shards'
+``tables.jsonl``) instead.
 """
 
 from __future__ import annotations
@@ -40,9 +43,8 @@ from .binfmt import SHARD_BIN_FILE, read_index_bin, write_index_bin
 from .builder import (
     INDEX_VERSION,
     MANIFEST_FILE,
-    SHARD_INDEX_FILE,
     SHARD_TABLES_FILE,
-    _load_shard,
+    _load_shard_v2,
     analyze_table,
     read_manifest,
 )
@@ -185,10 +187,16 @@ def verify_corpus(path: Union[str, Path]) -> ScrubReport:
             # Version 2 has no recorded checksums: a full load is the
             # strongest available check.
             try:
-                _load_shard(shard_dir, version=manifest["version"], entry=entry)
-            except ValueError as exc:  # reprolint: disable=R008 -- the corrupt v2 snapshot IS the scrub finding; record_issue reports it (repairable: index.json re-derives from the verified tables.jsonl)
+                _load_shard_v2(shard_dir)
+            except ValueError as exc:  # reprolint: disable=R008 -- the corrupt v2 snapshot IS the scrub finding; record_issue reports it, unrepairable, with the recovery in the message
                 record_issue(
-                    entry["dir"], "decode", str(exc), repairable=tables_ok
+                    entry["dir"],
+                    "decode",
+                    f"{exc}; version-2 snapshots are read-only input and "
+                    "cannot be repaired in place (compact cannot help "
+                    "either: the corpus no longer loads) — rebuild the "
+                    "corpus from the shards' tables.jsonl files with "
+                    "repro.index.build_corpus_stream",
                 )
             continue
 
@@ -297,23 +305,17 @@ def repair_corpus(path: Union[str, Path]) -> ScrubReport:
             continue
         shard_dir = path / entry["dir"]
         index = _rebuild_index(shard_dir, boosts)
-        if manifest["version"] == INDEX_VERSION:
-            bin_path = shard_dir / SHARD_BIN_FILE
-            tmp_path = shard_dir / f".{SHARD_BIN_FILE}.repairing"
-            nbytes, crc = write_index_bin(tmp_path, index)
-            os.replace(tmp_path, bin_path)
-            if (
-                nbytes != int(entry["index_bytes"])
-                or crc != int(entry["index_crc32"])
-            ):
-                entry["index_bytes"] = nbytes
-                entry["index_crc32"] = crc
-                manifest_dirty = True
-        else:
-            index_path = shard_dir / SHARD_INDEX_FILE
-            tmp_path = shard_dir / f".{SHARD_INDEX_FILE}.repairing"
-            tmp_path.write_text(json.dumps(index.to_dict()), encoding="utf-8")
-            os.replace(tmp_path, index_path)
+        bin_path = shard_dir / SHARD_BIN_FILE
+        tmp_path = shard_dir / f".{SHARD_BIN_FILE}.repairing"
+        nbytes, crc = write_index_bin(tmp_path, index)
+        os.replace(tmp_path, bin_path)
+        if (
+            nbytes != int(entry["index_bytes"])
+            or crc != int(entry["index_crc32"])
+        ):
+            entry["index_bytes"] = nbytes
+            entry["index_crc32"] = crc
+            manifest_dirty = True
         report.repaired.append(entry["dir"])
     if manifest_dirty:
         manifest_path = path / MANIFEST_FILE

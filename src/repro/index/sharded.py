@@ -1,10 +1,10 @@
 """``repro.index.sharded`` — hash-partitioned corpus with scatter-gather probes.
 
-The paper's engine fronts a 25M-table crawl; one in-memory
-:class:`~repro.index.builder.IndexedCorpus` rebuilt per process start does
-not scale to that.  :class:`ShardedCorpus` partitions tables across N
-independent ``IndexedCorpus`` shards by a stable hash of the table id and
-answers the pipeline's probes by scatter-gather:
+The paper's engine fronts a 25M-table crawl; one in-memory index rebuilt
+per process start does not scale to that.  :class:`ShardedCorpus` — the
+one snapshot backend, for every N >= 1 — partitions tables across N
+independent shards by a stable hash of the table id and answers the
+pipeline's probes by scatter-gather:
 
 - **Disjunctive ranked probe** (:meth:`ShardedCorpus.search`): every shard
   retrieves its local top-``limit`` with the *corpus-global* IDF, then a
@@ -12,8 +12,8 @@ answers the pipeline's probes by scatter-gather:
   field length, and field boost are per-document quantities and the IDF is
   computed from corpus-global document frequencies (each document lives in
   exactly one shard, so global df is the sum of shard dfs), per-document
-  scores are bit-identical to the monolithic index — the merge reproduces
-  single-index ranking exactly, not approximately.
+  scores are bit-identical to one index over all tables — the merge
+  reproduces single-index ranking exactly, not approximately.
 - **Conjunctive containment probe** (:meth:`docs_containing_all`): each
   shard intersects locally; the union over shards is the global conjunction
   (again because shards partition the documents).
@@ -26,10 +26,9 @@ dispatch.  ``parallel_mode="serial"`` forces the serial loop whatever
 
 Persistence is a directory (see DESIGN.md): ``manifest.json`` +
 ``stats.json`` (the shared :class:`~repro.text.tfidf.TermStatistics`) +
-one ``shard-NNNN/`` per shard holding an index snapshot (``index.bin`` for
-version-3 manifests, ``index.json`` for version 2) and the table store
-(``tables.jsonl``).  :func:`load_corpus` opens either a monolithic or a
-sharded layout in O(read) — and a version-3 *sharded* layout in
+one ``shard-NNNN/`` per shard holding an index snapshot (``index.bin``;
+``index.json`` in read-only version-2 directories) and the table store
+(``tables.jsonl``).  :func:`load_corpus` opens a version-3 directory in
 O(manifest): its shards load as mmap-backed
 :class:`~repro.index.binfmt.LazyShard` objects whose arrays materialize on
 first probe, not at open.
@@ -40,6 +39,7 @@ from __future__ import annotations
 import heapq
 import zlib
 from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import (
@@ -64,13 +64,11 @@ from ..tables.table import WebTable
 from ..text.tfidf import TermStatistics
 from .binfmt import LazyShard
 from .builder import (
-    DEFAULT_INDEX_FORMAT,
     INDEX_VERSION,
-    IndexedCorpus,
-    _index_one,
-    _load_shard,
+    _load_shard_v2,
     _refuse_unfolded_journal,
     MANIFEST_FILE,
+    analyze_table,
     load_stats,
     read_manifest,
     save_corpus_dir,
@@ -84,6 +82,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "PARALLEL_MODES",
+    "Shard",
     "ShardedCorpus",
     "build_sharded_corpus",
     "load_corpus",
@@ -109,8 +108,33 @@ def shard_of(table_id: str, num_shards: int) -> int:
     return zlib.crc32(table_id.encode()) % num_shards
 
 
+@dataclass
+class Shard:
+    """One eager (in-memory) shard: the record ``ShardProtocol`` needs.
+
+    What a fresh build, a compaction and a version-2 load put inside a
+    :class:`ShardedCorpus`; persisted version-3 shards are
+    :class:`~repro.index.binfmt.LazyShard` objects instead.
+    """
+
+    index: InvertedIndex
+    store: TableStore
+    #: The shared corpus-global statistics, never this shard's own.
+    stats: TermStatistics
+
+    @property
+    def num_tables(self) -> int:
+        """Number of tables in this shard."""
+        return len(self.store)
+
+    @property
+    def boosts(self) -> Dict[str, float]:
+        """Field boosts of the underlying index (copy)."""
+        return dict(self.index.boosts)
+
+
 class ShardedCorpus:
-    """N :class:`IndexedCorpus` shards behind one ``CorpusProtocol`` front.
+    """N >= 1 shards behind one ``CorpusProtocol`` front.
 
     Every shard's ``stats`` attribute is the *shared corpus-global*
     :class:`TermStatistics`, and every probe scores with the corpus-global
@@ -121,7 +145,7 @@ class ShardedCorpus:
         sharded = build_sharded_corpus(tables, num_shards=4)
         hits = sharded.search(["country", "currency"], limit=20)
         sharded.save("corpus-dir")              # manifest + per-shard files
-        reloaded = load_corpus("corpus-dir")    # O(read), journal-aware
+        reloaded = load_corpus("corpus-dir")    # O(manifest), journal-aware
     """
 
     def __init__(
@@ -339,9 +363,9 @@ class ShardedCorpus:
         top-``limit`` by ``(-score, doc_id)`` with a bounded heap, and
         returns it.  Any document in the global top-``limit`` is
         necessarily in its own shard's top-``limit`` (a shard holds a
-        subset of its competitors), so the merge equals the monolithic
-        ranking.  ``with_field_scores`` requests the diagnostic per-field
-        breakdown on every hit (off on the hot path).
+        subset of its competitors), so the merge equals the ranking of
+        one index over all tables.  ``with_field_scores`` requests the
+        diagnostic per-field breakdown on every hit (off on the hot path).
 
         With failure domains enabled (``health=`` at construction), a
         failing or backing-off shard contributes nothing instead of
@@ -445,7 +469,7 @@ class ShardedCorpus:
     def __contains__(self, table_id: str) -> bool:
         return table_id in self.shards[shard_of(table_id, self.num_shards)].store
 
-    def __iter__(self) -> Iterator[str]:
+    def __iter__(self) -> Iterator[WebTable]:
         for shard in self.shards:
             yield from shard.store
 
@@ -502,27 +526,18 @@ class ShardedCorpus:
 
     # -- persistence -----------------------------------------------------------
 
-    def save(
-        self,
-        path: Union[str, Path],
-        index_format: str = DEFAULT_INDEX_FORMAT,
-    ) -> Path:
+    def save(self, path: Union[str, Path]) -> Path:
         """Persist to a directory: manifest + shared stats + per-shard files.
 
-        Same writer as ``IndexedCorpus.save``
-        (:func:`~repro.index.builder.save_corpus_dir`), so the two kinds
-        cannot drift apart on disk.  The write is crash-safe (temp dir +
-        swap), which also means a re-save with a different shard count
-        cannot leave stale shard directories behind.  ``index_format``
-        selects the shard snapshot format (``"bin"`` by default); saving
-        necessarily materializes lazy shards.
+        The write (:func:`~repro.index.builder.save_corpus_dir`) is
+        crash-safe (temp dir + swap), which also means a re-save with a
+        different shard count cannot leave stale shard directories
+        behind.  Saving necessarily materializes lazy shards.
         """
         return save_corpus_dir(
             path,
             [(shard.index, shard.store) for shard in self.shards],
             self.stats,
-            kind="sharded",
-            index_format=index_format,
         )
 
     @classmethod
@@ -537,13 +552,14 @@ class ShardedCorpus:
     ) -> ShardedCorpus:
         """Load a corpus saved by :meth:`save` in O(read) — no re-indexing.
 
-        Snapshot only: refuses directories carrying an unfolded
-        write-ahead journal unless ``ignore_journal=True`` (see
-        :meth:`IndexedCorpus.load`); :func:`load_corpus` is the journal-
-        aware entry point.  ``health`` enables per-shard failure domains
-        (see :meth:`search`); ``clock`` injects the tracker's clock.
-        ``parallel_mode`` selects the scatter execution (see
-        :data:`PARALLEL_MODES`).
+        Snapshot only: loading just the snapshot of a directory that
+        carries an unfolded write-ahead journal would silently drop the
+        journaled mutations, so this refuses unless ``ignore_journal=True``
+        (which :func:`load_corpus`, the journal-aware entry point, passes
+        before replaying the journal itself).  ``health`` enables
+        per-shard failure domains (see :meth:`search`); ``clock`` injects
+        the tracker's clock.  ``parallel_mode`` selects the scatter
+        execution (see :data:`PARALLEL_MODES`).
         """
         path = Path(path)
         manifest = read_manifest(path)
@@ -562,13 +578,8 @@ class ShardedCorpus:
                     )
                 )
             else:
-                index, store = _load_shard(
-                    path / entry["dir"], version=manifest["version"],
-                    entry=entry,
-                )
-                shards.append(
-                    IndexedCorpus(index=index, store=store, stats=stats)
-                )
+                index, store = _load_shard_v2(path / entry["dir"])
+                shards.append(Shard(index=index, store=store, stats=stats))
         # validate=False: the persisted partition came from shard_of() at
         # build time; re-hashing every id would make load O(num_tables)
         # (and materialize every lazy shard).
@@ -587,10 +598,10 @@ def build_sharded_corpus(
 ) -> ShardedCorpus:
     """Hash-partition ``tables`` across ``num_shards`` indexed shards.
 
-    Documents are analyzed exactly as in the monolithic
-    :func:`~repro.index.builder.build_corpus_index`, and the shared
+    Every document goes through the one analysis path
+    (:func:`~repro.index.builder.analyze_table`) and the shared
     :class:`TermStatistics` folds tables in input order, so the global
-    statistics equal the monolithic build's.
+    statistics do not depend on ``num_shards``.
     """
     if num_shards < 1:
         raise ValueError("num_shards must be >= 1")
@@ -600,9 +611,12 @@ def build_sharded_corpus(
     stats = TermStatistics()
     for table in tables:
         si = shard_of(table.table_id, num_shards)
-        _index_one(table, indexes[si], stores[si], stats)
+        stores[si].add(table)
+        fields = analyze_table(table)
+        indexes[si].add_document(table.table_id, fields)
+        stats.add_document([t for toks in fields.values() for t in toks])
     shards = [
-        IndexedCorpus(index=index, store=store, stats=stats)
+        Shard(index=index, store=store, stats=stats)
         for index, store in zip(indexes, stores)
     ]
     # validate=False: the loop above IS the shard_of() partition.
@@ -636,12 +650,11 @@ def load_corpus(
     path: Union[str, Path],
     probe_workers: int = 1,
     mutable: bool = True,
-    stats_staleness: int = 0,
     health: Optional[HealthPolicy] = None,
     clock: Optional[Callable[[], float]] = None,
     parallel_mode: str = "thread",
 ) -> CorpusProtocol:
-    """Open a persisted corpus directory, whichever kind it holds.
+    """Open a persisted corpus directory.
 
     The journal-aware entry point, and the one serving processes should
     use::
@@ -652,46 +665,31 @@ def load_corpus(
         corpus.add_tables(new_tables)            # durable live mutation
         corpus.compact()                         # fold into snapshots
 
-    Loads the shard snapshots in O(read), replays any surviving
-    write-ahead journal (``repro.index.journal``), and returns a mutable
-    :class:`~repro.index.journal.JournaledCorpus` wrapping the snapshot
-    backend — an :class:`IndexedCorpus` for ``kind: monolithic`` manifests
-    (``probe_workers`` is irrelevant there), a :class:`ShardedCorpus` for
-    ``kind: sharded``.  A crash that interrupted a previous save or
-    compaction between its two directory renames is healed here by
+    Opens the shard snapshots (O(manifest) for version 3), replays any
+    surviving write-ahead journal (``repro.index.journal``), and returns a
+    mutable :class:`~repro.index.journal.JournaledCorpus` wrapping the
+    :class:`ShardedCorpus` snapshot.  A crash that interrupted a previous
+    save or compaction between its two directory renames is healed here by
     restoring the backup sibling.
 
-    ``mutable=False`` returns the bare snapshot backend instead (PR 2
-    behaviour); it refuses directories with unfolded journal records
-    rather than silently dropping them.  ``stats_staleness`` is forwarded
-    to the journaled wrapper (0 = rankings always exact).
+    ``mutable=False`` returns the bare :class:`ShardedCorpus` instead; it
+    refuses directories with unfolded journal records rather than silently
+    dropping them.
 
-    ``health`` enables per-shard failure domains on sharded corpora
-    (retry/quarantine lifecycle, partial scatter-gather, coverage — see
-    :meth:`ShardedCorpus.search`); monolithic corpora have a single
-    failure domain and ignore it.  ``clock`` injects the health
-    tracker's clock (tests).
-
-    ``parallel_mode`` selects the sharded scatter execution (see
-    :data:`PARALLEL_MODES`); monolithic corpora have nothing to scatter
-    and ignore it.
+    ``health`` enables per-shard failure domains (retry/quarantine
+    lifecycle, partial scatter-gather, coverage — see
+    :meth:`ShardedCorpus.search`); ``clock`` injects the health tracker's
+    clock (tests).  ``parallel_mode`` selects the scatter execution (see
+    :data:`PARALLEL_MODES`).
     """
     from .journal import JournaledCorpus
 
     path = Path(path)
     _restore_backup_if_orphaned(path)
-    manifest = read_manifest(path)
-    if manifest["kind"] == "monolithic":
-        base = IndexedCorpus.load(path, ignore_journal=mutable)
-    elif manifest["kind"] == "sharded":
-        base = ShardedCorpus.load(
-            path, probe_workers=probe_workers, ignore_journal=mutable,
-            health=health, clock=clock, parallel_mode=parallel_mode,
-        )
-    else:
-        raise ValueError(f"{path}: unknown corpus kind {manifest['kind']!r}")
+    base = ShardedCorpus.load(
+        path, probe_workers=probe_workers, ignore_journal=mutable,
+        health=health, clock=clock, parallel_mode=parallel_mode,
+    )
     if not mutable:
         return base
-    return JournaledCorpus.open(
-        path, base, manifest, stats_staleness=stats_staleness
-    )
+    return JournaledCorpus.open(path, base, read_manifest(path))

@@ -152,10 +152,10 @@ def two_stage_probe(
 ) -> ProbeResult:
     """Run the Section 2.2.1 candidate retrieval.
 
-    ``corpus`` is any :class:`~repro.index.protocol.CorpusProtocol` backend
-    — the monolithic :class:`~repro.index.IndexedCorpus` or the
-    scatter-gather :class:`~repro.index.ShardedCorpus`; results are
-    identical (see DESIGN.md, "Sharded index & persistence").
+    ``corpus`` is any :class:`~repro.index.protocol.CorpusProtocol` corpus
+    — a :class:`~repro.index.ShardedCorpus` snapshot or the journaled
+    wrapper around one; results do not depend on the shard count (see
+    DESIGN.md, "Sharded index & persistence").
 
     ``timings`` (when given) receives per-stage wall-clock seconds under the
     keys ``index1``, ``read1``, ``confidence``, ``index2``, ``read2`` — the

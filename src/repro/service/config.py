@@ -67,10 +67,10 @@ class EngineConfig:
     #: Default answer-row page size for :class:`QueryResponse` pagination.
     page_size: int = 25
     #: Shard count for corpora *built* on behalf of this config — the CLI's
-    #: generate-then-serve path partitions with it (``None`` keeps the
-    #: monolithic :class:`~repro.index.IndexedCorpus`; an int selects the
-    #: hash-partitioned :class:`~repro.index.ShardedCorpus`).  A corpus
-    #: object passed to :class:`WWTService` directly is served as-is.
+    #: generate-then-serve path hash-partitions its
+    #: :class:`~repro.index.ShardedCorpus` with it (``None`` means one
+    #: shard).  A corpus object passed to :class:`WWTService` directly is
+    #: served as-is.
     num_shards: Optional[int] = None
     #: Directory of a persisted corpus (``repro index build``);
     #: :class:`WWTService` loads it at construction when no corpus object
@@ -83,19 +83,14 @@ class EngineConfig:
     #: calling thread, whatever ``probe_workers`` says) or ``"thread"``
     #: (a thread pool once ``probe_workers > 1`` — the default).
     #: Redundant with ``probe_workers=1``; kept only until nothing passes
-    #: it (see DESIGN.md, "Modes removed").  Monolithic corpora ignore it;
-    #: rankings are bit-identical either way.
+    #: it (see DESIGN.md, "Modes removed").  Rankings are bit-identical
+    #: either way.
     parallel_mode: str = "thread"
     #: Journal depth at which :meth:`WWTService.add_tables` /
     #: :meth:`WWTService.delete_tables` trigger an automatic ``compact()``
     #: of the served corpus (``None`` = never; compact manually or via
     #: ``repro index compact``).
     auto_compact_threshold: Optional[int] = None
-    #: Shard snapshot format for corpora saved or compacted on behalf of
-    #: this config: ``"bin"`` (version-3 binary columnar, mmap'd + lazily
-    #: loaded — the default) or ``"json"`` (the version-2 layout).  Both
-    #: load transparently regardless of this setting.
-    index_format: str = "bin"
     #: Per-query wall-clock budget in milliseconds (``None`` = unbounded).
     #: The execution engine checks it between stages: once exceeded, the
     #: remaining skippable stages are skipped and column mapping falls
@@ -125,18 +120,13 @@ class EngineConfig:
         if self.page_size < 1:
             raise ValueError("page_size must be >= 1")
         if self.num_shards is not None and self.num_shards < 1:
-            raise ValueError("num_shards must be >= 1 (None for monolithic)")
+            raise ValueError("num_shards must be >= 1 (None means 1)")
         if self.probe_workers < 1:
             raise ValueError("probe_workers must be >= 1")
         if self.parallel_mode not in ("serial", "thread"):
             raise ValueError(
                 f"unknown parallel_mode {self.parallel_mode!r}; "
                 "options: ['serial', 'thread']"
-            )
-        if self.index_format not in ("json", "bin"):
-            raise ValueError(
-                f"unknown index_format {self.index_format!r}; "
-                "options: ['bin', 'json']"
             )
         if (
             self.auto_compact_threshold is not None
@@ -180,7 +170,6 @@ class EngineConfig:
             "page_size": self.page_size,
             "num_shards": self.num_shards,
             "index_path": self.index_path,
-            "index_format": self.index_format,
             "probe_workers": self.probe_workers,
             "parallel_mode": self.parallel_mode,
             "auto_compact_threshold": self.auto_compact_threshold,
@@ -212,9 +201,8 @@ class EngineConfig:
         top_known = {
             "inference", "cache_size", "probe_cache_size",
             "feature_cache_size", "max_workers", "page_size",
-            "num_shards", "index_path", "index_format", "probe_workers",
-            "parallel_mode", "auto_compact_threshold", "deadline_ms",
-            "degraded_ok",
+            "num_shards", "index_path", "probe_workers", "parallel_mode",
+            "auto_compact_threshold", "deadline_ms", "degraded_ok",
         }
         unknown = sorted(set(data) - top_known)
         if unknown:

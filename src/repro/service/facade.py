@@ -28,6 +28,7 @@ from ..exec.plan import ExecutionPlan
 from ..exec.query import MAPPING_STAGES, PARSE_STAGES, QUERY_STAGES
 from ..exec.state import QueryState
 from ..exec.stats import StageAccumulator, StageStats
+from ..faults.health import Coverage
 from ..index.protocol import CorpusProtocol
 from ..index.sharded import load_corpus
 from ..inference.registry import DEFAULT_REGISTRY
@@ -111,11 +112,11 @@ class WWTService:
         responses = service.answer_batch(["country | gdp", "dog breed"])
         print(service.stats().to_dict())
 
-    ``corpus`` is any :class:`~repro.index.protocol.CorpusProtocol` backend
-    (monolithic or sharded), or a path to a persisted corpus directory
-    (``repro index build``).  With no corpus argument at all, the config's
-    ``index_path`` is loaded — so a service is fully constructible from one
-    JSON config file.
+    ``corpus`` is any :class:`~repro.index.protocol.CorpusProtocol` corpus
+    (a built snapshot or a journaled one), or a path to a persisted corpus
+    directory (``repro index build``).  With no corpus argument at all,
+    the config's ``index_path`` is loaded — so a service is fully
+    constructible from one JSON config file.
 
     A service over a persisted directory can also mutate it live — new
     tables are journaled durably and searchable immediately::
@@ -180,28 +181,19 @@ class WWTService:
     def _warn_if_probe_workers_moot(self) -> None:
         """Warn once, at construction, when ``probe_workers`` cannot help.
 
-        The setting only fans out a *sharded* corpus's scatter, and only
-        in a pooled parallel mode — for a monolithic corpus, a single
-        shard, or ``parallel_mode="serial"`` it silently did nothing,
-        which cost real debugging time.  Surfacing the mismatch where the
-        config meets the corpus (here) beats validating it in
-        ``EngineConfig``, which cannot know the corpus shape.
+        The setting only fans the scatter out over several shards, and
+        only in a pooled parallel mode — for a single shard or
+        ``parallel_mode="serial"`` it silently did nothing, which cost
+        real debugging time.  Surfacing the mismatch where the config
+        meets the corpus (here) beats validating it in ``EngineConfig``,
+        which cannot know the corpus shape.
         """
         if self.config.probe_workers <= 1:
             return
-        num_shards = getattr(self.corpus, "num_shards", None)
-        if num_shards is None:
+        if self.corpus.num_shards == 1:
             warnings.warn(
                 f"probe_workers={self.config.probe_workers} has no effect: "
-                "the served corpus is monolithic (no shards to scatter "
-                "over); build a sharded corpus or drop the setting",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        elif num_shards == 1:
-            warnings.warn(
-                f"probe_workers={self.config.probe_workers} has no effect: "
-                "the sharded corpus has a single shard; rebuild with "
+                "the corpus has a single shard; rebuild with "
                 "num_shards > 1 or drop the setting",
                 RuntimeWarning,
                 stacklevel=3,
@@ -520,12 +512,10 @@ class WWTService:
 
         Returns the number of journal records folded.  Cached answers stay
         valid (compaction preserves rankings exactly), so the caches are
-        left alone.  Snapshots are rewritten in ``config.index_format``
-        (binary by default), which also upgrades a version-2 directory.
+        left alone.  Snapshots are rewritten as version 3, which also
+        upgrades a version-2 directory.
         """
-        return self._mutable_corpus().compact(
-            index_format=self.config.index_format
-        )
+        return self._mutable_corpus().compact()
 
     def _maybe_auto_compact(self) -> None:
         threshold = self.config.auto_compact_threshold
@@ -533,7 +523,7 @@ class WWTService:
             threshold is not None
             and getattr(self.corpus, "journal_depth", 0) >= threshold
         ):
-            self.corpus.compact(index_format=self.config.index_format)
+            self.corpus.compact()
 
     # -- operations -------------------------------------------------------
 
@@ -570,17 +560,13 @@ class WWTService:
             partial_answers=partial_answers,
         )
 
-    def coverage(self) -> Optional[Any]:
+    def coverage(self) -> Coverage:
         """The served corpus's current shard :class:`~repro.faults.Coverage`.
 
-        ``None`` when the corpus has no failure domains (monolithic, or
-        sharded without a health policy) — absence means "coverage is not
-        a concept here", not "coverage is unknown".
+        Always the full-coverage record unless the corpus was opened with
+        a health policy (failure domains) and a shard is unreachable.
         """
-        coverage_fn = getattr(self.corpus, "coverage", None)
-        if coverage_fn is None:
-            return None
-        return coverage_fn()
+        return self.corpus.coverage()
 
     def clear_caches(self) -> None:
         """Drop all serving caches (hit/miss counters are kept).
@@ -603,7 +589,7 @@ class WWTService:
         scatter thread pool; closing the service closes it.  A corpus the
         caller constructed is left untouched — they own its lifecycle.
         """
-        if self._owns_corpus and hasattr(self.corpus, "close"):
+        if self._owns_corpus:
             self.corpus.close()
 
     def __enter__(self) -> WWTService:

@@ -2,13 +2,16 @@
 
 ``tests/fixtures/binfmt_v3`` and ``tests/fixtures/corpus_v2`` are this
 corpus persisted in the version-3 binary and version-2 JSON layouts.  The
-committed bytes are golden: ``tests/test_binfmt.py`` rebuilds the corpus
-from :func:`fixture_tables` and byte-compares the re-encoded snapshots
-against the committed files, so any accidental drift in the layout (or in
-the encoder's determinism) fails the suite rather than silently orphaning
-old corpora.
+committed v3 bytes are golden: ``tests/test_binfmt.py`` rebuilds the
+corpus from :func:`fixture_tables` and byte-compares the re-encoded
+snapshots against the committed files, so any accidental drift in the
+layout (or in the encoder's determinism) fails the suite rather than
+silently orphaning old corpora.  ``corpus_v2`` is frozen legacy input:
+nothing writes version 2 any more, so it cannot be regenerated — it pins
+that directories written by earlier builds still load.
 
-Regenerate (ONLY after an intentional, documented format change)::
+Regenerate the v3 fixture (ONLY after an intentional, documented format
+change)::
 
     PYTHONPATH=src python -m tests.binfmt_fixture
 """
@@ -70,15 +73,10 @@ def fixture_tables() -> List[WebTable]:
 
 
 def regenerate() -> None:
-    """Rewrite both fixture directories from :func:`fixture_tables`."""
-    build_corpus_index(
-        fixture_tables(), num_shards=2, save=V3_DIR, index_format="bin"
-    )
-    build_corpus_index(
-        fixture_tables(), num_shards=2, save=V2_DIR, index_format="json"
-    )
+    """Rewrite the v3 fixture directory from :func:`fixture_tables`."""
+    build_corpus_index(fixture_tables(), num_shards=2, save=V3_DIR)
 
 
 if __name__ == "__main__":
     regenerate()
-    print(f"fixtures rewritten under {FIXTURES}")
+    print(f"v3 fixture rewritten under {V3_DIR}")

@@ -606,7 +606,7 @@ class TestLazyShard:
 class TestGoldenFixture:
     def test_fresh_build_matches_committed_bytes(self, tmp_path):
         build_corpus_index(fixture_tables(), num_shards=2,
-                           save=tmp_path / "c", index_format="bin")
+                           save=tmp_path / "c")
         for shard in ("shard-0000", "shard-0001"):
             fresh = (tmp_path / "c" / shard / "index.bin").read_bytes()
             golden = (V3_DIR / shard / "index.bin").read_bytes()
@@ -669,12 +669,67 @@ class TestCrossVersion:
         reloaded = load_corpus(workdir, mutable=False)
         assert rankings(reloaded) == before == rankings(fresh)
 
-    def test_v2_stays_v2_when_asked(self, tmp_path):
+    def test_v2_cannot_stay_v2(self, tmp_path):
         workdir = tmp_path / "v2copy"
         shutil.copytree(V2_DIR, workdir)
         with load_corpus(workdir) as corpus:
-            corpus.compact(index_format="json")
-        assert read_manifest(workdir)["version"] == 2
+            with pytest.raises(TypeError, match="index_format"):
+                corpus.compact(index_format="json")
+            with pytest.raises(TypeError, match="index_format"):
+                corpus.save(tmp_path / "export", index_format="json")
+        assert read_manifest(workdir)["version"] == 2  # untouched
+        assert not (tmp_path / "export").exists()
+
+    @staticmethod
+    def legacy_dir(which, tmp_path):
+        """A copy of the v2 fixture, or a v3 build whose manifest says
+        ``kind: "monolithic"`` as the pre-one-backend writer did."""
+        workdir = tmp_path / which
+        if which == "v2":
+            shutil.copytree(V2_DIR, workdir)
+            return workdir
+        build_corpus_index(fixture_tables(), num_shards=1, save=workdir)
+        manifest = read_manifest(workdir)
+        assert manifest["kind"] == "sharded"
+        manifest["kind"] = "monolithic"
+        (workdir / "manifest.json").write_text(json.dumps(manifest, indent=2))
+        return workdir
+
+    @pytest.mark.parametrize("which", ["v2", "monolithic-v3"])
+    def test_legacy_directory_serves_mutates_and_compacts(
+        self, tmp_path, which
+    ):
+        workdir = self.legacy_dir(which, tmp_path)
+        extra = list(iter_synthetic_tables(3, seed=9, id_prefix="live-"))
+        with load_corpus(workdir) as corpus:
+            assert type(corpus.base).__name__ == "ShardedCorpus"
+            assert rankings(corpus) == rankings(
+                build_corpus_index(fixture_tables())
+            )
+            assert corpus.add_tables(extra) == 3
+            live = rankings(corpus)
+            assert live == rankings(
+                build_corpus_index(fixture_tables() + extra)
+            )
+            assert corpus.compact() == 3
+        manifest = read_manifest(workdir)
+        assert (manifest["version"], manifest["kind"]) == (3, "sharded")
+        assert manifest["num_tables"] == 8
+        assert not list(workdir.rglob("index.json"))
+        assert rankings(load_corpus(workdir, mutable=False)) == live
+
+    def test_monolithic_kind_with_several_shards_rejected(self, tmp_path):
+        build_corpus_index(fixture_tables(), num_shards=2, save=tmp_path / "c")
+        manifest_path = tmp_path / "c" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["kind"] = "monolithic"
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="exactly one shard"):
+            load_corpus(tmp_path / "c")
+        manifest["kind"] = "federated"
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="unknown corpus kind"):
+            load_corpus(tmp_path / "c")
 
 
 # -- seeded round-trip fuzz ----------------------------------------------------
@@ -686,20 +741,15 @@ FUZZ_QUERIES = QUERIES + [["president"], ["explorer", "discovery"]]
 class TestFuzzRoundTrip:
     @pytest.mark.parametrize("seed", [101, 202, 303])
     @pytest.mark.parametrize("num_shards", [None, 2, 4])
-    def test_v3_and_v2_rank_bit_identically_to_memory(
+    def test_v3_ranks_bit_identically_to_memory(
         self, tmp_path, seed, num_shards
     ):
         tables = list(iter_synthetic_tables(90, seed=seed))
-        mem = build_corpus_index(tables, num_shards=num_shards)
-        want = rankings(mem, FUZZ_QUERIES)
-        for fmt in ("bin", "json"):
-            save = tmp_path / f"c-{fmt}"
-            build_corpus_index(tables, num_shards=num_shards, save=save,
-                               index_format=fmt)
-            loaded = load_corpus(save, mutable=False)
-            assert rankings(loaded, FUZZ_QUERIES) == want, (
-                f"seed={seed} shards={num_shards} fmt={fmt}"
-            )
+        mem = build_corpus_index(
+            tables, num_shards=num_shards, save=tmp_path / "c"
+        )
+        loaded = load_corpus(tmp_path / "c", mutable=False)
+        assert rankings(loaded, FUZZ_QUERIES) == rankings(mem, FUZZ_QUERIES)
 
     @pytest.mark.parametrize("seed", [11, 22])
     def test_journal_churn_then_v3_round_trip(self, tmp_path, seed):

@@ -72,7 +72,7 @@ def fingerprint(full):
 
 @pytest.fixture(scope="module")
 def tables(small_env):
-    return list(small_env.synthetic.corpus.store)
+    return list(small_env.synthetic.corpus)
 
 
 @pytest.fixture(scope="module")

@@ -44,8 +44,13 @@ class TestParser:
          "unrecognized arguments: --execution-mode async"),
         (["index", "build", "--out", "d", "--parallel-mode", "serial"],
          "unrecognized arguments: --parallel-mode serial"),
+        (["index", "build", "--out", "d", "--format", "json"],
+         "unrecognized arguments: --format json"),
+        (["index", "compact", "d", "--format", "bin"],
+         "unrecognized arguments: --format bin"),
     ], ids=["parallel-mode-process", "serve-execution-mode",
-            "index-build-parallel-mode"])
+            "index-build-parallel-mode", "index-build-format",
+            "index-compact-format"])
     def test_removed_modes_exit_2(self, argv, message, capsys):
         with pytest.raises(SystemExit) as err:
             build_parser().parse_args(argv)
@@ -197,18 +202,83 @@ class TestIndexCommands:
         assert code == 0
         assert "candidates:" in out.getvalue()
 
-    def test_build_monolithic_by_default(self, tmp_path):
-        corpus_dir = str(tmp_path / "mono")
+    def test_build_one_shard_by_default(self, tmp_path):
+        corpus_dir = str(tmp_path / "one")
         out = io.StringIO()
         code = main(
             ["index", "build", "--out", corpus_dir, "--scale", "0.1"],
             out=out,
         )
         assert code == 0
-        assert "monolithic corpus" in out.getvalue()
+        assert "1-shard corpus" in out.getvalue()
         out = io.StringIO()
         assert main(["index", "info", corpus_dir], out=out) == 0
-        assert "kind: monolithic" in out.getvalue()
+        info_text = out.getvalue()
+        assert "version: 3" in info_text
+        assert "kind: sharded" in info_text
+        assert "num_shards: 1" in info_text
+
+    @staticmethod
+    def tree_bytes(root):
+        """Every file under ``root`` with its bytes."""
+        return {
+            str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()
+        }
+
+    def test_repair_rederives_v3_snapshot_byte_exactly(self, tmp_path):
+        corpus_dir = tmp_path / "corpus"
+        assert main(
+            ["index", "build", "--out", str(corpus_dir), "--scale", "0.05",
+             "--num-shards", "2"],
+            out=io.StringIO(),
+        ) == 0
+        assert main(["index", "verify", str(corpus_dir)],
+                    out=io.StringIO()) == 0
+        before = self.tree_bytes(corpus_dir)
+        victim = corpus_dir / "shard-0001" / "index.bin"
+        blob = bytearray(victim.read_bytes())
+        blob[len(blob) // 2] ^= 0xFF
+        victim.write_bytes(bytes(blob))
+        out = io.StringIO()
+        assert main(["index", "verify", str(corpus_dir)], out=out) == 1
+        assert "shard-0001 checksum [repairable]" in out.getvalue()
+        out = io.StringIO()
+        assert main(["index", "repair", str(corpus_dir)], out=out) == 0
+        assert "repaired shard-0001" in out.getvalue()
+        assert self.tree_bytes(corpus_dir) == before
+        assert main(["index", "verify", str(corpus_dir)],
+                    out=io.StringIO()) == 0
+
+    def test_repair_reports_corrupt_v2_snapshot_as_unrepairable(
+        self, tmp_path
+    ):
+        """Nothing writes ``index.json`` any more, so a damaged version-2
+        directory is reported with the way out, never rewritten."""
+        import json as _json
+        import shutil
+
+        from .binfmt_fixture import V2_DIR
+
+        corpus_dir = tmp_path / "v2copy"
+        shutil.copytree(V2_DIR, corpus_dir)
+        assert main(["index", "verify", str(corpus_dir)],
+                    out=io.StringIO()) == 0
+        (corpus_dir / "shard-0001" / "index.json").write_text("{}")
+        before = self.tree_bytes(corpus_dir)
+        out = io.StringIO()
+        code = main(["index", "repair", str(corpus_dir), "--json"], out=out)
+        assert code == 1
+        report = _json.loads(out.getvalue())
+        assert report["repaired"] == [] and not report["ok"]
+        [issue] = report["issues"]
+        assert issue["shard"] == "shard-0001" and issue["kind"] == "decode"
+        assert issue["repairable"] is False
+        assert "index.json" in issue["message"]
+        assert "tables.jsonl" in issue["message"]
+        assert "build_corpus_stream" in issue["message"]
+        assert "compact cannot help" in issue["message"]
+        assert self.tree_bytes(corpus_dir) == before
 
     def test_incremental_add_compact_flow(self, tmp_path):
         """The README quickstart: index build -> add -> compact."""

@@ -89,7 +89,7 @@ class TestGenerateCorpus:
         assert syn.num_tables == len(syn.provenance)
         assert syn.num_tables > 50
         # Index and store agree.
-        assert len(syn.corpus.store) == syn.num_tables
+        assert len(syn.corpus.ids()) == syn.num_tables
 
     def test_header_histogram_roughly_matches_paper(self):
         syn = generate_corpus(CorpusConfig(seed=3, scale=0.5))
@@ -112,9 +112,9 @@ class TestGenerateCorpus:
     def test_deterministic(self):
         a = generate_corpus(CorpusConfig(seed=5, scale=0.1))
         b = generate_corpus(CorpusConfig(seed=5, scale=0.1))
-        assert a.corpus.store.ids() == b.corpus.store.ids()
-        ta = a.corpus.store.get(a.corpus.store.ids()[0])
-        tb = b.corpus.store.get(b.corpus.store.ids()[0])
+        assert a.corpus.ids() == b.corpus.ids()
+        ta = a.corpus.get_table(a.corpus.ids()[0])
+        tb = b.corpus.get_table(b.corpus.ids()[0])
         assert ta.to_dict() == tb.to_dict()
 
 

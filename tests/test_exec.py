@@ -5,8 +5,8 @@ cancellation, stage stats) with a deterministic fake clock, then the
 acceptance bar of the refactor: with no deadline, executor answers are
 bit-identical — rows, scores, mappings, timing stage set — to the
 pre-refactor straight-line pipeline (re-implemented verbatim below as the
-reference) over the full 59-query workload on all three corpus backends
-(monolithic, sharded with k in {1, 2, 4} shards, journaled).
+reference) over the full 59-query workload on the default build, on
+k in {1, 2, 4} shards, and on a journaled corpus.
 """
 
 import random
@@ -500,7 +500,7 @@ TIMING_STAGES = {
 
 class TestExecutorBitIdentity:
     """No deadline => executor answers == pre-refactor pipeline answers,
-    over the 59-query workload, on every backend."""
+    over the 59-query workload, whatever shape the corpus has."""
 
     def _check_workload(self, corpus, queries, expected):
         service = WWTService(corpus)
@@ -510,14 +510,12 @@ class TestExecutorBitIdentity:
             assert got == expected[wq.query_id], wq.query_id
             assert not full.degraded
             assert set(full.timing.as_dict()) == TIMING_STAGES
-        if hasattr(corpus, "close"):
-            corpus.close()
 
     @pytest.fixture(scope="class")
     def expected(self, small_env):
-        """Reference fingerprints, computed once on the monolithic corpus
-        with the verbatim pre-refactor pipeline (all backends rank
-        bit-identically, per the PR 2-4 guarantees)."""
+        """Reference fingerprints, computed once on the default build
+        with the verbatim pre-refactor pipeline (rankings do not depend
+        on the shard count, per the PR 2-4 guarantees)."""
         config = EngineConfig()
         return {
             wq.query_id: answer_fingerprint(
@@ -527,7 +525,7 @@ class TestExecutorBitIdentity:
             for wq in small_env.queries
         }
 
-    def test_monolithic(self, small_env, expected):
+    def test_default_build(self, small_env, expected):
         assert len(small_env.queries) == 59
         self._check_workload(
             small_env.synthetic.corpus, small_env.queries, expected
@@ -537,19 +535,17 @@ class TestExecutorBitIdentity:
     def test_sharded(self, small_env, expected, k):
         from repro.index import build_sharded_corpus
 
-        tables = list(small_env.synthetic.corpus.store)
-        self._check_workload(
-            build_sharded_corpus(tables, k), small_env.queries, expected
-        )
+        tables = list(small_env.synthetic.corpus)
+        with build_sharded_corpus(tables, k) as corpus:
+            self._check_workload(corpus, small_env.queries, expected)
 
     def test_journaled(self, small_env, expected, tmp_path):
         from repro.index import build_sharded_corpus, load_corpus
 
-        tables = list(small_env.synthetic.corpus.store)
+        tables = list(small_env.synthetic.corpus)
         build_sharded_corpus(tables, 2).save(tmp_path / "corpus")
-        self._check_workload(
-            load_corpus(tmp_path / "corpus"), small_env.queries, expected
-        )
+        with load_corpus(tmp_path / "corpus") as corpus:
+            self._check_workload(corpus, small_env.queries, expected)
 
 
 class TestProbeThroughExecutor:

@@ -5,8 +5,8 @@ Three guarantees the DESIGN.md "Hot-path engine" section promises:
 1. The compiled :meth:`InvertedIndex.search` matches the retained
    :class:`NaiveScorer` reference hit-for-hit — doc ids, scores
    (bit-exactly), and per-field breakdowns — on random corpora and on the
-   full 59-query workload, for every backend (monolithic, sharded,
-   journaled) including after add/delete/compact.
+   full 59-query workload, for one shard, four shards and a journaled
+   corpus, including after add/delete/compact.
 2. The incrementally maintained df counters always equal the brute-force
    set-union definition they replaced.
 3. Feature memoization (:class:`FeatureCache`) and the promoted PMI²
@@ -28,6 +28,8 @@ from repro.index import (
     NaiveScorer,
     build_corpus_index,
     build_sharded_corpus,
+    read_index_bin,
+    write_index_bin,
 )
 from repro.query.model import Query
 from repro.service import EngineConfig, WWTService
@@ -127,13 +129,16 @@ class TestCompiledMatchesNaive:
         breakdown = index.search(["x"], with_field_scores=True)[0].field_scores
         assert set(breakdown) == {"header", "content"}
 
-    def test_snapshot_round_trip_preserves_compiled_search(self):
+    def test_snapshot_round_trip_preserves_compiled_search(self, tmp_path):
+        from repro.index.binfmt import encode_index
+
         rng = random.Random(7)
         index = InvertedIndex()
         for i in range(25):
             index.add_document(f"d{i}", random_fields(rng))
-        reloaded = InvertedIndex.from_dict(index.to_dict())
-        assert reloaded.to_dict() == index.to_dict()
+        write_index_bin(tmp_path / "index.bin", index)
+        reloaded = read_index_bin(tmp_path / "index.bin")
+        assert encode_index(reloaded) == encode_index(index)
         for term in VOCAB:
             assert (
                 reloaded.document_frequency(term)
@@ -148,12 +153,12 @@ class TestCompiledMatchesNaive:
 
 
 class TestWorkloadEquivalence:
-    """The 59-query workload, hit-for-hit across all three backends."""
+    """The 59-query workload, hit-for-hit, whatever shape the corpus has."""
 
     @pytest.fixture(scope="class")
     def tables(self, small_env):
         """The shared synthetic corpus's tables."""
-        return list(small_env.synthetic.corpus.store)
+        return list(small_env.synthetic.corpus)
 
     def _check_workload(self, corpus, naive, queries):
         for wq in queries:
@@ -164,19 +169,19 @@ class TestWorkloadEquivalence:
                     naive.search(tokens, limit=k),
                 )
 
-    def test_monolithic(self, small_env):
+    def test_one_shard(self, small_env):
         corpus = small_env.synthetic.corpus
-        naive = NaiveScorer(corpus.index)
+        naive = NaiveScorer(corpus.shards[0].index)
         self._check_workload(corpus, naive, small_env.queries)
 
     def test_sharded(self, small_env, tables):
-        naive = NaiveScorer(small_env.synthetic.corpus.index)
+        naive = NaiveScorer(small_env.synthetic.corpus.shards[0].index)
         sharded = build_sharded_corpus(tables, num_shards=4)
         self._check_workload(sharded, naive, small_env.queries)
 
     def test_field_scores_plumbed_through_all_backends(self, small_env, tables):
-        """Every CorpusProtocol backend honours the opt-in breakdown."""
-        naive = NaiveScorer(small_env.synthetic.corpus.index)
+        """Every CorpusProtocol implementor honours the opt-in breakdown."""
+        naive = NaiveScorer(small_env.synthetic.corpus.shards[0].index)
         tokens = small_env.queries[0].query.all_tokens()
         want = naive.search(tokens, limit=5)
         backends = [
@@ -209,7 +214,7 @@ class TestWorkloadEquivalence:
         journaled.delete_tables(doomed)
 
         live = [t for t in tables if t.table_id not in set(doomed)]
-        naive = NaiveScorer(build_corpus_index(live).index)
+        naive = NaiveScorer(build_corpus_index(live).shards[0].index)
         queries = small_env.queries
         self._check_workload(journaled, naive, queries)
 

@@ -344,7 +344,7 @@ class TestBuildCorpusIndex:
         ]
         corpus = build_corpus_index(tables)
         assert corpus.num_tables == 2
-        hits = corpus.index.search(["mountain"])
+        hits = corpus.search(["mountain"])
         assert [h.doc_id for h in hits] == ["m1"]
         assert corpus.stats.num_docs == 2
-        assert corpus.store.get("m1").column_values(0) == ["Denali"]
+        assert corpus.get_table("m1").column_values(0) == ["Denali"]

@@ -5,7 +5,6 @@ ranking equivalence against full rebuilds, and the no-reindex guarantee."""
 import pytest
 
 from repro.index import (
-    IndexedCorpus,
     InvertedIndex,
     JournaledCorpus,
     ShardedCorpus,
@@ -35,7 +34,7 @@ def make_tables(n=12, prefix="t", start=0):
 @pytest.fixture(scope="module")
 def corpus_tables(small_env):
     """The small shared environment's extracted tables, in index order."""
-    return list(small_env.synthetic.corpus.store)
+    return list(small_env.synthetic.corpus)
 
 
 def built_dir(tmp_path, tables, num_shards=None, name="c"):
@@ -199,24 +198,20 @@ class TestExportAndConcurrency:
                 t.join()
         assert not errors, errors[:1]
 
-    def test_stale_window_serves_one_consistent_idf_vintage(self, tmp_path):
-        """Within the staleness bound, cached and uncached terms must agree
-        on the corpus vintage (here: the base, pre-sync)."""
-        from repro.index.inverted import lucene_idf
-
-        tables = make_tables(10)
-        build_corpus_index(tables, save=tmp_path / "c")
-        corpus = load_corpus(tmp_path / "c", stats_staleness=50)
-        base = corpus.base
-        corpus.add_tables(make_tables(4, prefix="new"))
-        corpus.search(["name"], limit=5)  # populate some idf cache entries
-        for term in ("name", "rank", "val2a"):  # mix of cached/uncached
-            assert corpus._effective_idf(term) == pytest.approx(
-                lucene_idf(
-                    base.num_tables, base.index.document_frequency(term)
-                ),
-                abs=1e-12,
-            )
+    def test_export_keeps_index_and_store_row_order(self, tmp_path):
+        """Regression: the export copied an add-only shard's index through
+        a dict snapshot that renumbered documents in sorted-id order while
+        the copied store kept insertion order, so the exported directory
+        failed its lazy open as soon as a table was read."""
+        unsorted = [make_tables(1, start=i)[0] for i in (3, 1, 2)]
+        corpus = built_dir(tmp_path, unsorted, num_shards=1)
+        corpus.add_tables(make_tables(1, prefix="a"))
+        copy = load_corpus(corpus.save(tmp_path / "export"))
+        assert copy.ids() == ["t3", "t1", "t2", "a0"]
+        assert [t.table_id for t in copy.get_many(copy.ids())] == copy.ids()
+        assert hits_of(copy, ["name"]) == hits_of(corpus, ["name"])
+        # The live base was copied, not extended.
+        assert corpus.base.num_tables == 3
 
 
 class TestRankingEquivalence:
@@ -296,33 +291,6 @@ class TestRankingEquivalence:
         corpus = built_dir(tmp_path, make_tables(6), num_shards=2)
         assert corpus.stats is corpus.base.stats
         assert hits_of(corpus, ["name"]) == hits_of(corpus.base, ["name"])
-
-
-class TestStaleness:
-    def test_default_staleness_zero_is_exact(self, tmp_path):
-        corpus = built_dir(tmp_path, make_tables(6))
-        before = corpus.stats.num_docs
-        corpus.add_tables(make_tables(1, prefix="new"))
-        assert corpus.stats.num_docs == before + 1
-
-    def test_positive_staleness_defers_stats_refresh(self, tmp_path):
-        tables = make_tables(10)
-        build_corpus_index(tables, save=tmp_path / "c")
-        corpus = load_corpus(tmp_path / "c", stats_staleness=5)
-        base_docs = corpus.base.stats.num_docs
-        corpus.add_tables(make_tables(3, prefix="new"))
-        # Within the bound: the derived stats may (and here do) lag...
-        assert corpus.stats.num_docs == base_docs
-        corpus.add_tables(make_tables(3, prefix="more"))
-        # ...but past it the next read is exact.
-        assert corpus.stats.num_docs == base_docs + 6
-        # Visibility never lags: journaled tables are searchable at once.
-        assert "more2" in {h.doc_id for h in corpus.search(["name"], limit=30)}
-
-    def test_negative_staleness_rejected(self, tmp_path):
-        build_corpus_index(make_tables(2), save=tmp_path / "c")
-        with pytest.raises(ValueError, match="stats_staleness"):
-            load_corpus(tmp_path / "c", stats_staleness=-1)
 
 
 class TestCrashRecovery:
@@ -406,13 +374,9 @@ class TestCrashRecovery:
             ShardedCorpus.load(tmp_path / "s")
         with pytest.raises(ValueError, match="unfolded"):
             load_corpus(tmp_path / "s", mutable=False)
-        mono = built_dir(tmp_path, make_tables(8), name="m")
-        mono.add_tables(make_tables(1, prefix="new"))
-        with pytest.raises(ValueError, match="unfolded"):
-            IndexedCorpus.load(tmp_path / "m")
         # After compaction the snapshot is complete again.
-        mono.compact()
-        assert IndexedCorpus.load(tmp_path / "m").num_tables == 9
+        sharded.compact()
+        assert ShardedCorpus.load(tmp_path / "s").num_tables == 9
 
     def test_compaction_removes_journals_and_advances_seq(self, tmp_path):
         corpus = built_dir(tmp_path, make_tables(8), num_shards=2)

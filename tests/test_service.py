@@ -54,6 +54,10 @@ class TestEngineConfig:
             EngineConfig.from_dict({"inferenec": "bp"})
         with pytest.raises(ValueError, match="unknown probe keys"):
             EngineConfig.from_dict({"probe": {"stage1_limt": 5}})
+        # A removed knob is a typo like any other, not accepted-and-ignored.
+        with pytest.raises(ValueError, match=r"keys: \['index_format'\]"):
+            EngineConfig.from_dict({"index_format": "bin"})
+        assert "index_format" not in EngineConfig().to_dict()
 
     def test_unknown_inference_rejected(self):
         with pytest.raises(ValueError, match="unknown inference"):
@@ -401,7 +405,7 @@ class TestShardedServing:
     def test_service_from_persisted_corpus(self, small_env, tmp_path):
         from repro.index import build_sharded_corpus
 
-        tables = list(small_env.synthetic.corpus.store)
+        tables = list(small_env.synthetic.corpus)
         build_sharded_corpus(tables, 2).save(tmp_path / "corpus")
 
         by_path = WWTService(tmp_path / "corpus")
@@ -423,7 +427,7 @@ class TestShardedServing:
     def test_service_close_owns_loaded_corpus(self, small_env, tmp_path):
         from repro.index import build_sharded_corpus
 
-        tables = list(small_env.synthetic.corpus.store)
+        tables = list(small_env.synthetic.corpus)
         build_sharded_corpus(tables, 2).save(tmp_path / "corpus")
         with WWTService(
             tmp_path / "corpus", EngineConfig(probe_workers=2)
@@ -436,7 +440,7 @@ class TestShardedServing:
     def test_service_close_leaves_caller_corpus_alone(self, small_env):
         from repro.index import build_sharded_corpus
 
-        tables = list(small_env.synthetic.corpus.store)
+        tables = list(small_env.synthetic.corpus)
         corpus = build_sharded_corpus(tables, 2, probe_workers=2)
         try:
             service = WWTService(corpus)
