@@ -1,9 +1,7 @@
 # Convenience targets; everything also runs as the plain commands shown.
 PYTHONPATH := src
 
-.PHONY: test coverage lint reprolint typecheck check docs docs-coverage \
-	bench-incremental bench-hotpath bench-exec \
-	bench-serving bench-faults
+.PHONY: test coverage lint reprolint typecheck check docs docs-coverage
 
 test:
 	PYTHONPATH=$(PYTHONPATH) python -m pytest -x -q
@@ -54,18 +52,3 @@ docs-coverage:
 	python tools/docstring_coverage.py --fail-under 95 -v \
 		src/repro/service src/repro/index src/repro/exec src/repro/serve \
 		src/repro/faults src/repro/cli.py
-
-bench-incremental:
-	PYTHONPATH=$(PYTHONPATH) python benchmarks/bench_incremental.py --smoke
-
-bench-hotpath:
-	PYTHONPATH=$(PYTHONPATH) python benchmarks/bench_hotpath.py --smoke
-
-bench-exec:
-	PYTHONPATH=$(PYTHONPATH) python benchmarks/bench_exec.py --smoke
-
-bench-serving:
-	PYTHONPATH=$(PYTHONPATH) python benchmarks/bench_serving.py --smoke
-
-bench-faults:
-	PYTHONPATH=$(PYTHONPATH) python benchmarks/bench_faults.py --smoke

@@ -1,1 +1,1 @@
-"""Benchmark harnesses regenerating every table and figure of the paper."""
+"""The repo benchmark: ``benchmarks/e2e`` (declared in ``BENCHMARK.json``)."""

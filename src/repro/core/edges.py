@@ -139,7 +139,8 @@ def _blocked_pairs(
 
     Blocking: column pairs (different tables) sharing >= 2 normalized cell
     values, or 1 when either column is tiny.  Returns the profiles and the
-    candidate ``(a, b)`` pairs (``a < b``) in first-shared-value order.
+    candidate ``(a, b)`` pairs (``a < b``); their order follows set
+    iteration, so callers sort before anything order-sensitive.
     """
     profiles: Dict[_ColumnKey, ColumnProfile] = {}
     by_value: Dict[str, List[_ColumnKey]] = defaultdict(list)
@@ -233,13 +234,16 @@ def build_edges(
             if sim >= sim_floor:
                 matched.append(((ta, cols_a[ia]), (tb, cols_b[ib]), sim))
 
-    # nsim normalization per column over its matched neighbors.
+    # nsim normalization per column over its matched neighbors.  Blocking
+    # order follows set iteration (hash-seed dependent); summing in edge
+    # order makes every float a function of the edge set alone.
+    matched.sort()
     sim_sums: Dict[Tuple[int, int], float] = defaultdict(float)
     for a, b, sim in matched:
         sim_sums[a] += sim
         sim_sums[b] += sim
 
-    edges = [
+    return [
         MappingEdge(
             a=a,
             b=b,
@@ -249,5 +253,3 @@ def build_edges(
         )
         for a, b, sim in matched
     ]
-    edges.sort(key=lambda e: (e.a, e.b))
-    return edges

@@ -69,7 +69,8 @@ class BoundedCache(Generic[K, V]):
     The core-layer twin of the service LRU (``repro.core`` cannot import
     ``repro.service``): capacity 0 disables it, eviction drops the
     least-recently-used entry, and the counters feed cache-hit-rate
-    reporting in ``WWTService.stats()`` and ``bench_hotpath``.  Eviction
+    reporting in ``WWTService.stats()`` (the benchmark's
+    ``core.feature_cache_hit_ratio``).  Eviction
     only ever costs recomputation — never correctness — so every consumer
     may size it freely.
 
@@ -164,8 +165,10 @@ def query_feature_key(query: Query) -> str:
 
     Analyzer-normalized column keywords, so two surface forms that
     tokenize identically (case, punctuation, whitespace) share cache
-    entries — the same normalization the service layer uses for its
-    result and probe caches.
+    entries — ``"Country | Currency"`` and ``"country|currency"`` are the
+    same query to the engine.  The service layer keys its result and
+    probe caches with this same function
+    (``repro.service.normalized_query_key``).
     """
     return " | ".join(" ".join(tokenize(column)) for column in query.columns)
 

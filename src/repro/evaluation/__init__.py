@@ -5,8 +5,10 @@ from .harness import (
     METHODS,
     MethodRun,
     WorkloadEnvironment,
+    answer_row_errors,
     bin_queries,
     build_environment,
+    probe_statistics,
     run_method,
     split_easy_hard,
 )
@@ -17,12 +19,14 @@ __all__ = [
     "MethodRun",
     "WorkloadEnvironment",
     "answer_row_error",
+    "answer_row_errors",
     "answer_rows",
     "bin_queries",
     "build_environment",
     "count_stats",
     "f1_error",
     "gold_assignment",
+    "probe_statistics",
     "run_method",
     "split_easy_hard",
 ]

@@ -4,26 +4,31 @@ Builds the synthetic corpus, runs the two-stage probe once per query (the
 candidate set is shared by all methods, as in the paper), evaluates each
 method's column mapping against ground truth with the F1 error of
 Section 5, and supports the easy/hard split and the 7-group binning used by
-Figures 5-6 and Table 2.
+Figures 5-6 and Table 2.  ``tests/test_reproduction.py`` pins what this
+module computes at full scale against ``tests/reproduction.json``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from ..baselines.basic import BasicParams, basic_method
 from ..baselines.nbrtext import nbrtext_method
 from ..baselines.pmi_baseline import pmi_method
+from ..core.edges import MappingEdge, all_similar_pairs
 from ..core.features import BoundedCache
 from ..core.labels import LabelSpace
-from ..core.model import build_problem
+from ..core.model import ColumnMappingProblem, build_problem
 from ..core.params import DEFAULT_PARAMS, UNSEGMENTED_PARAMS, ModelParams
 from ..corpus.generator import CorpusConfig, SyntheticCorpus, generate_corpus
 from ..corpus.groundtruth import GroundTruth
-from ..inference import get_algorithm
+from ..inference import get_algorithm, table_centric_inference
 from ..pipeline.probe import ProbeConfig, ProbeResult, two_stage_probe
 from ..query.workload import WORKLOAD, WorkloadQuery
+from .answer_quality import answer_row_error
 from .metrics import f1_error, gold_assignment
 
 __all__ = [
@@ -34,6 +39,8 @@ __all__ = [
     "METHODS",
     "split_easy_hard",
     "bin_queries",
+    "answer_row_errors",
+    "probe_statistics",
 ]
 
 #: Queries whose per-method errors all lie within this band are "easy".
@@ -55,6 +62,9 @@ class WorkloadEnvironment:
     truth: GroundTruth
     candidates: Dict[str, ProbeResult]
     queries: List[WorkloadQuery] = field(default_factory=lambda: list(WORKLOAD))
+    _problems: Dict[Tuple[str, ModelParams], ColumnMappingProblem] = field(
+        default_factory=dict, repr=False
+    )
 
     def gold(self, wq: WorkloadQuery) -> Dict[Tuple[int, int], int]:
         """Dense gold labels over the query's candidate tables."""
@@ -62,6 +72,25 @@ class WorkloadEnvironment:
         return gold_assignment(
             self.truth, wq.query_id, self.candidates[wq.query_id].tables, labels
         )
+
+    def problem(
+        self, wq: WorkloadQuery, params: ModelParams = DEFAULT_PARAMS
+    ) -> ColumnMappingProblem:
+        """The query's labeling problem, built once per parameter set.
+
+        Every WWT variant (Table 2's five algorithms, the edge ablations)
+        solves the same problem, and building it — the edges above all —
+        costs more than most of the solvers.
+        """
+        key = (wq.query_id, params)
+        if key not in self._problems:
+            self._problems[key] = build_problem(
+                wq.query,
+                self.candidates[wq.query_id].tables,
+                self.synthetic.corpus.stats,
+                params,
+            )
+        return self._problems[key]
 
 
 #: Bounded: a sweep over many (scale, seed) points must not pin every
@@ -107,6 +136,10 @@ def build_environment(
     return env
 
 
+def _mean(values: Sequence[float]) -> float:
+    return sum(values) / len(values) if values else 0.0
+
+
 @dataclass
 class MethodRun:
     """One method's labelings and errors over the workload."""
@@ -117,10 +150,8 @@ class MethodRun:
 
     def mean_error(self, query_ids: Optional[Sequence[str]] = None) -> float:
         """Average error over a subset (default: all queries)."""
-        ids = list(query_ids) if query_ids is not None else list(self.errors)
-        if not ids:
-            return 0.0
-        return sum(self.errors[q] for q in ids) / len(ids)
+        ids = query_ids if query_ids is not None else list(self.errors)
+        return _mean([self.errors[q] for q in ids])
 
 
 def _run_wwt(
@@ -129,14 +160,55 @@ def _run_wwt(
     params: ModelParams,
     inference: str,
 ) -> Dict[Tuple[int, int], int]:
-    probe = env.candidates[wq.query_id]
-    problem = build_problem(
-        wq.query, probe.tables, env.synthetic.corpus.stats, params
+    return get_algorithm(inference)(env.problem(wq, params)).labels
+
+
+def _raw_edges(
+    problem: ColumnMappingProblem,
+    triples: Iterable[Tuple[Tuple[int, int], Tuple[int, int], float]],
+) -> ColumnMappingProblem:
+    """``problem`` over ``(a, b, sim)`` edges with raw ``sim`` as nsim."""
+    return ColumnMappingProblem(
+        query=problem.query,
+        tables=problem.tables,
+        params=problem.params,
+        node_potentials=problem.node_potentials,
+        features=problem.features,
+        table_relevance=problem.table_relevance,
+        edges=[
+            MappingEdge(a=a, b=b, sim=sim, nsim_ab=sim, nsim_ba=sim)
+            for a, b, sim in triples
+        ],
     )
-    return get_algorithm(inference)(problem).labels
+
+
+#: Section 3.3's edge design with one protection removed: no collective
+#: inference at all, every column may send (confidence threshold 0), raw
+#: similarity in place of nsim, every similar pair in place of the
+#: max-matching.
+_EDGE_ABLATIONS: Dict[
+    str,
+    Callable[[WorkloadEnvironment, ColumnMappingProblem], ColumnMappingProblem],
+] = {
+    "wwt-no-edges": lambda env, p: p.with_params(p.params.with_values(we=0.0)),
+    "wwt-no-gating": lambda env, p: p.with_params(
+        p.params.with_values(confidence_threshold=0.0)
+    ),
+    "wwt-unnormalized": lambda env, p: _raw_edges(
+        p, ((e.a, e.b, e.sim) for e in p.edges)
+    ),
+    "wwt-all-pairs": lambda env, p: _raw_edges(
+        p, all_similar_pairs(p.tables, env.synthetic.corpus.stats)
+    ),
+}
 
 
 def _method_fn(name: str) -> MethodFn:
+    if name in _EDGE_ABLATIONS:
+        ablate = _EDGE_ABLATIONS[name]
+        return lambda env, wq: table_centric_inference(
+            ablate(env, env.problem(wq))
+        ).labels
     basic_params = BasicParams()
 
     def basic(env: WorkloadEnvironment, wq: WorkloadQuery) -> Labels:
@@ -182,7 +254,7 @@ def _method_fn(name: str) -> MethodFn:
 #: All runnable methods.
 METHODS = (
     "basic", "nbrtext", "pmi2", "wwt", "wwt-unsegmented",
-    "wwt-none", "wwt-alpha", "wwt-bp", "wwt-trws",
+    "wwt-none", "wwt-alpha", "wwt-bp", "wwt-trws", *_EDGE_ABLATIONS,
 )
 
 
@@ -241,3 +313,68 @@ def bin_queries(
     for i, qid in enumerate(ordered):
         groups[min(i * num_groups // len(ordered), num_groups - 1)].append(qid)
     return groups
+
+
+def answer_row_errors(
+    env: WorkloadEnvironment, run: MethodRun, query_ids: Sequence[str]
+) -> Dict[str, float]:
+    """Figure 6: error in the consolidated answer's rows, per query.
+
+    The answer consolidated from ``run``'s mapping against the one
+    consolidated from the gold mapping, over the same candidate tables.
+    """
+    wanted = set(query_ids)
+    return {
+        wq.query_id: answer_row_error(
+            wq.query,
+            env.candidates[wq.query_id].tables,
+            run.labels[wq.query_id],
+            env.gold(wq),
+        )
+        for wq in env.queries
+        if wq.query_id in wanted
+    }
+
+
+def probe_statistics(env: WorkloadEnvironment) -> Dict[str, float]:
+    """Table 1 and Section 2.2.1: what the two-stage probe retrieved.
+
+    Counts over the workload — candidates and relevant candidates per
+    stage, queries whose second probe fired — plus the mean per-query
+    relevant fraction (percent, over queries with candidates) and the
+    mean recall of relevant tables (percent, over queries that have any)
+    with and without the second stage.
+    """
+    fired = tot1 = rel1 = tot2 = rel2 = candidates = 0
+    fractions: List[float] = []
+    recall_one: List[float] = []
+    recall_two: List[float] = []
+    for wq in env.queries:
+        probe = env.candidates[wq.query_id]
+        relevant = set(env.truth.relevant_tables(wq.query_id))
+        found1 = len(relevant.intersection(probe.stage1_ids))
+        found2 = len(relevant.intersection(probe.stage2_ids))
+        found = sum(1 for t in probe.tables if t.table_id in relevant)
+        fired += probe.used_second_stage
+        tot1 += len(probe.stage1_ids)
+        tot2 += len(probe.stage2_ids)
+        rel1 += found1
+        rel2 += found2
+        candidates += probe.num_candidates
+        if probe.num_candidates:
+            fractions.append(100.0 * found / probe.num_candidates)
+        if relevant:
+            recall_one.append(100.0 * found1 / len(relevant))
+            recall_two.append(100.0 * found / len(relevant))
+    return {
+        "queries": len(env.queries),
+        "candidates": candidates,
+        "mean_relevant_fraction": _mean(fractions),
+        "second_probe_fired": fired,
+        "stage1_candidates": tot1,
+        "stage1_relevant": rel1,
+        "stage2_candidates": tot2,
+        "stage2_relevant": rel2,
+        "recall_one_stage": _mean(recall_one),
+        "recall_two_stage": _mean(recall_two),
+    }

@@ -2,10 +2,9 @@
 
 The serving facade folds every executed span into one
 :class:`StageAccumulator` per stage name; :meth:`StageAccumulator.snapshot`
-produces the frozen :class:`StageStats` that ``ServiceStats`` (and
-``benchmarks/bench_exec.py``) report.  Percentiles are nearest-rank over a
-bounded reservoir of the most recent samples, so long-running services
-keep O(1) memory per stage.
+produces the frozen :class:`StageStats` that ``ServiceStats`` reports.
+Percentiles are nearest-rank over a bounded reservoir of the most recent
+samples, so long-running services keep O(1) memory per stage.
 """
 
 from __future__ import annotations

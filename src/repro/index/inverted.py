@@ -445,9 +445,8 @@ class NaiveScorer:
     per-document length-dict lookups, ``math.sqrt`` in the loop, and a
     full sort of every scored document.  Equivalence tests assert the
     compiled :meth:`InvertedIndex.search` matches this hit-for-hit
-    (including scores, bit-exactly); ``benchmarks/bench_hotpath.py`` uses
-    it as the honest *before* baseline — the snapshot is taken at
-    construction, outside the timed region.
+    (including scores, bit-exactly) — ``tests/test_hotpath.py``.  The
+    snapshot is taken at construction.
     """
 
     def __init__(self, index: InvertedIndex) -> None:

@@ -64,8 +64,8 @@ class WorkloadQuery:
     """A workload entry: the query plus its corpus binding and paper stats.
 
     ``domain_key``/``attr_keys`` bind the query to the synthetic corpus for
-    ground truth; ``paper_total``/``paper_relevant`` record Table 1's counts
-    for comparison in EXPERIMENTS.md.
+    ground truth; ``paper_total``/``paper_relevant`` record Table 1's
+    per-query counts from the paper.
     """
 
     query: Query

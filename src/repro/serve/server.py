@@ -157,6 +157,10 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         if retry_after_s is not None:
             self.send_header("Retry-After", str(max(1, math.ceil(retry_after_s))))
+        if self.close_connection:
+            # Say so: a keep-alive client that is not told reuses the
+            # connection, and its next request dies against the close.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 

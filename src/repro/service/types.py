@@ -16,24 +16,18 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..faults.health import Coverage
 
 from ..consolidate.merge import AnswerRow
+from ..core.features import query_feature_key
 from ..exec.context import Span
 from ..pipeline.wwt import QueryTiming, WWTAnswer
 from ..query.model import Query
-from ..text.tokenize import tokenize
 
 __all__ = ["QueryRequest", "QueryResponse", "normalized_query_key", "build_explain"]
 
 
-def normalized_query_key(query: Query) -> str:
-    """Canonical cache key: analyzer-normalized column keyword sets.
-
-    Two surface forms that tokenize identically (case, punctuation,
-    whitespace) share one cache entry — ``"Country | Currency"`` and
-    ``"country|currency"`` are the same query to the engine.
-    """
-    return " | ".join(
-        " ".join(tokenize(column)) for column in query.columns
-    )
+#: Canonical cache key of a query — the service layer's public name for
+#: :func:`repro.core.features.query_feature_key`, so the result, probe and
+#: feature caches cannot disagree on which surface forms are one query.
+normalized_query_key = query_feature_key
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,8 @@
 """Tests for the cross-table edge structure (Section 3.3)."""
 
+import subprocess
+import sys
+from pathlib import Path
 
 from repro.core.edges import (
     all_similar_pairs,
@@ -85,6 +88,33 @@ class TestBuildEdges:
     def test_deterministic_order(self):
         tables = [countries_table(f"t{i}", NAMES) for i in range(3)]
         assert build_edges(tables) == build_edges(tables)
+
+    def test_edges_do_not_depend_on_the_hash_seed(self):
+        """Blocking iterates sets of cell values; neither the edge set nor
+        one bit of sim/nsim may follow that order into another process."""
+        script = (
+            "from repro.core.model import build_problem\n"
+            "from repro.evaluation.harness import build_environment\n"
+            "from repro.query.workload import WORKLOAD\n"
+            "env = build_environment(0.4, 42, queries=WORKLOAD[:12])\n"
+            "for wq in env.queries:\n"
+            "    tables = env.candidates[wq.query_id].tables\n"
+            "    stats = env.synthetic.corpus.stats\n"
+            "    print(repr(build_problem(wq.query, tables, stats).edges))\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", script],
+                stdout=subprocess.PIPE, text=True,
+                env={"PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+            )
+            for seed in ("1", "2")
+        ]
+        first, second = (proc.communicate(timeout=120)[0] for proc in procs)
+        assert all(proc.returncode == 0 for proc in procs)
+        assert first.count("MappingEdge(") > 500
+        assert first == second
 
 
 class TestAllSimilarPairs:

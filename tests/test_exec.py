@@ -509,7 +509,9 @@ class TestExecutorBitIdentity:
             got = answer_fingerprint(full.probe, full.mapping, full.answer)
             assert got == expected[wq.query_id], wq.query_id
             assert not full.degraded
-            assert set(full.timing.as_dict()) == TIMING_STAGES
+            slices = full.timing.as_dict()
+            assert set(slices) == TIMING_STAGES
+            assert slices["2nd Index"] == full.spans.total("probe.index2")
 
     @pytest.fixture(scope="class")
     def expected(self, small_env):

@@ -1,6 +1,7 @@
 """Bipartite matcher and max-marginals vs brute-force enumeration."""
 
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -73,6 +74,19 @@ class TestMatcherBasics:
         r = m.solve()
         assert r.pairs == [(0, 0), (1, 0)]
         assert r.total_weight == 5.0
+
+    def test_mapper_sized_instance_with_absorbing_label(self):
+        # The column mapper's shape: 8 columns, 4 unit-capacity query
+        # labels, and one label (na) that can absorb every column.
+        rng = random.Random(3)
+        weights = [[rng.uniform(-1, 2) for _ in range(5)] for _ in range(8)]
+        m = BipartiteMatcher(weights, [1] * 8, [1] * 4 + [8])
+        r = m.solve()
+        assert [i for i, _j in r.pairs] == list(range(8))
+        mm = m.max_marginals()
+        assert [len(row) for row in mm] == [5] * 8
+        for i, j in r.pairs:
+            assert mm[i][j] == pytest.approx(r.total_weight)
 
     def test_right_surplus_uses_best(self):
         m = BipartiteMatcher([[1.0, 9.0, 2.0]], [1], [1, 1, 1])

@@ -44,11 +44,19 @@ class TestConstrainedCut:
         assert cut_capacity(edges, t_side) == 2  # cut {0->2, 3->1}
 
     def test_group_violation_repaired(self):
-        # Both 2 and 3 would naturally sit on the t side; group forces one out.
-        edges = [(0, 2, 1), (0, 3, 1), (2, 1, 10), (3, 1, 10)]
-        net = build(edges, 4)
-        t_side, _ = constrained_min_cut(net, 0, 1, groups=[[2, 3]])
-        assert len(t_side & {2, 3}) <= 1
+        for edges, num_nodes, groups in [
+            # Both 2 and 3 would naturally sit on the t side; the group
+            # forces one out.
+            ([(0, 2, 1), (0, 3, 1), (2, 1, 10), (3, 1, 10)], 4, [[2, 3]]),
+            # Two groups, one of them a chain 4 -> 5 -> t.
+            ([(0, 2, 3), (0, 3, 2), (0, 4, 2), (2, 1, 4), (3, 1, 3),
+              (4, 5, 2), (5, 1, 2), (2, 3, 1)], 8, [[2, 3], [4, 5]]),
+        ]:
+            net = build(edges, num_nodes)
+            t_side, _ = constrained_min_cut(net, 0, 1, groups=groups)
+            assert 1 in t_side and 0 not in t_side
+            for group in groups:
+                assert len(t_side & set(group)) <= 1
 
     def test_picks_cheaper_member_to_keep(self):
         # Keeping node 3 on the t side costs less extra flow than keeping 2.

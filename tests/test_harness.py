@@ -2,13 +2,18 @@
 
 import pytest
 
+from repro.core.params import UNSEGMENTED_PARAMS
+from repro.evaluation.answer_quality import answer_rows
 from repro.evaluation.harness import (
     METHODS,
     MethodRun,
+    answer_row_errors,
     bin_queries,
+    probe_statistics,
     run_method,
     split_easy_hard,
 )
+from repro.query.workload import query_by_id
 
 
 class TestMethodRuns:
@@ -41,6 +46,50 @@ class TestMethodRuns:
     def test_unknown_method_raises(self, small_env):
         with pytest.raises(KeyError):
             run_method(small_env, "bogus")
+
+    def test_problem_built_once_per_parameter_set(self, small_env):
+        wq = small_env.queries[0]
+        assert small_env.problem(wq) is small_env.problem(wq)
+        assert small_env.problem(wq, UNSEGMENTED_PARAMS) is not (
+            small_env.problem(wq)
+        )
+
+    def test_edge_ablations_share_the_problem_not_the_edges(self, small_env):
+        wq = query_by_id("country | currency")
+        full = small_env.problem(wq)
+        before = list(full.edges)
+        runs = {
+            method: run_method(small_env, method, [wq.query_id])
+            for method in METHODS if method.startswith("wwt-")
+        }
+        assert full.edges == before  # ablations copy, never mutate
+        assert {"wwt-no-edges", "wwt-no-gating", "wwt-unnormalized",
+                "wwt-all-pairs"} <= set(runs)
+        for run in runs.values():
+            assert 0.0 <= run.errors[wq.query_id] <= 100.0
+
+
+class TestWorkloadStatistics:
+    def test_gold_mapping_has_no_row_error_and_yields_rows(self, small_env):
+        wq = query_by_id("country | currency")
+        gold = small_env.gold(wq)
+        tables = small_env.candidates[wq.query_id].tables
+        assert answer_rows(wq.query, tables, gold)
+        run = MethodRun("gold", {wq.query_id: gold}, {})
+        assert answer_row_errors(small_env, run, [wq.query_id]) == {
+            wq.query_id: 0.0
+        }
+
+    def test_probe_statistics_are_consistent(self, small_env):
+        stats = probe_statistics(small_env)
+        assert stats["queries"] == len(small_env.queries)
+        assert stats["candidates"] == sum(
+            p.num_candidates for p in small_env.candidates.values()
+        )
+        assert 0 < stats["stage1_relevant"] <= stats["stage1_candidates"]
+        assert stats["stage2_relevant"] <= stats["stage2_candidates"]
+        assert 0.0 < stats["mean_relevant_fraction"] <= 100.0
+        assert stats["recall_one_stage"] <= stats["recall_two_stage"] <= 100.0
 
 
 class TestGrouping:

@@ -116,7 +116,12 @@ class TestEndToEndService:
             "1st Index", "1st Table Read", "2nd Index", "2nd Table Read",
             "Column Map", "Consolidate",
         }
-        assert result.timing.total >= result.timing.column_map
+        assert sum(timing.values()) == pytest.approx(result.timing.total)
+        # The confidence pass is mapper work, not part of the 2nd probe.
+        assert timing["2nd Index"] == result.timing.index2
+        assert timing["Column Map"] == (
+            result.timing.confidence + result.timing.column_map
+        )
 
     def test_inference_choice_validated(self, small_env):
         with pytest.raises(ValueError):

@@ -666,3 +666,37 @@ class TestServedIdentity:
             assert "parse" in ran
             assert len(ran) < 9  # some stages were skipped
             assert server.stats().shed_degraded == 1
+
+    def test_overload_sheds_or_refuses_but_never_fails(self, service):
+        """A small server under eight closed-loop clients: every reply is
+        a (possibly degraded) 200 or a 429 — no 5xx, no socket error."""
+        config = ServeConfig(
+            port=0, workers=2, queue_depth=4, default_deadline_ms=2.0
+        )
+        queries = ["country | currency", "dog breed", "country | gdp"]
+        statuses = []
+
+        def client_loop(worker_id):
+            with ServeClient(
+                server.host, server.port, client_id=f"load-{worker_id}"
+            ) as client:
+                for i in range(6):
+                    status, _, _ = client.query({
+                        "query": queries[(worker_id + i) % len(queries)],
+                        "use_cache": False,
+                    })
+                    statuses.append(status)
+
+        with ReproServer(service, config) as server:
+            clients = [
+                threading.Thread(target=client_loop, args=(worker_id,))
+                for worker_id in range(8)
+            ]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in clients)
+        assert len(statuses) == 48  # a socket error would end a loop early
+        assert set(statuses) <= {200, 429} and 200 in statuses
+

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from repro.core.features import query_feature_key
 from repro.inference import ALGORITHMS, REGISTRY
 from repro.inference.registry import (
     AlgorithmInfo,
@@ -180,6 +181,8 @@ class TestRequestTypes:
         a = normalized_query_key(Query.parse("Country |  CURRENCY"))
         b = normalized_query_key(Query.parse("country | currency"))
         assert a == b
+        # One implementation: result, probe and feature caches share it.
+        assert normalized_query_key is query_feature_key
 
     def test_request_validation(self):
         with pytest.raises(ValueError):
