@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import sqrt
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..flow.bipartite import BipartiteMatcher
+from ..flow.bipartite import one_to_one_pairs
 from ..tables.table import WebTable
 from ..text.tfidf import TermStatistics
 from ..text.tokenize import normalize_cell, tokenize
@@ -216,23 +216,14 @@ def build_edges(
         cols_a = sorted({a[1] for a, _b in pairs})
         cols_b = sorted({b[1] for _a, b in pairs})
         sims: Dict[Tuple[int, int], float] = {}
-        weights = [[0.0] * len(cols_b) for _ in cols_a]
         for a, b in pairs:
             sim = column_pair_similarity(profiles[a], profiles[b])
             if sim >= sim_floor:
-                ia, ib = cols_a.index(a[1]), cols_b.index(b[1])
-                weights[ia][ib] = sim
-                sims[(ia, ib)] = sim
+                sims[(cols_a.index(a[1]), cols_b.index(b[1]))] = sim
         if not sims:
             continue
-        matcher = BipartiteMatcher(
-            weights, [1] * len(cols_a), [1] * len(cols_b)
-        )
-        result = matcher.solve()
-        for ia, ib in result.pairs:
-            sim = weights[ia][ib]
-            if sim >= sim_floor:
-                matched.append(((ta, cols_a[ia]), (tb, cols_b[ib]), sim))
+        for ia, ib in one_to_one_pairs(sims, len(cols_a), len(cols_b)):
+            matched.append(((ta, cols_a[ia]), (tb, cols_b[ib]), sims[(ia, ib)]))
 
     # nsim normalization per column over its matched neighbors.  Blocking
     # order follows set iteration (hash-seed dependent); summing in edge

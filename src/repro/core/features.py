@@ -31,7 +31,17 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Generic, Hashable, Optional, Tuple, TypeVar, cast
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Generic,
+    Hashable,
+    Optional,
+    Tuple,
+    TypeVar,
+    cast,
+)
 
 from ..query.model import Query
 from ..text.tokenize import tokenize
@@ -196,6 +206,7 @@ class FeatureCache:
 
     def __init__(self, capacity: int = 4096) -> None:
         self._cache: BoundedCache[Hashable, Any] = BoundedCache(capacity)
+        self._solved: BoundedCache[Hashable, Any] = BoundedCache(capacity)
         self._regime: Optional[Tuple[Any, Any, Any]] = None
         self._regime_lock = threading.Lock()
         self._generation = 0
@@ -226,6 +237,7 @@ class FeatureCache:
                 return self._generation
             if regime is not None:
                 self._cache.clear()
+                self._solved.clear()
                 self._generation += 1
             self._regime = (stats, reliabilities, pmi_scorer)
             return self._generation
@@ -262,7 +274,30 @@ class FeatureCache:
         (counters and the pinned regime itself are kept)."""
         with self._regime_lock:
             self._cache.clear()
+            self._solved.clear()
             self._generation += 1
+
+    def solved(self, key: Hashable, solve: Callable[[], V]) -> V:
+        """``solve()``, computed at most once per ``key`` while retained.
+
+        The second memo riding on this object: per-table max-marginals
+        (:func:`~repro.inference.max_marginals.table_max_marginals`), which
+        the confidence pass and the column-map stage both need for every
+        stage-1 table.  ``key`` must hold *everything* ``solve`` reads — the
+        potentials themselves, not a table id — so no regime, weight or
+        live-IDF change can serve a stale value; the entries are still
+        dropped with the features by :meth:`pin` and :meth:`clear`, are
+        bounded by the same capacity, and stay out of :attr:`hits`,
+        :attr:`misses`, ``len()`` and :meth:`stats`, which keep describing
+        features alone.  Values must be immutable (they are handed to every
+        caller); threads racing on a cold key may each run ``solve``, to
+        equal results.
+        """
+        value = self._solved.get(key)
+        if value is None:
+            value = solve()
+            self._solved.put(key, value)  # reprolint: disable=R005 -- content-keyed: a put racing clear() can only re-add a correct value, and BoundedCache locks itself
+        return cast("V", value)
 
     def __len__(self) -> int:
         return len(self._cache)

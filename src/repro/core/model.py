@@ -55,6 +55,7 @@ class ColumnMappingProblem:
         features: Dict[Tuple[int, int], ColumnFeatures],
         table_relevance: List[float],
         edges: List[MappingEdge],
+        feature_cache: Optional[FeatureCache] = None,
     ) -> None:
         self.query = query
         self.tables = list(tables)
@@ -64,6 +65,9 @@ class ColumnMappingProblem:
         self.features = features
         self.table_relevance = table_relevance
         self.edges = edges
+        #: The query's shared memo; inference reuses solved max-marginals
+        #: through it (content-keyed, so re-weighted problems share it too).
+        self.feature_cache = feature_cache
         self.neighbors: Dict[Tuple[int, int], List[Tuple[int, MappingEdge]]] = {}
         for idx, edge in enumerate(edges):
             self.neighbors.setdefault(edge.a, []).append((idx, edge))
@@ -191,6 +195,7 @@ class ColumnMappingProblem:
             features=self.features,
             table_relevance=self.table_relevance,
             edges=self.edges,
+            feature_cache=self.feature_cache,
         )
 
 
@@ -327,4 +332,5 @@ def build_problem(
         features=features,
         table_relevance=table_relevance,
         edges=edges,
+        feature_cache=feature_cache,
     )

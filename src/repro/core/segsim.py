@@ -93,7 +93,7 @@ class TablePartIndex:
         for c in range(table.num_cols):
             counts: Counter = Counter()
             for row in table.body_rows():
-                for tok in set(tokenize(row[c].text)):  # reprolint: disable=R003 -- integer increments commute; no float accumulation
+                for tok in set(tokenize(row[c].text)):
                     counts[tok] += 1
             for tok, cnt in counts.items():
                 if cnt >= 2 and cnt >= _BODY_FREQ_THRESHOLD * n_rows:

@@ -5,7 +5,7 @@ residual graph (Fig. 3), capacitated bipartite matching (§4.1), and the
 constrained minimum s-t cut (Fig. 4).
 """
 
-from .bipartite import BipartiteMatcher, MatchingResult
+from .bipartite import BipartiteMatcher, MatchingResult, one_to_one_pairs
 from .constrained_cut import constrained_min_cut
 from .network import EPS, FlowNetwork
 
@@ -15,4 +15,5 @@ __all__ = [
     "FlowNetwork",
     "MatchingResult",
     "constrained_min_cut",
+    "one_to_one_pairs",
 ]

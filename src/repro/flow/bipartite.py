@@ -10,11 +10,11 @@ be read off with one Bellman–Ford pass per right node.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .network import EPS, FlowNetwork
 
-__all__ = ["MatchingResult", "BipartiteMatcher"]
+__all__ = ["MatchingResult", "BipartiteMatcher", "one_to_one_pairs"]
 
 NEG_INF = float("-inf")
 
@@ -168,3 +168,31 @@ class BipartiteMatcher:
         if self._network is None:
             raise RuntimeError("call solve() first")
         return self._network
+
+
+def one_to_one_pairs(
+    weights: Mapping[Tuple[int, int], float], n_left: int, n_right: int
+) -> List[Tuple[int, int]]:
+    """Positive-weight pairs of a maximum-weight one-to-one matching.
+
+    ``weights`` records the non-zero entries of an ``n_left x n_right``
+    matrix (everything else is 0); the result is sorted as
+    ``BipartiteMatcher.solve().pairs`` is.  When every recorded weight is
+    positive and no row or column holds two of them, the recorded entries
+    are themselves a matching, any matching lacking one of them weighs
+    strictly less, and so they *are* the answer — the optimum is unique and
+    no flow network is built.  Every other instance (a conflict, a zero or
+    negative weight) goes to :class:`BipartiteMatcher`.  Weights are
+    similarity scores, orders of magnitude above the solver's ``EPS``.
+    """
+    if (
+        len({i for i, _j in weights}) == len(weights)
+        and len({j for _i, j in weights}) == len(weights)
+        and all(w > 0 for w in weights.values())
+    ):
+        return sorted(weights)
+    dense = [[0.0] * n_right for _ in range(n_left)]
+    for (i, j), w in weights.items():
+        dense[i][j] = w
+    result = BipartiteMatcher(dense, [1] * n_left, [1] * n_right).solve()
+    return [(i, j) for i, j in result.pairs if dense[i][j] > 0]

@@ -171,18 +171,21 @@ class FlowNetwork:
         max-marginal computation.
         """
         inf = float("inf")
-        dist = [inf] * self.num_nodes
+        # The hot loop of Fig. 3: arrays bound to locals, residual inline.
+        to, cap, cost, flow, adj = self.to, self.cap, self.cost, self.flow, self.adj
+        num_nodes = self.num_nodes
+        dist = [inf] * num_nodes
         dist[src] = 0.0
-        for _ in range(self.num_nodes - 1):
+        for _ in range(num_nodes - 1):
             changed = False
-            for u in range(self.num_nodes):
+            for u in range(num_nodes):
                 du = dist[u]
                 if du == inf:
                     continue
-                for eid in self.adj[u]:
-                    if self.residual(eid) > EPS:
-                        v = self.to[eid]
-                        nd = du + self.cost[eid]
+                for eid in adj[u]:
+                    if cap[eid] - flow[eid] > EPS:
+                        v = to[eid]
+                        nd = du + cost[eid]
                         if nd < dist[v] - EPS:
                             dist[v] = nd
                             changed = True
@@ -230,6 +233,10 @@ class FlowNetwork:
     def _bellman_ford_path(self, s: int) -> Tuple[List[float], Dict[int, int]]:
         """Bellman–Ford with parent-edge tracking over residual edges."""
         inf = float("inf")
+        # The hot loop of every solve: arrays bound to locals, residual
+        # inline, dist[u] read once (only a negative self-loop could move it
+        # mid-scan, and the precondition rules negative cycles out).
+        to, cap, cost, flow, adj = self.to, self.cap, self.cost, self.flow, self.adj
         dist = [inf] * self.num_nodes
         parent_edge: Dict[int, int] = {}
         dist[s] = 0.0
@@ -238,16 +245,17 @@ class FlowNetwork:
         in_queue[s] = True
         head = 0
         rounds = 0
-        max_rounds = self.num_nodes * max(1, len(self.to))
+        max_rounds = self.num_nodes * max(1, len(to))
         while head < len(queue) and rounds < max_rounds:
             u = queue[head]
             head += 1
             in_queue[u] = False
             rounds += 1
-            for eid in self.adj[u]:
-                if self.residual(eid) > EPS:
-                    v = self.to[eid]
-                    nd = dist[u] + self.cost[eid]
+            du = dist[u]
+            for eid in adj[u]:
+                if cap[eid] - flow[eid] > EPS:
+                    v = to[eid]
+                    nd = du + cost[eid]
                     if nd < dist[v] - EPS:
                         dist[v] = nd
                         parent_edge[v] = eid

@@ -14,7 +14,8 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.model import ColumnMappingProblem
 from ..flow.bipartite import BipartiteMatcher
-from .base import MappingResult
+from .base import MappingResult, column_distributions
+from .max_marginals import all_max_marginals
 from .registry import register_algorithm
 
 __all__ = ["solve_table", "independent_inference", "M1_BONUS"]
@@ -79,9 +80,10 @@ def solve_table(
     used_labels = {j for _i, j in result.pairs}
     if 0 in used_labels:  # must-match achievable
         relevant_score = result.total_weight - M1_BONUS
+        right_of = dict(result.pairs)  # every column has capacity one
         relevant_assignment = {}
         for ci in range(nt):
-            j = result.right_of(ci)
+            j = right_of.get(ci)
             relevant_assignment[(ti, ci)] = (
                 labels.na if j is None or j == q  # unmatched or matched to na
                 else j
@@ -102,15 +104,11 @@ def independent_inference(problem: ColumnMappingProblem) -> MappingResult:
     assignment: Dict[Tuple[int, int], int] = {}
     for ti in range(len(problem.tables)):
         assignment.update(solve_table(problem, ti))
-    from .max_marginals import table_max_marginals  # circular-safe local import
-    from .base import column_distributions
-
-    mm: Dict[Tuple[int, int], List[float]] = {}
-    for ti in range(len(problem.tables)):
-        mm.update(table_max_marginals(problem, ti))
     return MappingResult(
         problem=problem,
         labels=assignment,
-        distributions=column_distributions(problem, mm),
+        distributions=column_distributions(
+            problem, all_max_marginals(problem)
+        ),
         algorithm="independent",
     )

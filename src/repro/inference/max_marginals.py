@@ -22,6 +22,24 @@ from .base import column_distributions
 __all__ = ["table_max_marginals", "all_max_marginals"]
 
 
+_Rows = Tuple[Tuple[float, ...], ...]
+
+
+def _solve_rows(thetas: _Rows, q: int) -> _Rows:
+    """Fig. 3 for one table: a pure function of its potential rows and q."""
+    nt = len(thetas)
+    # Bipartite graph without must-match (no M1) and without min-match
+    # (na capacity = nt), exactly Fig. 3's construction.
+    matcher = BipartiteMatcher(
+        [row[: q + 1] for row in thetas], [1] * nt, [1] * q + [nt]
+    )
+    matcher.solve()
+    mm = matcher.max_marginals()
+    # nr: all-Irr forces the whole table.
+    nr_score = sum(row[q + 1] for row in thetas)
+    return tuple((*mm[ci], nr_score) for ci in range(nt))
+
+
 def table_max_marginals(
     problem: ColumnMappingProblem,
     ti: int,
@@ -30,33 +48,22 @@ def table_max_marginals(
     """µ_tc(l) for every column of table ``ti`` and every label.
 
     Returns dense per-column lists over the full label space
-    (q query labels, na, nr).
+    (q query labels, na, nr).  Solved once per distinct potential rows
+    when the problem carries a feature cache: the confidence pass and the
+    column-map stage of one query see the same stage-1 tables.
     """
-    table = problem.tables[ti]
-    labels = problem.labels
-    q = labels.q
-    nt = table.num_cols
+    q = problem.labels.q
     theta = potentials if potentials is not None else problem.node_potentials
-
-    # Bipartite graph without must-match (no M1) and without min-match
-    # (na capacity = nt), exactly Fig. 3's construction.
-    weights = [
-        [theta[(ti, ci)][l] for l in range(q)] + [theta[(ti, ci)][labels.na]]
-        for ci in range(nt)
-    ]
-    matcher = BipartiteMatcher(weights, [1] * nt, [1] * q + [nt])
-    matcher.solve()
-    mm = matcher.max_marginals()
-
-    nr_score = sum(theta[(ti, ci)][labels.nr] for ci in range(nt))
-
-    out: Dict[Tuple[int, int], List[float]] = {}
-    for ci in range(nt):
-        row = [mm[ci][l] for l in range(q)]
-        row.append(mm[ci][q])  # na
-        row.append(nr_score)  # nr (all-Irr forces the whole table)
-        out[(ti, ci)] = row
-    return out
+    thetas = tuple(
+        tuple(theta[(ti, ci)]) for ci in range(problem.tables[ti].num_cols)
+    )
+    cache = problem.feature_cache
+    rows = (
+        cache.solved((q, thetas), lambda: _solve_rows(thetas, q))
+        if cache is not None
+        else _solve_rows(thetas, q)
+    )
+    return {(ti, ci): list(row) for ci, row in enumerate(rows)}
 
 
 def all_max_marginals(

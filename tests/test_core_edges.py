@@ -91,16 +91,26 @@ class TestBuildEdges:
 
     def test_edges_do_not_depend_on_the_hash_seed(self):
         """Blocking iterates sets of cell values; neither the edge set nor
-        one bit of sim/nsim may follow that order into another process."""
+        one bit of sim/nsim may follow that order into another process —
+        nor may the labels and distributions inferred over those edges,
+        whose max-marginals travel through the feature cache's memo."""
         script = (
+            "from repro.core import FeatureCache\n"
             "from repro.core.model import build_problem\n"
             "from repro.evaluation.harness import build_environment\n"
+            "from repro.inference import REGISTRY\n"
             "from repro.query.workload import WORKLOAD\n"
             "env = build_environment(0.4, 42, queries=WORKLOAD[:12])\n"
+            "solve = REGISTRY.get_algorithm('table-centric')\n"
             "for wq in env.queries:\n"
             "    tables = env.candidates[wq.query_id].tables\n"
             "    stats = env.synthetic.corpus.stats\n"
-            "    print(repr(build_problem(wq.query, tables, stats).edges))\n"
+            "    problem = build_problem(\n"
+            "        wq.query, tables, stats, feature_cache=FeatureCache())\n"
+            "    mapping = solve(problem)\n"
+            "    print(repr(problem.edges))\n"
+            "    print('labels', repr(sorted(mapping.labels.items())))\n"
+            "    print('dist', repr(sorted(mapping.distributions.items())))\n"
         )
         src = Path(__file__).resolve().parent.parent / "src"
         procs = [
@@ -114,6 +124,7 @@ class TestBuildEdges:
         first, second = (proc.communicate(timeout=120)[0] for proc in procs)
         assert all(proc.returncode == 0 for proc in procs)
         assert first.count("MappingEdge(") > 500
+        assert first.count("labels [((0, 0), ") == first.count("dist [") == 12
         assert first == second
 
 

@@ -5,10 +5,11 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
-from repro.flow.bipartite import BipartiteMatcher
+from repro.flow import bipartite
+from repro.flow.bipartite import BipartiteMatcher, one_to_one_pairs
 
 NEG_INF = float("-inf")
 
@@ -163,3 +164,98 @@ class TestAgainstBruteForce:
             assert c <= right_caps[j]
         lefts = [i for i, _ in r.pairs]
         assert len(lefts) == len(set(lefts))
+
+
+# Similarity-like weights: exact zeros, repeated values (ties) and arbitrary
+# floats, all far from the solver's EPS.  A third of the entries are zero,
+# so both conflict-free and conflicting layouts are common at every shape.
+similarity = st.one_of(
+    st.just(0.0),
+    st.sampled_from([0.1, 0.25, 0.5, 0.5, 0.75, 1.0]),
+    st.floats(min_value=0.01, max_value=1.0, allow_nan=False),
+)
+similarity_matrix = st.integers(1, 4).flatmap(
+    lambda n_left: st.integers(1, 4).flatmap(
+        lambda n_right: st.lists(
+            st.lists(similarity, min_size=n_right, max_size=n_right),
+            min_size=n_left,
+            max_size=n_left,
+        )
+    )
+)
+
+
+def recorded(dense):
+    """The sparse form ``build_edges`` hands over: non-zero entries only."""
+    return {
+        (i, j): w
+        for i, row in enumerate(dense)
+        for j, w in enumerate(row)
+        if w != 0
+    }
+
+
+def is_conflict_free(weights):
+    rows = [i for i, _ in weights]
+    cols = [j for _, j in weights]
+    return len(set(rows)) == len(rows) and len(set(cols)) == len(cols)
+
+
+class TestOneToOnePairs:
+    """The closed form agrees with the flow solver, which stays the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(similarity_matrix, st.booleans())
+    def test_same_positive_pairs_as_the_flow_solver(self, dense, record_zeros):
+        n, m = len(dense), len(dense[0])
+        oracle = BipartiteMatcher(dense, [1] * n, [1] * m).solve()
+        expected = [(i, j) for i, j in oracle.pairs if dense[i][j] > 0]
+        weights = recorded(dense)
+        if record_zeros:  # a recorded zero must not be mistaken for a match
+            weights.update(
+                ((i, j), 0.0) for i in range(n) for j in range(m)
+                if dense[i][j] == 0
+            )
+        assert one_to_one_pairs(weights, n, m) == expected
+
+    def test_generator_reaches_both_layouts(self):
+        for wanted in (True, False):
+            dense = find(
+                similarity_matrix,
+                lambda d, wanted=wanted: len(recorded(d)) >= 2
+                and is_conflict_free(recorded(d)) == wanted,
+            )
+            assert is_conflict_free(recorded(dense)) == wanted
+
+    @pytest.mark.parametrize("dense", [
+        [[0.5, 0.0], [0.0, 0.5]],  # conflict-free, tied weights
+        [[0.5, 0.5], [0.5, 0.0]],  # conflicting, tied weights
+        [[0.5, 0.5], [0.5, 0.5]],  # every perfect matching ties
+    ])
+    def test_tied_weights(self, dense):
+        n, m = len(dense), len(dense[0])
+        oracle = BipartiteMatcher(dense, [1] * n, [1] * m).solve()
+        assert one_to_one_pairs(recorded(dense), n, m) == oracle.pairs
+
+    def test_negative_weight_goes_to_the_solver(self):
+        # Flow maximisation comes first (the matching is perfect), so a
+        # negative entry is not simply ignored: the diagonal (0.4) beats the
+        # zero anti-diagonal, but the diagonal at -0.1 does not.
+        assert one_to_one_pairs({(0, 0): -0.5, (1, 1): 0.9}, 2, 2) == [(1, 1)]
+        assert one_to_one_pairs({(0, 0): -0.5, (1, 1): 0.4}, 2, 2) == []
+
+    def test_only_a_conflict_builds_a_flow_network(self, monkeypatch):
+        built = []
+
+        class CountingNetwork(bipartite.FlowNetwork):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(bipartite, "FlowNetwork", CountingNetwork)
+        conflict_free = {(0, 1): 0.4, (1, 0): 0.9, (2, 2): 0.4}
+        assert one_to_one_pairs(conflict_free, 3, 3) == [(0, 1), (1, 0), (2, 2)]
+        assert built == []
+        conflicting = {(0, 0): 0.4, (0, 1): 0.9, (1, 1): 0.7}
+        assert one_to_one_pairs(conflicting, 2, 2) == [(0, 0), (1, 1)]
+        assert built == [1]

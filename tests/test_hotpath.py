@@ -15,6 +15,8 @@ Three guarantees the DESIGN.md "Hot-path engine" section promises:
 """
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -22,6 +24,7 @@ from repro.core import DEFAULT_PARAMS, FeatureCache, build_problem
 from repro.core.features import BoundedCache, query_feature_key
 from repro.core.params import ModelParams
 from repro.core.pmi import PmiScorer
+from repro.flow.bipartite import BipartiteMatcher
 from repro.index import (
     InvertedIndex,
     JournaledCorpus,
@@ -31,6 +34,8 @@ from repro.index import (
     read_index_bin,
     write_index_bin,
 )
+from repro.inference import REGISTRY, max_marginals
+from repro.pipeline.probe import two_stage_probe
 from repro.query.model import Query
 from repro.service import EngineConfig, WWTService
 from repro.tables.table import WebTable
@@ -321,6 +326,151 @@ class TestFeatureCache:
         self._problems_equal(
             problem, build_problem(query, tables, stats, DEFAULT_PARAMS)
         )
+
+
+class TestMaxMarginalReuse:
+    """Each table's Fig. 3 max-marginals are solved once per query, and the
+    memo that makes it so is invisible in edges, labels and distributions."""
+
+    QUERIES = 8
+
+    def _run(self, env, cache, monkeypatch):
+        """Probe + problem + table-centric per query, as the engine's plan
+        and the benchmark's replay do; returns (repr, solves, tables)."""
+        solves = []
+
+        class CountingMatcher(BipartiteMatcher):
+            def solve(self):
+                solves[-1] += 1
+                return super().solve()
+
+        monkeypatch.setattr(max_marginals, "BipartiteMatcher", CountingMatcher)
+        corpus = env.synthetic.corpus
+        algorithm = REGISTRY.get_algorithm("table-centric")
+        out, shapes = [], []
+        for wq in env.queries[: self.QUERIES]:
+            solves.append(0)
+            if cache is not None:
+                cache.clear()  # a query starts cold, like an uncached one
+            probe = two_stage_probe(wq.query, corpus, feature_cache=cache)
+            problem = build_problem(
+                wq.query, probe.tables, corpus.stats, DEFAULT_PARAMS,
+                feature_cache=cache,
+            )
+            mapping = algorithm(problem)
+            out.append(repr((
+                problem.edges,
+                sorted(mapping.labels.items()),
+                sorted(mapping.distributions.items()),
+            )))
+            distinct = {
+                tuple(tuple(problem.node_potentials[tc])
+                      for tc in problem.table_columns(ti))
+                for ti in range(len(problem.tables))
+            }
+            shapes.append(
+                (len(probe.stage1_ids), len(probe.tables), len(distinct))
+            )
+        return out, solves, shapes
+
+    def test_outputs_identical_and_each_table_solved_once(
+        self, small_env, monkeypatch
+    ):
+        shared, shared_solves, shapes = self._run(
+            small_env, FeatureCache(), monkeypatch
+        )
+        plain, plain_solves, _ = self._run(small_env, None, monkeypatch)
+        off, off_solves, _ = self._run(
+            small_env, FeatureCache(capacity=0), monkeypatch
+        )
+        assert shared == plain == off
+        assert sum(stage1 for stage1, _, _ in shapes) > 0
+        # Without reuse the confidence pass and stage 1 of table-centric
+        # both solve every stage-1 table; with it, one solve per distinct
+        # table (tables with identical potential rows share one).
+        assert plain_solves == off_solves == [
+            stage1 + total for stage1, total, _ in shapes
+        ]
+        assert shared_solves == [distinct for _, _, distinct in shapes]
+        assert all(distinct <= total for _, total, distinct in shapes)
+
+    def test_memo_is_not_a_feature_hit_miss_or_entry(self, small_env):
+        wq = small_env.queries[0]
+        corpus = small_env.synthetic.corpus
+        tables = small_env.candidates[wq.query_id].tables
+        cache = FeatureCache()
+        problem = build_problem(
+            wq.query, tables, corpus.stats, DEFAULT_PARAMS, feature_cache=cache
+        )
+        before = cache.stats()
+        first = max_marginals.all_max_marginals(problem)
+        assert max_marginals.all_max_marginals(problem) == first
+        assert cache.stats() == before and len(cache) == len(tables)
+        # Values are handed out as fresh lists: a caller may edit its copy.
+        untouched = repr(first)
+        first[(0, 0)][0] = 12345.0
+        assert repr(max_marginals.all_max_marginals(problem)) == untouched
+        # clear() drops the memo with the features.
+        assert len(cache._solved) > 0
+        cache.clear()
+        assert len(cache._solved) == 0
+
+    def test_reweighted_problem_is_not_served_stale_values(self, small_env):
+        """Content keys: new weights are new keys, whatever the table ids."""
+        wq = small_env.queries[0]
+        corpus = small_env.synthetic.corpus
+        tables = small_env.candidates[wq.query_id].tables
+        cache = FeatureCache()
+        problem = build_problem(
+            wq.query, tables, corpus.stats, DEFAULT_PARAMS, feature_cache=cache
+        )
+        max_marginals.all_max_marginals(problem)
+        other = ModelParams(w1=DEFAULT_PARAMS.w1 * 2, w4=DEFAULT_PARAMS.w4 / 2)
+        reweighted = problem.with_params(other)
+        assert reweighted.feature_cache is cache
+        assert max_marginals.all_max_marginals(reweighted) == (
+            max_marginals.all_max_marginals(
+                build_problem(wq.query, tables, corpus.stats, other)
+            )
+        )
+
+
+    def test_concurrent_solves_and_clears_never_mix_values(self):
+        """``answer_batch`` shares one cache across threads: whatever the
+        interleaving of solves, evictions and clears, a key's value is
+        the pure function of that key."""
+        cache = FeatureCache(capacity=8)  # smaller than the key space
+        wrong, stop = [], threading.Event()
+
+        def worker(seed):
+            rng = random.Random(seed)
+            while not stop.is_set():
+                key = rng.randrange(32)
+                if cache.solved(key, lambda key=key: (key, key * 0.5)) != (
+                    key, key * 0.5
+                ):
+                    wrong.append(key)
+
+        def clearer():
+            while not stop.is_set():
+                cache.clear()
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+        threads.append(threading.Thread(target=clearer))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            stop.wait(0.3)
+        finally:
+            stop.set()
+            for t in threads:
+                t.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert len(cache._solved) <= 8 and len(cache) == 0
 
 
 class TestServiceHotPath:

@@ -80,7 +80,20 @@ class TestR002UnseededRandom(unittest.TestCase):
 class TestR003UnorderedIteration(unittest.TestCase):
     def test_positive(self):
         violations = lint_fixture("src/repro/core/r003_pos.py")
-        self.assertEqual(lines_of(violations, "R003"), [6, 10, 14, 19])
+        self.assertEqual(
+            lines_of(violations, "R003"), [6, 10, 14, 19, 49, 57]
+        )
+
+    def test_positive_order_inherited_from_a_set(self):
+        """A set iterated into a dict/list, through a second function's
+        return value, into a float accumulation (``build_edges`` before
+        its ``matched.sort()``) — and the comprehension form of the same."""
+        messages = {
+            v.line: v.message
+            for v in lint_fixture("src/repro/core/r003_pos.py")
+        }
+        self.assertIn("filled in a set's iteration order", messages[49])
+        self.assertIn("filled in a set's iteration order", messages[57])
 
     def test_negative_ordered_iteration_is_clean(self):
         self.assertEqual(lint_fixture("src/repro/core/r003_neg.py"), [])

@@ -7,7 +7,7 @@ the concurrency discipline the execution engine relies on:
 ==== =====================================================================
 R001 wall-clock reads only through the ``repro.exec.context`` clock seam
 R002 no module-level/unseeded ``random`` — rngs are passed explicitly
-R003 no order-sensitive float accumulation over sets in scoring packages
+R003 no float accumulation in a set's order, direct or inherited (scoring)
 R004 no unbounded dict-shaped caches — memoization uses ``BoundedCache``
 R005 attributes written under ``self._lock`` are written only under it
 R006 ``repro.exec`` never swallows deadline/cancellation exceptions
