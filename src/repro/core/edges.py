@@ -16,15 +16,14 @@ building edges over a hundred candidate tables stays fast.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from math import sqrt
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from ..flow.bipartite import one_to_one_pairs
 from ..tables.table import WebTable
 from ..text.tfidf import TermStatistics
-from ..text.tokenize import normalize_cell, tokenize
 
 __all__ = ["SIM_FLOOR", "NSIM_LAMBDA", "ColumnProfile", "MappingEdge", "build_edges"]
 
@@ -36,16 +35,34 @@ NSIM_LAMBDA = 0.3
 CONTENT_WEIGHT = 0.8
 
 
+def _weighted(
+    counts: Dict[str, int], stats: Optional[TermStatistics]
+) -> Tuple[Mapping[str, float], float]:
+    """Raw token counts times IDF, in the counts' own order, and the norm.
+
+    Without ``stats`` every IDF is 1 and the compiled counts are used as
+    they are (shared with the table, never written).
+    """
+    weighted: Mapping[str, float] = counts
+    if stats is not None:
+        idf = stats.idf
+        weighted = {t: c * idf(t) for t, c in counts.items()}
+    norm = sqrt(
+        sum(w * w for w in weighted.values())  # reprolint: disable=R003 -- the compiled counts are in the column's first-occurrence token order, fixed by the input table
+    )
+    return weighted, norm
+
+
 @dataclass
 class ColumnProfile:
-    """Precomputed comparison data for one table column."""
+    """One column's comparison data under one corpus-statistics regime."""
 
     table_idx: int
     col_idx: int
-    values: Set[str]
-    token_counts: Counter
+    values: FrozenSet[str]
+    token_counts: Mapping[str, float]
     token_norm: float
-    header_counts: Counter
+    header_counts: Mapping[str, float]
     header_norm: float
 
     @classmethod
@@ -56,33 +73,14 @@ class ColumnProfile:
         table: WebTable,
         stats: Optional[TermStatistics],
     ) -> ColumnProfile:
-        values = {
-            normalize_cell(v) for v in table.column_values(col_idx)
-        } - {""}
-        tokens: Counter = Counter()
-        for v in table.column_values(col_idx):
-            tokens.update(tokenize(v))
-        header: Counter = Counter(table.column_header_tokens(col_idx))
-
-        def weighted(counts: Counter) -> Tuple[Counter, float]:
-            weighted_counts = (
-                Counter(counts)
-                if stats is None
-                else Counter(
-                    {t: c * stats.idf(t) for t, c in counts.items()}
-                )
-            )
-            norm = sqrt(
-                sum(w * w for w in weighted_counts.values())  # reprolint: disable=R003 -- Counter insertion order is the column's token order, fixed by the input table
-            )
-            return weighted_counts, norm
-
-        token_counts, token_norm = weighted(tokens)
-        header_counts, header_norm = weighted(header)
+        """Re-weight the table's compiled column; no cell is tokenized."""
+        column = table.compiled().columns[col_idx]
+        token_counts, token_norm = _weighted(column.token_counts, stats)
+        header_counts, header_norm = _weighted(column.header_counts, stats)
         return cls(
             table_idx=table_idx,
             col_idx=col_idx,
-            values=values,
+            values=column.values,
             token_counts=token_counts,
             token_norm=token_norm,
             header_counts=header_counts,
@@ -90,13 +88,15 @@ class ColumnProfile:
         )
 
 
-def _cosine(a: Counter, an: float, b: Counter, bn: float) -> float:
+def _cosine(
+    a: Mapping[str, float], an: float, b: Mapping[str, float], bn: float
+) -> float:
     if an <= 0 or bn <= 0:
         return 0.0
     if len(b) < len(a):
         a, an, b, bn = b, bn, a, an
     dot = sum(
-        w * b.get(t, 0.0) for t, w in a.items()  # reprolint: disable=R003 -- Counter insertion order is the column's token order, fixed by the input table
+        w * b.get(t, 0.0) for t, w in a.items()  # reprolint: disable=R003 -- the compiled counts are in the column's first-occurrence token order, fixed by the input table
     )
     return dot / (an * bn)
 
@@ -105,8 +105,7 @@ def column_pair_similarity(a: ColumnProfile, b: ColumnProfile) -> float:
     """Weighted content + header similarity between two column profiles."""
     if a.values and b.values:
         inter = len(a.values & b.values)
-        union = len(a.values | b.values)
-        overlap = inter / union if union else 0.0
+        overlap = inter / (len(a.values) + len(b.values) - inter)
     else:
         overlap = 0.0
     content = 0.5 * (overlap + _cosine(a.token_counts, a.token_norm,

@@ -264,7 +264,7 @@ def build_problem(
         if cached is not None:
             col_features, relevance = cached
         else:
-            part_index = TablePartIndex(table, stats)
+            part_index = TablePartIndex(table)
             col_features = []
             for ci in range(nt):
                 seg: List[float] = []

@@ -46,7 +46,7 @@ def collect_part_observations(
         gold = truth.label(workload_query.query_id, table.table_id)
         if not gold.relevant:
             continue
-        part_index = TablePartIndex(table, stats)
+        part_index = TablePartIndex(table)
         if part_index.num_header_rows == 0:
             continue
         for ci in range(table.num_cols):

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..tables.table import WebTable
 from ..text.tfidf import TermStatistics
-from ..text.tokenize import tokenize
 
 __all__ = [
     "Reliabilities", "DEFAULT_RELIABILITIES", "TablePartIndex",
@@ -57,69 +56,36 @@ class Reliabilities:
 #: The values the paper estimated empirically on its workload.
 DEFAULT_RELIABILITIES = Reliabilities()
 
-#: A body token is "frequent content" when it appears in at least this
-#: fraction of some column's body cells (and at least twice).
-_BODY_FREQ_THRESHOLD = 0.25
-
 
 class TablePartIndex:
-    """Precomputed token sets of one table's parts, per (header row, column).
+    """One table's part token sets, per (header row, column).
 
-    Building the part sets once per table makes the max over all
-    segmentations cheap; the index is reused across all q query columns.
+    A view over the table's :class:`~repro.tables.compiled.CompiledTable`:
+    the parts are tokenized once per table object, not once per query, and
+    nothing here depends on corpus statistics — IDF enters only where
+    :func:`segmented_similarity` weighs the query tokens and the pinned
+    header cell.
     """
 
-    def __init__(self, table: WebTable, stats: Optional[TermStatistics] = None) -> None:
-        self.table = table
-        self.stats = stats
+    def __init__(self, table: WebTable) -> None:
         self.num_header_rows = table.num_header_rows
-        self.num_cols = table.num_cols
+        self._compiled = table.compiled()
+        #: ``header_tokens[r][c]`` -> token list of header cell (r, c)
+        self.header_tokens = self._compiled.header_tokens
 
-        # header_tokens[r][c] -> token set of header cell (r, c)
-        self.header_tokens: List[List[List[str]]] = [
-            [tokenize(row[c].text) for c in range(self.num_cols)]
-            for row in table.header_rows()
-        ]
-        self.title_tokens: Set[str] = set(tokenize(table.title_text()))
-        self.title_tokens.update(tokenize(table.page_title))
-        self.context_tokens: Set[str] = set(table.context_tokens())
-        self.body_tokens: Set[str] = self._frequent_body_tokens(table)
-
-    @staticmethod
-    def _frequent_body_tokens(table: WebTable) -> Set[str]:
-        """Tokens appearing frequently in the body of *some* column."""
-        frequent: Set[str] = set()
-        n_rows = max(table.num_body_rows, 1)
-        for c in range(table.num_cols):
-            counts: Counter = Counter()
-            for row in table.body_rows():
-                for tok in set(tokenize(row[c].text)):
-                    counts[tok] += 1
-            for tok, cnt in counts.items():
-                if cnt >= 2 and cnt >= _BODY_FREQ_THRESHOLD * n_rows:
-                    frequent.add(tok)
-        return frequent
-
-    def header_set(self, row: int, col: int) -> Set[str]:
+    def header_set(self, row: int, col: int) -> FrozenSet[str]:
         """Token set of header cell (row, col)."""
-        return set(self.header_tokens[row][col])
+        return self._compiled.header_sets[row][col]
 
-    def out_parts(self, row: int, col: int) -> Dict[str, Set[str]]:
+    def out_parts(self, row: int, col: int) -> Dict[str, FrozenSet[str]]:
         """The five out-part token sets for a pinned (row, col) header."""
-        other_rows: Set[str] = set()
-        for r in range(self.num_header_rows):
-            if r != row:
-                other_rows.update(self.header_tokens[r][col])
-        other_cols: Set[str] = set()
-        for c in range(self.num_cols):
-            if c != col:
-                other_cols.update(self.header_tokens[row][c])
+        compiled = self._compiled
         return {
-            "T": self.title_tokens,
-            "C": self.context_tokens,
-            "Hc": other_rows,
-            "Hr": other_cols,
-            "B": self.body_tokens,
+            "T": compiled.title_tokens,
+            "C": compiled.context_tokens,
+            "Hc": compiled.other_rows[row][col],
+            "Hr": compiled.other_cols[row][col],
+            "B": compiled.body_tokens,
         }
 
 
@@ -132,7 +98,7 @@ def _weights(tokens: Sequence[str], stats: Optional[TermStatistics]) -> List[flo
 def _cosine_to_set(
     tokens: Sequence[str],
     weights: Sequence[float],
-    header: Set[str],
+    header: AbstractSet[str],
     header_tokens: Sequence[str],
     stats: Optional[TermStatistics],
 ) -> float:

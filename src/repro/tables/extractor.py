@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 from ..html.dom import ElementNode
 from .context import extract_context
 from .headers import detect_header_rows
-from .table import Cell, CellFormat, WebTable
+from .table import Cell, CellFormat, WebTable, shared_cell_format
 
 __all__ = ["ExtractionCensus", "extract_grid", "is_data_table", "extract_tables"]
 
@@ -67,7 +67,7 @@ def _cell_format(cell_el: ElementNode) -> CellFormat:
     background = cell_el.get_attr("bgcolor") or (
         "style" if "background" in style else ""
     )
-    return CellFormat(
+    return shared_cell_format(
         is_th=cell_el.tag == "th",
         bold="bold" in tags,
         italic="italic" in tags,

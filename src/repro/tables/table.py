@@ -14,11 +14,15 @@ a list of scored text snippets extracted from the parent document
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from ..text.tokenize import tokenize
+from .compiled import CompiledTable
 
-__all__ = ["CellFormat", "Cell", "ContextSnippet", "WebTable"]
+__all__ = [
+    "CellFormat", "Cell", "ContextSnippet", "WebTable", "shared_cell_format",
+]
 
 
 @dataclass(frozen=True)
@@ -42,12 +46,37 @@ class CellFormat:
         )
 
 
+@lru_cache(maxsize=1024)
+def shared_cell_format(
+    is_th: bool = False,
+    bold: bool = False,
+    italic: bool = False,
+    underline: bool = False,
+    code: bool = False,
+    header_tag: bool = False,
+    background: str = "",
+    css_class: str = "",
+) -> CellFormat:
+    """The one :class:`CellFormat` instance for these field values.
+
+    A corpus holds millions of cells and a handful of distinct formats;
+    every constructor of cells goes through here so equal formats are one
+    object.  Sharing is only a memory saving (formats are frozen and
+    compare by value), so the LRU bound costs nothing but a duplicate
+    when a hostile page invents more class names than it holds.
+    """
+    return CellFormat(
+        is_th, bold, italic, underline, code, header_tag, background,
+        css_class,
+    )
+
+
 @dataclass(frozen=True)
 class Cell:
     """One table cell: its text plus formatting."""
 
     text: str = ""
-    fmt: CellFormat = field(default_factory=CellFormat)
+    fmt: CellFormat = field(default_factory=shared_cell_format)
 
     def is_empty(self) -> bool:
         """True when the cell holds no visible text."""
@@ -96,7 +125,7 @@ class WebTable:
 
     __slots__ = (
         "table_id", "url", "grid", "num_title_rows", "num_header_rows",
-        "context", "page_title",
+        "context", "page_title", "_compiled",
     )
 
     def __init__(
@@ -124,6 +153,19 @@ class WebTable:
         self.url = url
         self.table_id = table_id
         self.page_title = page_title
+        self._compiled: Optional[CompiledTable] = None
+
+    def compiled(self) -> CompiledTable:
+        """The table's token bags, tokenized on first use and then kept.
+
+        A table is never written after construction (reprolint R009), so
+        the compiled form cannot go stale.  Two threads racing on a cold
+        table may both compile; they produce equal values and one wins.
+        """
+        compiled = self._compiled
+        if compiled is None:
+            compiled = self._compiled = CompiledTable(self)
+        return compiled
 
     # -- shape ---------------------------------------------------------------
 
@@ -267,7 +309,7 @@ class WebTable:
             [
                 Cell(
                     text=str(c["t"]),
-                    fmt=CellFormat(
+                    fmt=shared_cell_format(
                         is_th=bool(c["f"]["th"]),
                         bold=bool(c["f"]["b"]),
                         italic=bool(c["f"]["i"]),
@@ -308,7 +350,9 @@ class WebTable:
         grid: List[List[Cell]] = []
         num_header = 0
         if header is not None:
-            grid.append([Cell(h, CellFormat(is_th=True)) for h in header])
+            grid.append(
+                [Cell(h, shared_cell_format(is_th=True)) for h in header]
+            )
             num_header = 1
         for row in rows:
             grid.append([Cell(str(v)) for v in row])

@@ -188,7 +188,7 @@ class TestSegSimProperties:
             stats.add_document(["name"])
         stats.add_document(["country", "name"])
         t = table(header=["Country"], rows=[["France"]])
-        idx = TablePartIndex(t, stats)
+        idx = TablePartIndex(t)
         # "country" is rare -> matching it should dominate the query norm.
         s = segmented_similarity(tokenize("country name"), idx, 0, stats)
         assert s.cover > 0.8

@@ -1,6 +1,6 @@
 """Hot-path engine verification (compiled postings + feature memoization).
 
-Three guarantees the DESIGN.md "Hot-path engine" section promises:
+Four guarantees the DESIGN.md "Hot-path engine" section promises:
 
 1. The compiled :meth:`InvertedIndex.search` matches the retained
    :class:`NaiveScorer` reference hit-for-hit — doc ids, scores
@@ -12,11 +12,17 @@ Three guarantees the DESIGN.md "Hot-path engine" section promises:
 3. Feature memoization (:class:`FeatureCache`) and the promoted PMI²
    probe caches change *where time goes*, never what is computed:
    cached and cacheless pipelines return identical problems and answers.
+4. A table is compiled once (:class:`CompiledTable`, kept on the
+   :class:`WebTable`): a query re-weights its token counts and tokenizes no
+   cell, with edges, features, labels and distributions bit-identical to
+   freshly built tables — across stats regimes, live IDF changes and
+   concurrent first use.
 """
 
 import random
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
@@ -39,6 +45,7 @@ from repro.pipeline.probe import two_stage_probe
 from repro.query.model import Query
 from repro.service import EngineConfig, WWTService
 from repro.tables.table import WebTable
+from repro.text.tokenize import normalize_cell, tokenize
 
 KS = (1, 2, 4)
 VOCAB = [f"w{i:02d}" for i in range(40)]
@@ -471,6 +478,217 @@ class TestMaxMarginalReuse:
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
         assert len(cache._solved) <= 8 and len(cache) == 0
+
+
+def fresh_copy(table):
+    """The same table as a new object: nothing compiled yet."""
+    copy = WebTable.from_dict(table.to_dict())
+    assert copy._compiled is None
+    return copy
+
+
+def problem_fingerprint(problem):
+    """Everything downstream reads, by ``repr`` (so float bits count)."""
+    mapping = REGISTRY.get_algorithm("table-centric")(problem)
+    return repr((
+        problem.edges,
+        sorted(problem.features.items()),
+        sorted(mapping.labels.items()),
+        sorted(mapping.distributions.items()),
+    ))
+
+
+class TestCompiledTable:
+    """Compile once, re-weight per query: invisible in every output."""
+
+    def test_compiled_form_matches_direct_tokenization(self, small_env):
+        """The reference: what the two per-query builders used to compute
+        from the cells, in the same first-occurrence order."""
+        for table in small_env.synthetic.corpus:
+            compiled = fresh_copy(table).compiled()
+            headers = [
+                [tokenize(cell.text) for cell in row]
+                for row in table.header_rows()
+            ]
+            assert compiled.header_tokens == headers
+            for r, row in enumerate(headers):
+                for c, tokens in enumerate(row):
+                    assert compiled.header_sets[r][c] == set(tokens)
+                    assert compiled.other_rows[r][c] == {
+                        tok for o, other in enumerate(headers) if o != r
+                        for tok in other[c]
+                    }
+                    assert compiled.other_cols[r][c] == {
+                        tok for o, cell in enumerate(row) if o != c
+                        for tok in cell
+                    }
+            assert compiled.title_tokens == set(
+                tokenize(table.title_text()) + tokenize(table.page_title)
+            )
+            assert compiled.context_tokens == set(table.context_tokens())
+            frequent = set()
+            for c, column in enumerate(compiled.columns):
+                cells = table.column_values(c)
+                counts = Counter(tok for v in cells for tok in tokenize(v))
+                assert list(column.token_counts.items()) == list(counts.items())
+                assert list(column.header_counts.items()) == list(
+                    Counter(table.column_header_tokens(c)).items()
+                )
+                assert column.values == {normalize_cell(v) for v in cells} - {""}
+                in_rows = Counter(
+                    tok for v in cells for tok in set(tokenize(v))
+                )
+                frequent.update(
+                    tok for tok, n in in_rows.items()
+                    if n >= 2 and n >= 0.25 * max(table.num_body_rows, 1)
+                )
+            assert compiled.body_tokens == frequent
+
+    def test_reused_tables_equal_fresh_copies_over_the_workload(self, small_env):
+        corpus_stats = small_env.synthetic.corpus.stats
+        compared = 0
+        for wq in small_env.queries:
+            tables = small_env.candidates[wq.query_id].tables
+            for stats in (None, corpus_stats):
+                # Compiled by whichever query (and regime) came first.
+                reused = build_problem(wq.query, tables, stats, DEFAULT_PARAMS)
+                assert all(t._compiled is not None for t in tables)
+                fresh = build_problem(
+                    wq.query, [fresh_copy(t) for t in tables], stats,
+                    DEFAULT_PARAMS,
+                )
+                assert problem_fingerprint(reused) == problem_fingerprint(fresh)
+                compared += len(reused.edges)
+        assert compared > 0
+
+    def test_second_build_tokenizes_query_text_only(self, small_env, monkeypatch):
+        wq = small_env.queries[0]
+        stats = small_env.synthetic.corpus.stats
+        tables = [
+            fresh_copy(t) for t in small_env.candidates[wq.query_id].tables
+        ]
+        seen = {"tokenize": [], "normalize_cell": []}
+        for name, original in (
+            ("tokenize", tokenize), ("normalize_cell", normalize_cell)
+        ):
+            def counting(text, name=name, original=original):
+                seen[name].append(text)
+                return original(text)
+
+            # Every module that bound the function by name at import.
+            for module in list(sys.modules.values()):
+                if (
+                    getattr(module, "__name__", "").startswith("repro.")
+                    and getattr(module, name, None) is original
+                ):
+                    monkeypatch.setattr(module, name, counting)
+
+        def build():
+            for calls in seen.values():
+                calls.clear()
+            build_problem(
+                wq.query, tables, stats, DEFAULT_PARAMS,
+                feature_cache=FeatureCache(),
+            )
+            query_text = set(wq.query.columns)
+            return (
+                [t for t in seen["tokenize"] if t not in query_text],
+                list(seen["normalize_cell"]),
+            )
+
+        header_cells = sum(t.num_header_rows * t.num_cols for t in tables)
+        body_cells = sum(t.num_body_rows * t.num_cols for t in tables)
+        filled = sum(
+            len(t.column_values(c)) for t in tables for c in range(t.num_cols)
+        )
+        other_text = sum(2 + len(t.context) for t in tables)
+
+        tokenized, normalized = build()
+        # Each cell exactly once, where the two per-query builders
+        # (ColumnProfile.build + TablePartIndex) tokenized headers twice
+        # and body cells twice.
+        assert len(tokenized) == header_cells + filled + other_text
+        assert len(tokenized) < 2 * header_cells + filled + body_cells + other_text
+        assert len(normalized) == filled
+        assert build() == ([], [])
+
+    def test_live_idf_reweights_compiled_tables(self, small_env):
+        """Compiled under one stats object, queried under the next: equal
+        to a corpus built from scratch over the same tables."""
+        tables = list(small_env.synthetic.corpus)
+        split = int(len(tables) * 0.8)
+        journaled = JournaledCorpus(build_corpus_index(tables[:split]))
+        wq = small_env.queries[0]
+
+        before = two_stage_probe(wq.query, journaled)
+        old_stats = journaled.stats
+        build_problem(wq.query, before.tables, old_stats, DEFAULT_PARAMS)
+        journaled.add_tables(tables[split:])
+        assert journaled.stats is not old_stats
+
+        live = two_stage_probe(wq.query, journaled)
+        assert any(t._compiled is not None for t in live.tables)
+        rebuilt_corpus = build_corpus_index([fresh_copy(t) for t in tables])
+        rebuilt = two_stage_probe(wq.query, rebuilt_corpus)
+        assert [t.table_id for t in live.tables] == [
+            t.table_id for t in rebuilt.tables
+        ]
+        assert problem_fingerprint(build_problem(
+            wq.query, live.tables, journaled.stats, DEFAULT_PARAMS
+        )) == problem_fingerprint(build_problem(
+            wq.query, rebuilt.tables, rebuilt_corpus.stats, DEFAULT_PARAMS
+        ))
+
+    def test_readded_id_gets_the_new_tables_compiled_form(self, small_env):
+        tables = list(small_env.synthetic.corpus)
+        journaled = JournaledCorpus(build_corpus_index(tables))
+        wq = small_env.queries[0]
+        old, donor = small_env.candidates[wq.query_id].tables[:2]
+        served = journaled.get_table(old.table_id)
+        build_problem(wq.query, [served], journaled.stats, DEFAULT_PARAMS)
+        assert served._compiled is not None
+
+        replacement = donor.to_dict()
+        replacement["table_id"] = old.table_id
+        journaled.delete_tables([old.table_id])
+        journaled.add_tables([WebTable.from_dict(replacement)])
+        served = journaled.get_table(old.table_id)
+        stats = journaled.stats
+        got = build_problem(wq.query, [served], stats, DEFAULT_PARAMS)
+        want = build_problem(
+            wq.query, [WebTable.from_dict(replacement)], stats, DEFAULT_PARAMS
+        )
+        assert got.features == want.features
+        assert [c.values for c in served.compiled().columns] == [
+            c.values for c in donor.compiled().columns
+        ]
+        assert [c.values for c in served.compiled().columns] != [
+            c.values for c in old.compiled().columns
+        ]
+
+    def test_answer_batch_over_cold_tables_equals_serial(self, small_env):
+        """Threads racing to compile the same cold tables (two may both
+        compile one, to equal values) answer exactly as one thread does."""
+        tables = list(small_env.synthetic.corpus)
+        queries = [wq.query for wq in small_env.queries[:12]]
+        uncached = EngineConfig(cache_size=0, probe_cache_size=0)
+        serial_service = WWTService(
+            build_corpus_index([fresh_copy(t) for t in tables]), uncached
+        )
+        serial = [serial_service.answer(q) for q in queries]
+
+        cold = [fresh_copy(t) for t in tables]
+        batch_service = WWTService(build_corpus_index(cold), uncached)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            batch = batch_service.answer_batch(queries, max_workers=6)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [(r.header, r.rows) for r in batch] == [
+            (r.header, r.rows) for r in serial
+        ]
+        assert any(t._compiled is not None for t in cold)
 
 
 class TestServiceHotPath:

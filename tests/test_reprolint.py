@@ -1,6 +1,6 @@
 """Fixture-based self-tests for the reprolint invariant linter.
 
-Every rule R001-R008 is exercised against a positive fixture (code that
+Every rule R001-R009 is exercised against a positive fixture (code that
 must be flagged, with pinned line numbers) and a negative fixture (the
 compliant counterpart, which must be clean); the scoped rules (R003,
 R006, R008) additionally prove the same code is *not* flagged outside
@@ -43,7 +43,7 @@ class TestRuleCatalog(unittest.TestCase):
         self.assertEqual(
             [rule.id for rule in ALL_RULES],
             ["R001", "R002", "R003", "R004", "R005", "R006", "R007",
-             "R008"],
+             "R008", "R009"],
         )
 
     def test_every_rule_has_title_and_docstring(self):
@@ -52,7 +52,7 @@ class TestRuleCatalog(unittest.TestCase):
             self.assertTrue((rule.__doc__ or "").strip(), rule.id)
 
     def test_lookup_by_id(self):
-        self.assertIs(RULES_BY_ID["R008"], ALL_RULES[-1])
+        self.assertIs(RULES_BY_ID["R009"], ALL_RULES[-1])
 
 
 class TestR001WallClock(unittest.TestCase):
@@ -157,6 +157,21 @@ class TestR008UnrecordedRecovery(unittest.TestCase):
         self.assertEqual(
             lint_fixture("src/other/pkg/r008_out_of_scope.py"), []
         )
+
+
+class TestR009TableImmutability(unittest.TestCase):
+    def test_positive(self):
+        violations = lint_fixture("src/repro/core/r009_pos.py")
+        self.assertEqual(
+            lines_of(violations, "R009"), [5, 6, 7, 8, 13, 14, 15, 16]
+        )
+        self.assertEqual(len(violations), 8)
+
+    def test_negative_reads_copies_and_own_attributes_are_clean(self):
+        self.assertEqual(lint_fixture("src/repro/core/r009_neg.py"), [])
+
+    def test_negative_constructor_module_is_exempt(self):
+        self.assertEqual(lint_fixture("src/repro/tables/table.py"), [])
 
 
 class TestDisableHygiene(unittest.TestCase):

@@ -20,6 +20,7 @@ from .r005_lock_discipline import LockDisciplineRule
 from .r006_swallowed_cancellation import SwallowedCancellationRule
 from .r007_mutable_default import MutableDefaultRule
 from .r008_unrecorded_recovery import UnrecordedRecoveryRule
+from .r009_table_immutability import TableImmutabilityRule
 
 __all__ = [
     "ALL_RULES",
@@ -32,6 +33,7 @@ __all__ = [
     "SwallowedCancellationRule",
     "MutableDefaultRule",
     "UnrecordedRecoveryRule",
+    "TableImmutabilityRule",
 ]
 
 #: Every rule, instantiated, in id order.
@@ -44,6 +46,7 @@ ALL_RULES: List[Rule] = [
     SwallowedCancellationRule(),
     MutableDefaultRule(),
     UnrecordedRecoveryRule(),
+    TableImmutabilityRule(),
 ]
 
 #: Rule lookup by id (``"R001"`` …), used for disable-comment validation.
