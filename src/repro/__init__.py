@@ -50,7 +50,6 @@ from .exec import (
 from .index import (
     CorpusProtocol,
     JournaledCorpus,
-    NaiveScorer,
     ShardedCorpus,
     build_corpus_index,
     build_sharded_corpus,
@@ -96,7 +95,6 @@ __all__ = [
     "JournaledCorpus",
     "MappingResult",
     "ModelParams",
-    "NaiveScorer",
     "ProbeConfig",
     "Query",
     "QueryRequest",

@@ -75,12 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--index", metavar="DIR", default=None,
                        help="serve a persisted corpus directory "
                             "(see 'index build') instead of generating one")
-        p.add_argument("--parallel-mode", default=None,
-                       choices=("serial", "thread"),
-                       help="sharded scatter execution: 'serial' or "
-                            "'thread' (config default; a pool once "
-                            "probe_workers > 1). Rankings are identical "
-                            "either way (see DESIGN.md)")
 
     query = sub.add_parser("query", help="answer a column-keyword query")
     query.add_argument("text", help='e.g. "country | currency"')
@@ -217,8 +211,7 @@ def _build_service(args: argparse.Namespace) -> WWTService:
         config = EngineConfig(inference=args.inference)
     if getattr(args, "deadline_ms", None) is not None:
         config = config.replace(deadline_ms=args.deadline_ms)
-    if getattr(args, "parallel_mode", None) is not None:
-        config = config.replace(parallel_mode=args.parallel_mode)
+
     def _warn_ignored_corpus_flags(source: str) -> None:
         # A persisted corpus has its scale/seed baked in; flags that shape
         # a generated corpus silently doing nothing would be a footgun.
@@ -239,7 +232,6 @@ def _build_service(args: argparse.Namespace) -> WWTService:
     synthetic = generate_corpus(
         CorpusConfig(seed=args.seed, scale=args.scale),
         num_shards=config.num_shards,
-        probe_workers=config.probe_workers,
     )
     return WWTService(synthetic.corpus, config)
 

@@ -254,7 +254,6 @@ def generate_corpus(
     config: Optional[CorpusConfig] = None,
     registry: Optional[Dict[str, Domain]] = None,
     num_shards: Optional[int] = None,
-    probe_workers: int = 1,
 ) -> SyntheticCorpus:
     """Generate, extract, and index the synthetic corpus.
 
@@ -262,7 +261,7 @@ def generate_corpus(
     extracted table id to the generator's knowledge about it — the basis for
     exact ground truth.
 
-    ``num_shards``/``probe_workers`` pass through to
+    ``num_shards`` passes through to
     :func:`~repro.index.builder.build_corpus_index` (``None`` means one
     shard).
     """
@@ -276,9 +275,7 @@ def generate_corpus(
         pages_out=pages, provenance_out=provenance,
     ))
 
-    corpus = build_corpus_index(
-        tables, num_shards=num_shards, probe_workers=probe_workers
-    )
+    corpus = build_corpus_index(tables, num_shards=num_shards)
     return SyntheticCorpus(
         corpus=corpus, pages=pages, provenance=provenance, census=census
     )

@@ -215,8 +215,9 @@ class _RuleState:
 class FaultInjector:
     """Evaluates armed rules at every tripped fault point.
 
-    Thread-safe: the scatter pool trips points concurrently, so counter
-    and RNG updates happen under one lock.  The raise itself happens
+    Thread-safe: concurrent queries (``answer_batch``, the HTTP workers)
+    trip points concurrently, so counter and RNG updates happen under
+    one lock.  The raise itself happens
     outside the lock.
     """
 

@@ -17,7 +17,7 @@ corpus from a table stream in O(shard) memory.
 
 from .binfmt import LazyShard, read_index_bin, write_index_bin
 from .builder import analyze_table, build_corpus_index, build_corpus_stream
-from .inverted import FIELD_BOOSTS, InvertedIndex, NaiveScorer, SearchHit
+from .inverted import FIELD_BOOSTS, InvertedIndex, SearchHit
 from .journal import JournaledCorpus
 from .protocol import CorpusProtocol, ShardProtocol
 from .sharded import (
@@ -35,7 +35,6 @@ __all__ = [
     "InvertedIndex",
     "JournaledCorpus",
     "LazyShard",
-    "NaiveScorer",
     "SearchHit",
     "Shard",
     "ShardProtocol",

@@ -665,6 +665,11 @@ class LazyShard:
         """The shard's table store (loaded on first access)."""
         return self._load()[1]
 
+    def close(self) -> None:
+        """Release the table file map if materialized (idempotent)."""
+        if self.materialized:
+            self.store.close()
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "materialized" if self.materialized else "lazy"
         return f"LazyShard({self._dir.name}, {self._num_tables} tables, {state})"

@@ -424,7 +424,6 @@ def build_corpus_index(
     boosts: Optional[Dict[str, float]] = None,
     num_shards: Optional[int] = None,
     save: Optional[Union[str, Path]] = None,
-    probe_workers: int = 1,
     stream: bool = False,
 ) -> ShardedCorpus:
     """Index ``tables`` into a queryable corpus.
@@ -434,10 +433,9 @@ def build_corpus_index(
     table once per term across all its fields.
 
     Returns a :class:`~repro.index.sharded.ShardedCorpus` hash-partitioned
-    over ``num_shards`` shards (``None``, the default, means one) with
-    ``probe_workers``-wide scatter-gather; rankings do not depend on the
-    shard count (see DESIGN.md).  ``save=`` additionally persists the
-    built corpus to that directory.
+    over ``num_shards`` shards (``None``, the default, means one);
+    rankings do not depend on the shard count (see DESIGN.md).  ``save=``
+    additionally persists the built corpus to that directory.
 
     ``stream=True`` consumes ``tables`` without ever holding the corpus in
     memory: the build goes through :func:`build_corpus_stream` (which
@@ -453,10 +451,9 @@ def build_corpus_index(
                 "save= (the streamed corpus lives on disk)"
             )
         build_corpus_stream(tables, save, num_shards=num_shards, boosts=boosts)
-        return ShardedCorpus.load(save, probe_workers=probe_workers)
+        return ShardedCorpus.load(save)
     corpus = build_sharded_corpus(
-        tables, 1 if num_shards is None else num_shards,
-        boosts=boosts, probe_workers=probe_workers,
+        tables, 1 if num_shards is None else num_shards, boosts=boosts
     )
     if save is not None:
         corpus.save(save)

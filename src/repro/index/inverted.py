@@ -30,9 +30,9 @@ of set unions over every posting list.
 Every floating-point expression keeps the pre-compilation association
 order, and posting arrays preserve the insertion order the old dict
 postings had (ordered deletion, not swap-deletion), so scores — not just
-rankings — are bit-identical to the naive implementation, which is
-retained as :class:`NaiveScorer` for equivalence tests and as the
-benchmark baseline.
+rankings — are bit-identical to the naive implementation, which lives on
+in ``tests/naive_scorer.py`` as the scoring oracle of
+``tests/test_hotpath.py``.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ __all__ = [
     "FIELD_BOOSTS",
     "SearchHit",
     "InvertedIndex",
-    "NaiveScorer",
     "lucene_idf",
 ]
 
@@ -79,22 +78,13 @@ def lucene_idf(num_docs: int, df: int) -> float:
 
 
 class SearchHit:
-    """One ranked retrieval result.
+    """One ranked retrieval result."""
 
-    ``field_scores`` is populated only when the search requested the
-    per-field breakdown (``with_field_scores=True``) — the serving path
-    never needs it, and skipping it keeps one dict write per
-    (document, field) pair off the hot loop.
-    """
+    __slots__ = ("doc_id", "score")
 
-    __slots__ = ("doc_id", "score", "field_scores")
-
-    def __init__(
-        self, doc_id: str, score: float, field_scores: Dict[str, float]
-    ) -> None:
+    def __init__(self, doc_id: str, score: float) -> None:
         self.doc_id = doc_id
         self.score = score
-        self.field_scores = field_scores
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"SearchHit({self.doc_id!r}, {self.score:.3f})"
@@ -290,11 +280,9 @@ class InvertedIndex:
         self,
         terms: Sequence[str],
         limit: int = 100,
-        fields: Optional[Iterable[str]] = None,
         idf: Optional[Callable[[str], float]] = None,
-        with_field_scores: bool = False,
     ) -> List[SearchHit]:
-        """Disjunctive (OR) boosted TF-IDF retrieval.
+        """Disjunctive (OR) boosted TF-IDF retrieval over every field.
 
         ``terms`` should already be analyzed (lower-case tokens); duplicates
         are collapsed.  Returns at most ``limit`` hits, best first, ties
@@ -307,22 +295,16 @@ class InvertedIndex:
         IDF is the only ingredient needed for shard-invariant scores.  The
         override is evaluated once per term per search (cached locally),
         never once per field.
-
-        ``with_field_scores=True`` additionally fills each hit's
-        ``field_scores`` breakdown; the default skips that bookkeeping on
-        the hot path.
         """
         if self._num_docs == 0:
             return []
         idf_of = idf if idf is not None else self.idf
         wanted = list(dict.fromkeys(terms))
         scores: Dict[int, float] = {}
-        per_field: Dict[int, Dict[str, float]] = {}
         idf_cache: Dict[str, float] = {}
         get = scores.get
-        for field in fields or self._postings:
+        for field, postings in self._postings.items():
             norms = self._norms[field]
-            postings = self._postings[field]
             for term in wanted:
                 plist = postings.get(term)
                 if not plist:
@@ -333,26 +315,17 @@ class InvertedIndex:
                 # weight = boost * sqrt(tf), baked at add time; the
                 # remaining multiplies keep the historical left-to-right
                 # association so accumulated floats stay bit-identical to
-                # NaiveScorer (tests assert score equality, not just order).
-                if with_field_scores:
-                    for d, weight in zip(plist.doc_nums, plist.weights):
-                        contrib = weight * term_idf * term_idf * norms[d]
-                        scores[d] = get(d, 0.0) + contrib
-                        breakdown = per_field.setdefault(d, {})
-                        breakdown[field] = breakdown.get(field, 0.0) + contrib
-                else:
-                    for d, weight in zip(plist.doc_nums, plist.weights):
-                        scores[d] = get(d, 0.0) + (
-                            weight * term_idf * term_idf * norms[d]
-                        )
+                # the naive scorer (tests assert score equality, not just
+                # order).
+                for d, weight in zip(plist.doc_nums, plist.weights):
+                    scores[d] = get(d, 0.0) + (
+                        weight * term_idf * term_idf * norms[d]
+                    )
         names = self._doc_names
         ranked = heapq.nsmallest(
             limit, scores.items(), key=lambda kv: (-kv[1], names[kv[0]])
         )
-        return [
-            SearchHit(names[d], score, per_field.get(d, {}))
-            for d, score in ranked
-        ]
+        return [SearchHit(names[d], score) for d, score in ranked]
 
     def docs_containing_all(
         self, terms: Sequence[str], fields: Iterable[str]
@@ -434,74 +407,3 @@ class InvertedIndex:
                     term_docs.add(num)
         index._df = Counter({t: len(d) for t, d in df_docs.items()})
         return index
-
-
-class NaiveScorer:
-    """The pre-compilation reference scorer, retained for verification.
-
-    Snapshots an :class:`InvertedIndex` back into the dict-of-dicts
-    posting structure the index used before the hot-path compilation and
-    scores it with the original algorithm: per-field idf evaluation,
-    per-document length-dict lookups, ``math.sqrt`` in the loop, and a
-    full sort of every scored document.  Equivalence tests assert the
-    compiled :meth:`InvertedIndex.search` matches this hit-for-hit
-    (including scores, bit-exactly) — ``tests/test_hotpath.py``.  The
-    snapshot is taken at construction.
-    """
-
-    def __init__(self, index: InvertedIndex) -> None:
-        self.boosts = dict(index.boosts)
-        self._postings: Dict[str, Dict[str, Dict[str, int]]] = {}
-        self._field_lengths: Dict[str, Dict[str, int]] = {}
-        names = index._doc_names
-        for field, terms in index._postings.items():
-            self._postings[field] = {
-                term: {names[d]: tf for d, tf in zip(p.doc_nums, p.tfs)}
-                for term, p in terms.items()
-            }
-            self._field_lengths[field] = {
-                names[num]: n for num, n in index._lengths[field].items()
-            }
-        self.num_docs = index.num_docs
-        self._df = {term: index.document_frequency(term) for term in index._df}
-
-    def idf(self, term: str) -> float:
-        """Lucene-classic idf over the snapshot's counts."""
-        return lucene_idf(self.num_docs, self._df.get(term, 0))
-
-    def search(
-        self,
-        terms: Sequence[str],
-        limit: int = 100,
-        fields: Optional[Iterable[str]] = None,
-        idf: Optional[Callable[[str], float]] = None,
-    ) -> List[SearchHit]:
-        """The original dict-walking search loop, verbatim.
-
-        Always computes the per-field breakdown and full-sorts all scored
-        documents — exactly what the index did before compilation.
-        """
-        if self.num_docs == 0:
-            return []
-        idf_of = idf if idf is not None else self.idf
-        wanted = list(dict.fromkeys(terms))
-        scores: Dict[str, float] = defaultdict(float)
-        per_field: Dict[str, Dict[str, float]] = defaultdict(lambda: defaultdict(float))
-        for field in fields or self._postings:
-            boost = self.boosts.get(field, 1.0)
-            lengths = self._field_lengths[field]
-            for term in wanted:
-                postings = self._postings[field].get(term)
-                if not postings:
-                    continue
-                term_idf = idf_of(term)
-                for doc_id, tf in postings.items():
-                    norm = 1.0 / math.sqrt(max(lengths.get(doc_id, 1), 1))
-                    contrib = boost * math.sqrt(tf) * term_idf * term_idf * norm
-                    scores[doc_id] += contrib
-                    per_field[doc_id][field] += contrib
-        ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:limit]
-        return [
-            SearchHit(doc_id, score, dict(per_field[doc_id]))
-            for doc_id, score in ranked
-        ]

@@ -15,13 +15,13 @@ the ranking-equivalence guarantee:
   :class:`~repro.index.inverted.InvertedIndex`; deletes become tombstones.
   Probes merge delta hits into the base scatter-gather results, so a
   journaled table is searchable *immediately* — no shard is re-indexed.
-- **Exact lazy statistics.**  Corpus-global IDF and
-  :class:`~repro.text.tfidf.TermStatistics` are maintained as signed
-  deltas and re-derived lazily, at most once per probe, whenever a
-  mutation is pending.  Every per-document score therefore equals what a
-  full rebuild would produce — journaled and compacted corpora answer the
-  59-query workload identically to freshly built ones
-  (``tests/test_journal.py``).
+- **Exact lazy statistics.**  Corpus-global document frequencies are
+  maintained as signed deltas over the base's, and the merged
+  :class:`~repro.text.tfidf.TermStatistics` is re-derived lazily, at most
+  once per probe, whenever a mutation is pending.  Every per-document
+  score therefore equals what a full rebuild would produce — journaled
+  and compacted corpora answer the 59-query workload identically to
+  freshly built ones (``tests/test_journal.py``).
 - **Compaction.**  :meth:`JournaledCorpus.compact` folds the journal into
   fresh shard snapshots through the same atomic write-new-then-rename
   writer as ``save`` (:func:`~repro.index.builder.save_corpus_dir`), so an
@@ -37,6 +37,7 @@ compaction loses nothing.
 from __future__ import annotations
 
 import copy
+import gc
 import heapq
 import json
 import os
@@ -56,7 +57,6 @@ from typing import (
     Union,
 )
 
-from ..core.features import BoundedCache, STATS_CACHE_SIZE
 from ..faults.injection import POINT_JOURNAL_APPEND, trip
 from ..tables.table import WebTable
 from ..text.tfidf import TermStatistics
@@ -269,19 +269,9 @@ class JournaledCorpus:
         self._df_delta: Counter = Counter()
         self._docs_delta = 0
 
-        # Derived ranking state, refreshed lazily at the next probe after a
-        # mutation.  The synced_* snapshots pin the delta vintage every
-        # cached AND uncached IDF is computed from, so one probe never
-        # mixes statistics from two different corpus states.
-        self._idf_cache: BoundedCache[str, float] = BoundedCache(
-            STATS_CACHE_SIZE
-        )
-        self._base_df_cache: BoundedCache[str, int] = BoundedCache(
-            STATS_CACHE_SIZE
-        )
+        # The merged statistics, re-derived lazily at the next probe (or
+        # ``stats`` read) after a mutation.
         self._merged_stats: Optional[TermStatistics] = None
-        self._synced_df_delta: Counter = Counter()
-        self._synced_docs_delta = 0
         self._mutations = 0
         self._synced_at = 0
 
@@ -492,49 +482,31 @@ class JournaledCorpus:
     # -- derived ranking state -------------------------------------------------
 
     def _maybe_refresh(self) -> None:
-        """Re-derive the IDF/stats caches when a mutation is pending.
+        """Re-derive the merged stats when a mutation is pending.
 
-        Called at probe entry, so every probe scores with exact
-        corpus-global statistics.  The merged stats are rebuilt *here*
-        (not lazily) so what :attr:`stats` serves is the same vintage the
-        probe scored with.
+        Called at probe entry — rebuilt *here* (not lazily) so what
+        :attr:`stats` serves is the same vintage the probe scored with.
         """
         if self._mutations != self._synced_at:
-            self._idf_cache.clear()
-            self._synced_df_delta = Counter(self._df_delta)
-            self._synced_docs_delta = self._docs_delta
             self._merged_stats = (
                 None if self._clean else self._build_merged_stats()
             )
             self._synced_at = self._mutations
 
-    def _base_df(self, term: str) -> int:
-        cached = self._base_df_cache.get(term)
-        if cached is None:
-            cached = sum(
-                s.index.document_frequency(term) for s in self.base.shards
-            )
-            self._base_df_cache.put(term, cached)
-        return cached
-
     def _effective_idf(self, term: str) -> float:
-        """Lucene-classic IDF over the corpus as of the last stats sync.
+        """Lucene-classic IDF over the live corpus.
 
         Same expression as :meth:`ShardedCorpus.global_idf`, with N and df
         adjusted by the journal's signed deltas — the ingredient that
-        keeps journaled rankings bit-identical to a full rebuild.  Reads
-        the *synced* delta snapshot (not the live counters) so cache
-        misses and cache hits agree on one corpus vintage; the sync
-        happens before the probe, so the vintage is the live corpus.
+        keeps journaled rankings bit-identical to a full rebuild.  Only
+        called under the mutation lock, so one probe reads one vintage of
+        the deltas; the base df comes from :meth:`ShardedCorpus.global_df`
+        (cached there, and health-gated like the probe itself).
         """
-        cached = self._idf_cache.get(term)
-        if cached is None:
-            df = self._base_df(term) + self._synced_df_delta.get(term, 0)
-            cached = lucene_idf(
-                self.base.num_tables + self._synced_docs_delta, df
-            )
-            self._idf_cache.put(term, cached)
-        return cached
+        return lucene_idf(
+            self.base.num_tables + self._docs_delta,
+            self.base.global_df(term) + self._df_delta.get(term, 0),
+        )
 
     def _build_merged_stats(self) -> TermStatistics:
         df = Counter(self.base.stats.to_dict()["df"])
@@ -565,44 +537,29 @@ class JournaledCorpus:
 
     # -- CorpusProtocol --------------------------------------------------------
 
-    def search(
-        self,
-        terms: Sequence[str],
-        limit: int = 100,
-        fields: Optional[Iterable[str]] = None,
-        with_field_scores: bool = False,
-    ) -> List[SearchHit]:
+    def search(self, terms: Sequence[str], limit: int = 100) -> List[SearchHit]:
         """Ranked retrieval over base + delta, tombstones excluded.
 
-        ``with_field_scores`` requests the diagnostic per-field breakdown
-        on every hit (off on the hot path); it is forwarded to the base
-        scatter and the delta probe alike.
-
-        Base shards are scattered with the *live* IDF (not the base's
-        cached one) and asked for ``limit + |tombstones|`` hits each, which
-        guarantees every live base document of the true global top-``limit``
-        survives the tombstone filter; delta hits are scored with the same
-        IDF and merged by ``(-score, doc_id)`` — the exact ranking a full
-        rebuild would produce.
+        Base shards are scattered — through the base's own fault- and
+        health-gated :meth:`ShardedCorpus.scatter` — with the *live* IDF
+        (not the base's) and asked for ``limit + |tombstones|`` hits each,
+        which guarantees every live base document of the true global
+        top-``limit`` survives the tombstone filter; delta hits are scored
+        with the same IDF and merged by ``(-score, doc_id)`` — the exact
+        ranking a full rebuild would produce.
 
         A clean corpus (the common serving case) probes the base directly,
         lock-free; the delta-merge path serializes with mutations so a
         probe never iterates structures a mutation is rewriting.
         """
         if self._clean:
-            return self.base.search(
-                terms, limit=limit, fields=fields,
-                with_field_scores=with_field_scores,
-            )
+            return self.base.search(terms, limit=limit)
         with self._lock:
             self._maybe_refresh()
-            field_list = list(fields) if fields is not None else None
             eff_limit = limit + len(self._tombstones)
-            results = self.base._map_shards(
+            results = self.base.scatter(
                 lambda s: s.index.search(
-                    terms, limit=eff_limit, fields=field_list,
-                    idf=self._effective_idf,
-                    with_field_scores=with_field_scores,
+                    terms, limit=eff_limit, idf=self._effective_idf
                 )
             )
             merged = [
@@ -610,9 +567,7 @@ class JournaledCorpus:
                 if hit.doc_id not in self._tombstones
             ]
             merged.extend(self._delta_index.search(
-                terms, limit=limit, fields=field_list,
-                idf=self._effective_idf,
-                with_field_scores=with_field_scores,
+                terms, limit=limit, idf=self._effective_idf
             ))
         return heapq.nsmallest(
             limit, merged, key=lambda h: (-h.score, h.doc_id)
@@ -751,6 +706,17 @@ class JournaledCorpus:
         *upgrades* it — even when there is nothing to fold: a clean corpus
         whose on-disk version trails is rewritten anyway (returning 0,
         since no journal records were folded).
+
+        A fold that replaced the base ends with a full garbage collection
+        whose survivors are frozen.  The rebuilt shards are about as many
+        new objects as the old generation held, so the collector's next
+        full pass is due, and at ~55 ms on the paper corpus it is longer
+        than the median query: left alone it lands inside whichever query
+        crosses its threshold, and every later pass traverses again a base
+        that cannot change before the next compaction.  The caller of
+        ``compact`` already waits for a stop-the-world rewrite, so the
+        pass is taken here; ``gc.unfreeze`` comes first so that what the
+        previous fold froze and this one dropped is reclaimed.
         """
         with self._lock:
             folded = self.journal_depth
@@ -774,6 +740,9 @@ class JournaledCorpus:
             else:
                 pairs = self._folded_pairs(in_place=True)
                 self._swap_base(pairs, merged)
+                gc.unfreeze()
+                gc.collect()
+                gc.freeze()
             folded_through = self._next_seq - 1
             if self._path is not None:
                 save_corpus_dir(
@@ -791,19 +760,18 @@ class JournaledCorpus:
         """Rebuild ``self.base`` around the folded shards and reset the delta.
 
         Reconstructing (rather than patching) the base refreshes its
-        internal caches — table counts, the IDF cache, the scatter pool —
-        in one stroke.
+        table counts, df cache and health tracker in one stroke.  The old
+        base is *not* closed: the new one reuses the stores of every shard
+        the fold left alone or extended.
         """
         old = self.base
-        old.close()
         self.base = ShardedCorpus(
             shards=[
                 Shard(index=index, store=store, stats=merged)
                 for index, store in pairs
             ],
-            stats=merged, probe_workers=old.probe_workers, validate=False,
+            stats=merged, validate=False,
             health=old.health_policy, clock=old._clock,
-            parallel_mode=old.parallel_mode,
         )
         self._delta_index = InvertedIndex(self._boosts)
         self._delta_store = TableStore()
@@ -811,15 +779,13 @@ class JournaledCorpus:
         self._tombstones = set()
         self._df_delta = Counter()
         self._docs_delta = 0
-        self._idf_cache.clear()
-        self._base_df_cache.clear()
         self._merged_stats = None
         self._synced_at = self._mutations
 
     # -- lifecycle -------------------------------------------------------------
 
     def close(self) -> None:
-        """Release base resources (the scatter pool); idempotent."""
+        """Release the base's table file maps (idempotent)."""
         self.base.close()
 
     def __enter__(self) -> JournaledCorpus:

@@ -22,7 +22,6 @@ from typing import (
     Dict,
     Iterable,
     List,
-    Optional,
     Protocol,
     Sequence,
     Set,
@@ -71,6 +70,10 @@ class ShardProtocol(Protocol):
         """The shard's table store (may materialize on first access)."""
         ...
 
+    def close(self) -> None:
+        """Release the store's file map (idempotent; never materializes)."""
+        ...
+
 
 @runtime_checkable
 class CorpusProtocol(Protocol):
@@ -103,18 +106,8 @@ class CorpusProtocol(Protocol):
         """Number of shards the corpus is partitioned into (>= 1)."""
         ...
 
-    def search(
-        self,
-        terms: Sequence[str],
-        limit: int = 100,
-        fields: Optional[Iterable[str]] = None,
-        with_field_scores: bool = False,
-    ) -> List[SearchHit]:
-        """Disjunctive boosted TF-IDF retrieval: top ``limit`` hits.
-
-        ``with_field_scores`` opts in to the diagnostic per-field score
-        breakdown on every hit; the serving hot path leaves it off.
-        """
+    def search(self, terms: Sequence[str], limit: int = 100) -> List[SearchHit]:
+        """Disjunctive boosted TF-IDF retrieval: top ``limit`` hits."""
         ...
 
     def docs_containing_all(

@@ -18,11 +18,10 @@ pipeline's probes by scatter-gather:
   shard intersects locally; the union over shards is the global conjunction
   (again because shards partition the documents).
 
-``probe_workers > 1`` fans the scatter across a persistent thread pool —
-worthwhile once shards are large or back disk/remote storage; for small
-in-memory shards the serial loop (the default) is faster than thread
-dispatch.  ``parallel_mode="serial"`` forces the serial loop whatever
-``probe_workers`` says; rankings are bit-identical either way.
+The scatter is one serial loop over the shards in the calling thread
+(:meth:`ShardedCorpus.scatter`): a probe is 1-3 % of a query, and fanning
+it over a thread pool measured slower at every width (DESIGN.md, "Modes
+removed").
 
 Persistence is a directory (see DESIGN.md): ``manifest.json`` +
 ``stats.json`` (the shared :class:`~repro.text.tfidf.TermStatistics`) +
@@ -38,7 +37,6 @@ from __future__ import annotations
 
 import heapq
 import zlib
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -81,7 +79,6 @@ if TYPE_CHECKING:
     from .protocol import CorpusProtocol
 
 __all__ = [
-    "PARALLEL_MODES",
     "Shard",
     "ShardedCorpus",
     "build_sharded_corpus",
@@ -90,13 +87,6 @@ __all__ = [
 ]
 
 T = TypeVar("T")
-
-#: How a :class:`ShardedCorpus` executes its scatter: ``"serial"`` runs
-#: probes inline (no pool, even with ``probe_workers > 1``), ``"thread"``
-#: fans out over a thread pool when ``probe_workers > 1``.  ``"serial"``
-#: is therefore redundant with ``probe_workers=1`` (DESIGN.md, "Modes
-#: removed"); it stays only while callers still pass it.
-PARALLEL_MODES = ("serial", "thread")
 
 
 def shard_of(table_id: str, num_shards: int) -> int:
@@ -132,6 +122,16 @@ class Shard:
         """Field boosts of the underlying index (copy)."""
         return dict(self.index.boosts)
 
+    def close(self) -> None:
+        """Release the store's file map, if it has one (idempotent)."""
+        self.store.close()
+
+
+def _stored(table_id: str, shard: ShardProtocol) -> Optional[WebTable]:
+    """``table_id``'s table when ``shard`` holds it, else ``None``."""
+    store = shard.store
+    return store.get(table_id) if table_id in store else None
+
 
 class ShardedCorpus:
     """N >= 1 shards behind one ``CorpusProtocol`` front.
@@ -152,21 +152,12 @@ class ShardedCorpus:
         self,
         shards: Sequence[ShardProtocol],
         stats: TermStatistics,
-        probe_workers: int = 1,
         validate: bool = True,
         health: Optional[HealthPolicy] = None,
         clock: Optional[Callable[[], float]] = None,
-        parallel_mode: str = "thread",
     ) -> None:
         if not shards:
             raise ValueError("a ShardedCorpus needs at least one shard")
-        if probe_workers < 1:
-            raise ValueError("probe_workers must be >= 1")
-        if parallel_mode not in PARALLEL_MODES:
-            raise ValueError(
-                f"unknown parallel_mode {parallel_mode!r}; expected one of "
-                f"{PARALLEL_MODES}"
-            )
         self.shards: List[ShardProtocol] = list(shards)
         # Table access routes by shard_of(), so the shards MUST be the
         # CRC32 partition — arbitrary shard lists (e.g. two independently
@@ -187,38 +178,22 @@ class ShardedCorpus:
                             "partition)"
                         )
         self.stats = stats
-        self.probe_workers = probe_workers
-        #: Scatter execution mode (one of :data:`PARALLEL_MODES`).
-        self.parallel_mode = parallel_mode
         #: The policy this corpus was constructed with (``None`` = strict
-        #: all-or-nothing scatter, the pre-failure-domain behaviour) —
-        #: kept so compaction can rebuild an equivalent corpus.
+        #: all-or-nothing scatter) — kept, with the clock, so compaction
+        #: can rebuild an equivalent corpus.
         self.health_policy = health
         self._clock = clock
-        #: Per-shard failure domains.  ``None`` (the default) preserves
-        #: the exact strict scatter path: any shard error raises through,
-        #: rankings stay bit-identical, and no health bookkeeping runs.
+        #: Per-shard failure domains.  ``None`` (the default) is the strict
+        #: contract: any shard error raises through and no health
+        #: bookkeeping runs.
         self._health: Optional[HealthTracker] = (
             HealthTracker(len(self.shards), health, clock=clock)
             if health is not None else None
         )
         self._num_tables = sum(s.num_tables for s in self.shards)
-        self._idf_cache: BoundedCache[str, float] = BoundedCache(
+        self._df_cache: BoundedCache[str, int] = BoundedCache(
             STATS_CACHE_SIZE
         )
-        # Created eagerly (not lazily) so concurrent first probes — e.g.
-        # WWTService.answer_batch fanning out over this corpus — can't race
-        # a lazy init and leak a second pool.
-        self._executor: Optional[ThreadPoolExecutor] = None
-        if (
-            parallel_mode != "serial"
-            and self.probe_workers > 1
-            and self.num_shards > 1
-        ):
-            self._executor = ThreadPoolExecutor(
-                max_workers=min(self.probe_workers, self.num_shards),
-                thread_name_prefix="shard-probe",
-            )
 
     # -- shape -----------------------------------------------------------------
 
@@ -247,116 +222,97 @@ class ShardedCorpus:
 
     # -- scatter-gather machinery ----------------------------------------------
 
-    def _run_jobs(self, jobs: Sequence[Callable[[], T]]) -> List[T]:
-        """Run ``jobs`` (one per shard, in shard order) and gather results.
-
-        Serial without a pool.  With a pool, the executor reference is
-        snapshotted once so a concurrent :meth:`close` cannot null it
-        mid-scatter, and submission failure falls back cleanly: futures
-        already submitted still complete (``shutdown(wait=True)`` waits
-        for them), the remainder runs serially on this thread, and the
-        gathered order is preserved.
-        """
-        executor = self._executor
-        if executor is None:
-            return [job() for job in jobs]
-        futures: List[Future[T]] = []
-        try:
-            for job in jobs:
-                futures.append(executor.submit(job))
-        except RuntimeError:  # reprolint: disable=R008 -- close() raced this scatter; the serial fallback below completes the probe, so nothing is lost and there is no failure to record
-            # "cannot schedule new futures after shutdown": close() ran
-            # between submits.  Finish the remaining shards serially.
-            tail = [job() for job in jobs[len(futures):]]
-            return [future.result() for future in futures] + tail
-        return [future.result() for future in futures]
-
-    def _map_shards(self, fn: Callable[[ShardProtocol], T]) -> List[T]:
-        """Apply ``fn`` to every shard, in shard order (all-or-nothing)."""
-        return self._run_jobs([partial(fn, shard) for shard in self.shards])
-
-    def _probe_jobs(
-        self, fn: Callable[[ShardProtocol], T], point: str
-    ) -> List[Callable[[], T]]:
-        """Per-shard strict probe jobs, each guarded by fault point ``point``."""
-
-        def job(si: int, shard: ShardProtocol) -> T:
-            trip(point, key=str(si))
-            return fn(shard)
-
-        return [partial(job, si, shard) for si, shard in enumerate(self.shards)]
-
-    def _scatter_health(
+    def _attempt(
         self,
-        tracker: HealthTracker,
+        si: int,
         fn: Callable[[ShardProtocol], T],
-        point: str,
-    ) -> List[Optional[T]]:
-        """Health-gated scatter: per-shard result, or ``None`` for a shard
-        that failed this probe or is sitting out a backoff/quarantine
-        window.  Every outcome is recorded to the tracker, which is what
-        drives the retry → quarantine → reopen lifecycle.
+        point: Optional[str] = None,
+    ) -> Optional[T]:
+        """``fn(shard si)`` behind fault point ``point``, or ``None``.
+
+        The one place a shard is touched on behalf of a probe.  Without
+        failure domains any error raises through (the strict contract).
+        With them, a shard sitting out a backoff/quarantine window is
+        skipped, a failure is recorded and yields ``None``, and a success
+        is recorded too — the outcomes that drive the tracker's retry →
+        quarantine → reopen lifecycle.
         """
-
-        def attempt(si: int, shard: ShardProtocol) -> Optional[T]:
-            if not tracker.available(si):
-                return None
-            try:
+        tracker = self._health
+        if tracker is not None and not tracker.available(si):
+            return None
+        try:
+            if point is not None:
                 trip(point, key=str(si))
-                result = fn(shard)
-            except Exception as exc:
-                tracker.record_failure(si, exc)
-                return None
+            result = fn(self.shards[si])
+        except Exception as exc:
+            if tracker is None:
+                raise
+            tracker.record_failure(si, exc)
+            return None
+        if tracker is not None:
             tracker.record_success(si)
-            return result
+        return result
 
-        return self._run_jobs(
-            [partial(attempt, si, shard) for si, shard in enumerate(self.shards)]
+    def scatter(self, fn: Callable[[ShardProtocol], T]) -> List[T]:
+        """Apply ``fn`` to every reachable shard, serially, in shard order.
+
+        Every probe — :meth:`search`, :meth:`docs_containing_all` and the
+        journal's delta-merge path — goes through here, so each trips the
+        ``shard.search`` fault point and is health-gated alike.
+        """
+        results = (
+            self._attempt(si, fn, POINT_SHARD_SEARCH)
+            for si in range(len(self.shards))
         )
+        return [result for result in results if result is not None]
+
+    def global_df(self, term: str) -> int:
+        """Corpus-global document frequency: the sum of the shard dfs.
+
+        Each document lives in exactly one shard, so the sum is the df of
+        one index over all tables; cached because the posting structure
+        is immutable after construction.
+
+        With failure domains enabled the df is summed over *reachable*
+        shards only — what a partial answer is actually scored with — and
+        a failed read is recorded against the shard that failed, not the
+        one whose score loop asked.  A df computed while any shard was
+        unhealthy or failing bypasses the cache, so values from partial
+        visibility never leak into full-coverage probes (or vice versa).
+        """
+        tracker = self._health
+        incomplete = tracker is not None and not tracker.all_healthy()
+        if not incomplete:
+            cached = self._df_cache.get(term)
+            if cached is not None:
+                return cached
+        df = 0
+        for si, shard in enumerate(self.shards):
+            if tracker is not None and not tracker.available(si):
+                continue
+            try:
+                df += shard.index.document_frequency(term)
+            except Exception as exc:
+                if tracker is None:
+                    raise
+                tracker.record_failure(si, exc)
+                incomplete = True
+        if not incomplete:
+            self._df_cache.put(term, df)
+        return df
 
     def global_idf(self, term: str) -> float:
         """Lucene-classic IDF from corpus-global document frequencies.
 
         Same :func:`~repro.index.inverted.lucene_idf` expression as
-        :meth:`InvertedIndex.idf`, evaluated over the whole corpus (each
-        document lives in exactly one shard, so global df is the sum of
-        shard dfs); cached because the posting structure is immutable
-        after construction.
-
-        With failure domains enabled and any shard unhealthy, the df is
-        summed over *reachable* shards only — the IDF the partial answer
-        is actually scored with — and bypasses the cache, so values
-        computed under partial visibility never leak into full-coverage
-        probes (or vice versa).
+        :meth:`InvertedIndex.idf`, evaluated over :meth:`global_df`.
         """
-        tracker = self._health
-        if tracker is not None and not tracker.all_healthy():
-            df = 0
-            for si, shard in enumerate(self.shards):
-                if not tracker.available(si):
-                    continue
-                try:
-                    df += shard.index.document_frequency(term)
-                except Exception as exc:
-                    tracker.record_failure(si, exc)
-            return lucene_idf(self._num_tables, df)
-        cached = self._idf_cache.get(term)
-        if cached is None:
-            df = sum(s.index.document_frequency(term) for s in self.shards)
-            cached = lucene_idf(self._num_tables, df)
-            self._idf_cache.put(term, cached)
-        return cached
+        return lucene_idf(self._num_tables, self.global_df(term))
 
     # -- CorpusProtocol --------------------------------------------------------
 
-    def search(
-        self,
-        terms: Sequence[str],
-        limit: int = 100,
-        fields: Optional[Iterable[str]] = None,
-        with_field_scores: bool = False,
-    ) -> List[SearchHit]:
-        """Parallel scatter-gather disjunctive retrieval.
+    def search(self, terms: Sequence[str], limit: int = 100) -> List[SearchHit]:
+        """Scatter-gather disjunctive retrieval.
 
         Each shard returns its local top-``limit`` scored with
         :meth:`global_idf`; the gather concatenates, selects the global
@@ -364,39 +320,19 @@ class ShardedCorpus:
         returns it.  Any document in the global top-``limit`` is
         necessarily in its own shard's top-``limit`` (a shard holds a
         subset of its competitors), so the merge equals the ranking of
-        one index over all tables.  ``with_field_scores`` requests the
-        diagnostic per-field breakdown on every hit (off on the hot path).
+        one index over all tables.
 
         With failure domains enabled (``health=`` at construction), a
         failing or backing-off shard contributes nothing instead of
         raising — the merge covers the reachable shards and
         :meth:`coverage` quantifies what was missed.  Without them, any
-        shard error raises through (the strict pre-failure-domain
-        contract).
+        shard error raises through.
         """
         if self._num_tables == 0:
             return []
-        field_list = list(fields) if fields is not None else None
-
-        def probe(s: ShardProtocol) -> List[SearchHit]:
-            return s.index.search(
-                terms, limit=limit, fields=field_list, idf=self.global_idf,
-                with_field_scores=with_field_scores,
-            )
-
-        tracker = self._health
-        if tracker is None:
-            results = self._run_jobs(
-                self._probe_jobs(probe, POINT_SHARD_SEARCH)
-            )
-        else:
-            results = [
-                hits
-                for hits in self._scatter_health(
-                    tracker, probe, POINT_SHARD_SEARCH
-                )
-                if hits is not None
-            ]
+        results = self.scatter(
+            lambda s: s.index.search(terms, limit=limit, idf=self.global_idf)
+        )
         merged = [hit for hits in results for hit in hits]
         return heapq.nsmallest(
             limit, merged, key=lambda h: (-h.score, h.doc_id)
@@ -407,25 +343,10 @@ class ShardedCorpus:
     ) -> Set[str]:
         """Scatter-gather conjunctive containment probe (PMI²'s H and B sets)."""
         field_list = list(fields)
-
-        def probe(s: ShardProtocol) -> Set[str]:
-            return s.index.docs_containing_all(terms, field_list)
-
-        tracker = self._health
-        if tracker is None:
-            results = self._run_jobs(
-                self._probe_jobs(probe, POINT_SHARD_SEARCH)
-            )
-        else:
-            results = [
-                docs
-                for docs in self._scatter_health(
-                    tracker, probe, POINT_SHARD_SEARCH
-                )
-                if docs is not None
-            ]
         out: Set[str] = set()
-        for docs in results:
+        for docs in self.scatter(
+            lambda s: s.index.docs_containing_all(terms, field_list)
+        ):
             out.update(docs)
         return out
 
@@ -440,26 +361,14 @@ class ShardedCorpus:
         shard are skipped (recorded to the tracker) rather than raising —
         the same partial-result contract as :meth:`search`.
         """
-        tracker = self._health
         out: List[WebTable] = []
-        if tracker is None:
-            for table_id in table_ids:
-                store = self.shards[shard_of(table_id, self.num_shards)].store
-                if table_id in store:
-                    out.append(store.get(table_id))
-            return out
         for table_id in table_ids:
-            si = shard_of(table_id, self.num_shards)
-            if not tracker.available(si):
-                continue
-            try:
-                store = self.shards[si].store
-                if table_id in store:
-                    out.append(store.get(table_id))
-            except Exception as exc:
-                tracker.record_failure(si, exc)
-                continue
-            tracker.record_success(si)
+            table = self._attempt(
+                shard_of(table_id, self.num_shards),
+                partial(_stored, table_id),
+            )
+            if table is not None:
+                out.append(table)
         return out
 
     def ids(self) -> List[str]:
@@ -476,8 +385,7 @@ class ShardedCorpus:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"ShardedCorpus({self.num_shards} shards, "
-            f"{self.num_tables} tables, workers={self.probe_workers}, "
-            f"mode={self.parallel_mode})"
+            f"{self.num_tables} tables)"
         )
 
     # -- failure domains -------------------------------------------------------
@@ -504,19 +412,18 @@ class ShardedCorpus:
     # -- lifecycle -------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut down the scatter thread pool (idempotent).
+        """Release the shards' ``tables.jsonl`` maps (idempotent).
 
-        Long-lived processes that cycle through corpora (benchmark sweeps,
-        index reloads) should close discarded instances; probes after
-        ``close`` fall back to the serial scatter path.  The executor
-        reference is cleared *before* the shutdown so scatters starting
-        mid-close go serial, while in-flight scatters hold their own
-        snapshot of the pool and are waited for.
+        A lazily loaded shard keeps its table file mapped from the moment
+        it materializes; processes that cycle through corpus directories
+        (benchmark sweeps, index reloads) should close the instances they
+        discard rather than wait for the collector.  Shards that never
+        materialized hold nothing and stay unopened.  After ``close``
+        the indexes and every row already parsed keep answering; reading
+        an un-parsed row raises a ``ValueError`` naming the closed store.
         """
-        executor = self._executor
-        self._executor = None
-        if executor is not None:
-            executor.shutdown(wait=True)
+        for shard in self.shards:
+            shard.close()
 
     def __enter__(self) -> ShardedCorpus:
         return self
@@ -544,11 +451,9 @@ class ShardedCorpus:
     def load(
         cls,
         path: Union[str, Path],
-        probe_workers: int = 1,
         ignore_journal: bool = False,
         health: Optional[HealthPolicy] = None,
         clock: Optional[Callable[[], float]] = None,
-        parallel_mode: str = "thread",
     ) -> ShardedCorpus:
         """Load a corpus saved by :meth:`save` in O(read) — no re-indexing.
 
@@ -558,8 +463,7 @@ class ShardedCorpus:
         (which :func:`load_corpus`, the journal-aware entry point, passes
         before replaying the journal itself).  ``health`` enables
         per-shard failure domains (see :meth:`search`); ``clock`` injects
-        the tracker's clock.  ``parallel_mode`` selects the scatter
-        execution (see :data:`PARALLEL_MODES`).
+        the tracker's clock.
         """
         path = Path(path)
         manifest = read_manifest(path)
@@ -584,9 +488,8 @@ class ShardedCorpus:
         # build time; re-hashing every id would make load O(num_tables)
         # (and materialize every lazy shard).
         return cls(
-            shards=shards, stats=stats, probe_workers=probe_workers,
-            validate=False, health=health, clock=clock,
-            parallel_mode=parallel_mode,
+            shards=shards, stats=stats, validate=False, health=health,
+            clock=clock,
         )
 
 
@@ -594,7 +497,6 @@ def build_sharded_corpus(
     tables: Iterable[WebTable],
     num_shards: int,
     boosts: Optional[Dict[str, float]] = None,
-    probe_workers: int = 1,
 ) -> ShardedCorpus:
     """Hash-partition ``tables`` across ``num_shards`` indexed shards.
 
@@ -620,10 +522,7 @@ def build_sharded_corpus(
         for index, store in zip(indexes, stores)
     ]
     # validate=False: the loop above IS the shard_of() partition.
-    return ShardedCorpus(
-        shards=shards, stats=stats, probe_workers=probe_workers,
-        validate=False,
-    )
+    return ShardedCorpus(shards=shards, stats=stats, validate=False)
 
 
 def _restore_backup_if_orphaned(path: Path) -> None:
@@ -648,11 +547,10 @@ def _restore_backup_if_orphaned(path: Path) -> None:
 
 def load_corpus(
     path: Union[str, Path],
-    probe_workers: int = 1,
     mutable: bool = True,
     health: Optional[HealthPolicy] = None,
     clock: Optional[Callable[[], float]] = None,
-    parallel_mode: str = "thread",
+    parallel_mode: str = "serial",
 ) -> CorpusProtocol:
     """Open a persisted corpus directory.
 
@@ -679,16 +577,21 @@ def load_corpus(
     ``health`` enables per-shard failure domains (retry/quarantine
     lifecycle, partial scatter-gather, coverage — see
     :meth:`ShardedCorpus.search`); ``clock`` injects the health tracker's
-    clock (tests).  ``parallel_mode`` selects the scatter execution (see
-    :data:`PARALLEL_MODES`).
+    clock (tests).  ``parallel_mode`` is a checked constant: ``"serial"``
+    is the only scatter there is, and the name stays only because
+    ``benchmarks/e2e`` still passes it (DESIGN.md, "Modes removed").
     """
     from .journal import JournaledCorpus
 
+    if parallel_mode != "serial":
+        raise ValueError(
+            f"parallel_mode {parallel_mode!r} was removed: the shard "
+            'scatter is always serial ("serial" is the only accepted value)'
+        )
     path = Path(path)
     _restore_backup_if_orphaned(path)
     base = ShardedCorpus.load(
-        path, probe_workers=probe_workers, ignore_journal=mutable,
-        health=health, clock=clock, parallel_mode=parallel_mode,
+        path, ignore_journal=mutable, health=health, clock=clock
     )
     if not mutable:
         return base

@@ -94,6 +94,9 @@ class TableStore:
         """All table ids in insertion order."""
         return list(self._tables)
 
+    def close(self) -> None:
+        """Nothing to release: an in-memory store holds no file."""
+
     # -- persistence -----------------------------------------------------------
 
     def save(self, path: Union[str, Path]) -> None:
@@ -265,6 +268,8 @@ class LazyTableStore(TableStore):
         self._removed: Set[str] = set()
         self._extra_order: List[str] = []
         self._load_lock = threading.Lock()
+        #: The mapped tables file; ``None`` for a store without rows and
+        #: after :meth:`close`.
         self._mm: Optional[mmap.mmap] = None
         if self._line_ids:
             with self._path.open("rb") as fh:
@@ -293,6 +298,16 @@ class LazyTableStore(TableStore):
 
     # -- lazy row parsing ------------------------------------------------------
 
+    def _row_bytes(self, row: int) -> bytes:
+        """The raw bytes of row ``row`` (only ever asked of a store with rows)."""
+        mm = self._mm
+        if mm is None:
+            raise ValueError(
+                f"{self._path}: table store is closed; row {row + 1} "
+                f"({self._line_ids[row]!r}) was not parsed before close()"
+            )
+        return bytes(mm[self._offsets[row]: self._offsets[row + 1]])
+
     def _lineno(self, row: int) -> int:
         """1-based physical line number of ``row`` (error paths only)."""
         mm = self._mm
@@ -302,10 +317,7 @@ class LazyTableStore(TableStore):
 
     def _parse_row(self, row: int) -> WebTable:
         """Parse row ``row``'s JSON line into its :class:`WebTable`."""
-        mm = self._mm
-        if mm is None:  # pragma: no cover - empty stores hold no rows
-            raise KeyError(self._line_ids[row])
-        raw = bytes(mm[self._offsets[row]: self._offsets[row + 1]]).strip()
+        raw = self._row_bytes(row).strip()
         try:
             data = json.loads(raw)
         except json.JSONDecodeError as exc:
@@ -409,12 +421,11 @@ class LazyTableStore(TableStore):
         """
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        mm = self._mm
         chunks: List[bytes] = []
         for i, tid in enumerate(self._line_ids):
-            if tid in self._removed or mm is None:
+            if tid in self._removed:
                 continue
-            raw = bytes(mm[self._offsets[i]: self._offsets[i + 1]])
+            raw = self._row_bytes(i)
             chunks.append(raw if raw.endswith(b"\n") else raw + b"\n")
         for tid in self._extra_order:
             line = json.dumps(self._tables[tid].to_dict(), ensure_ascii=False)
@@ -424,7 +435,11 @@ class LazyTableStore(TableStore):
                 fh.write(chunk)
 
     def close(self) -> None:
-        """Release the mmap handle (idempotent; parsed rows stay served)."""
+        """Release the mmap handle (idempotent; parsed rows stay served).
+
+        Reading an un-parsed row — or saving — afterwards raises a
+        ``ValueError`` naming this store.
+        """
         mm = self._mm
         self._mm = None
         if mm is not None:

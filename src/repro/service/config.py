@@ -76,16 +76,10 @@ class EngineConfig:
     #: :class:`WWTService` loads it at construction when no corpus object
     #: is passed.
     index_path: Optional[str] = None
-    #: Scatter-gather width for sharded probes (1 = serial scatter, which
-    #: wins for small in-memory shards; raise it for large/disk shards).
-    probe_workers: int = 1
-    #: How a sharded corpus executes its scatter: ``"serial"`` (in the
-    #: calling thread, whatever ``probe_workers`` says) or ``"thread"``
-    #: (a thread pool once ``probe_workers > 1`` — the default).
-    #: Redundant with ``probe_workers=1``; kept only until nothing passes
-    #: it (see DESIGN.md, "Modes removed").  Rankings are bit-identical
-    #: either way.
-    parallel_mode: str = "thread"
+    #: A checked constant, not a knob: the shard scatter is one serial
+    #: loop and ``"serial"`` is the only accepted value.  The name stays
+    #: only while ``benchmarks/e2e`` passes it (DESIGN.md, "Modes removed").
+    parallel_mode: str = "serial"
     #: Journal depth at which :meth:`WWTService.add_tables` /
     #: :meth:`WWTService.delete_tables` trigger an automatic ``compact()``
     #: of the served corpus (``None`` = never; compact manually or via
@@ -121,12 +115,10 @@ class EngineConfig:
             raise ValueError("page_size must be >= 1")
         if self.num_shards is not None and self.num_shards < 1:
             raise ValueError("num_shards must be >= 1 (None means 1)")
-        if self.probe_workers < 1:
-            raise ValueError("probe_workers must be >= 1")
-        if self.parallel_mode not in ("serial", "thread"):
+        if self.parallel_mode != "serial":
             raise ValueError(
-                f"unknown parallel_mode {self.parallel_mode!r}; "
-                "options: ['serial', 'thread']"
+                f"parallel_mode {self.parallel_mode!r} was removed: the shard "
+                'scatter is always serial ("serial" is the only accepted value)'
             )
         if (
             self.auto_compact_threshold is not None
@@ -170,7 +162,6 @@ class EngineConfig:
             "page_size": self.page_size,
             "num_shards": self.num_shards,
             "index_path": self.index_path,
-            "probe_workers": self.probe_workers,
             "parallel_mode": self.parallel_mode,
             "auto_compact_threshold": self.auto_compact_threshold,
             "deadline_ms": self.deadline_ms,
@@ -201,7 +192,7 @@ class EngineConfig:
         top_known = {
             "inference", "cache_size", "probe_cache_size",
             "feature_cache_size", "max_workers", "page_size",
-            "num_shards", "index_path", "probe_workers", "parallel_mode",
+            "num_shards", "index_path", "parallel_mode",
             "auto_compact_threshold", "deadline_ms", "degraded_ok",
         }
         unknown = sorted(set(data) - top_known)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 import threading
-import warnings
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -143,13 +142,8 @@ class WWTService:
         #: resources — see :meth:`close`).
         self._owns_corpus = isinstance(corpus, (str, Path))
         if isinstance(corpus, (str, Path)):
-            corpus = load_corpus(
-                corpus,
-                probe_workers=self.config.probe_workers,
-                parallel_mode=self.config.parallel_mode,
-            )
+            corpus = load_corpus(corpus)
         self.corpus = corpus
-        self._warn_if_probe_workers_moot()
         self._result_cache = LRUCache(self.config.cache_size)
         self._probe_cache = LRUCache(self.config.probe_cache_size)
         #: Per-(query, table) feature memo shared by the probe's
@@ -177,35 +171,6 @@ class WWTService:
         self._degraded_answers = 0
         self._degraded_reasons: Dict[str, int] = {}
         self._partial_answers = 0
-
-    def _warn_if_probe_workers_moot(self) -> None:
-        """Warn once, at construction, when ``probe_workers`` cannot help.
-
-        The setting only fans the scatter out over several shards, and
-        only in a pooled parallel mode — for a single shard or
-        ``parallel_mode="serial"`` it silently did nothing, which cost
-        real debugging time.  Surfacing the mismatch where the config
-        meets the corpus (here) beats validating it in ``EngineConfig``,
-        which cannot know the corpus shape.
-        """
-        if self.config.probe_workers <= 1:
-            return
-        if self.corpus.num_shards == 1:
-            warnings.warn(
-                f"probe_workers={self.config.probe_workers} has no effect: "
-                "the corpus has a single shard; rebuild with "
-                "num_shards > 1 or drop the setting",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        elif self.config.parallel_mode == "serial":
-            warnings.warn(
-                f"probe_workers={self.config.probe_workers} has no effect "
-                'with parallel_mode="serial"; use "thread" to fan the '
-                "scatter out",
-                RuntimeWarning,
-                stacklevel=3,
-            )
 
     # -- the pipeline -----------------------------------------------------
 
@@ -585,9 +550,10 @@ class WWTService:
     def close(self) -> None:
         """Release resources the service created (idempotent).
 
-        A corpus loaded here from a path (rather than passed in) may own a
-        scatter thread pool; closing the service closes it.  A corpus the
-        caller constructed is left untouched — they own its lifecycle.
+        A corpus loaded here from a path (rather than passed in) holds its
+        shards' table files mapped; closing the service closes it.  A
+        corpus the caller constructed is left untouched — they own its
+        lifecycle.
         """
         if self._owns_corpus:
             self.corpus.close()

@@ -1,16 +1,8 @@
-"""Text analysis substrate: tokenization, TF-IDF, and similarity measures."""
+"""Text analysis substrate: tokenization and the TF-IDF vector space."""
 
-from .similarity import (
-    column_content_similarity,
-    column_similarity,
-    header_similarity,
-    jaccard,
-    weighted_jaccard,
-)
-from .tfidf import TermStatistics, TfIdfVector, cosine
+from .tfidf import TermStatistics, TfIdfVector
 from .tokenize import (
     STOP_WORDS,
-    ngrams,
     normalize_cell,
     tokenize,
     tokenize_keep_stopwords,
@@ -20,14 +12,7 @@ __all__ = [
     "STOP_WORDS",
     "TermStatistics",
     "TfIdfVector",
-    "column_content_similarity",
-    "column_similarity",
-    "cosine",
-    "header_similarity",
-    "jaccard",
-    "ngrams",
     "normalize_cell",
     "tokenize",
     "tokenize_keep_stopwords",
-    "weighted_jaccard",
 ]

@@ -17,7 +17,7 @@ import math
 from collections import Counter
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
-__all__ = ["TermStatistics", "TfIdfVector", "cosine"]
+__all__ = ["TermStatistics", "TfIdfVector"]
 
 
 class TermStatistics:
@@ -133,13 +133,3 @@ class TfIdfVector:
             return 0.0
         return self.dot(other) / (self._norm * other._norm)
 
-
-def cosine(
-    tokens_a: Sequence[str],
-    tokens_b: Sequence[str],
-    stats: Optional[TermStatistics] = None,
-) -> float:
-    """TF-IDF cosine similarity between two token sequences."""
-    va = TfIdfVector.from_tokens(tokens_a, stats)
-    vb = TfIdfVector.from_tokens(tokens_b, stats)
-    return va.cosine(vb)

@@ -10,13 +10,12 @@ stop-word list that mirrors what a Lucene ``StandardAnalyzer`` would remove.
 from __future__ import annotations
 
 import re
-from typing import Iterable, List, Sequence
+from typing import List
 
 __all__ = [
     "STOP_WORDS",
     "tokenize",
     "tokenize_keep_stopwords",
-    "ngrams",
     "normalize_cell",
 ]
 
@@ -92,18 +91,6 @@ def tokenize(text: str) -> List[str]:
     ]
 
 
-def ngrams(tokens: Sequence[str], n: int) -> List[tuple]:
-    """Return the list of ``n``-gram tuples over ``tokens``.
-
-    Used by the duplicate-row resolver for fuzzy cell comparison.
-    """
-    if n <= 0:
-        raise ValueError("n must be positive")
-    if len(tokens) < n:
-        return []
-    return [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
-
-
 def normalize_cell(text: str) -> str:
     """Normalize a cell value for duplicate detection.
 
@@ -112,10 +99,3 @@ def normalize_cell(text: str) -> str:
     """
     return " ".join(tokenize_keep_stopwords(text))
 
-
-def join_tokens(chunks: Iterable[str]) -> List[str]:
-    """Tokenize and concatenate several text chunks into one token list."""
-    out: List[str] = []
-    for chunk in chunks:
-        out.extend(tokenize(chunk))
-    return out

@@ -39,7 +39,7 @@ class TestParser:
 
     @pytest.mark.parametrize("argv, message", [
         (["query", "a | b", "--parallel-mode", "process"],
-         "invalid choice: 'process' (choose from 'serial', 'thread')"),
+         "unrecognized arguments: --parallel-mode process"),
         (["serve", "--execution-mode", "async"],
          "unrecognized arguments: --execution-mode async"),
         (["index", "build", "--out", "d", "--parallel-mode", "serial"],

@@ -1,7 +1,8 @@
 """Tests for ``repro.faults``: deterministic injection, the per-shard
-health lifecycle on a fake clock, partial scatter-gather with coverage,
-the close-vs-scatter race, the serve client's narrow retry, and the
-service-level degradation counters."""
+health lifecycle on a fake clock, partial scatter-gather with coverage
+(one path for clean and journaled corpora alike), close() beside live
+probes, the serve client's narrow retry, and the service-level
+degradation counters."""
 
 import http.client
 import socket
@@ -68,13 +69,17 @@ def ranking(hits):
     return [(h.doc_id, h.score) for h in hits]
 
 
-def sharded_with_health(tables, num_shards, policy, clock, probe_workers=1):
+def sharded_with_health(tables, num_shards, policy, clock):
     """A health-enabled corpus over the standard CRC32 partition."""
     built = build_sharded_corpus(tables, num_shards)
     return ShardedCorpus(
-        built.shards, built.stats, probe_workers=probe_workers,
-        validate=False, health=policy, clock=clock,
+        built.shards, built.stats, validate=False, health=policy, clock=clock,
     )
+
+
+def raise_oserror(*_args, **_kwargs):
+    """Stand-in for an index method whose backing storage went away."""
+    raise OSError("shard storage went away")
 
 
 # ---------------------------------------------------------------------------
@@ -426,26 +431,65 @@ class TestShardedFailureDomains:
         assert ranking(corpus.search(["name"], limit=50)) == ranking(baseline)
         assert corpus.coverage().complete
 
+    def test_journaled_probe_is_fault_gated_like_a_clean_one(self, tmp_path):
+        """Regression: with a pending mutation the journal scattered past
+        the ``shard.search`` fault point and the health tracker, so the
+        fault below was silently ignored and a real shard error raised
+        through a corpus that had failure domains switched on."""
+        build_sharded_corpus(make_tables(32), 4).save(tmp_path / "corpus")
+        corpus = load_corpus(
+            tmp_path / "corpus", health=HealthPolicy(), clock=FakeClock()
+        )
+        corpus.add_tables(make_tables(1, prefix="new"))
+        with injected(
+            FaultRule(POINT_SHARD_SEARCH, EveryNth(1), key="1")
+        ) as injector:
+            hits = corpus.search(["name"], limit=50)
+            assert injector.fires() == 1
+        shard1_ids = set(corpus.shards[1].store.ids())
+        assert hits and shard1_ids.isdisjoint(h.doc_id for h in hits)
+        assert "new0" in {h.doc_id for h in hits}  # the delta still merges
+        coverage = corpus.coverage()
+        assert (coverage.shards_reachable, coverage.shards_total) == (3, 4)
+
+        # A real failure (not an injected one) degrades the same way.
+        corpus.shards[2].index.search = raise_oserror
+        hits = corpus.search(["name"], limit=50)
+        assert hits
+        assert corpus.coverage().shards_reachable == 2
+        assert "OSError" in corpus.health_snapshot()[2]["last_error"]
+
+    def test_broken_shard_is_not_blamed_on_a_healthy_peer(self):
+        """Regression: the corpus-global df is summed over *all* shards
+        from inside whichever shard's score loop first asks for an
+        uncached term, so one broken shard used to mark two unreachable."""
+        corpus = sharded_with_health(
+            make_tables(32), 4, HealthPolicy(), FakeClock()
+        )
+        broken = corpus.shards[1].index
+        broken.search = broken.document_frequency = raise_oserror
+        first = corpus.search(["name", "rank"], limit=50)
+        states = [d["state"] for d in corpus.health_snapshot()]
+        assert states == [
+            DOMAIN_HEALTHY, DOMAIN_RETRYING, DOMAIN_HEALTHY, DOMAIN_HEALTHY
+        ]
+        assert corpus.coverage().shards_reachable == 3
+        # Nothing computed while a df read failed was cached: an identical
+        # probe scores with the same reachable-shards IDF.
+        assert first and ranking(corpus.search(["name", "rank"], limit=50)) == (
+            ranking(first)
+        )
+        assert len(corpus._df_cache) == 0
+
 
 # ---------------------------------------------------------------------------
-# close() vs in-flight scatter (the submit/shutdown race)
+# close() beside live probes
 
 
 class TestCloseScatterRace:
-    def test_close_during_submission_falls_back_serially(self):
-        tables = make_tables(32)
-        corpus = build_sharded_corpus(tables, 4, probe_workers=4)
-        baseline = corpus.search(["name"], limit=50)
-        # Shut the pool down behind _run_jobs's back, without nulling the
-        # reference — exactly the window a concurrent close() can win.
-        corpus._executor.shutdown(wait=True)
-        assert ranking(corpus.search(["name"], limit=50)) == ranking(baseline)
-        corpus.close()  # still idempotent afterwards
-        assert ranking(corpus.search(["name"], limit=50)) == ranking(baseline)
-
-    def test_concurrent_close_never_breaks_a_probe(self):
-        tables = make_tables(32)
-        corpus = build_sharded_corpus(tables, 4, probe_workers=4)
+    def test_concurrent_close_never_breaks_a_probe(self, tmp_path):
+        build_sharded_corpus(make_tables(32), 4).save(tmp_path / "corpus")
+        corpus = load_corpus(tmp_path / "corpus")
         baseline = corpus.search(["name"], limit=50)
         errors = []
         results = []

@@ -2,9 +2,9 @@
 
 Four guarantees the DESIGN.md "Hot-path engine" section promises:
 
-1. The compiled :meth:`InvertedIndex.search` matches the retained
-   :class:`NaiveScorer` reference hit-for-hit — doc ids, scores
-   (bit-exactly), and per-field breakdowns — on random corpora and on the
+1. The compiled :meth:`InvertedIndex.search` matches the
+   :class:`~tests.naive_scorer.NaiveScorer` oracle hit-for-hit — doc ids
+   and scores (bit-exactly) — on random corpora and on the
    full 59-query workload, for one shard, four shards and a journaled
    corpus, including after add/delete/compact.
 2. The incrementally maintained df counters always equal the brute-force
@@ -34,7 +34,6 @@ from repro.flow.bipartite import BipartiteMatcher
 from repro.index import (
     InvertedIndex,
     JournaledCorpus,
-    NaiveScorer,
     build_corpus_index,
     build_sharded_corpus,
     read_index_bin,
@@ -46,6 +45,8 @@ from repro.query.model import Query
 from repro.service import EngineConfig, WWTService
 from repro.tables.table import WebTable
 from repro.text.tokenize import normalize_cell, tokenize
+
+from .naive_scorer import NaiveScorer
 
 KS = (1, 2, 4)
 VOCAB = [f"w{i:02d}" for i in range(40)]
@@ -60,12 +61,10 @@ def random_fields(rng):
     }
 
 
-def assert_hits_match(got, want, check_field_scores=False):
+def assert_hits_match(got, want):
     """Hit-for-hit equality: ids in order, scores bit-exact."""
     assert [h.doc_id for h in got] == [h.doc_id for h in want]
     assert [h.score for h in got] == [h.score for h in want]
-    if check_field_scores:
-        assert [h.field_scores for h in got] == [h.field_scores for h in want]
 
 
 def brute_force_df(docs):
@@ -96,12 +95,6 @@ class TestCompiledMatchesNaive:
         for _ in range(15):
             terms = [rng.choice(VOCAB) for _ in range(rng.randint(1, 5))]
             for k in KS + (100,):
-                assert_hits_match(
-                    index.search(terms, limit=k, with_field_scores=True),
-                    naive.search(terms, limit=k),
-                    check_field_scores=True,
-                )
-                # The hot path (no breakdown) ranks and scores identically.
                 assert_hits_match(
                     index.search(terms, limit=k), naive.search(terms, limit=k)
                 )
@@ -134,13 +127,6 @@ class TestCompiledMatchesNaive:
         assert index.document_frequency("x", fields=["header"]) == 1
         assert index.document_frequency("y", fields=["header"]) == 0
 
-    def test_field_scores_opt_in(self):
-        index = InvertedIndex()
-        index.add_document("a", {"header": ["x"], "content": ["x"]})
-        assert index.search(["x"])[0].field_scores == {}
-        breakdown = index.search(["x"], with_field_scores=True)[0].field_scores
-        assert set(breakdown) == {"header", "content"}
-
     def test_snapshot_round_trip_preserves_compiled_search(self, tmp_path):
         from repro.index.binfmt import encode_index
 
@@ -158,9 +144,7 @@ class TestCompiledMatchesNaive:
             )
         terms = [VOCAB[0], VOCAB[5], VOCAB[9]]
         assert_hits_match(
-            reloaded.search(terms, limit=10, with_field_scores=True),
-            index.search(terms, limit=10, with_field_scores=True),
-            check_field_scores=True,
+            reloaded.search(terms, limit=10), index.search(terms, limit=10)
         )
 
 
@@ -191,29 +175,16 @@ class TestWorkloadEquivalence:
         sharded = build_sharded_corpus(tables, num_shards=4)
         self._check_workload(sharded, naive, small_env.queries)
 
-    def test_field_scores_plumbed_through_all_backends(self, small_env, tables):
-        """Every CorpusProtocol implementor honours the opt-in breakdown."""
+    def test_dirty_journal_merges_through_tombstones_and_delta(
+        self, small_env, tables
+    ):
+        """Delete + re-add one table: net content — and scores — unchanged,
+        but hits now flow through the tombstone filter and the delta."""
         naive = NaiveScorer(small_env.synthetic.corpus.shards[0].index)
-        tokens = small_env.queries[0].query.all_tokens()
-        want = naive.search(tokens, limit=5)
-        backends = [
-            small_env.synthetic.corpus,
-            build_sharded_corpus(tables, num_shards=3),
-            JournaledCorpus(build_corpus_index(tables)),
-        ]
-        # Delete + re-add one table so the journaled backend exercises its
-        # dirty delta-merge path (net corpus content — and scores — are
-        # unchanged, but hits now flow through tombstone filter + delta).
-        backends[2].delete_tables([tables[0].table_id])
-        backends[2].add_tables([tables[0]])
-        for corpus in backends:
-            assert_hits_match(
-                corpus.search(tokens, limit=5, with_field_scores=True),
-                want, check_field_scores=True,
-            )
-            assert all(
-                h.field_scores == {} for h in corpus.search(tokens, limit=5)
-            )
+        journaled = JournaledCorpus(build_sharded_corpus(tables, 3))
+        journaled.delete_tables([tables[0].table_id])
+        journaled.add_tables([tables[0]])
+        self._check_workload(journaled, naive, small_env.queries[:10])
 
     def test_journaled_after_add_delete_compact(self, small_env, tables):
         split = int(len(tables) * 0.8)

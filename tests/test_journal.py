@@ -1,9 +1,11 @@
 """Tests for ``repro.index.journal``: live mutation, crash recovery,
 ranking equivalence against full rebuilds, and the no-reindex guarantee."""
 
+import gc
 
 import pytest
 
+from repro.faults import HealthPolicy
 from repro.index import (
     InvertedIndex,
     JournaledCorpus,
@@ -388,18 +390,42 @@ class TestCrashRecovery:
         assert manifest["journal_seq"] == 4
         assert manifest["num_tables"] == 10
 
-    @pytest.mark.parametrize("mode", ["serial", "thread"])
-    def test_compaction_keeps_the_scatter_mode(self, tmp_path, mode):
-        """Regression: ``_swap_base`` rebuilt the sharded base in the
-        default mode, so a serial corpus grew a thread pool on compact."""
-        build_corpus_index(make_tables(8), num_shards=2, save=tmp_path / "c")
-        with load_corpus(
-            tmp_path / "c", probe_workers=2, parallel_mode=mode
-        ) as corpus:
+    def test_compaction_keeps_health_policy_and_reused_stores(self, tmp_path):
+        """``_swap_base`` rebuilds the base around the folded shards: the
+        failure-domain policy carries over, and the old base is *not*
+        closed — the new one reuses the lazy stores of every shard the
+        fold left alone or extended, un-parsed rows included."""
+        tables = make_tables(8)
+        build_corpus_index(tables, num_shards=2, save=tmp_path / "c")
+        policy = HealthPolicy()
+        with load_corpus(tmp_path / "c", health=policy) as corpus:
+            old = corpus.base
             corpus.add_tables(make_tables(3, prefix="new"))
             corpus.compact()
-            assert corpus.base.parallel_mode == mode
-            assert (corpus.base._executor is not None) == (mode == "thread")
+            assert corpus.base is not old
+            assert corpus.base.health_policy is policy
+            assert corpus.coverage().complete
+            assert sorted(t.table_id for t in corpus) == sorted(
+                t.table_id for t in tables + make_tables(3, prefix="new")
+            )
+
+    def test_fold_takes_the_full_collection_and_freezes_the_survivors(
+        self, tmp_path
+    ):
+        """A fold that replaces the base pays the collector's full pass
+        itself and parks the new base outside it; one with nothing to
+        fold leaves the collector alone."""
+        corpus = built_dir(tmp_path, make_tables(8), num_shards=2)
+        gc.unfreeze()
+        try:
+            assert corpus.compact() == 0
+            assert gc.get_freeze_count() == 0
+            corpus.add_tables(make_tables(3, prefix="new"))
+            corpus.delete_tables(["t1"])
+            assert corpus.compact() == 4
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
 
     def test_read_journal_round_trip(self, tmp_path):
         journal = tmp_path / JOURNAL_FILE

@@ -64,12 +64,28 @@ class TestEngineConfig:
         with pytest.raises(ValueError, match="unknown inference"):
             EngineConfig(inference="nope")
 
+    def _assert_mode_rejected(self, mode):
+        with pytest.raises(ValueError, match=f"parallel_mode '{mode}'") as err:
+            EngineConfig(parallel_mode=mode)
+        assert '"serial" is the only accepted value' in str(err.value)
+        with pytest.raises(ValueError, match=f"parallel_mode '{mode}'"):
+            EngineConfig.from_dict({"parallel_mode": mode})
+
     def test_removed_process_scatter_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown parallel_mode") as err:
-            EngineConfig(parallel_mode="process")
-        assert "['serial', 'thread']" in str(err.value)
-        with pytest.raises(ValueError, match="unknown parallel_mode"):
-            EngineConfig.from_dict({"parallel_mode": "process"})
+        self._assert_mode_rejected("process")
+
+    def test_removed_thread_scatter_mode_rejected(self):
+        """``parallel_mode`` is a checked constant: anything but "serial"
+        is refused with a message naming the value, never ignored."""
+        self._assert_mode_rejected("thread")
+        assert EngineConfig(parallel_mode="serial") == EngineConfig()
+
+    def test_removed_probe_workers_is_an_unknown_key(self):
+        with pytest.raises(ValueError, match=r"keys: \['probe_workers'\]"):
+            EngineConfig.from_dict({"probe_workers": 2})
+        with pytest.raises(TypeError, match="probe_workers"):
+            EngineConfig(probe_workers=2)
+        assert "probe_workers" not in EngineConfig().to_dict()
 
     def test_serving_knobs_validated(self):
         with pytest.raises(ValueError):
@@ -381,14 +397,11 @@ class TestShardedServing:
     """EngineConfig index knobs + WWTService corpus loading."""
 
     def test_new_knobs_round_trip(self):
-        config = EngineConfig(
-            num_shards=4, index_path="/tmp/corpus", probe_workers=2
-        )
+        config = EngineConfig(num_shards=4, index_path="/tmp/corpus")
         restored = EngineConfig.from_dict(config.to_dict())
         assert restored == config
         assert restored.num_shards == 4
         assert restored.index_path == "/tmp/corpus"
-        assert restored.probe_workers == 2
 
     def test_index_path_coerced_to_str(self, tmp_path):
         config = EngineConfig(index_path=tmp_path / "corpus")
@@ -398,8 +411,6 @@ class TestShardedServing:
     def test_knob_validation(self):
         with pytest.raises(ValueError):
             EngineConfig(num_shards=0)
-        with pytest.raises(ValueError):
-            EngineConfig(probe_workers=0)
 
     def test_no_corpus_no_path_rejected(self):
         with pytest.raises(ValueError, match="index_path"):
@@ -413,8 +424,7 @@ class TestShardedServing:
 
         by_path = WWTService(tmp_path / "corpus")
         by_config = WWTService(
-            config=EngineConfig(index_path=str(tmp_path / "corpus"),
-                                probe_workers=2)
+            config=EngineConfig(index_path=str(tmp_path / "corpus"))
         )
         in_memory = WWTService(small_env.synthetic.corpus)
 
@@ -427,27 +437,35 @@ class TestShardedServing:
                 [r.cells for r in expected.rows]
             )
 
+    @staticmethod
+    def _table_maps(corpus):
+        """The mmap handle of every materialized shard's lazy table store."""
+        return [
+            shard.store._mm for shard in corpus.shards if shard.materialized
+        ]
+
     def test_service_close_owns_loaded_corpus(self, small_env, tmp_path):
         from repro.index import build_sharded_corpus
 
         tables = list(small_env.synthetic.corpus)
         build_sharded_corpus(tables, 2).save(tmp_path / "corpus")
-        with WWTService(
-            tmp_path / "corpus", EngineConfig(probe_workers=2)
-        ) as service:
+        with WWTService(tmp_path / "corpus") as service:
             assert service._owns_corpus
-            assert service.corpus._executor is not None
             service.answer("country | currency")
-        assert service.corpus._executor is None
+            maps = self._table_maps(service.corpus)
+            assert len(maps) == 2 and None not in maps
+        assert self._table_maps(service.corpus) == [None, None]
 
-    def test_service_close_leaves_caller_corpus_alone(self, small_env):
-        from repro.index import build_sharded_corpus
+    def test_service_close_leaves_caller_corpus_alone(
+        self, small_env, tmp_path
+    ):
+        from repro.index import build_sharded_corpus, load_corpus
 
         tables = list(small_env.synthetic.corpus)
-        corpus = build_sharded_corpus(tables, 2, probe_workers=2)
-        try:
+        build_sharded_corpus(tables, 2).save(tmp_path / "corpus")
+        with load_corpus(tmp_path / "corpus") as corpus:
             service = WWTService(corpus)
+            service.answer("country | currency")
             service.close()
-            assert corpus._executor is not None  # caller owns it
-        finally:
-            corpus.close()
+            maps = self._table_maps(corpus)  # caller owns them
+            assert len(maps) == 2 and None not in maps

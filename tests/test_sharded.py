@@ -1,6 +1,7 @@
 """Tests for ``repro.index.sharded``: partitioning, scatter-gather
 equivalence, and directory persistence."""
 
+import inspect
 import json
 import math
 import random
@@ -19,7 +20,6 @@ from repro.index import (
     load_corpus,
     shard_of,
 )
-from repro.index.sharded import PARALLEL_MODES
 from repro.pipeline.probe import ProbeConfig, two_stage_probe
 from repro.query.workload import WORKLOAD
 from repro.tables.table import WebTable
@@ -94,6 +94,25 @@ class TestProtocolConformance:
         assert isinstance(sharded_by_k[2], CorpusProtocol)
         assert isinstance(JournaledCorpus(sharded_by_k[2]), CorpusProtocol)
 
+    def test_search_takes_exactly_the_protocols_parameters(self):
+        """``isinstance`` against a runtime-checkable protocol compares
+        member *names* only — which is how a flag once got threaded
+        through four ``search`` signatures unnoticed.  Compare them."""
+
+        def shape(fn):
+            return [
+                (p.name, p.kind, p.default)
+                for p in inspect.signature(fn).parameters.values()
+            ]
+
+        declared = shape(CorpusProtocol.search)
+        assert [name for name, _, _ in declared] == ["self", "terms", "limit"]
+        assert shape(ShardedCorpus.search) == declared
+        assert shape(JournaledCorpus.search) == declared
+        index_shape = shape(InvertedIndex.search)
+        assert index_shape[:-1] == declared
+        assert index_shape[-1][0] == "idf" and index_shape[-1][2] is None
+
     def test_iteration_yields_tables(self, corpus_tables, sharded_by_k):
         """Regression: ``__iter__`` was annotated ``Iterator[str]``."""
         import typing
@@ -164,23 +183,12 @@ class TestRankingEquivalence:
                 t.table_id for t in b.tables
             ]
 
-    def test_parallel_scatter_matches_serial(self, corpus_tables):
-        serial = build_sharded_corpus(corpus_tables, 4, probe_workers=1)
-        parallel = build_sharded_corpus(corpus_tables, 4, probe_workers=3)
-        for wq in WORKLOAD[::7]:
-            tokens = wq.query.all_tokens()
-            a = serial.search(tokens, limit=40)
-            b = parallel.search(tokens, limit=40)
-            assert [(h.doc_id, h.score) for h in a] == [
-                (h.doc_id, h.score) for h in b
-            ]
-
 
 class TestPersistence:
     def test_sharded_round_trip(self, corpus_tables, sharded_by_k, tmp_path):
         sharded = sharded_by_k[4]
         path = sharded.save(tmp_path / "corpus")
-        loaded = load_corpus(path, probe_workers=2)
+        loaded = load_corpus(path)
         # load_corpus wraps the snapshot in a mutable JournaledCorpus;
         # with an empty journal it is a transparent front for the base.
         assert isinstance(loaded, JournaledCorpus)
@@ -288,13 +296,6 @@ class TestPersistence:
         with pytest.raises(ValueError, match="corrupt term statistics"):
             load_corpus(tmp_path / "c")
 
-    def test_build_corpus_index_forwards_probe_workers(self):
-        corpus = build_corpus_index(
-            make_tables(8), num_shards=2, probe_workers=2
-        )
-        assert corpus.probe_workers == 2
-        assert corpus._executor is not None
-
     def test_load_rejects_non_corpus_dir(self, tmp_path):
         with pytest.raises(ValueError, match="not a persisted corpus"):
             load_corpus(tmp_path)
@@ -352,10 +353,6 @@ class TestShardedValidation:
         with pytest.raises(ValueError, match="at least one shard"):
             ShardedCorpus([], TermStatistics())
 
-    def test_bad_workers_rejected(self, corpus_tables):
-        with pytest.raises(ValueError, match="probe_workers"):
-            build_sharded_corpus(corpus_tables[:4], 2, probe_workers=0)
-
     def test_bad_shard_count_rejected(self):
         with pytest.raises(ValueError, match="num_shards"):
             build_sharded_corpus(make_tables(2), 0)
@@ -385,51 +382,63 @@ class TestShardedValidation:
                 [half_a.shards[0], half_b.shards[0]], half_a.stats
             )
 
-    def test_close_shuts_down_executor_and_falls_back_serial(
-        self, corpus_tables
-    ):
-        with build_sharded_corpus(corpus_tables, 4, probe_workers=2) as c:
-            assert c._executor is not None
-            before = c.search(["country"], limit=10)
-        assert c._executor is None
-        c.close()  # idempotent
-        after = c.search(["country"], limit=10)  # serial fallback still works
-        assert [(h.doc_id, h.score) for h in before] == [
-            (h.doc_id, h.score) for h in after
+    def test_close_releases_lazy_table_maps(self, sharded_by_k, tmp_path):
+        path = sharded_by_k[4].save(tmp_path / "corpus")
+        with load_corpus(path, mutable=False) as corpus:
+            before = corpus.search(["country"], limit=10)
+            parsed = corpus.get_table(before[0].doc_id)
+            stores = [shard.store for shard in corpus.shards]
+            assert all(store._mm is not None for store in stores)
+        assert all(store._mm is None for store in stores)
+        corpus.close()  # idempotent
+        # The indexes and every row parsed before close() keep answering...
+        after = corpus.search(["country"], limit=10)
+        assert [(h.doc_id, h.score) for h in after] == [
+            (h.doc_id, h.score) for h in before
         ]
+        assert corpus.get_table(before[0].doc_id) is parsed
+        # ...an un-parsed row names the closed store instead of a KeyError
+        # on a table id that is in fact present.
+        unparsed = next(
+            i for i in corpus.ids()
+            if i not in corpus.shards[shard_of(i, 4)].store._tables
+        )
+        with pytest.raises(ValueError, match=r"tables\.jsonl.*closed"):
+            corpus.get_table(unparsed)
+        with pytest.raises(ValueError, match="closed"):
+            corpus.save(tmp_path / "resaved")
+
+    def test_close_never_materializes_a_lazy_shard(self, sharded_by_k, tmp_path):
+        path = sharded_by_k[2].save(tmp_path / "corpus")
+        corpus = load_corpus(path)
+        corpus.close()
+        assert not any(shard.materialized for shard in corpus.shards)
+        assert corpus.search(["country"], limit=3)  # opens on demand, as ever
 
 
 class TestParallelModes:
-    """The scatter-mode contracts: a closed catalogue, threaded end to end."""
+    """There are none left: the scatter is one serial loop, and the options
+    that chose a pool are rejected, not ignored (DESIGN.md, "Modes
+    removed")."""
 
-    def test_modes_catalog(self):
-        assert PARALLEL_MODES == ("serial", "thread")
+    def test_probe_workers_left_every_entry_point(self):
+        from repro.corpus import generate_corpus
 
-    @pytest.mark.parametrize("mode", ["gpu", "process"])
-    def test_unknown_mode_rejected(self, sharded_by_k, mode):
-        built = sharded_by_k[2]
-        with pytest.raises(ValueError, match="parallel_mode") as err:
-            ShardedCorpus(
-                built.shards, built.stats, validate=False, parallel_mode=mode
-            )
-        assert str(PARALLEL_MODES) in str(err.value)
+        for entry in (
+            ShardedCorpus, ShardedCorpus.load, load_corpus,
+            build_sharded_corpus, build_corpus_index, generate_corpus,
+        ):
+            assert "probe_workers" not in inspect.signature(entry).parameters
+        with pytest.raises(TypeError, match="probe_workers"):
+            build_sharded_corpus(make_tables(2), 2, probe_workers=2)
 
-    @pytest.mark.parametrize("mode", PARALLEL_MODES)
-    def test_load_corpus_threads_the_mode(self, sharded_by_k, tmp_path, mode):
-        built = sharded_by_k[4]
-        path = built.save(tmp_path / "corpus")
-        with load_corpus(
-            path, probe_workers=2, parallel_mode=mode
-        ) as corpus:
-            assert isinstance(corpus, JournaledCorpus)
-            assert corpus.base.parallel_mode == mode
-            assert (corpus.base._executor is not None) == (mode == "thread")
-            assert f"mode={mode}" in repr(corpus.base)
-            got = corpus.search(["country", "currency"], limit=25)
-        expected = built.search(["country", "currency"], limit=25)
-        assert [(h.doc_id, h.score) for h in got] == [
-            (h.doc_id, h.score) for h in expected
-        ]
+    @pytest.mark.parametrize("mode", ["gpu", "process", "thread"])
+    def test_unknown_mode_rejected(self, sharded_by_k, tmp_path, mode):
+        path = sharded_by_k[2].save(tmp_path / "corpus")
+        with pytest.raises(ValueError, match=f"parallel_mode '{mode}'"):
+            load_corpus(path, parallel_mode=mode)
+        with load_corpus(path, parallel_mode="serial") as corpus:
+            assert not hasattr(corpus.base, "parallel_mode")
 
 
 class TestProbeDeterminism:

@@ -5,7 +5,7 @@ import math
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.text.tfidf import TermStatistics, TfIdfVector, cosine
+from repro.text.tfidf import TermStatistics, TfIdfVector
 
 tokens_strategy = st.lists(
     st.text(alphabet="abcdefg", min_size=1, max_size=4), max_size=12
@@ -76,11 +76,13 @@ class TestTfIdfVector:
 
     @given(tokens_strategy, tokens_strategy)
     def test_cosine_symmetric(self, ta, tb):
-        assert math.isclose(cosine(ta, tb), cosine(tb, ta), abs_tol=1e-12)
+        va = TfIdfVector.from_tokens(ta)
+        vb = TfIdfVector.from_tokens(tb)
+        assert math.isclose(va.cosine(vb), vb.cosine(va), abs_tol=1e-12)
 
     @given(tokens_strategy, tokens_strategy)
     def test_cosine_bounded(self, ta, tb):
-        c = cosine(ta, tb)
+        c = TfIdfVector.from_tokens(ta).cosine(TfIdfVector.from_tokens(tb))
         assert -1e-9 <= c <= 1.0 + 1e-9
 
     @given(tokens_strategy)

@@ -1,12 +1,10 @@
 """Unit tests for repro.text.tokenize."""
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.text.tokenize import (
     STOP_WORDS,
-    ngrams,
     normalize_cell,
     tokenize,
     tokenize_keep_stopwords,
@@ -61,21 +59,6 @@ class TestTokenize:
         once = tokenize_keep_stopwords(text)
         twice = tokenize_keep_stopwords(" ".join(once))
         assert once == twice
-
-
-class TestNgrams:
-    def test_bigrams(self):
-        assert ngrams(["a", "b", "c"], 2) == [("a", "b"), ("b", "c")]
-
-    def test_n_longer_than_input(self):
-        assert ngrams(["a"], 2) == []
-
-    def test_unigrams(self):
-        assert ngrams(["a", "b"], 1) == [("a",), ("b",)]
-
-    def test_invalid_n(self):
-        with pytest.raises(ValueError):
-            ngrams(["a"], 0)
 
 
 class TestNormalizeCell:
