@@ -431,7 +431,7 @@ def _cmd_index(args: argparse.Namespace, out: TextIO) -> int:
         return 0 if report.ok else 1
 
     # `index info` prints the on-disk spec's field names verbatim
-    # (DESIGN.md, "On-disk corpus format, version 2") so the output can be
+    # (DESIGN.md, "On-disk corpus format, version 3") so the output can be
     # checked against the spec mechanically.
     from .index.journal import journal_depth_on_disk
 
@@ -446,14 +446,9 @@ def _cmd_index(args: argparse.Namespace, out: TextIO) -> int:
         f.stat().st_size for f in Path(args.path).rglob("*") if f.is_file()
     )
     for entry in manifest["shards"]:
-        detail = ""
-        if "index_bytes" in entry:
-            detail = (
-                f", index {entry['index_bytes']} bytes "
-                f"(crc32 {entry['index_crc32']:#010x})"
-            )
-        print(f"  {entry['dir']}: {entry['num_tables']} tables{detail}",
-              file=out)
+        print(f"  {entry['dir']}: {entry['num_tables']} tables, index "
+              f"{entry['index_bytes']} bytes (crc32 "
+              f"{entry['index_crc32']:#010x})", file=out)
     print(f"size on disk: {total_bytes / 1024:.0f} KiB", file=out)
     return 0
 

@@ -16,8 +16,9 @@ Fault-point catalog (see DESIGN.md, "Failure domains & fault injection"):
 ========================  ====================================================
 point                     guarded edge
 ========================  ====================================================
-``shard.materialize``     :class:`~repro.index.binfmt.LazyShard` first-probe
-                          load (mmap open, decode, cross-checks)
+``shard.materialize``     first-probe load of a
+                          :meth:`~repro.index.sharded.Shard.open` shard
+                          (mmap open, decode, cross-checks)
 ``shard.search``          one shard's scatter-gather probe
                           (:class:`~repro.index.sharded.ShardedCorpus`)
 ``store.get``             :meth:`~repro.index.store.TableStore.get`
@@ -57,7 +58,7 @@ __all__ = [
     "trip",
 ]
 
-#: :class:`~repro.index.binfmt.LazyShard` materialization (mmap open).
+#: Materialization of a :meth:`~repro.index.sharded.Shard.open` shard.
 POINT_SHARD_MATERIALIZE = "shard.materialize"
 #: One shard's probe inside the scatter-gather.
 POINT_SHARD_SEARCH = "shard.search"

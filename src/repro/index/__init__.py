@@ -2,24 +2,26 @@
 
 One snapshot backend implements :class:`CorpusProtocol`:
 :class:`ShardedCorpus`, hash-partitioned scatter-gather over N >= 1
-shards (an eager :class:`Shard` or an mmap-backed :class:`LazyShard`
-each), with directory persistence via ``save``/:func:`load_corpus`.
-:class:`JournaledCorpus` wraps it with a crash-safe write-ahead journal
-for live ``add_tables``/``delete_tables`` mutation and ``compact()``
-folding — :func:`load_corpus` returns one for any persisted directory.
+:class:`Shard` records (loaded at construction, or opened from disk and
+materialized on first probe), with directory persistence via
+``save``/:func:`load_corpus`.  One :class:`TableStore` holds every
+shard's tables, parsed lazily from a persisted ``tables.jsonl`` or held
+in memory.  :class:`JournaledCorpus` wraps the snapshot with a
+crash-safe write-ahead journal for live ``add_tables``/``delete_tables``
+mutation and ``compact()`` folding — :func:`load_corpus` returns one for
+any persisted directory.
 
-Every save writes the version-3 binary columnar layout of
-:mod:`repro.index.binfmt` (mmap'd, checksummed, lazily materialized per
-shard); version-2 JSON directories are read-only legacy input that
-``compact()`` upgrades.  :func:`build_corpus_stream` builds a persisted
-corpus from a table stream in O(shard) memory.
+Every save writes, and every load reads, the version-3 binary columnar
+layout of :mod:`repro.index.binfmt` (mmap'd, checksummed);
+:func:`build_corpus_stream` builds a persisted corpus from a table
+stream in O(shard) memory.
 """
 
-from .binfmt import LazyShard, read_index_bin, write_index_bin
+from .binfmt import read_index_bin, write_index_bin
 from .builder import analyze_table, build_corpus_index, build_corpus_stream
 from .inverted import FIELD_BOOSTS, InvertedIndex, SearchHit
 from .journal import JournaledCorpus
-from .protocol import CorpusProtocol, ShardProtocol
+from .protocol import CorpusProtocol
 from .sharded import (
     Shard,
     ShardedCorpus,
@@ -34,10 +36,8 @@ __all__ = [
     "FIELD_BOOSTS",
     "InvertedIndex",
     "JournaledCorpus",
-    "LazyShard",
     "SearchHit",
     "Shard",
-    "ShardProtocol",
     "ShardedCorpus",
     "TableStore",
     "analyze_table",

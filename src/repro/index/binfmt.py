@@ -1,16 +1,13 @@
-"""``repro.index.binfmt`` — version-3 binary columnar index snapshots.
+"""``repro.index.binfmt`` — the codec of version-3 binary index snapshots.
 
-Version 2 persisted each shard's posting structure as one JSON document
-(``index.json``), which makes load time O(parse the whole corpus) — fine at
-hundreds of tables, hopeless at the 10^5–10^6 scale the paper's workload
-implies.  This module serializes the *compiled* posting layout of
+This module serializes the *compiled* posting layout of
 :class:`~repro.index.inverted.InvertedIndex` (interned doc ids, parallel
 ``array`` columns of doc numbers / raw tfs / precomputed weights, dense norm
 tables, df counters) directly, so loading is a handful of bulk
-``array.frombytes`` copies out of an ``mmap`` view instead of a JSON parse
-plus recompilation — and, crucially, it can be deferred per shard:
-:class:`LazyShard` materializes a shard's arrays on first probe, so opening
-a corpus is O(manifest).
+``array.frombytes`` copies out of an ``mmap`` view instead of a parse plus
+recompilation — cheap enough to defer per shard:
+:meth:`~repro.index.sharded.Shard.open` decodes a shard's snapshot on
+first probe, so opening a corpus is O(manifest).
 
 **On-disk layout** (normative spec: DESIGN.md, "On-disk corpus format,
 version 3").  Everything is little-endian; integers are signed 64-bit
@@ -43,34 +40,18 @@ from __future__ import annotations
 import mmap
 import struct
 import sys
-import threading
 import zlib
 from array import array
 from collections import Counter
 from pathlib import Path
-from typing import (
-    Any,
-    Dict,
-    List,
-    Mapping,
-    NoReturn,
-    Optional,
-    Set,
-    Tuple,
-    Union,
-    cast,
-)
+from typing import Dict, List, NoReturn, Optional, Set, Tuple, Union
 
-from ..faults.injection import POINT_SHARD_MATERIALIZE, trip
-from ..text.tfidf import TermStatistics
 from .inverted import InvertedIndex, _PostingList
-from .store import LazyTableStore, TableStore
 
 __all__ = [
     "BIN_MAGIC",
     "BIN_VERSION",
     "SHARD_BIN_FILE",
-    "LazyShard",
     "encode_index",
     "read_index_bin",
     "write_index_bin",
@@ -569,107 +550,3 @@ def _decode(view: memoryview, path: Path, size: int) -> InvertedIndex:
             postings[term] = plist
     index._df = df
     return index
-
-
-# -- lazy shard handles --------------------------------------------------------
-
-
-class LazyShard:
-    """One persisted v3 shard, materialized on first index/store access.
-
-    Loading a v3 corpus builds these from the manifest alone — O(manifest),
-    no snapshot bytes touched.  The cheap surface (:attr:`num_tables`,
-    :attr:`boosts`, the shared ``stats``) answers from manifest data;
-    touching :attr:`index` or :attr:`store` decodes the shard's
-    ``index.bin`` (verified against the manifest's recorded byte length and
-    CRC-32) and ``tables.jsonl`` exactly once, under a lock so concurrent
-    first probes materialize it a single time.
-    """
-
-    def __init__(
-        self,
-        shard_dir: Union[str, Path],
-        entry: Mapping[str, Any],
-        stats: TermStatistics,
-        boosts: Mapping[str, float],
-    ) -> None:
-        self._dir = Path(shard_dir)
-        self._num_tables = int(entry["num_tables"])
-        self._expected_bytes = int(entry["index_bytes"])
-        self._expected_crc32 = int(entry["index_crc32"])
-        self.stats = stats
-        self._boosts = {str(f): float(b) for f, b in boosts.items()}
-        self._lock = threading.Lock()
-        self._pair: Optional[Tuple[InvertedIndex, TableStore]] = None
-
-    @property
-    def num_tables(self) -> int:
-        """Table count, answered from the manifest (never materializes)."""
-        return self._num_tables
-
-    @property
-    def boosts(self) -> Dict[str, float]:
-        """Field boosts, answered from the manifest (never materializes)."""
-        return dict(self._boosts)
-
-    @property
-    def materialized(self) -> bool:
-        """Has this shard's snapshot been decoded yet?"""
-        with self._lock:
-            return self._pair is not None
-
-    def _load(self) -> Tuple[InvertedIndex, TableStore]:
-        with self._lock:
-            pair = self._pair
-            if pair is None:
-                trip(POINT_SHARD_MATERIALIZE, key=self._dir.name)
-                index = read_index_bin(
-                    self._dir / SHARD_BIN_FILE,
-                    expected_bytes=self._expected_bytes,
-                    expected_crc32=self._expected_crc32,
-                )
-                # Lazy store: the decoded index's doc-name order *is* the
-                # tables.jsonl line order (both follow build insertion
-                # order), so no id sidecar is needed — rows parse on
-                # first get(), erasing the eager-JSON cold-start cliff.
-                # A decoded snapshot is removal-free (the encoder rejects
-                # None doc names), hence the cast.
-                # The lazy open itself enforces index-vs-store row-count
-                # agreement: a tables.jsonl with more or fewer rows than
-                # the decoded index has documents fails construction with
-                # a "table store holds N rows" ValueError.
-                store: TableStore = LazyTableStore.open(
-                    self._dir / "tables.jsonl",
-                    cast(List[str], index._doc_names),
-                )
-                if len(store) != self._num_tables:
-                    raise ValueError(
-                        f"{self._dir}: shard holds {len(store)} tables but "
-                        f"the manifest records {self._num_tables}"
-                    )
-                if index.boosts != self._boosts:
-                    raise ValueError(
-                        f"{self._dir}: snapshot boosts {index.boosts} do "
-                        f"not match the manifest's {self._boosts}"
-                    )
-                pair = self._pair = (index, store)
-        return pair
-
-    @property
-    def index(self) -> InvertedIndex:
-        """The shard's inverted index (decoded on first access)."""
-        return self._load()[0]
-
-    @property
-    def store(self) -> TableStore:
-        """The shard's table store (loaded on first access)."""
-        return self._load()[1]
-
-    def close(self) -> None:
-        """Release the table file map if materialized (idempotent)."""
-        if self.materialized:
-            self.store.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "materialized" if self.materialized else "lazy"
-        return f"LazyShard({self._dir.name}, {self._num_tables} tables, {state})"

@@ -13,11 +13,9 @@ Ties the offline half of Figure 2 together: given :class:`WebTable` objects
 O(shard)-memory streaming builder for corpora that don't fit in RAM at
 once.
 
-Every save writes manifest ``version: 3``: the :mod:`repro.index.binfmt`
+Every save writes manifest ``version: 3`` — the :mod:`repro.index.binfmt`
 binary columnar snapshot that loads through ``mmap`` and materializes per
-shard on first probe.  Version-2 directories (JSON snapshots) are
-read-only legacy input: they still load, and ``compact()`` rewrites them
-as version 3.
+shard on first probe — and version 3 is the only one that loads.
 """
 
 from __future__ import annotations
@@ -53,25 +51,19 @@ __all__ = [
     "build_corpus_stream",
     "INDEX_FORMAT",
     "INDEX_VERSION",
-    "SUPPORTED_VERSIONS",
 ]
 
 #: Manifest ``format`` marker of the persisted corpus directory layout.
 INDEX_FORMAT = "repro-index"
-#: The manifest ``version`` every save writes.  Version 2 added the
-#: ``journal_seq`` manifest key and per-shard write-ahead journals; version
-#: 3 switched shard snapshots to the binary columnar format of
-#: :mod:`repro.index.binfmt` with per-shard byte lengths + CRC-32 checksums
-#: in the manifest (see DESIGN.md, "On-disk corpus format").
+#: The manifest ``version`` every save writes and the only one a load
+#: accepts: binary columnar shard snapshots (:mod:`repro.index.binfmt`)
+#: with per-shard byte lengths + CRC-32 checksums in the manifest (see
+#: DESIGN.md, "On-disk corpus format, version 3").
 INDEX_VERSION = 3
-#: Manifest versions this build can load (2, the JSON snapshots, is
-#: read-only legacy input).
-SUPPORTED_VERSIONS = (2, INDEX_VERSION)
 
 #: File names inside a persisted corpus directory (see DESIGN.md).
 MANIFEST_FILE = "manifest.json"
 STATS_FILE = "stats.json"
-SHARD_INDEX_FILE = "index.json"
 SHARD_TABLES_FILE = "tables.jsonl"
 #: Per-shard write-ahead journal (``repro.index.journal``), living next to
 #: the shard snapshot it mutates.
@@ -103,32 +95,10 @@ def _save_shard(
     shard_dir.mkdir(parents=True, exist_ok=True)
     extras = _write_shard_index(shard_dir, index)
     store.save(shard_dir / SHARD_TABLES_FILE)
-    # Row-offset sidecar: lets LazyShard open the table store without
-    # parsing (or even reading) tables.jsonl — see store.LazyTableStore.
+    # Row-offset sidecar: lets Shard.open open the table store without
+    # parsing (or even reading) tables.jsonl — see store.TableStore.open.
     write_offsets_sidecar(shard_dir / SHARD_TABLES_FILE)
     return extras
-
-
-def _load_shard_v2(shard_dir: Path) -> Tuple[InvertedIndex, TableStore]:
-    """Read one shard of a version-2 directory (``index.json``), eagerly.
-
-    Version-3 shards open through :class:`~repro.index.binfmt.LazyShard`
-    instead.  Corrupt snapshots (truncated writes, hand edits) surface as
-    ``ValueError`` naming the file — matching ``TableStore.load`` and
-    :func:`read_manifest` — so the CLI reports them as errors, not
-    tracebacks.
-    """
-    index_path = shard_dir / SHARD_INDEX_FILE
-    try:
-        index = InvertedIndex.from_dict(
-            json.loads(index_path.read_text(encoding="utf-8"))
-        )
-    except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
-        raise ValueError(
-            f"{index_path}: corrupt index snapshot: {exc!r}"
-        ) from exc
-    store = TableStore.load(shard_dir / SHARD_TABLES_FILE)
-    return index, store
 
 
 def journal_paths(path: Union[str, Path], manifest: Dict[str, Any]) -> List[Path]:
@@ -294,10 +264,12 @@ def read_manifest(path: Union[str, Path]) -> Dict[str, Any]:
         raise ValueError(
             f"{manifest_path}: unexpected format {manifest.get('format')!r}"
         )
-    if manifest.get("version") not in SUPPORTED_VERSIONS:
+    if manifest.get("version") != INDEX_VERSION:
         raise ValueError(
             f"{manifest_path}: unsupported version {manifest.get('version')!r} "
-            f"(this build reads versions {list(SUPPORTED_VERSIONS)})"
+            f"(this build reads only version {INDEX_VERSION}); rebuild the "
+            "corpus from its shards' tables.jsonl files with "
+            "repro.index.build_corpus_stream"
         )
     missing = [k for k in _MANIFEST_REQUIRED if k not in manifest]
     if missing:
@@ -324,14 +296,14 @@ def read_manifest(path: Union[str, Path]) -> Dict[str, Any]:
             f"but the manifest records num_shards={manifest['num_shards']!r} "
             f"with {len(shards)} shard entries"
         )
-    if manifest["version"] == INDEX_VERSION and not all(
+    if not all(
         isinstance(e.get("index_bytes"), int)
         and isinstance(e.get("index_crc32"), int)
         for e in shards
     ):
         raise ValueError(
-            f"{manifest_path}: version-{INDEX_VERSION} shard entries need "
-            "integer 'index_bytes' and 'index_crc32' keys"
+            f"{manifest_path}: shard entries need integer 'index_bytes' "
+            "and 'index_crc32' keys"
         )
     return manifest
 
@@ -424,7 +396,6 @@ def build_corpus_index(
     boosts: Optional[Dict[str, float]] = None,
     num_shards: Optional[int] = None,
     save: Optional[Union[str, Path]] = None,
-    stream: bool = False,
 ) -> ShardedCorpus:
     """Index ``tables`` into a queryable corpus.
 
@@ -435,23 +406,12 @@ def build_corpus_index(
     Returns a :class:`~repro.index.sharded.ShardedCorpus` hash-partitioned
     over ``num_shards`` shards (``None``, the default, means one);
     rankings do not depend on the shard count (see DESIGN.md).  ``save=``
-    additionally persists the built corpus to that directory.
-
-    ``stream=True`` consumes ``tables`` without ever holding the corpus in
-    memory: the build goes through :func:`build_corpus_stream` (which
-    requires ``save=``) and the returned corpus is the *persisted* one,
-    reopened read-only in O(manifest) with lazy per-shard materialization.
+    additionally persists the built corpus to that directory; to build a
+    persisted corpus without holding it in memory, use
+    :func:`build_corpus_stream`.
     """
-    from .sharded import ShardedCorpus, build_sharded_corpus
+    from .sharded import build_sharded_corpus
 
-    if stream:
-        if save is None:
-            raise ValueError(
-                "stream=True writes the corpus incrementally and needs "
-                "save= (the streamed corpus lives on disk)"
-            )
-        build_corpus_stream(tables, save, num_shards=num_shards, boosts=boosts)
-        return ShardedCorpus.load(save)
     corpus = build_sharded_corpus(
         tables, 1 if num_shards is None else num_shards, boosts=boosts
     )

@@ -40,7 +40,7 @@ from __future__ import annotations
 import heapq
 import math
 from array import array
-from collections import Counter, defaultdict
+from collections import Counter
 from typing import (
     Callable,
     Dict,
@@ -361,49 +361,3 @@ class InvertedIndex:
             return {}
         names = self._doc_names
         return {names[d]: tf for d, tf in zip(plist.doc_nums, plist.tfs)}
-
-    # -- persistence -----------------------------------------------------------
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> InvertedIndex:
-        """Compile a version-2 ``index.json`` snapshot (legacy input).
-
-        The snapshot keys postings and field lengths by document-id string
-        (``boosts`` / ``doc_ids`` / ``field_lengths`` / ``postings`` — see
-        DESIGN.md, "On-disk corpus format, version 2"); nothing writes it
-        any more.  Restores the index in O(read): no re-tokenization, no
-        re-counting.
-        """
-        index = cls(boosts={str(f): float(b) for f, b in dict(data["boosts"]).items()})
-        for doc_id in data["doc_ids"]:
-            index._intern(str(doc_id))
-        index._num_docs = len(index._doc_names)
-        nums = index._doc_nums
-        for field, lengths in dict(data["field_lengths"]).items():
-            if field not in index._lengths:
-                continue
-            field_lengths = index._lengths[field]
-            field_norms = index._norms[field]
-            for doc_id, n in dict(lengths).items():
-                num = nums[str(doc_id)]
-                n = int(n)
-                field_lengths[num] = n
-                field_norms[num] = 1.0 / math.sqrt(max(n, 1))
-        df_docs: Dict[str, Set[int]] = defaultdict(set)
-        for field, terms in dict(data["postings"]).items():
-            if field not in index._postings:
-                continue
-            postings = index._postings[field]
-            boost = index.boosts.get(field, 1.0)
-            for term, entries in dict(terms).items():
-                term = str(term)
-                plist = postings.get(term)
-                if plist is None:
-                    plist = postings[term] = _PostingList()
-                term_docs = df_docs[term]
-                for doc_id, tf in dict(entries).items():
-                    num = nums[str(doc_id)]
-                    plist.append(num, int(tf), boost)
-                    term_docs.add(num)
-        index._df = Counter({t: len(d) for t, d in df_docs.items()})
-        return index

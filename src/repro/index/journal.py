@@ -60,12 +60,7 @@ from typing import (
 from ..faults.injection import POINT_JOURNAL_APPEND, trip
 from ..tables.table import WebTable
 from ..text.tfidf import TermStatistics
-from .builder import (
-    INDEX_VERSION,
-    JOURNAL_FILE,
-    analyze_table,
-    save_corpus_dir,
-)
+from .builder import JOURNAL_FILE, analyze_table, save_corpus_dir
 from .inverted import InvertedIndex, SearchHit, lucene_idf
 from .sharded import Shard, ShardedCorpus, shard_of
 from .store import TableStore
@@ -247,15 +242,10 @@ class JournaledCorpus:
         self._base_seq = base_seq
         self._next_seq = base_seq + 1
         self._lock = threading.Lock()
-        #: Manifest version of the backing directory (set by :meth:`open`);
-        #: compaction rewrites when it trails the written version even if
-        #: the journal is empty, which is how ``compact()`` upgrades a
-        #: version-2 directory to the binary format.
-        self._disk_version: Optional[int] = None
 
         # Boosts (like the shard count _route reads) come from the base's
         # cheap surfaces, NOT from its (index, store) pairs — touching
-        # those would materialize every lazy version-3 shard at open and
+        # those would materialize every opened shard at load and
         # forfeit the O(manifest) load this wrapper sits on top of.
         self._boosts = base.boosts
         self._delta_index = InvertedIndex(self._boosts)
@@ -294,7 +284,6 @@ class JournaledCorpus:
         """
         path = Path(path)
         corpus = cls(base, path=path, base_seq=manifest["journal_seq"])
-        corpus._disk_version = manifest["version"]
         pending: List[Tuple[int, Path, dict]] = []
         for entry in manifest["shards"]:
             journal = path / entry["dir"] / JOURNAL_FILE
@@ -595,12 +584,29 @@ class JournaledCorpus:
         return self.base.get_table(table_id)
 
     def get_many(self, table_ids: Iterable[str]) -> List[WebTable]:
-        """Fetch several tables, preserving input order, skipping unknowns."""
-        out: List[WebTable] = []
-        for table_id in table_ids:
-            if table_id in self:
-                out.append(self.get_table(table_id))
-        return out
+        """Fetch several tables, preserving input order, skipping unknowns.
+
+        Base tables are read through :meth:`ShardedCorpus.get_many`, so a
+        journaled corpus skips tables on a failing or backing-off shard
+        exactly like a clean one; journaled adds come from the delta and
+        tombstoned ids are skipped.
+        """
+        if self._clean:
+            return self.base.get_many(table_ids)
+        ids = list(table_ids)
+        with self._lock:
+            delta = self._delta_store
+            fetched = {
+                table.table_id: table
+                for table in self.base.get_many(
+                    i for i in ids
+                    if i not in delta and i not in self._tombstones
+                )
+            }
+            return [
+                delta.get(i) if i in delta else fetched[i]
+                for i in ids if i in delta or i in fetched
+            ]
 
     def ids(self) -> List[str]:
         """All live table ids: base order (minus tombstones), then adds."""
@@ -702,11 +708,6 @@ class JournaledCorpus:
         snapshot, never a mix.  Stale temp/backup dirs from a previous
         crash are pruned by the same writer.
 
-        The rewrite is version 3, so compacting a version-2 directory
-        *upgrades* it — even when there is nothing to fold: a clean corpus
-        whose on-disk version trails is rewritten anyway (returning 0,
-        since no journal records were folded).
-
         A fold that replaced the base ends with a full garbage collection
         whose survivors are frozen.  The rebuilt shards are about as many
         new objects as the old generation held, so the collector's next
@@ -720,12 +721,7 @@ class JournaledCorpus:
         """
         with self._lock:
             folded = self.journal_depth
-            upgrade = (
-                self._path is not None
-                and self._disk_version is not None
-                and self._disk_version != INDEX_VERSION
-            )
-            if folded == 0 and self._clean and not upgrade:
+            if folded == 0 and self._clean:
                 return 0
             merged = (
                 self.base.stats if self._clean
@@ -748,7 +744,6 @@ class JournaledCorpus:
                 save_corpus_dir(
                     self._path, pairs, merged, journal_seq=folded_through
                 )
-                self._disk_version = INDEX_VERSION
             self._base_seq = folded_through
             return folded
 
@@ -766,10 +761,7 @@ class JournaledCorpus:
         """
         old = self.base
         self.base = ShardedCorpus(
-            shards=[
-                Shard(index=index, store=store, stats=merged)
-                for index, store in pairs
-            ],
+            shards=[Shard(index, store, merged) for index, store in pairs],
             stats=merged, validate=False,
             health=old.health_policy, clock=old._clock,
         )

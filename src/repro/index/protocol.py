@@ -9,70 +9,18 @@ pipeline is written once and runs unchanged against a
 :class:`~repro.index.sharded.ShardedCorpus` snapshot (hash-partitioned
 scatter-gather over N >= 1 shards) or the mutable
 :class:`~repro.index.journal.JournaledCorpus` wrapped around one.
-
-:class:`ShardProtocol` is the narrower *per-shard* contract
-``ShardedCorpus`` consumes: the eager :class:`~repro.index.sharded.Shard`
-and the mmap-backed :class:`~repro.index.binfmt.LazyShard` (version-3
-snapshots, materialized on first probe) both satisfy it.
 """
 
 from __future__ import annotations
 
-from typing import (
-    Dict,
-    Iterable,
-    List,
-    Protocol,
-    Sequence,
-    Set,
-    runtime_checkable,
-)
+from typing import Iterable, List, Protocol, Sequence, Set, runtime_checkable
 
 from ..faults.health import Coverage
 from ..tables.table import WebTable
 from ..text.tfidf import TermStatistics
-from .inverted import InvertedIndex, SearchHit
-from .store import TableStore
+from .inverted import SearchHit
 
-__all__ = ["CorpusProtocol", "ShardProtocol"]
-
-
-@runtime_checkable
-class ShardProtocol(Protocol):
-    """What one shard must provide to sit inside a ``ShardedCorpus``.
-
-    ``num_tables`` and ``boosts`` must be answerable from cheap metadata
-    (a lazy shard serves them straight from the manifest); ``index`` and
-    ``store`` may materialize on first access.  ``stats`` is the *shared
-    corpus-global* statistics object, same as on the corpus itself.
-    """
-
-    #: Corpus-global document-frequency table (shared across shards).
-    stats: TermStatistics
-
-    @property
-    def num_tables(self) -> int:
-        """Number of tables in this shard (cheap; no materialization)."""
-        ...
-
-    @property
-    def boosts(self) -> Dict[str, float]:
-        """Field boosts of this shard's index (cheap; no materialization)."""
-        ...
-
-    @property
-    def index(self) -> InvertedIndex:
-        """The shard's inverted index (may materialize on first access)."""
-        ...
-
-    @property
-    def store(self) -> TableStore:
-        """The shard's table store (may materialize on first access)."""
-        ...
-
-    def close(self) -> None:
-        """Release the store's file map (idempotent; never materializes)."""
-        ...
+__all__ = ["CorpusProtocol"]
 
 
 @runtime_checkable

@@ -3,8 +3,8 @@
 A persisted corpus directory carries enough redundancy to detect — and
 often to undo — at-rest corruption without any backup:
 
-- the manifest records every version-3 shard snapshot's byte length and
-  CRC-32, and the snapshot itself checksums every section internally;
+- the manifest records every shard snapshot's byte length and CRC-32,
+  and the snapshot itself checksums every section internally;
 - the table store (``tables.jsonl``) is the *source* data the snapshot
   was compiled from, so a corrupt ``index.bin`` over an intact
   ``tables.jsonl`` can be re-derived exactly (the builder's
@@ -24,10 +24,10 @@ from what the manifest recorded, the manifest is rewritten atomically
 too — the snapshot and its checksum move together or not at all.
 Defects in the source data itself (a corrupt ``tables.jsonl``, a table
 count that contradicts the manifest) are *not* repairable from within
-the directory and are reported as such, never guessed at.  Neither is a
-corrupt snapshot in a version-2 directory: nothing writes ``index.json``
-any more, so the report names the way out (rebuild from the shards'
-``tables.jsonl``) instead.
+the directory and are reported as such, never guessed at.  Neither is
+a manifest this build cannot read (a version-2 directory, say): the
+``manifest`` issue names the way out, a rebuild from the shards'
+``tables.jsonl``.
 """
 
 from __future__ import annotations
@@ -41,10 +41,8 @@ from typing import Any, Dict, List, Union
 
 from .binfmt import SHARD_BIN_FILE, read_index_bin, write_index_bin
 from .builder import (
-    INDEX_VERSION,
     MANIFEST_FILE,
     SHARD_TABLES_FILE,
-    _load_shard_v2,
     analyze_table,
     read_manifest,
 )
@@ -182,23 +180,6 @@ def verify_corpus(path: Union[str, Path]) -> ScrubReport:
             continue
         tables_ok = _verify_tables(shard_dir, entry, record_issue)
         _verify_journal(shard_dir, record_issue)
-
-        if manifest["version"] != INDEX_VERSION:
-            # Version 2 has no recorded checksums: a full load is the
-            # strongest available check.
-            try:
-                _load_shard_v2(shard_dir)
-            except ValueError as exc:  # reprolint: disable=R008 -- the corrupt v2 snapshot IS the scrub finding; record_issue reports it, unrepairable, with the recovery in the message
-                record_issue(
-                    entry["dir"],
-                    "decode",
-                    f"{exc}; version-2 snapshots are read-only input and "
-                    "cannot be repaired in place (compact cannot help "
-                    "either: the corpus no longer loads) — rebuild the "
-                    "corpus from the shards' tables.jsonl files with "
-                    "repro.index.build_corpus_stream",
-                )
-            continue
 
         bin_path = shard_dir / SHARD_BIN_FILE
         if not bin_path.is_file():

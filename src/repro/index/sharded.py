@@ -25,19 +25,18 @@ removed").
 
 Persistence is a directory (see DESIGN.md): ``manifest.json`` +
 ``stats.json`` (the shared :class:`~repro.text.tfidf.TermStatistics`) +
-one ``shard-NNNN/`` per shard holding an index snapshot (``index.bin``;
-``index.json`` in read-only version-2 directories) and the table store
-(``tables.jsonl``).  :func:`load_corpus` opens a version-3 directory in
-O(manifest): its shards load as mmap-backed
-:class:`~repro.index.binfmt.LazyShard` objects whose arrays materialize on
+one ``shard-NNNN/`` per shard holding the binary index snapshot
+(``index.bin``) and the table store (``tables.jsonl``).
+:func:`load_corpus` opens a directory in O(manifest): each shard comes
+from :meth:`Shard.open`, whose snapshot and table file materialize on
 first probe, not at open.
 """
 
 from __future__ import annotations
 
 import heapq
+import threading
 import zlib
-from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import (
@@ -48,31 +47,32 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Set,
+    Tuple,
     TypeVar,
     Union,
+    cast,
 )
 
 from ..core.features import BoundedCache, STATS_CACHE_SIZE
 from ..faults.health import Coverage, HealthPolicy, HealthTracker
-from ..faults.injection import POINT_SHARD_SEARCH, trip
+from ..faults.injection import POINT_SHARD_MATERIALIZE, POINT_SHARD_SEARCH, trip
 from ..tables.table import WebTable
 from ..text.tfidf import TermStatistics
-from .binfmt import LazyShard
+from .binfmt import SHARD_BIN_FILE, read_index_bin
 from .builder import (
-    INDEX_VERSION,
-    _load_shard_v2,
     _refuse_unfolded_journal,
     MANIFEST_FILE,
+    SHARD_TABLES_FILE,
     analyze_table,
     load_stats,
     read_manifest,
     save_corpus_dir,
 )
 from .inverted import FIELD_BOOSTS, InvertedIndex, SearchHit, lucene_idf
-from .protocol import ShardProtocol
 from .store import TableStore
 
 if TYPE_CHECKING:
@@ -98,36 +98,130 @@ def shard_of(table_id: str, num_shards: int) -> int:
     return zlib.crc32(table_id.encode()) % num_shards
 
 
-@dataclass
 class Shard:
-    """One eager (in-memory) shard: the record ``ShardProtocol`` needs.
+    """One shard: an index, its table store, and the shared statistics.
 
-    What a fresh build, a compaction and a version-2 load put inside a
-    :class:`ShardedCorpus`; persisted version-3 shards are
-    :class:`~repro.index.binfmt.LazyShard` objects instead.
+    ``Shard(index, store, stats)`` is loaded from construction — what a
+    build and a compaction produce.  :meth:`open` is a persisted shard,
+    materialized on first access to :attr:`index` or :attr:`store`; until
+    then :attr:`num_tables` and :attr:`boosts` answer from the manifest.
+    ``stats`` is the *shared corpus-global* statistics object, never this
+    shard's own.
     """
 
-    index: InvertedIndex
-    store: TableStore
-    #: The shared corpus-global statistics, never this shard's own.
+    #: Corpus-global document-frequency table (shared across shards).
     stats: TermStatistics
+    #: Number of tables in this shard (never materializes).
+    num_tables: int
+    #: Field boosts of this shard's index (never materializes).
+    boosts: Dict[str, float]
+    #: ``(index, store)`` once loaded; ``None`` until an opened shard's
+    #: first access.
+    _pair: Optional[Tuple[InvertedIndex, TableStore]]
+    #: An opened shard's directory and manifest entry.
+    _dir: Path
+    _entry: Mapping[str, Any]
+
+    def __init__(
+        self, index: InvertedIndex, store: TableStore, stats: TermStatistics
+    ) -> None:
+        self.stats = stats
+        self.num_tables = len(store)
+        self.boosts = dict(index.boosts)
+        self._pair = (index, store)
+        self._lock = threading.Lock()
+
+    @classmethod
+    def open(
+        cls,
+        shard_dir: Union[str, Path],
+        entry: Mapping[str, Any],
+        stats: TermStatistics,
+        boosts: Mapping[str, float],
+    ) -> Shard:
+        """A persisted shard, read from ``shard_dir`` on first access.
+
+        Opening touches no file.  The first :attr:`index` or :attr:`store`
+        access decodes ``index.bin`` — verified against the manifest
+        ``entry``'s recorded byte length and CRC-32 — and opens
+        ``tables.jsonl`` lazily, exactly once, under a lock so concurrent
+        first probes materialize it a single time.
+        """
+        shard = cls.__new__(cls)
+        shard.stats = stats
+        shard.num_tables = int(entry["num_tables"])
+        shard.boosts = {str(f): float(b) for f, b in boosts.items()}
+        shard._pair = None
+        shard._dir = Path(shard_dir)
+        shard._entry = entry
+        shard._lock = threading.Lock()
+        return shard
 
     @property
-    def num_tables(self) -> int:
-        """Number of tables in this shard."""
-        return len(self.store)
+    def materialized(self) -> bool:
+        """Are this shard's index and store loaded?"""
+        return self._pair is not None
+
+    def _materialize(self) -> Tuple[InvertedIndex, TableStore]:
+        with self._lock:
+            pair = self._pair
+            if pair is None:
+                pair = self._pair = self._read()
+        return pair
+
+    def _read(self) -> Tuple[InvertedIndex, TableStore]:
+        """Decode an opened shard's files, checked against the manifest."""
+        trip(POINT_SHARD_MATERIALIZE, key=self._dir.name)
+        index = read_index_bin(
+            self._dir / SHARD_BIN_FILE,
+            expected_bytes=int(self._entry["index_bytes"]),
+            expected_crc32=int(self._entry["index_crc32"]),
+        )
+        # The decoded index's doc-name order *is* the tables.jsonl line
+        # order (both follow build insertion order), and a decoded
+        # snapshot is removal-free (the encoder rejects None doc names),
+        # hence the cast.  The open itself refuses a tables.jsonl with
+        # more or fewer rows than the index has documents.
+        store = TableStore.open(
+            self._dir / SHARD_TABLES_FILE, cast(List[str], index._doc_names)
+        )
+        if len(store) != self.num_tables:
+            raise ValueError(
+                f"{self._dir}: shard holds {len(store)} tables but the "
+                f"manifest records {self.num_tables}"
+            )
+        if index.boosts != self.boosts:
+            raise ValueError(
+                f"{self._dir}: snapshot boosts {index.boosts} do not match "
+                f"the manifest's {self.boosts}"
+            )
+        return index, store
 
     @property
-    def boosts(self) -> Dict[str, float]:
-        """Field boosts of the underlying index (copy)."""
-        return dict(self.index.boosts)
+    def index(self) -> InvertedIndex:
+        """The shard's inverted index (an opened shard decodes it now)."""
+        pair = self._pair
+        return (pair if pair is not None else self._materialize())[0]
+
+    @property
+    def store(self) -> TableStore:
+        """The shard's table store (an opened shard opens it now)."""
+        pair = self._pair
+        return (pair if pair is not None else self._materialize())[1]
 
     def close(self) -> None:
-        """Release the store's file map, if it has one (idempotent)."""
-        self.store.close()
+        """Release the store's file map, if loaded (idempotent; never
+        materializes)."""
+        pair = self._pair
+        if pair is not None:
+            pair[1].close()
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        state = "loaded" if self.materialized else "unopened"
+        return f"Shard({self.num_tables} tables, {state})"
 
 
-def _stored(table_id: str, shard: ShardProtocol) -> Optional[WebTable]:
+def _stored(table_id: str, shard: Shard) -> Optional[WebTable]:
     """``table_id``'s table when ``shard`` holds it, else ``None``."""
     store = shard.store
     return store.get(table_id) if table_id in store else None
@@ -150,7 +244,7 @@ class ShardedCorpus:
 
     def __init__(
         self,
-        shards: Sequence[ShardProtocol],
+        shards: Sequence[Shard],
         stats: TermStatistics,
         validate: bool = True,
         health: Optional[HealthPolicy] = None,
@@ -158,7 +252,7 @@ class ShardedCorpus:
     ) -> None:
         if not shards:
             raise ValueError("a ShardedCorpus needs at least one shard")
-        self.shards: List[ShardProtocol] = list(shards)
+        self.shards: List[Shard] = list(shards)
         # Table access routes by shard_of(), so the shards MUST be the
         # CRC32 partition — arbitrary shard lists (e.g. two independently
         # built corpora glued together) would make get_table/get_many miss
@@ -211,8 +305,8 @@ class ShardedCorpus:
     def boosts(self) -> Dict[str, float]:
         """Field boosts shared by every shard's index (copy).
 
-        Served from shard 0's cheap metadata surface — reading it never
-        materializes a lazy shard.
+        Served from shard 0's manifest-level attribute — reading it never
+        materializes an opened shard.
         """
         return dict(self.shards[0].boosts)
 
@@ -225,7 +319,7 @@ class ShardedCorpus:
     def _attempt(
         self,
         si: int,
-        fn: Callable[[ShardProtocol], T],
+        fn: Callable[[Shard], T],
         point: Optional[str] = None,
     ) -> Optional[T]:
         """``fn(shard si)`` behind fault point ``point``, or ``None``.
@@ -253,7 +347,7 @@ class ShardedCorpus:
             tracker.record_success(si)
         return result
 
-    def scatter(self, fn: Callable[[ShardProtocol], T]) -> List[T]:
+    def scatter(self, fn: Callable[[Shard], T]) -> List[T]:
         """Apply ``fn`` to every reachable shard, serially, in shard order.
 
         Every probe — :meth:`search`, :meth:`docs_containing_all` and the
@@ -414,8 +508,8 @@ class ShardedCorpus:
     def close(self) -> None:
         """Release the shards' ``tables.jsonl`` maps (idempotent).
 
-        A lazily loaded shard keeps its table file mapped from the moment
-        it materializes; processes that cycle through corpus directories
+        An opened shard keeps its table file mapped from the moment it
+        materializes; processes that cycle through corpus directories
         (benchmark sweeps, index reloads) should close the instances they
         discard rather than wait for the collector.  Shards that never
         materialized hold nothing and stay unopened.  After ``close``
@@ -439,7 +533,7 @@ class ShardedCorpus:
         The write (:func:`~repro.index.builder.save_corpus_dir`) is
         crash-safe (temp dir + swap), which also means a re-save with a
         different shard count cannot leave stale shard directories
-        behind.  Saving necessarily materializes lazy shards.
+        behind.  Saving necessarily materializes opened shards.
         """
         return save_corpus_dir(
             path,
@@ -455,8 +549,9 @@ class ShardedCorpus:
         health: Optional[HealthPolicy] = None,
         clock: Optional[Callable[[], float]] = None,
     ) -> ShardedCorpus:
-        """Load a corpus saved by :meth:`save` in O(read) — no re-indexing.
+        """Open a corpus saved by :meth:`save` in O(manifest).
 
+        Each shard is a :meth:`Shard.open`, decoded on first probe.
         Snapshot only: loading just the snapshot of a directory that
         carries an unfolded write-ahead journal would silently drop the
         journaled mutations, so this refuses unless ``ignore_journal=True``
@@ -470,23 +565,13 @@ class ShardedCorpus:
         if not ignore_journal:
             _refuse_unfolded_journal(path, manifest)
         stats = load_stats(path)
-        shards: List[ShardProtocol] = []
-        for entry in manifest["shards"]:
-            if manifest["version"] == INDEX_VERSION:
-                # Version 3: O(manifest) open — the shard's arrays mmap in
-                # on first probe, verified against the manifest's recorded
-                # byte length and CRC-32 at that point.
-                shards.append(
-                    LazyShard(
-                        path / entry["dir"], entry, stats, manifest["boosts"]
-                    )
-                )
-            else:
-                index, store = _load_shard_v2(path / entry["dir"])
-                shards.append(Shard(index=index, store=store, stats=stats))
+        shards = [
+            Shard.open(path / entry["dir"], entry, stats, manifest["boosts"])
+            for entry in manifest["shards"]
+        ]
         # validate=False: the persisted partition came from shard_of() at
         # build time; re-hashing every id would make load O(num_tables)
-        # (and materialize every lazy shard).
+        # (and materialize every shard).
         return cls(
             shards=shards, stats=stats, validate=False, health=health,
             clock=clock,
@@ -518,8 +603,7 @@ def build_sharded_corpus(
         indexes[si].add_document(table.table_id, fields)
         stats.add_document([t for toks in fields.values() for t in toks])
     shards = [
-        Shard(index=index, store=store, stats=stats)
-        for index, store in zip(indexes, stores)
+        Shard(index, store, stats) for index, store in zip(indexes, stores)
     ]
     # validate=False: the loop above IS the shard_of() partition.
     return ShardedCorpus(shards=shards, stats=stats, validate=False)
@@ -563,7 +647,7 @@ def load_corpus(
         corpus.add_tables(new_tables)            # durable live mutation
         corpus.compact()                         # fold into snapshots
 
-    Opens the shard snapshots (O(manifest) for version 3), replays any
+    Opens the shard snapshots (O(manifest)), replays any
     surviving write-ahead journal (``repro.index.journal``), and returns a
     mutable :class:`~repro.index.journal.JournaledCorpus` wrapping the
     :class:`ShardedCorpus` snapshot.  A crash that interrupted a previous

@@ -5,17 +5,16 @@ time reads raw tables back by id (the "Table Read" slices of Figure 7).
 Storage is JSON-lines — one table per line — which keeps the store
 greppable and append-friendly.
 
-Two store flavours share one contract:
-
-- :class:`TableStore` holds parsed :class:`WebTable` objects in memory —
-  the builder's working form, and what version-2 snapshots load into.
-- :class:`LazyTableStore` fronts the *on-disk* ``tables.jsonl`` directly:
-  it knows every row's byte offset (from the ``tables.offsets`` sidecar,
-  or a newline scan of the mmap'd file) and parses a row's JSON only when
-  that table is first read.  At 10^5 tables this turns shard
-  materialization's eager parse — tens of seconds of ``json.loads`` —
-  into an O(rows) offset load, with per-row cost deferred to first
-  access (ROADMAP item 2's last cold-start cliff).
+One :class:`TableStore` serves every use.  It holds rows from an optional
+backing ``tables.jsonl`` — a persisted shard's, opened by
+:meth:`TableStore.open` — plus rows added in memory (a build, the
+journal's delta, a compaction's appends).  A backing file is never
+parsed at open: the store knows every row's byte offset (from the
+``tables.offsets`` sidecar, or a newline scan of the mmap'd file) and
+parses a row's JSON only when that table is first read.  At 10^5 tables
+this turns shard materialization's eager parse — tens of seconds of
+``json.loads`` — into an O(rows) offset load, with per-row cost deferred
+to first access.
 """
 
 from __future__ import annotations
@@ -23,17 +22,15 @@ from __future__ import annotations
 import json
 import mmap
 import struct
-import threading
 import zlib
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 from ..faults.injection import POINT_STORE_GET, trip
 from ..tables.table import WebTable
 
 __all__ = [
     "TableStore",
-    "LazyTableStore",
     "TABLES_OFFSETS_FILE",
     "scan_line_offsets",
     "write_offsets_sidecar",
@@ -49,72 +46,76 @@ _OFFSETS_MAGIC = b"RPOF\x00\x01"
 
 
 class TableStore:
-    """An id-addressable collection of :class:`WebTable` objects."""
+    """An id-addressable collection of :class:`WebTable` objects.
+
+    ``TableStore()`` / ``TableStore(tables)`` is an in-memory store;
+    :meth:`open` fronts a ``tables.jsonl`` file whose rows parse on first
+    read (and are cached, so steady-state reads cost the same as the
+    in-memory ones); :meth:`load` parses a file eagerly.  Either way
+    :meth:`add` appends rows in memory after the file's, and ``ids()`` /
+    iteration / :meth:`save` follow that order.
+    """
 
     def __init__(self, tables: Optional[Iterable[WebTable]] = None) -> None:
-        self._tables: Dict[str, WebTable] = {}
+        #: The backing file, ``None`` for a store without one.
+        self._path: Optional[Path] = None
+        #: The file's row ids in line order, and each id's row number.
+        self._line_ids: List[str] = []
+        self._line_of: Dict[str, int] = {}
+        #: Row ``i``'s bytes are ``file[_offsets[i]:_offsets[i + 1]]``.
+        self._offsets: List[int] = []
+        #: The mapped backing file; ``None`` without rows and after close().
+        self._mm: Optional[mmap.mmap] = None
+        #: File rows parsed so far.
+        self._parsed: Dict[str, WebTable] = {}
+        #: Rows added in memory, in insertion order.
+        self._added: Dict[str, WebTable] = {}
         for table in tables or ():
             self.add(table)
 
-    def add(self, table: WebTable) -> None:
-        """Add a table; ids must be unique."""
-        if not table.table_id:
-            raise ValueError("table must have a table_id")
-        if table.table_id in self._tables:
-            raise ValueError(f"duplicate table id {table.table_id!r}")
-        self._tables[table.table_id] = table
+    @classmethod
+    def open(
+        cls, path: Union[str, Path], table_ids: Sequence[str]
+    ) -> TableStore:
+        """Open a tables file lazily, preferring the offsets sidecar.
 
-    def get(self, table_id: str) -> WebTable:
-        """Fetch a table by id (KeyError if absent)."""
-        trip(POINT_STORE_GET, key=table_id)
-        return self._tables[table_id]
-
-    def remove(self, table_id: str) -> WebTable:
-        """Remove and return a table by id (KeyError if absent).
-
-        O(1); used by the journal's delta store when a journaled add is
-        itself deleted.  Insertion order of the survivors is preserved.
-        """
-        return self._tables.pop(table_id)
-
-    def get_many(self, table_ids: Iterable[str]) -> List[WebTable]:
-        """Fetch several tables, preserving input order, skipping unknowns."""
-        return [self._tables[i] for i in table_ids if i in self._tables]
-
-    def __contains__(self, table_id: str) -> bool:
-        return table_id in self._tables
-
-    def __len__(self) -> int:
-        return len(self._tables)
-
-    def __iter__(self) -> Iterator[WebTable]:
-        return iter(self._tables.values())
-
-    def ids(self) -> List[str]:
-        """All table ids in insertion order."""
-        return list(self._tables)
-
-    def close(self) -> None:
-        """Nothing to release: an in-memory store holds no file."""
-
-    # -- persistence -----------------------------------------------------------
-
-    def save(self, path: Union[str, Path]) -> None:
-        """Write the store as JSON-lines, one table per line.
-
-        Tables are written in insertion order, so ``load(save(s))``
-        round-trips both contents and ordering (``ids()`` is stable).
+        ``table_ids`` supplies the row ids in line order — for a persisted
+        shard the decoded index's document names, whose insertion order
+        *is* the ``tables.jsonl`` line order by the builder's
+        single-analysis-path invariant.  A file with more or fewer rows
+        fails here; each parsed row is verified against its expected id,
+        so a mismatched id list surfaces as a ``path:line`` ``ValueError``
+        at first read, not as a silently misrouted table.
         """
         path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", encoding="utf-8") as fh:
-            for table in self._tables.values():
-                fh.write(json.dumps(table.to_dict(), ensure_ascii=False))
-                fh.write("\n")
+        offsets = read_offsets_sidecar(
+            path.parent / TABLES_OFFSETS_FILE,
+            expected_rows=len(table_ids),
+            data_size=path.stat().st_size,
+        )
+        if offsets is None:
+            offsets = scan_line_offsets(path)
+        if len(offsets) != len(table_ids) + 1:
+            raise ValueError(
+                f"{path}: {len(table_ids)} table ids expected but the table "
+                f"store holds {len(offsets) - 1} rows (truncated or tampered "
+                "tables file?)"
+            )
+        store = cls()
+        store._path = path
+        store._line_ids = [str(t) for t in table_ids]
+        store._line_of = {tid: i for i, tid in enumerate(store._line_ids)}
+        if len(store._line_of) != len(store._line_ids):
+            raise ValueError(f"{path}: duplicate table ids in row order")
+        store._offsets = offsets
+        if table_ids:
+            with path.open("rb") as fh:
+                store._mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        return store
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> TableStore:
-        """Read a store written by :meth:`save`.
+        """Read a store written by :meth:`save`, parsing every row now.
 
         Preserves the file's line order as insertion order.  Corrupt JSON
         and duplicate table ids raise ``ValueError`` naming the offending
@@ -134,12 +135,148 @@ class TableStore:
                         f"{path}:{lineno}: invalid table JSON: {exc}"
                     ) from exc
                 table = WebTable.from_dict(data)
-                if table.table_id in store._tables:
+                if table.table_id in store:
                     raise ValueError(
                         f"{path}:{lineno}: duplicate table id {table.table_id!r}"
                     )
                 store.add(table)
         return store
+
+    # -- file rows -------------------------------------------------------------
+
+    def _row_bytes(self, row: int) -> bytes:
+        """The raw bytes of file row ``row``."""
+        mm = self._mm
+        if mm is None:
+            raise ValueError(
+                f"{self._path}: table store is closed; row {row + 1} "
+                f"({self._line_ids[row]!r}) was not parsed before close()"
+            )
+        return bytes(mm[self._offsets[row]: self._offsets[row + 1]])
+
+    def _lineno(self, row: int) -> int:
+        """1-based physical line number of ``row`` (error paths only)."""
+        mm = self._mm
+        if mm is None:
+            return row + 1
+        return bytes(mm[: self._offsets[row]]).count(b"\n") + 1
+
+    def _parse_row(self, row: int) -> WebTable:
+        """Parse file row ``row``'s JSON line into its :class:`WebTable`."""
+        raw = self._row_bytes(row).strip()
+        try:
+            data = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise ValueError(
+                f"{self._path}:{self._lineno(row)}: invalid table JSON: {exc}"
+            ) from exc
+        table = WebTable.from_dict(data)
+        if table.table_id != self._line_ids[row]:
+            raise ValueError(
+                f"{self._path}:{self._lineno(row)}: row holds table id "
+                f"{table.table_id!r} but {self._line_ids[row]!r} was expected "
+                "(tables file and index snapshot disagree)"
+            )
+        return table
+
+    def _fetch(self, table_id: str) -> WebTable:
+        """Added-or-parsed row lookup, parsing a file row on first read.
+
+        ``setdefault`` makes a race between two first reads hand both
+        callers the same parsed object.
+        """
+        table = self._added.get(table_id)
+        if table is None:
+            table = self._parsed.get(table_id)
+        if table is None:
+            row = self._line_of[table_id]  # KeyError(table_id) when absent
+            table = self._parsed.setdefault(table_id, self._parse_row(row))
+        return table
+
+    # -- the store contract ----------------------------------------------------
+
+    def add(self, table: WebTable) -> None:
+        """Add a table in memory; ids must be unique across the store."""
+        if not table.table_id:
+            raise ValueError("table must have a table_id")
+        if table.table_id in self:
+            raise ValueError(f"duplicate table id {table.table_id!r}")
+        self._added[table.table_id] = table
+
+    def get(self, table_id: str) -> WebTable:
+        """Fetch a table by id (KeyError if absent)."""
+        trip(POINT_STORE_GET, key=table_id)
+        return self._fetch(table_id)
+
+    def remove(self, table_id: str) -> WebTable:
+        """Remove and return a table added in memory (KeyError if absent).
+
+        O(1); used by the journal's delta store when a journaled add is
+        itself deleted.  A row of the backing file cannot be removed: a
+        persisted shard is append-only, and its deletions fold at
+        compaction, which rebuilds the shard's store.
+        """
+        if table_id in self._line_of:
+            raise ValueError(
+                f"{self._path}: table {table_id!r} is a row of the backing "
+                "file, which is append-only; only tables added in memory "
+                "can be removed"
+            )
+        return self._added.pop(table_id)
+
+    def get_many(self, table_ids: Iterable[str]) -> List[WebTable]:
+        """Fetch several tables, preserving input order, skipping unknowns."""
+        return [self._fetch(t) for t in table_ids if t in self]
+
+    def __contains__(self, table_id: str) -> bool:
+        return table_id in self._added or table_id in self._line_of
+
+    def __len__(self) -> int:
+        return len(self._line_ids) + len(self._added)
+
+    def __iter__(self) -> Iterator[WebTable]:
+        for table_id in self._line_ids:
+            yield self._fetch(table_id)
+        yield from self._added.values()
+
+    def ids(self) -> List[str]:
+        """All table ids: file row order first, then in-memory adds."""
+        return self._line_ids + list(self._added)
+
+    def close(self) -> None:
+        """Release the backing file's map (idempotent).
+
+        Parsed and added rows keep answering; reading an un-parsed row —
+        or saving — afterwards raises a ``ValueError`` naming this store.
+        """
+        mm = self._mm
+        self._mm = None
+        if mm is not None:
+            mm.close()
+
+    # -- persistence -----------------------------------------------------------
+
+    def save(self, path: Union[str, Path]) -> None:
+        """Write the store as JSON-lines, one table per line.
+
+        File rows are copied byte-for-byte (no parse + re-serialize round
+        trip), then the in-memory rows serialize after them, so
+        ``load(save(s))`` round-trips both contents and ordering.  All
+        bytes are gathered *before* the target opens, so saving over the
+        store's own backing file is safe.
+        """
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        chunks: List[bytes] = []
+        for row in range(len(self._line_ids)):
+            raw = self._row_bytes(row)
+            chunks.append(raw if raw.endswith(b"\n") else raw + b"\n")
+        for table in self._added.values():
+            line = json.dumps(table.to_dict(), ensure_ascii=False)
+            chunks.append(line.encode("utf-8") + b"\n")
+        with path.open("wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
 
 
 # -- row-offset machinery ------------------------------------------------------
@@ -210,7 +347,7 @@ def read_offsets_sidecar(
     sidecar_path = Path(sidecar_path)
     try:
         blob = sidecar_path.read_bytes()
-    except OSError:  # reprolint: disable=R008 -- a missing/unreadable sidecar is the documented "scan instead" signal, not a failure: the caller falls back to the authoritative newline scan and LazyTableStore verifies every id on parse
+    except OSError:  # reprolint: disable=R008 -- a missing/unreadable sidecar is the documented "scan instead" signal, not a failure: the caller falls back to the authoritative newline scan and TableStore verifies every id on parse
         return None
     header_len = len(_OFFSETS_MAGIC) + 8
     if len(blob) < header_len + 4 or not blob.startswith(_OFFSETS_MAGIC):
@@ -229,218 +366,3 @@ def read_offsets_sidecar(
     ):
         return None
     return offsets
-
-
-class LazyTableStore(TableStore):
-    """A :class:`TableStore` whose rows parse from disk on first access.
-
-    Construction records only the row ids (supplied by the caller — for a
-    version-3 shard they are the decoded index's document names, whose
-    insertion order *is* the ``tables.jsonl`` line order by the builder's
-    single-analysis-path invariant) and each row's byte offsets; no JSON
-    is parsed until a table is actually read.  Parsed rows are cached, so
-    steady-state reads cost the same as the eager store.  The mutation
-    surface (``add``/``remove``) and verbatim ``save`` keep the journal's
-    compaction paths working unchanged over a lazy base store.
-    """
-
-    def __init__(
-        self,
-        path: Union[str, Path],
-        table_ids: Sequence[str],
-        offsets: Sequence[int],
-    ) -> None:
-        super().__init__()
-        self._path = Path(path)
-        self._line_ids: List[str] = [str(t) for t in table_ids]
-        if len(offsets) != len(self._line_ids) + 1:
-            raise ValueError(
-                f"{self._path}: {len(self._line_ids)} table ids expected "
-                f"but the table store holds {max(0, len(offsets) - 1)} rows "
-                "(truncated or tampered tables file?)"
-            )
-        self._offsets: List[int] = [int(o) for o in offsets]
-        self._line_of: Dict[str, int] = {
-            tid: i for i, tid in enumerate(self._line_ids)
-        }
-        if len(self._line_of) != len(self._line_ids):
-            raise ValueError(f"{self._path}: duplicate table ids in row order")
-        self._removed: Set[str] = set()
-        self._extra_order: List[str] = []
-        self._load_lock = threading.Lock()
-        #: The mapped tables file; ``None`` for a store without rows and
-        #: after :meth:`close`.
-        self._mm: Optional[mmap.mmap] = None
-        if self._line_ids:
-            with self._path.open("rb") as fh:
-                self._mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-
-    @classmethod
-    def open(
-        cls, path: Union[str, Path], table_ids: Sequence[str]
-    ) -> LazyTableStore:
-        """Open a tables file lazily, preferring the offsets sidecar.
-
-        ``table_ids`` supplies the row ids in line order (each parsed row
-        is verified against its expected id, so a mismatched id list
-        surfaces as a ``path:line`` ``ValueError`` at first read, not as
-        a silently misrouted table).
-        """
-        path = Path(path)
-        offsets = read_offsets_sidecar(
-            path.parent / TABLES_OFFSETS_FILE,
-            expected_rows=len(table_ids),
-            data_size=path.stat().st_size,
-        )
-        if offsets is None:
-            offsets = scan_line_offsets(path)
-        return cls(path, table_ids, offsets)
-
-    # -- lazy row parsing ------------------------------------------------------
-
-    def _row_bytes(self, row: int) -> bytes:
-        """The raw bytes of row ``row`` (only ever asked of a store with rows)."""
-        mm = self._mm
-        if mm is None:
-            raise ValueError(
-                f"{self._path}: table store is closed; row {row + 1} "
-                f"({self._line_ids[row]!r}) was not parsed before close()"
-            )
-        return bytes(mm[self._offsets[row]: self._offsets[row + 1]])
-
-    def _lineno(self, row: int) -> int:
-        """1-based physical line number of ``row`` (error paths only)."""
-        mm = self._mm
-        if mm is None:
-            return row + 1
-        return bytes(mm[: self._offsets[row]]).count(b"\n") + 1
-
-    def _parse_row(self, row: int) -> WebTable:
-        """Parse row ``row``'s JSON line into its :class:`WebTable`."""
-        raw = self._row_bytes(row).strip()
-        try:
-            data = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ValueError(
-                f"{self._path}:{self._lineno(row)}: invalid table JSON: {exc}"
-            ) from exc
-        table = WebTable.from_dict(data)
-        if table.table_id != self._line_ids[row]:
-            raise ValueError(
-                f"{self._path}:{self._lineno(row)}: row holds table id "
-                f"{table.table_id!r} but {self._line_ids[row]!r} was expected "
-                "(tables file and index snapshot disagree)"
-            )
-        return table
-
-    def _fetch(self, table_id: str) -> WebTable:
-        """Cached-or-parsed row lookup (KeyError when absent/removed)."""
-        cached = self._tables.get(table_id)
-        if cached is not None:
-            return cached
-        row = self._line_of.get(table_id)
-        if row is None or table_id in self._removed:
-            raise KeyError(table_id)
-        with self._load_lock:
-            cached = self._tables.get(table_id)
-            if cached is None:
-                cached = self._parse_row(row)
-                self._tables[table_id] = cached
-        return cached
-
-    # -- TableStore contract ---------------------------------------------------
-
-    def add(self, table: WebTable) -> None:
-        """Add a table (journal compaction's in-place append path)."""
-        if not table.table_id:
-            raise ValueError("table must have a table_id")
-        if (
-            table.table_id in self._line_of
-            and table.table_id not in self._removed
-        ):
-            raise ValueError(f"duplicate table id {table.table_id!r}")
-        if table.table_id in self._extra_order:
-            raise ValueError(f"duplicate table id {table.table_id!r}")
-        with self._load_lock:
-            self._tables[table.table_id] = table
-            self._extra_order.append(table.table_id)
-
-    def get(self, table_id: str) -> WebTable:
-        """Fetch a table by id, parsing its row on first access."""
-        trip(POINT_STORE_GET, key=table_id)
-        return self._fetch(table_id)
-
-    def remove(self, table_id: str) -> WebTable:
-        """Remove and return a table by id (KeyError if absent)."""
-        with self._load_lock:
-            if table_id in self._extra_order:
-                self._extra_order.remove(table_id)
-                return self._tables.pop(table_id)
-        if table_id in self._removed or table_id not in self._line_of:
-            raise KeyError(table_id)
-        table = self._fetch(table_id)
-        with self._load_lock:
-            self._removed.add(table_id)
-            self._tables.pop(table_id, None)
-        return table
-
-    def get_many(self, table_ids: Iterable[str]) -> List[WebTable]:
-        """Fetch several tables, preserving input order, skipping unknowns."""
-        return [self._fetch(t) for t in table_ids if t in self]
-
-    def __contains__(self, table_id: str) -> bool:
-        if table_id in self._tables:
-            return True
-        return table_id in self._line_of and table_id not in self._removed
-
-    def __len__(self) -> int:
-        return (
-            len(self._line_ids) - len(self._removed) + len(self._extra_order)
-        )
-
-    def __iter__(self) -> Iterator[WebTable]:
-        for tid in self.ids():
-            yield self._fetch(tid)
-
-    def ids(self) -> List[str]:
-        """All table ids: file row order first, then journal appends."""
-        kept = [t for t in self._line_ids if t not in self._removed]
-        return kept + list(self._extra_order)
-
-    # -- persistence -----------------------------------------------------------
-
-    def save(self, path: Union[str, Path]) -> None:
-        """Write the store as JSON-lines, copying unparsed rows verbatim.
-
-        Surviving on-disk rows are copied byte-for-byte (no parse +
-        re-serialize round trip — a saved lazy store is bit-identical to
-        its source rows), then journal-appended tables serialize after
-        them, matching the eager store's insertion-order contract.  All
-        source bytes are gathered *before* the target opens, so saving
-        over the store's own backing file is safe.
-        """
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        chunks: List[bytes] = []
-        for i, tid in enumerate(self._line_ids):
-            if tid in self._removed:
-                continue
-            raw = self._row_bytes(i)
-            chunks.append(raw if raw.endswith(b"\n") else raw + b"\n")
-        for tid in self._extra_order:
-            line = json.dumps(self._tables[tid].to_dict(), ensure_ascii=False)
-            chunks.append(line.encode("utf-8") + b"\n")
-        with path.open("wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-
-    def close(self) -> None:
-        """Release the mmap handle (idempotent; parsed rows stay served).
-
-        Reading an un-parsed row — or saving — afterwards raises a
-        ``ValueError`` naming this store.
-        """
-        mm = self._mm
-        self._mm = None
-        if mm is not None:
-            mm.close()

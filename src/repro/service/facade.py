@@ -179,9 +179,11 @@ class WWTService:
         query: Query,
         inference: str,
         deadline_ms: Optional[float] = None,
+        use_cache: bool = True,
     ) -> WWTAnswer:
         """Run one query through the staged execution engine, uncached
-        except for the probe-stage cache.
+        except for the probe-stage cache (bypassed too when ``use_cache``
+        is false).
 
         The plan (``parse -> probe.* -> column_map -> consolidate ->
         rank``) runs under an :class:`~repro.exec.ExecutionContext`
@@ -216,7 +218,9 @@ class WWTService:
         # not a misleading zero; the plan then runs without probe stages,
         # grafting the cached spans in the probe's place.
         probe_key = normalized_query_key(query)
-        hit, entry = self._probe_cache.get(probe_key)
+        hit, entry = (
+            self._probe_cache.get(probe_key) if use_cache else (False, None)
+        )
         try:
             if hit:
                 state.probe, probe_spans = entry
@@ -227,7 +231,7 @@ class WWTService:
                 _FULL_PLAN.run(ctx, state)
         finally:
             self._record_execution(ctx, state)
-        if not hit:
+        if use_cache and not hit:
             # A truncated probe (skipped stages) is partial — caching it
             # would serve short candidate sets to unbounded queries.  A
             # probe computed over a partial corpus (shards unreachable)
@@ -312,7 +316,9 @@ class WWTService:
         adopts a degraded answer computed under someone else's SLO.
         """
         if not use_cache:
-            return False, self._compute(query, name, deadline_ms)
+            return False, self._compute(
+                query, name, deadline_ms, use_cache=False
+            )
         key = (normalized_query_key(query), name)
         hit, cached = self._result_cache.get(key)
         if hit:
@@ -477,8 +483,7 @@ class WWTService:
 
         Returns the number of journal records folded.  Cached answers stay
         valid (compaction preserves rankings exactly), so the caches are
-        left alone.  Snapshots are rewritten as version 3, which also
-        upgrades a version-2 directory.
+        left alone.
         """
         return self._mutable_corpus().compact()
 

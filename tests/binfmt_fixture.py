@@ -1,14 +1,11 @@
 """The canonical frozen-fixture corpus for on-disk format tests.
 
-``tests/fixtures/binfmt_v3`` and ``tests/fixtures/corpus_v2`` are this
-corpus persisted in the version-3 binary and version-2 JSON layouts.  The
-committed v3 bytes are golden: ``tests/test_binfmt.py`` rebuilds the
-corpus from :func:`fixture_tables` and byte-compares the re-encoded
-snapshots against the committed files, so any accidental drift in the
-layout (or in the encoder's determinism) fails the suite rather than
-silently orphaning old corpora.  ``corpus_v2`` is frozen legacy input:
-nothing writes version 2 any more, so it cannot be regenerated — it pins
-that directories written by earlier builds still load.
+``tests/fixtures/binfmt_v3`` is this corpus persisted in the version-3
+binary layout.  The committed bytes are golden: ``tests/test_binfmt.py``
+rebuilds the corpus from :func:`fixture_tables` and byte-compares the
+re-encoded snapshots against the committed files, so any accidental
+drift in the layout (or in the encoder's determinism) fails the suite
+rather than silently orphaning old corpora.
 
 Regenerate the v3 fixture (ONLY after an intentional, documented format
 change)::
@@ -24,7 +21,6 @@ from repro.tables.table import ContextSnippet, WebTable
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 V3_DIR = FIXTURES / "binfmt_v3"
-V2_DIR = FIXTURES / "corpus_v2"
 
 #: (table_id, page_title, context topic, header, rows) — ids chosen so the
 #: two-shard CRC32 partition puts tables in both shards.
@@ -58,7 +54,7 @@ _SPECS = [
 
 
 def fixture_tables() -> List[WebTable]:
-    """The five deterministic tables behind both committed fixtures."""
+    """The five deterministic tables behind the committed fixture."""
     return [
         WebTable.from_rows(
             rows,

@@ -25,14 +25,15 @@ from repro.cli import main as cli_main
 from repro.corpus.generator import iter_synthetic_tables
 from repro.index import (
     InvertedIndex,
-    LazyShard,
+    Shard,
     build_corpus_index,
+    build_corpus_stream,
     load_corpus,
 )
 from repro.index.binfmt import encode_index, read_index_bin, write_index_bin
 from repro.index.builder import read_manifest
 
-from .binfmt_fixture import V2_DIR, V3_DIR, fixture_tables
+from .binfmt_fixture import V3_DIR, fixture_tables
 
 # The layout constants are *redeclared* here rather than imported: this
 # file is the independent witness of the spec in DESIGN.md, so a change to
@@ -530,6 +531,8 @@ class TestRoundTrip:
 
 
 class TestLazyShard:
+    """``Shard.open``: a persisted shard decodes on first access only."""
+
     def make_corpus(self, tmp_path, num_shards=2):
         tables = list(iter_synthetic_tables(60, seed=11))
         build_corpus_index(tables, num_shards=num_shards,
@@ -539,7 +542,7 @@ class TestLazyShard:
     def test_open_is_lazy_until_first_probe(self, tmp_path):
         tables, path = self.make_corpus(tmp_path)
         corpus = load_corpus(path, mutable=False)
-        assert all(isinstance(s, LazyShard) for s in corpus.shards)
+        assert all(isinstance(s, Shard) for s in corpus.shards)
         assert not any(s.materialized for s in corpus.shards)
         # The cheap surfaces answer from the manifest alone.
         assert corpus.num_tables == len(tables)
@@ -641,65 +644,52 @@ class TestGoldenFixture:
 
 
 class TestCrossVersion:
-    def test_v2_fixture_reports_version_2_in_info(self):
-        out = io.StringIO()
-        assert cli_main(["index", "info", str(V2_DIR)], out=out) == 0
-        lines = out.getvalue().splitlines()
-        assert "version: 2" in lines
-        assert "format: repro-index" in lines
-
-    def test_v2_fixture_loads_and_ranks_identically(self):
-        fresh = build_corpus_index(fixture_tables(), num_shards=2)
-        corpus = load_corpus(V2_DIR, mutable=False)
-        assert rankings(corpus) == rankings(fresh)
-
-    def test_v2_upgrades_to_v3_on_compact(self, tmp_path):
-        workdir = tmp_path / "v2copy"
-        shutil.copytree(V2_DIR, workdir)
-        fresh = build_corpus_index(fixture_tables(), num_shards=2)
-        with load_corpus(workdir) as corpus:
-            before = rankings(corpus)
-            assert corpus.compact() == 0  # nothing to fold, still rewrites
-        manifest = read_manifest(workdir)
-        assert manifest["version"] == 3
-        for entry in manifest["shards"]:
-            shard_dir = workdir / entry["dir"]
-            assert (shard_dir / "index.bin").is_file()
-            assert not (shard_dir / "index.json").exists()
-        reloaded = load_corpus(workdir, mutable=False)
-        assert rankings(reloaded) == before == rankings(fresh)
-
-    def test_v2_cannot_stay_v2(self, tmp_path):
-        workdir = tmp_path / "v2copy"
-        shutil.copytree(V2_DIR, workdir)
-        with load_corpus(workdir) as corpus:
-            with pytest.raises(TypeError, match="index_format"):
-                corpus.compact(index_format="json")
-            with pytest.raises(TypeError, match="index_format"):
-                corpus.save(tmp_path / "export", index_format="json")
-        assert read_manifest(workdir)["version"] == 2  # untouched
-        assert not (tmp_path / "export").exists()
-
     @staticmethod
-    def legacy_dir(which, tmp_path):
-        """A copy of the v2 fixture, or a v3 build whose manifest says
-        ``kind: "monolithic"`` as the pre-one-backend writer did."""
-        workdir = tmp_path / which
-        if which == "v2":
-            shutil.copytree(V2_DIR, workdir)
-            return workdir
+    def v2_dir(tmp_path):
+        """A copy of the v3 fixture whose manifest says version 2."""
+        workdir = tmp_path / "v2"
+        shutil.copytree(V3_DIR, workdir)
+        manifest_path = workdir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["version"] = 2
+        manifest_path.write_text(json.dumps(manifest, indent=2))
+        return workdir
+
+    def test_v2_manifest_is_refused_with_the_rebuild_route(self, tmp_path):
+        from repro.service import WWTService
+
+        workdir = self.v2_dir(tmp_path)
+        message = r"unsupported version 2 .*tables\.jsonl.*build_corpus_stream"
+        for open_corpus in (
+            load_corpus,
+            lambda p: load_corpus(p, mutable=False),
+            WWTService,
+        ):
+            with pytest.raises(ValueError, match=message):
+                open_corpus(workdir)
+
+    def test_v2_manifest_fails_info_and_verify_cleanly(self, tmp_path, capsys):
+        workdir = self.v2_dir(tmp_path)
+        assert cli_main(["index", "info", str(workdir)], out=io.StringIO()) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "version 2" in line
+        out = io.StringIO()
+        assert cli_main(
+            ["index", "verify", str(workdir), "--json"], out=out
+        ) == 1
+        [issue] = json.loads(out.getvalue())["issues"]
+        assert (issue["shard"], issue["kind"]) == ("", "manifest")
+        assert "build_corpus_stream" in issue["message"]
+
+    def test_legacy_directory_serves_mutates_and_compacts(self, tmp_path):
+        """A v3 build whose manifest says ``kind: "monolithic"``, as the
+        pre-one-backend writer did, serves, mutates and compacts."""
+        workdir = tmp_path / "monolithic"
         build_corpus_index(fixture_tables(), num_shards=1, save=workdir)
         manifest = read_manifest(workdir)
         assert manifest["kind"] == "sharded"
         manifest["kind"] = "monolithic"
         (workdir / "manifest.json").write_text(json.dumps(manifest, indent=2))
-        return workdir
-
-    @pytest.mark.parametrize("which", ["v2", "monolithic-v3"])
-    def test_legacy_directory_serves_mutates_and_compacts(
-        self, tmp_path, which
-    ):
-        workdir = self.legacy_dir(which, tmp_path)
         extra = list(iter_synthetic_tables(3, seed=9, id_prefix="live-"))
         with load_corpus(workdir) as corpus:
             assert type(corpus.base).__name__ == "ShardedCorpus"
@@ -715,7 +705,6 @@ class TestCrossVersion:
         manifest = read_manifest(workdir)
         assert (manifest["version"], manifest["kind"]) == (3, "sharded")
         assert manifest["num_tables"] == 8
-        assert not list(workdir.rglob("index.json"))
         assert rankings(load_corpus(workdir, mutable=False)) == live
 
     def test_monolithic_kind_with_several_shards_rejected(self, tmp_path):
@@ -775,10 +764,10 @@ class TestFuzzRoundTrip:
     def test_streamed_build_matches_memory_build(self, tmp_path):
         mem = build_corpus_index(list(iter_synthetic_tables(120, seed=5)),
                                  num_shards=3)
-        streamed = build_corpus_index(
-            iter_synthetic_tables(120, seed=5), num_shards=3,
-            save=tmp_path / "c", stream=True,
+        build_corpus_stream(
+            iter_synthetic_tables(120, seed=5), tmp_path / "c", num_shards=3
         )
+        streamed = load_corpus(tmp_path / "c", mutable=False)
         assert rankings(streamed, FUZZ_QUERIES) == rankings(
             mem, FUZZ_QUERIES
         )

@@ -8,11 +8,11 @@ inert: with no injector active (or an armed injector whose rules never
 fire), a health-enabled corpus answers bit-identically to the plain
 sharded baseline.
 
-Determinism notes: every corpus here is serial (``probe_workers=1``) and
-every health tracker runs on a fake clock advanced only between queries,
-so trigger sequences and backoff windows are exact — the same chaos
-config replayed twice produces byte-for-byte the same outcomes, which
-the replay test asserts.
+Determinism notes: every shard scatter is one serial loop and every
+health tracker runs on a fake clock advanced only between queries, so
+trigger sequences and backoff windows are exact — the same chaos config
+replayed twice produces byte-for-byte the same outcomes, which the
+replay test asserts.
 """
 
 import pytest
@@ -29,7 +29,7 @@ from repro.faults.injection import (
     POINT_SHARD_SEARCH,
     POINT_STORE_GET,
 )
-from repro.index import ShardedCorpus, build_sharded_corpus
+from repro.index import JournaledCorpus, ShardedCorpus, build_sharded_corpus
 from repro.service import WWTService
 
 NUM_SHARDS = 3
@@ -89,8 +89,12 @@ def baseline(small_env, tables):
 
 
 def run_workload(tables, queries, policy=None, clock=None,
-                 advance_between=0.0):
-    """One full workload pass; returns ``(query_id, WWTAnswer)`` pairs."""
+                 advance_between=0.0, journaled=False):
+    """One full workload pass; returns ``(query_id, WWTAnswer)`` pairs.
+
+    ``journaled`` serves the corpus through a (clean) ``JournaledCorpus``,
+    the wrapper ``load_corpus`` returns for every persisted directory.
+    """
     built = build_sharded_corpus(tables, NUM_SHARDS)
     corpus = (
         built
@@ -100,7 +104,7 @@ def run_workload(tables, queries, policy=None, clock=None,
             validate=False, health=policy, clock=clock,
         )
     )
-    service = WWTService(corpus)
+    service = WWTService(JournaledCorpus(corpus) if journaled else corpus)
     outcomes = []
     for wq in queries:
         outcomes.append(
@@ -194,6 +198,26 @@ class TestChaosMatrix:
             assert injector.fires() > 0  # the run actually saw chaos
         degraded = check_invariant(outcomes, baseline, len(tables))
         assert degraded > 0
+
+    def test_clean_journaled_corpus_degrades_exactly_like_its_base(
+        self, small_env, tables, baseline
+    ):
+        """Regression: the journal read base tables past the health
+        tracker, so a table-read fault crashed the query instead."""
+        rules = [
+            FaultRule(POINT_SHARD_SEARCH, WithProbability(0.05, seed=303)),
+            FaultRule(POINT_STORE_GET, WithProbability(0.05, seed=404)),
+        ]
+        runs = []
+        for journaled in (False, True):
+            with injected(*rules):
+                runs.append(run_workload(
+                    tables, small_env.queries, policy=STICKY,
+                    clock=FakeClock(), journaled=journaled,
+                ))
+        plain, journaled = runs
+        assert check_invariant(journaled, baseline, len(tables)) > 0
+        assert outcome_digest(journaled) == outcome_digest(plain)
 
     def test_every_nth_faults_replay_byte_identically(
         self, small_env, tables, baseline

@@ -250,36 +250,6 @@ class TestIndexCommands:
         assert main(["index", "verify", str(corpus_dir)],
                     out=io.StringIO()) == 0
 
-    def test_repair_reports_corrupt_v2_snapshot_as_unrepairable(
-        self, tmp_path
-    ):
-        """Nothing writes ``index.json`` any more, so a damaged version-2
-        directory is reported with the way out, never rewritten."""
-        import json as _json
-        import shutil
-
-        from .binfmt_fixture import V2_DIR
-
-        corpus_dir = tmp_path / "v2copy"
-        shutil.copytree(V2_DIR, corpus_dir)
-        assert main(["index", "verify", str(corpus_dir)],
-                    out=io.StringIO()) == 0
-        (corpus_dir / "shard-0001" / "index.json").write_text("{}")
-        before = self.tree_bytes(corpus_dir)
-        out = io.StringIO()
-        code = main(["index", "repair", str(corpus_dir), "--json"], out=out)
-        assert code == 1
-        report = _json.loads(out.getvalue())
-        assert report["repaired"] == [] and not report["ok"]
-        [issue] = report["issues"]
-        assert issue["shard"] == "shard-0001" and issue["kind"] == "decode"
-        assert issue["repairable"] is False
-        assert "index.json" in issue["message"]
-        assert "tables.jsonl" in issue["message"]
-        assert "build_corpus_stream" in issue["message"]
-        assert "compact cannot help" in issue["message"]
-        assert self.tree_bytes(corpus_dir) == before
-
     def test_incremental_add_compact_flow(self, tmp_path):
         """The README quickstart: index build -> add -> compact."""
         corpus_dir = str(tmp_path / "corpus")

@@ -36,7 +36,12 @@ from repro.faults.injection import (
     POINT_STORE_GET,
     rules_from_spec,
 )
-from repro.index import ShardedCorpus, build_sharded_corpus, load_corpus
+from repro.index import (
+    ShardedCorpus,
+    build_sharded_corpus,
+    load_corpus,
+    shard_of,
+)
 from repro.serve import ServeClient
 from repro.service import QueryRequest, WWTService
 from repro.tables.table import WebTable
@@ -458,6 +463,44 @@ class TestShardedFailureDomains:
         assert hits
         assert corpus.coverage().shards_reachable == 2
         assert "OSError" in corpus.health_snapshot()[2]["last_error"]
+
+    def test_journaled_table_reads_degrade_like_a_clean_corpus(
+        self, tmp_path
+    ):
+        """Regression: ``JournaledCorpus.get_many`` read base tables through
+        ``get_table``, past the health tracker, so the table-read fault
+        below raised ``InjectedFault`` where the bare snapshot degraded."""
+        tables = make_tables(12)
+        build_sharded_corpus(tables, 3).save(tmp_path / "corpus")
+        ids = [t.table_id for t in tables]
+        for mutable in (False, True):
+            corpus = load_corpus(
+                tmp_path / "corpus", mutable=mutable,
+                health=HealthPolicy(), clock=FakeClock(),
+            )
+            with injected(FaultRule(POINT_STORE_GET, EveryNth(1))):
+                assert corpus.get_many(ids) == []
+            coverage = corpus.coverage()
+            assert (coverage.shards_reachable, coverage.shards_total) == (0, 3)
+
+        # With pending mutations: order, tombstones and delta rows hold,
+        # and a failing shard drops only its own base tables.
+        corpus = load_corpus(
+            tmp_path / "corpus", health=HealthPolicy(), clock=FakeClock()
+        )
+        corpus.add_tables(make_tables(2, prefix="new"))
+        corpus.delete_tables(["t3"])
+        wanted = ["new1", "t1", "t0", "t3", "new0", "t2", "zz", "t0"]
+        live = ["new1", "t1", "t0", "new0", "t2", "t0"]
+        assert [t.table_id for t in corpus.get_many(wanted)] == live
+        with injected(FaultRule(POINT_STORE_GET, EveryNth(1), key="t1")):
+            got = [t.table_id for t in corpus.get_many(wanted)]
+        dead = shard_of("t1", 3)
+        assert got == [
+            i for i in live
+            if i.startswith("new") or shard_of(i, 3) != dead
+        ]
+        assert corpus.coverage().shards_reachable == 2
 
     def test_broken_shard_is_not_blamed_on_a_healthy_peer(self):
         """Regression: the corpus-global df is summed over *all* shards

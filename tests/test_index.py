@@ -6,7 +6,6 @@ import pytest
 
 from repro.index import InvertedIndex, TableStore, build_corpus_index
 from repro.index.store import (
-    LazyTableStore,
     TABLES_OFFSETS_FILE,
     read_offsets_sidecar,
     scan_line_offsets,
@@ -89,11 +88,27 @@ class TestInvertedIndex:
         assert [h.doc_id for h in hits] == ["a", "b"]
 
 
+@pytest.fixture(params=["memory", "file"])
+def make_store(request, tmp_path):
+    """Builds a store holding ``tables``: in memory, or opened from a file."""
+
+    def make(tables):
+        if request.param == "memory":
+            return TableStore(tables)
+        path = write_tables_file(tmp_path, tables, name="source.jsonl")
+        return TableStore.open(path, [t.table_id for t in tables])
+
+    return make
+
+
 class TestTableStore:
-    def test_add_get_roundtrip(self, tmp_path):
+    """The store contract, over an in-memory store and one opened from a
+    file (rows parsed on first read)."""
+
+    def test_add_get_roundtrip(self, tmp_path, make_store):
         t1 = WebTable.from_rows([["a", "1"]], header=["n", "v"], table_id="x1")
         t2 = WebTable.from_rows([["b", "2"]], header=["n", "v"], table_id="x2")
-        store = TableStore([t1, t2])
+        store = make_store([t1, t2])
         assert len(store) == 2
         assert store.get("x1").column_values(0) == ["a"]
 
@@ -103,23 +118,37 @@ class TestTableStore:
         assert len(loaded) == 2
         assert loaded.get("x2").column_values(1) == ["2"]
 
-    def test_duplicate_id_rejected(self):
+    def test_duplicate_id_rejected(self, make_store):
         t = WebTable.from_rows([["a"]], table_id="dup")
-        store = TableStore([t])
+        store = make_store([t])
         with pytest.raises(ValueError):
             store.add(WebTable.from_rows([["b"]], table_id="dup"))
 
-    def test_missing_id_rejected(self):
+    def test_missing_id_rejected(self, make_store):
+        store = make_store([WebTable.from_rows([["a"]], table_id="a")])
         with pytest.raises(ValueError):
-            TableStore([WebTable.from_rows([["a"]])])
+            store.add(WebTable.from_rows([["b"]]))
 
-    def test_get_many_preserves_order(self):
+    def test_get_many_preserves_order(self, make_store):
         tables = [
             WebTable.from_rows([[str(i)]], table_id=f"t{i}") for i in range(3)
         ]
-        store = TableStore(tables)
+        store = make_store(tables)
         got = store.get_many(["t2", "t0", "zz"])
         assert [t.table_id for t in got] == ["t2", "t0"]
+        with pytest.raises(KeyError):
+            store.get("zz")
+
+    def test_rows_added_in_memory_follow_and_can_be_removed(self, make_store):
+        store = make_store(lazy_fixture_tables(2))
+        extra = WebTable.from_rows([["e"]], table_id="e1")
+        store.add(extra)
+        assert store.ids() == ["t0", "t1", "e1"] and len(store) == 3
+        assert [t.table_id for t in store] == ["t0", "t1", "e1"]
+        assert store.remove("e1") is extra
+        assert "e1" not in store and store.ids() == ["t0", "t1"]
+        with pytest.raises(KeyError):
+            store.remove("e1")
 
     def test_save_load_preserves_insertion_order(self, tmp_path):
         # Deliberately non-sorted ids: order must come from insertion, not
@@ -220,12 +249,14 @@ class TestOffsetsSidecar:
 
 
 class TestLazyTableStore:
+    """``TableStore.open``: rows of the backing file parse on first read."""
+
     def open_lazy(self, tmp_path, tables=None, sidecar=True):
         tables = lazy_fixture_tables() if tables is None else tables
         path = write_tables_file(tmp_path, tables)
         if sidecar:
             write_offsets_sidecar(path)
-        return LazyTableStore.open(path, [t.table_id for t in tables]), path
+        return TableStore.open(path, [t.table_id for t in tables]), path
 
     def test_open_get_matches_eager(self, tmp_path):
         tables = lazy_fixture_tables()
@@ -238,9 +269,9 @@ class TestLazyTableStore:
 
     def test_rows_parse_lazily_and_cache(self, tmp_path):
         store, _ = self.open_lazy(tmp_path)
-        assert store._tables == {}  # nothing parsed at open
+        assert store._parsed == {}  # nothing parsed at open
         first = store.get("t2")
-        assert set(store._tables) == {"t2"}  # only the touched row
+        assert set(store._parsed) == {"t2"}  # only the touched row
         assert store.get("t2") is first  # cached, not re-parsed
         store.close()
 
@@ -254,7 +285,7 @@ class TestLazyTableStore:
         tables = lazy_fixture_tables()
         path = write_tables_file(tmp_path, tables)
         (path.parent / TABLES_OFFSETS_FILE).write_bytes(b"garbage")
-        store = LazyTableStore.open(path, [t.table_id for t in tables])
+        store = TableStore.open(path, [t.table_id for t in tables])
         assert [t.table_id for t in store] == [t.table_id for t in tables]
         store.close()
 
@@ -262,17 +293,17 @@ class TestLazyTableStore:
         tables = lazy_fixture_tables()
         path = write_tables_file(tmp_path, tables)
         with pytest.raises(ValueError, match="table store holds"):
-            LazyTableStore.open(path, [t.table_id for t in tables] + ["t9"])
+            TableStore.open(path, [t.table_id for t in tables] + ["t9"])
 
     def test_duplicate_row_ids_rejected_at_open(self, tmp_path):
         path = write_tables_file(tmp_path, lazy_fixture_tables(2))
         with pytest.raises(ValueError, match="duplicate table ids"):
-            LazyTableStore.open(path, ["t0", "t0"])
+            TableStore.open(path, ["t0", "t0"])
 
     def test_id_mismatch_surfaces_at_first_read(self, tmp_path):
         tables = lazy_fixture_tables(2)
         path = write_tables_file(tmp_path, tables)
-        store = LazyTableStore.open(path, ["t0", "WRONG"])
+        store = TableStore.open(path, ["t0", "WRONG"])
         assert store.get("t0").table_id == "t0"  # the honest row is fine
         with pytest.raises(ValueError, match=r":2: row holds table id 't1'"):
             store.get("WRONG")
@@ -288,18 +319,12 @@ class TestLazyTableStore:
         assert "e1" in store and len(store) == 5
         assert store.ids() == ["t0", "t1", "t2", "t3", "e1"]
 
-        removed = store.remove("t1")
-        assert removed.table_id == "t1"
-        assert "t1" not in store and len(store) == 4
-        with pytest.raises(KeyError):
-            store.get("t1")
-        with pytest.raises(KeyError):
+        # File rows are append-only: a persisted shard's deletions fold at
+        # compaction, which rebuilds the store.
+        with pytest.raises(ValueError, match="'t1' is a row of the backing"):
             store.remove("t1")
-
-        # A removed on-disk id can be re-added (journal compaction path).
-        store.add(WebTable.from_rows([["new"]], table_id="t1"))
-        assert store.get("t1").column_values(0) == ["new"]
-        assert store.ids() == ["t0", "t2", "t3", "e1", "t1"]
+        assert "t1" in store and len(store) == 5
+        assert store.remove("e1") is extra
         store.close()
 
     def test_get_many_preserves_order_skips_unknown(self, tmp_path):
@@ -317,12 +342,11 @@ class TestLazyTableStore:
 
     def test_save_over_own_backing_file_is_safe(self, tmp_path):
         store, path = self.open_lazy(tmp_path)
-        store.remove("t0")
         store.add(WebTable.from_rows([["e"]], table_id="e1"))
         store.save(path)  # bytes gathered before the target opens
         store.close()
         reloaded = TableStore.load(path)
-        assert reloaded.ids() == ["t1", "t2", "t3", "e1"]
+        assert reloaded.ids() == ["t0", "t1", "t2", "t3", "e1"]
 
     def test_close_is_idempotent_and_keeps_parsed_rows(self, tmp_path):
         store, _ = self.open_lazy(tmp_path)

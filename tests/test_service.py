@@ -5,6 +5,7 @@ import time
 import pytest
 
 from repro.core.features import query_feature_key
+from repro.exec import SPAN_CACHED
 from repro.inference import ALGORITHMS, REGISTRY
 from repro.inference.registry import (
     AlgorithmInfo,
@@ -376,6 +377,21 @@ class TestWWTService:
         assert warm.timing.index1 == cold.timing.index1
         assert warm.timing.read1 == cold.timing.read1
         assert cold.timing.index1 > 0.0
+
+    def test_uncached_request_bypasses_the_probe_cache(self, small_env):
+        """Regression: ``use_cache=False`` skipped the result cache but
+        still replayed (and filled) the probe cache."""
+        service = WWTService(small_env.synthetic.corpus)
+        for _ in range(2):
+            full = service.answer_full("country | currency", use_cache=False)
+            assert not any(
+                span.status == SPAN_CACHED for span in full.spans.leaves()
+            )
+        probe = service.stats().probe_cache
+        assert (probe.hits, probe.misses, probe.size) == (0, 0, 0)
+        assert not service.answer(
+            QueryRequest.parse("country | currency", use_cache=False)
+        ).cache_hit
 
     def test_stats_to_dict(self, service):
         data = service.stats().to_dict()

@@ -5,7 +5,6 @@ import inspect
 import json
 import math
 import random
-import shutil
 
 import pytest
 
@@ -23,8 +22,6 @@ from repro.index import (
 from repro.pipeline.probe import ProbeConfig, two_stage_probe
 from repro.query.workload import WORKLOAD
 from repro.tables.table import WebTable
-
-from .binfmt_fixture import V2_DIR
 
 
 def make_tables(n=12, prefix="t"):
@@ -284,12 +281,6 @@ class TestPersistence:
         with pytest.raises(ValueError, match="index.bin"):
             load_corpus(tmp_path / "c").search(["country"])
 
-    def test_corrupt_json_shard_snapshot_raises_valueerror(self, tmp_path):
-        shutil.copytree(V2_DIR, tmp_path / "c")
-        (tmp_path / "c" / "shard-0000" / "index.json").write_text("{}")
-        with pytest.raises(ValueError, match="corrupt index snapshot"):
-            load_corpus(tmp_path / "c")
-
     def test_corrupt_stats_raises_valueerror(self, tmp_path):
         build_corpus_index(make_tables(3), save=tmp_path / "c")
         (tmp_path / "c" / "stats.json").write_text("{}")
@@ -318,32 +309,6 @@ class TestPersistence:
                 make_tables(3), save=tmp_path / "c", index_format="bin"
             )
         assert not (tmp_path / "c").exists()
-
-
-class TestInvertedIndexSnapshot:
-    def test_v2_snapshot_compiles_like_a_rebuild(self):
-        """``from_dict`` is the version-2 reader: the committed
-        ``index.json`` compiles to the index a rebuild of its shard gives."""
-        from repro.index import TableStore
-
-        shard_dir = V2_DIR / "shard-0001"
-        restored = InvertedIndex.from_dict(
-            json.loads((shard_dir / "index.json").read_text())
-        )
-        rebuilt = bare_index(TableStore.load(shard_dir / "tables.jsonl"))
-        assert restored.num_docs == rebuilt.num_docs == 4
-        assert restored.postings("content", "france") == rebuilt.postings(
-            "content", "france"
-        )
-        a = rebuilt.search(["country", "currency"])
-        b = restored.search(["country", "currency"])
-        assert [(h.doc_id, h.score) for h in a] == [
-            (h.doc_id, h.score) for h in b
-        ]
-        assert restored.docs_containing_all(
-            ["france"], ["content"]
-        ) == rebuilt.docs_containing_all(["france"], ["content"])
-        assert restored.idf("country") == rebuilt.idf("country")
 
 
 class TestShardedValidation:
@@ -401,7 +366,7 @@ class TestShardedValidation:
         # on a table id that is in fact present.
         unparsed = next(
             i for i in corpus.ids()
-            if i not in corpus.shards[shard_of(i, 4)].store._tables
+            if i not in corpus.shards[shard_of(i, 4)].store._parsed
         )
         with pytest.raises(ValueError, match=r"tables\.jsonl.*closed"):
             corpus.get_table(unparsed)
