@@ -39,14 +39,7 @@ from .consolidate import AnswerRow, AnswerTable
 from .core import DEFAULT_PARAMS, FeatureCache, ModelParams, build_problem
 from .corpus import CorpusConfig, GroundTruth, generate_corpus, iter_tables
 from .evaluation import build_environment, f1_error, run_method
-from .exec import (
-    CancellationToken,
-    DeadlineExceeded,
-    ExecutionContext,
-    ExecutionPlan,
-    Span,
-    Stage,
-)
+from .exec import ExecutionContext, ExecutionPlan, Span, Stage
 from .index import (
     CorpusProtocol,
     JournaledCorpus,
@@ -81,11 +74,9 @@ __all__ = [
     "ALGORITHMS",
     "AnswerRow",
     "AnswerTable",
-    "CancellationToken",
     "CorpusConfig",
     "CorpusProtocol",
     "DEFAULT_PARAMS",
-    "DeadlineExceeded",
     "EngineConfig",
     "ExecutionContext",
     "ExecutionPlan",

@@ -521,9 +521,7 @@ def main(argv: Optional[Sequence[str]] = None, out: Optional[TextIO] = None) -> 
         return handlers[args.command](args, out)
     except (ValueError, OSError) as exc:
         # Bad query text, invalid --page/--rows, unreadable/invalid
-        # --config files, or a DeadlineExceeded under degraded_ok=False
-        # (TimeoutError, which OSError already covers): a CLI error
-        # line, not a traceback.
+        # --config files: a CLI error line, not a traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

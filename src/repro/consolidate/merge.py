@@ -55,10 +55,6 @@ class AnswerTable:
         """Column headers (the query's keyword sets)."""
         return list(self.query.columns)
 
-    def as_lists(self) -> List[List[str]]:
-        """Plain list-of-rows view."""
-        return [list(row.cells) for row in self.rows]
-
 
 def consolidate(
     query: Query,

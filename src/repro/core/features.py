@@ -22,9 +22,10 @@ exactly when features could go stale.  The serving facade clears it on
 every mutation besides (``WWTService.clear_caches`` runs on every
 ``add_tables``/``delete_tables``).
 
-:class:`BoundedCache` is the underlying thread-safe LRU; it also backs the
-corpus-level PMI² containment-probe caches
-(:class:`~repro.core.pmi.PmiScorer`), which this module sizes.
+:class:`BoundedCache` is the codebase's one thread-safe LRU: it also backs
+the corpus-level PMI² containment-probe caches
+(:class:`~repro.core.pmi.PmiScorer`), which this module sizes, and the
+serving facade's result and probe caches.
 """
 
 from __future__ import annotations
@@ -76,13 +77,13 @@ V = TypeVar("V")
 class BoundedCache(Generic[K, V]):
     """Thread-safe bounded LRU map with hit/miss counters.
 
-    The core-layer twin of the service LRU (``repro.core`` cannot import
-    ``repro.service``): capacity 0 disables it, eviction drops the
-    least-recently-used entry, and the counters feed cache-hit-rate
-    reporting in ``WWTService.stats()`` (the benchmark's
-    ``core.feature_cache_hit_ratio``).  Eviction
-    only ever costs recomputation — never correctness — so every consumer
-    may size it freely.
+    The one LRU in the codebase, from the core layer's memos up to the
+    service's result and probe caches: capacity 0 disables it, eviction
+    drops the least-recently-used entry, and the counters feed
+    cache-hit-rate reporting in ``WWTService.stats()`` (the benchmark's
+    ``core.feature_cache_hit_ratio``).  Eviction only ever costs
+    recomputation — never correctness — so every consumer may size it
+    freely.
 
     Generic in key and value (``BoundedCache[str, float]``): consumers
     declare what they store, so a cache wired to the wrong producer is a
@@ -105,9 +106,8 @@ class BoundedCache(Generic[K, V]):
     def lookup(self, key: K) -> Tuple[bool, Optional[V]]:
         """``(hit, value)`` — distinguishes a stored ``None`` from a miss.
 
-        The service-layer adapter (`repro.service.cache.LRUCache`) is
-        built on this form; :meth:`get` is the convenience collapse for
-        consumers that never store ``None``.
+        The service's caches read through this form; :meth:`get` is the
+        convenience collapse for consumers that never store ``None``.
         """
         with self._lock:
             value = self._data.get(key, cast("V", _MISS))

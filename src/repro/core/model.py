@@ -94,10 +94,6 @@ class ColumnMappingProblem:
         """The per-table min-match constant (clamped to the table width)."""
         return min(self.query.min_match(), self.tables[ti].num_cols, self.query.q)
 
-    def node_potential(self, tc: Tuple[int, int], label: int) -> float:
-        """θ(tc, label) of Eq. 3."""
-        return self.node_potentials[tc][label]
-
     # -- objective (Eq. 9) ----------------------------------------------------------
 
     def constraints_satisfied(self, y: Mapping[Tuple[int, int], int]) -> bool:

@@ -96,10 +96,6 @@ class GroundTruth:
         """Gold label (irrelevant if never recorded)."""
         return self._labels.get(query_id, {}).get(table_id, TableLabel(False))
 
-    def labels_for_query(self, query_id: str) -> Mapping[str, TableLabel]:
-        """All recorded labels for one query."""
-        return self._labels.get(query_id, {})
-
     def relevant_tables(self, query_id: str) -> Tuple[str, ...]:
         """Ids of tables relevant to the query."""
         return tuple(

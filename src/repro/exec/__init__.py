@@ -2,11 +2,12 @@
 
 Reifies the serving pipeline as an :class:`ExecutionPlan` of named
 :class:`Stage` steps run under a shared :class:`ExecutionContext` that
-carries a wall-clock deadline, a :class:`CancellationToken`, and a
-:class:`Span` tree of per-stage timings and counters.  The serving
-facade, ``two_stage_probe``, the evaluation harness, and the benchmarks
-all execute queries through this engine, so every latency number in the
-system is a view over the same span tree.
+carries a wall-clock deadline and a :class:`Span` tree of per-stage
+timings and counters.  The serving facade, ``two_stage_probe``, the
+evaluation harness, and the benchmarks all execute queries through this
+engine, so every latency number in the system is a view over the same
+span tree; :class:`Stats` is the one accumulator that folds those spans
+(and the HTTP server's admission events) into ``/stats`` counters.
 
 ::
 
@@ -25,8 +26,7 @@ deadline, answers are bit-identical to the straight-line pipeline; once
 a deadline expires mid-plan, skippable stages are skipped (the stage-2
 probe first, in practice), ``column_map`` falls back to the fastest
 registered inference, and the answer comes back flagged degraded instead
-of blowing the budget — or, with ``degraded_ok`` off, the plan raises
-:class:`DeadlineExceeded`.
+of blowing the budget.  Degrading is the only way a plan ends early.
 """
 
 from .context import (
@@ -34,15 +34,12 @@ from .context import (
     SPAN_DEGRADED,
     SPAN_OK,
     SPAN_SKIPPED,
-    CancellationToken,
-    DeadlineExceeded,
-    ExecutionCancelled,
     ExecutionContext,
     Span,
 )
 from .plan import ExecutionPlan, Stage
 from .state import QueryState
-from .stats import StageAccumulator, StageStats, percentile
+from .stats import StageStats, Stats, percentile
 from .query import (
     PROBE_STAGES,
     QUERY_STAGES,
@@ -51,9 +48,6 @@ from .query import (
 )
 
 __all__ = [
-    "CancellationToken",
-    "DeadlineExceeded",
-    "ExecutionCancelled",
     "ExecutionContext",
     "ExecutionPlan",
     "PROBE_STAGES",
@@ -65,8 +59,8 @@ __all__ = [
     "SPAN_SKIPPED",
     "Span",
     "Stage",
-    "StageAccumulator",
     "StageStats",
+    "Stats",
     "build_probe_plan",
     "build_query_plan",
     "percentile",

@@ -1,12 +1,11 @@
-"""Execution context: deadline budget, cancellation, and the span tree.
+"""Execution context: deadline budget and the span tree.
 
 An :class:`ExecutionContext` travels through one query's staged plan
-(see :mod:`repro.exec.plan`) carrying three things:
+(see :mod:`repro.exec.plan`) carrying two things:
 
 - a **wall-clock budget** (``deadline_ms``) that the plan runner checks
-  between stages — exceeding it triggers graceful degradation (or
-  :class:`DeadlineExceeded` when ``degraded_ok`` is off);
-- a **cancellation token** callers can trip from another thread; and
+  between stages — exceeding it triggers graceful degradation, the one
+  way a plan ends early; and
 - a **span tree** of per-stage wall-clock timings and counters — the
   single source of truth the serving layer's ``QueryTiming`` and
   per-stage aggregates are views over.
@@ -18,16 +17,12 @@ The context never preempts a running stage: deadline enforcement is
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 __all__ = [
-    "CancellationToken",
-    "DeadlineExceeded",
-    "ExecutionCancelled",
     "ExecutionContext",
     "REASON_DEADLINE",
     "REASON_SHARD_FAILURE",
@@ -67,44 +62,6 @@ SPAN_SKIPPED = "skipped"
 #: Span was grafted from an earlier execution (e.g. a probe-cache hit);
 #: its duration reports the *original* cost, not this request's.
 SPAN_CACHED = "cached"
-
-
-class DeadlineExceeded(TimeoutError):
-    """A plan ran out of budget and degraded answers are not allowed.
-
-    Subclasses :class:`TimeoutError` so generic timeout handling (and the
-    CLI's error-to-exit-code mapping) applies.
-    """
-
-
-class ExecutionCancelled(RuntimeError):
-    """A plan was cancelled via its :class:`CancellationToken`."""
-
-
-class CancellationToken:
-    """Thread-safe one-way cancellation latch.
-
-    ::
-
-        token = CancellationToken()
-        # ... hand it to an ExecutionContext, then from any thread:
-        token.cancel()
-    """
-
-    __slots__ = ("_event",)
-
-    def __init__(self) -> None:
-        self._event = threading.Event()
-
-    def cancel(self) -> None:
-        """Trip the latch; every context holding this token stops at its
-        next between-stage check."""
-        self._event.set()
-
-    @property
-    def cancelled(self) -> bool:
-        """Has :meth:`cancel` been called?"""
-        return self._event.is_set()
 
 
 @dataclass
@@ -216,7 +173,7 @@ class Span:
 
 
 class ExecutionContext:
-    """Per-query execution state: budget, cancellation, span tree.
+    """Per-query execution state: budget and span tree.
 
     ::
 
@@ -235,18 +192,12 @@ class ExecutionContext:
     def __init__(
         self,
         deadline_ms: Optional[float] = None,
-        degraded_ok: bool = True,
-        token: Optional[CancellationToken] = None,
         clock: Callable[[], float] = time.perf_counter,
         root_name: str = "query",
     ) -> None:
         if deadline_ms is not None and deadline_ms <= 0:
             raise ValueError("deadline_ms must be positive (None disables)")
         self.deadline_ms = deadline_ms
-        #: When the budget runs out: degrade gracefully (True) or raise
-        #: :class:`DeadlineExceeded` (False).
-        self.degraded_ok = degraded_ok
-        self.token = token
         self._clock = clock
         self._started = clock()
         #: Root of the span tree; stages append children as they run.
@@ -281,25 +232,11 @@ class ExecutionContext:
         return remaining is not None and remaining <= 0.0
 
     def check_deadline(self) -> bool:
-        """Record (and return) whether the budget has run out.
-
-        With ``degraded_ok`` off, an exhausted budget raises
-        :class:`DeadlineExceeded` instead of returning.
-        """
+        """Record (and return) whether the budget has run out."""
         if not self.out_of_budget:
             return False
         self.deadline_hit = True
-        if not self.degraded_ok:
-            raise DeadlineExceeded(
-                f"query exceeded its {self.deadline_ms:g}ms deadline "
-                f"after {self.elapsed_ms:.1f}ms (degraded_ok is off)"
-            )
         return True
-
-    def check_cancelled(self) -> None:
-        """Raise :class:`ExecutionCancelled` if the token was tripped."""
-        if self.token is not None and self.token.cancelled:
-            raise ExecutionCancelled("execution cancelled by caller")
 
     # -- spans ------------------------------------------------------------
 

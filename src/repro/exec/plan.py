@@ -12,7 +12,7 @@ runner may do with the stage once the context's budget is exhausted:
 
 :class:`ExecutionPlan` runs the stages in order under an
 :class:`~repro.exec.context.ExecutionContext`, recording one span per
-stage and checking cancellation + deadline *between* stages.
+stage and checking the deadline *between* stages.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ class ExecutionPlan:
         plan.run(ctx, state)
         print(ctx.root.format_tree())
 
-    ``run`` returns the state for chaining.  Deadline and cancellation are
-    checked before each stage; a stage that is already running is never
+    ``run`` returns the state for chaining.  The deadline is checked
+    before each stage; a stage that is already running is never
     preempted.
     """
 
@@ -74,15 +74,9 @@ class ExecutionPlan:
         return [s.name for s in self._stages]
 
     def run(self, ctx: ExecutionContext, state: Any) -> Any:
-        """Execute every stage in order under ``ctx``.
-
-        Raises :class:`~repro.exec.context.ExecutionCancelled` when the
-        context's token is tripped and
-        :class:`~repro.exec.context.DeadlineExceeded` when the budget is
-        exhausted with ``degraded_ok`` off.
-        """
+        """Execute every stage in order under ``ctx``, degrading (never
+        raising) once its budget is spent."""
         for stage in self._stages:
-            ctx.check_cancelled()
             if ctx.check_deadline():
                 if stage.skippable:
                     ctx.skip(stage.name)

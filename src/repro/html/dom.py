@@ -133,23 +133,6 @@ class ElementNode(DomNode):
             out = [c for c in out if c.tag == tag]
         return out
 
-    def has_format_descendant(self) -> bool:
-        """True if any descendant element is a formatting tag."""
-        return any(
-            isinstance(node, ElementNode) and node.tag in FORMAT_TAGS
-            for node in self.iter_descendants()
-        )
-
-    def format_tags(self) -> List[str]:
-        """Formatting tags on this element and its descendants."""
-        tags = [self.tag] if self.tag in FORMAT_TAGS else []
-        tags.extend(
-            node.tag
-            for node in self.iter_descendants()
-            if isinstance(node, ElementNode) and node.tag in FORMAT_TAGS
-        )
-        return tags
-
     def get_attr(self, name: str, default: str = "") -> str:
         """Attribute value (case-insensitive name)."""
         return self.attrs.get(name.lower(), default)

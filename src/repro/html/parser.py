@@ -108,11 +108,6 @@ def parse_html(html: str) -> ElementNode:
     return builder.root
 
 
-def parse_fragment(html: str) -> ElementNode:
-    """Parse an HTML fragment (alias of :func:`parse_html`)."""
-    return parse_html(html)
-
-
 def find_tables(root: ElementNode) -> List[ElementNode]:
     """All ``<table>`` elements under ``root`` in document order."""
     return root.find_all("table")

@@ -41,10 +41,6 @@ class MappingResult:
     distributions: Dict[Tuple[int, int], List[float]] = field(default_factory=dict)
     algorithm: str = ""
 
-    def label_name(self, tc: Tuple[int, int]) -> str:
-        """Human-readable label of one column."""
-        return self.problem.labels.name(self.labels[tc])
-
     def is_relevant(self, ti: int) -> bool:
         """Did the labeling mark table ``ti`` relevant?"""
         nr = self.problem.labels.nr
@@ -85,13 +81,6 @@ class MappingResult:
         if not masses:
             return 1.0 if self.is_relevant(ti) else 0.0
         return max(masses)
-
-    def column_confidence(self, tc: Tuple[int, int]) -> float:
-        """Probability of the assigned label (1.0 without distributions)."""
-        dist = self.distributions.get(tc)
-        if not dist:
-            return 1.0
-        return dist[self.labels[tc]]
 
     def score(self) -> float:
         """Objective value of this labeling (Eq. 9)."""

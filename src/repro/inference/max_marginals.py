@@ -17,7 +17,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.model import ColumnMappingProblem
 from ..flow.bipartite import BipartiteMatcher
-from .base import column_distributions
 
 __all__ = ["table_max_marginals", "all_max_marginals"]
 
@@ -75,10 +74,3 @@ def all_max_marginals(
     for ti in range(len(problem.tables)):
         out.update(table_max_marginals(problem, ti, potentials))
     return out
-
-
-def all_distributions(
-    problem: ColumnMappingProblem,
-) -> Dict[Tuple[int, int], List[float]]:
-    """Pr(l | tc) for every column (softmaxed max-marginals)."""
-    return column_distributions(problem, all_max_marginals(problem))

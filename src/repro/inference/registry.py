@@ -137,12 +137,6 @@ class InferenceRegistry(Mapping[str, InferenceFn]):
         self._algorithms[name] = info
         return info
 
-    def unregister(self, name: str) -> None:
-        """Remove an algorithm (primarily for tests)."""
-        if name not in self._algorithms:
-            raise UnknownAlgorithmError(name, list(self._algorithms))
-        del self._algorithms[name]
-
     # -- lookup -----------------------------------------------------------
 
     def info(self, name: str) -> AlgorithmInfo:

@@ -10,10 +10,10 @@ contributed about half of all relevant tables.
 Since the execution-engine refactor the probe is defined as the staged
 sub-plan ``probe.index1 -> probe.read1 -> probe.confidence ->
 probe.index2 -> probe.read2`` (stage bodies in :mod:`repro.exec.query`);
-:func:`two_stage_probe` runs that plan under an
-:class:`~repro.exec.context.ExecutionContext`, so callers that never
-touch the engine keep the exact pre-refactor behaviour while budgeted
-callers get per-stage spans and graceful degradation for free.
+:func:`two_stage_probe` runs that plan to completion under a fresh,
+unbounded :class:`~repro.exec.context.ExecutionContext`, keeping the
+exact pre-refactor behaviour.  Budgeted callers (the serving facade) run
+the plan stages themselves and read their timings off the spans.
 """
 
 from __future__ import annotations
@@ -33,31 +33,15 @@ from ..inference.base import column_distributions
 from ..inference.max_marginals import all_max_marginals
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from ..exec.context import ExecutionContext
     from ..index.inverted import SearchHit
 
 __all__ = [
-    "PROBE_TIMING_SPANS",
     "ProbeConfig",
     "ProbeResult",
     "two_stage_probe",
     "table_confidences",
     "trim_hits",
 ]
-
-#: The probe's ``QueryTiming`` field <-> execution span name mapping, in
-#: stage order — the single source shared by :func:`two_stage_probe`'s
-#: ``timings`` dict and ``QueryTiming.from_spans`` (renaming a probe
-#: stage is a one-line change here; ``tests/test_exec.py`` pins this
-#: tuple against the plan's actual stage names).
-PROBE_TIMING_SPANS = (
-    ("index1", "probe.index1"),
-    ("read1", "probe.read1"),
-    ("confidence", "probe.confidence"),
-    ("index2", "probe.index2"),
-    ("read2", "probe.read2"),
-)
-
 
 @dataclass(frozen=True)
 class ProbeConfig:
@@ -144,11 +128,9 @@ def two_stage_probe(
     corpus: CorpusProtocol,
     config: Optional[ProbeConfig] = None,
     params: ModelParams = DEFAULT_PARAMS,
-    timings: Optional[dict] = None,
     rng: Optional[random.Random] = None,
     feature_cache: Optional[FeatureCache] = None,
     pmi_scorer: Optional[PmiScorer] = None,
-    context: Optional[ExecutionContext] = None,
 ) -> ProbeResult:
     """Run the Section 2.2.1 candidate retrieval.
 
@@ -156,10 +138,6 @@ def two_stage_probe(
     — a :class:`~repro.index.ShardedCorpus` snapshot or the journaled
     wrapper around one; results do not depend on the shard count (see
     DESIGN.md, "Sharded index & persistence").
-
-    ``timings`` (when given) receives per-stage wall-clock seconds under the
-    keys ``index1``, ``read1``, ``confidence``, ``index2``, ``read2`` — the
-    slices of Figure 7, read off the execution spans.
 
     The stage-2 row sample draws from a private ``random.Random`` seeded
     with ``config.seed`` (never the module-global generator), so concurrent
@@ -174,13 +152,6 @@ def two_stage_probe(
     facade — reuses every stage-1 table's features instead of recomputing
     them (see DESIGN.md, "Hot-path engine").  ``pmi_scorer`` forwards to
     the same call (only consulted when ``params.w3`` is non-zero).
-
-    ``context`` (when given) threads an existing
-    :class:`~repro.exec.context.ExecutionContext` through — the probe's
-    spans land in that context's tree and its deadline/cancellation apply
-    (a budgeted probe may skip its second stage and come back degraded).
-    By default a fresh unbounded context runs the stages to completion,
-    exactly as before the execution engine existed.
     """
     # Imported here, not at module scope: repro.exec.query imports this
     # module's stage helpers, so the probe reaches the engine lazily.
@@ -190,9 +161,6 @@ def two_stage_probe(
 
     if config is None:
         config = ProbeConfig()
-    ctx = context if context is not None else ExecutionContext(
-        root_name="probe"
-    )
     state = QueryState(
         query=query,
         corpus=corpus,
@@ -202,13 +170,5 @@ def two_stage_probe(
         feature_cache=feature_cache,
         pmi_scorer=pmi_scorer,
     )
-    parent = ctx.current
-    before = len(parent.children)
-    build_probe_plan().run(ctx, state)
-    if timings is not None:
-        spans = {s.name: s for s in parent.children[before:]}
-        for key, span_name in PROBE_TIMING_SPANS:
-            span = spans.get(span_name)
-            if span is not None:
-                timings[key] = timings.get(key, 0.0) + span.duration
+    build_probe_plan().run(ExecutionContext(root_name="probe"), state)
     return state.probe

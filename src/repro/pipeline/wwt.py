@@ -14,13 +14,24 @@ from ..consolidate.merge import AnswerTable
 from ..core.model import ColumnMappingProblem
 from ..inference import MappingResult
 from ..query.model import Query
-from .probe import PROBE_TIMING_SPANS, ProbeResult
+from .probe import ProbeResult
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..exec.context import Span
     from ..faults.health import Coverage
 
 __all__ = ["QueryTiming", "WWTAnswer"]
+
+#: The probe's ``QueryTiming`` field <-> execution span name mapping, in
+#: stage order (``tests/test_exec.py`` pins it against the plan's actual
+#: probe stage names, so a rename must touch both).
+_PROBE_TIMING_SPANS = (
+    ("index1", "probe.index1"),
+    ("read1", "probe.read1"),
+    ("confidence", "probe.confidence"),
+    ("index2", "probe.index2"),
+    ("read2", "probe.read2"),
+)
 
 
 @dataclass
@@ -47,12 +58,11 @@ class QueryTiming:
 
         ``consolidate`` folds the ``rank`` stage in — the pre-executor
         pipeline timed consolidation and ranking as one block, and the
-        figure keeps that stacking.  The probe fields come from the
-        shared :data:`~repro.pipeline.probe.PROBE_TIMING_SPANS` mapping.
+        figure keeps that stacking.
         """
         probe_fields = {
             field_name: root.total(span_name)
-            for field_name, span_name in PROBE_TIMING_SPANS
+            for field_name, span_name in _PROBE_TIMING_SPANS
         }
         return cls(
             column_map=root.total("column_map"),

@@ -14,7 +14,7 @@ behind a real socket with explicit overload behaviour:
   the envelope's ``serving`` section) rather than timing out;
 - **observability** — ``/healthz`` for liveness and ``/stats`` merging
   serving-layer counters (:class:`ServerStats`) with the engine's own
-  ``ServiceStats``.
+  ``ServiceStats``, each projected from one ``repro.exec.Stats``.
 
 ::
 
@@ -41,7 +41,6 @@ from .config import ServeConfig
 from .protocol import (
     ERROR_BAD_JSON,
     ERROR_BODY_TOO_LARGE,
-    ERROR_DEADLINE_EXCEEDED,
     ERROR_INTERNAL,
     ERROR_INVALID_VALUE,
     ERROR_METHOD_NOT_ALLOWED,
@@ -58,7 +57,7 @@ from .protocol import (
     response_envelope,
 )
 from .server import MIN_BUDGET_MS, AnswerService, ReproServer
-from .stats import ServerCounters, ServerStats
+from .stats import ServerStats
 
 __all__ = [
     "ServeConfig",
@@ -70,7 +69,6 @@ __all__ = [
     "TokenBucket",
     "RateLimiter",
     "ServerStats",
-    "ServerCounters",
     "ServeError",
     "error_envelope",
     "parse_query_payload",
@@ -81,7 +79,6 @@ __all__ = [
     "ERROR_UNKNOWN_FIELD",
     "ERROR_INVALID_VALUE",
     "ERROR_BODY_TOO_LARGE",
-    "ERROR_DEADLINE_EXCEEDED",
     "ERROR_RATE_LIMITED",
     "ERROR_QUEUE_FULL",
     "ERROR_SHUTTING_DOWN",

@@ -35,7 +35,6 @@ __all__ = [
     "ERROR_UNKNOWN_FIELD",
     "ERROR_INVALID_VALUE",
     "ERROR_BODY_TOO_LARGE",
-    "ERROR_DEADLINE_EXCEEDED",
     "ERROR_RATE_LIMITED",
     "ERROR_QUEUE_FULL",
     "ERROR_SHUTTING_DOWN",
@@ -64,9 +63,6 @@ ERROR_SHUTTING_DOWN = "shutting_down"
 ERROR_NOT_FOUND = "not_found"
 #: The path exists but not for this HTTP method.
 ERROR_METHOD_NOT_ALLOWED = "method_not_allowed"
-#: The engine was configured ``degraded_ok=False`` and the budget ran out
-#: (a 504 — the strict-SLO twin of a shed degraded answer).
-ERROR_DEADLINE_EXCEEDED = "deadline_exceeded"
 #: The engine raised unexpectedly; the request was not answered.
 ERROR_INTERNAL = "internal"
 

@@ -51,6 +51,7 @@ from typing import (
 )
 
 from ..exec.context import wall_clock
+from ..exec.stats import Stats
 from ..faults.injection import POINT_SERVE_WORKER, trip
 from ..service.facade import ServiceStats
 from ..service.types import QueryRequest, QueryResponse
@@ -59,7 +60,6 @@ from .config import ServeConfig
 from .protocol import (
     ERROR_BAD_JSON,
     ERROR_BODY_TOO_LARGE,
-    ERROR_DEADLINE_EXCEEDED,
     ERROR_INTERNAL,
     ERROR_METHOD_NOT_ALLOWED,
     ERROR_NOT_FOUND,
@@ -71,7 +71,7 @@ from .protocol import (
     parse_query_payload,
     response_envelope,
 )
-from .stats import ServerCounters, ServerStats
+from .stats import ServerStats
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..faults.health import Coverage
@@ -82,6 +82,14 @@ __all__ = ["AnswerService", "ReproServer"]
 #: request's deadline: small enough that every between-stage check fires
 #: (maximal shedding), positive so the context accepts it.
 MIN_BUDGET_MS = 0.01
+
+#: Refusal code -> the ``ServerStats`` count it lands in (anything else
+#: is a malformed request).
+_REFUSAL_COUNTS = {
+    ERROR_QUEUE_FULL: "rejected_queue_full",
+    ERROR_RATE_LIMITED: "rejected_rate_limited",
+    ERROR_SHUTTING_DOWN: "rejected_shutdown",
+}
 
 
 class AnswerService(Protocol):
@@ -215,13 +223,7 @@ class _Handler(BaseHTTPRequestHandler):
             front.count_refusal(exc)
             self._refuse(exc)
             return
-        except TimeoutError as exc:  # reprolint: disable=R008 -- an expected serving outcome (degraded_ok=False budget expiry), already counted as failed by the worker's finish_execution; this handler only serializes the 504
-            self.close_connection = True
-            self._send_json(
-                504, error_envelope(ERROR_DEADLINE_EXCEEDED, str(exc))
-            )
-            return
-        except Exception as exc:  # reprolint: disable=R008 -- engine bug surfaced through the future, already counted as failed by the worker's finish_execution; this handler only serializes the 500
+        except Exception as exc:  # reprolint: disable=R008 -- engine bug surfaced through the future, already counted in errors_internal by the worker; this handler only serializes the 500
             self.close_connection = True
             self._send_json(
                 500, error_envelope(ERROR_INTERNAL, f"{type(exc).__name__}: {exc}")
@@ -275,7 +277,9 @@ class ReproServer:
         self.config = config if config is not None else ServeConfig()
         self._clock = clock
         self._started_at = clock()
-        self._counters = ServerCounters()
+        #: Admission outcomes, the in-flight gauge and worker latencies
+        #: (count names are :class:`ServerStats` field names).
+        self._stats = Stats()
         self._limiter = (
             RateLimiter(
                 rate=self.config.rate_limit,
@@ -413,25 +417,25 @@ class ReproServer:
                 else self.config.default_deadline_ms
             ),
         )
+        # Counted before the put: once enqueued, a worker may finish the
+        # job before this thread runs again, and no snapshot may show a
+        # completion ahead of its admission.  A full queue takes it back.
+        self._stats.record({"accepted": 1})
         try:
             self._queue.put_nowait(job)
         except queue.Full:
+            self._stats.record({"accepted": -1})
             raise ServeError(
                 ERROR_QUEUE_FULL,
                 f"request queue is full ({self.config.queue_depth} deep)",
                 status=429, retry_after_s=self.config.retry_after_s,
             ) from None
-        self._counters.accept()
         return job.future.result()
 
     def count_refusal(self, exc: ServeError) -> None:
         """Fold one refusal into the serving counters."""
-        reasons = {
-            ERROR_QUEUE_FULL: "queue_full",
-            ERROR_RATE_LIMITED: "rate_limited",
-            ERROR_SHUTTING_DOWN: "shutdown",
-        }
-        self._counters.reject(reasons.get(exc.code, "invalid"))
+        name = _REFUSAL_COUNTS.get(exc.code, "rejected_invalid")
+        self._stats.record({name: 1})
 
     # -- the worker pool --------------------------------------------------
 
@@ -444,7 +448,7 @@ class ReproServer:
                 return
             picked_up = self._clock()
             queue_wait_s = max(0.0, picked_up - job.enqueued_at)
-            self._counters.start_execution(queue_wait_s)
+            self._stats.record({"in_flight": 1}, [("queue_wait", queue_wait_s)])
             degraded = False
             failed = False
             try:
@@ -467,8 +471,13 @@ class ReproServer:
                 failed = True
                 job.future.set_exception(exc)
             finally:
-                self._counters.finish_execution(
-                    self._clock() - picked_up, degraded, failed
+                self._stats.record(
+                    {
+                        "in_flight": -1,
+                        "errors_internal" if failed else "completed": 1,
+                        "shed_degraded": int(degraded),
+                    },
+                    [("handle", self._clock() - picked_up)],
                 )
 
     # -- observability ----------------------------------------------------
@@ -552,7 +561,7 @@ class ReproServer:
 
     def stats(self) -> ServerStats:
         """Serving-layer counters snapshot."""
-        return self._counters.snapshot(self.queue_depth, self.uptime_s)
+        return ServerStats.of(self._stats, self.queue_depth, self.uptime_s)
 
     def stats_payload(self) -> Dict[str, Any]:
         """The ``/stats`` body: serving-layer and engine counters."""

@@ -1,22 +1,21 @@
 """Serving-layer counters: admission outcomes, queue health, latency.
 
 :class:`ServerStats` is the frozen snapshot the ``/stats`` endpoint
-serves (next to the engine's ``ServiceStats``); :class:`ServerCounters`
-is the mutable accumulator behind it.  Latency percentiles reuse the
-execution engine's bounded-reservoir
-:class:`~repro.exec.stats.StageAccumulator`, so queue-wait and handle
-times report the same count/total/p50/p95 shape as the pipeline stages.
+serves (next to the engine's ``ServiceStats``).  The server records its
+events into one :class:`~repro.exec.stats.Stats` under count names equal
+to this class's field names, and latencies under ``queue_wait`` and
+``handle`` — so queue-wait and handle times report the same
+count/total/p50/p95 shape as the pipeline stages.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Any, Dict
 
-from ..exec.stats import StageAccumulator, StageStats
+from ..exec.stats import NO_SAMPLES, StageStats, Stats
 
-__all__ = ["ServerStats", "ServerCounters"]
+__all__ = ["ServerStats"]
 
 
 @dataclass(frozen=True)
@@ -50,6 +49,31 @@ class ServerStats:
     #: Worker execution time (engine call, excluding queue wait).
     handle: StageStats
 
+    @classmethod
+    def of(cls, stats: Stats, queue_depth: int, uptime_s: float) -> ServerStats:
+        """Project one :meth:`Stats.snapshot` (a consistent instant: never
+        ``completed + errors_internal + in_flight > accepted``)."""
+        counts, latencies = stats.snapshot()
+
+        def count(name: str) -> int:
+            return int(counts.get(name, 0))
+
+        return cls(
+            accepted=count("accepted"),
+            completed=count("completed"),
+            rejected_queue_full=count("rejected_queue_full"),
+            rejected_rate_limited=count("rejected_rate_limited"),
+            rejected_invalid=count("rejected_invalid"),
+            rejected_shutdown=count("rejected_shutdown"),
+            shed_degraded=count("shed_degraded"),
+            errors_internal=count("errors_internal"),
+            queue_depth=queue_depth,
+            in_flight=count("in_flight"),
+            uptime_s=uptime_s,
+            queue_wait=latencies.get("queue_wait", NO_SAMPLES),
+            handle=latencies.get("handle", NO_SAMPLES),
+        )
+
     def to_dict(self) -> Dict[str, Any]:
         """Plain-dict form for the ``/stats`` endpoint."""
         return {
@@ -69,85 +93,3 @@ class ServerStats:
             "queue_wait": self.queue_wait.to_dict(),
             "handle": self.handle.to_dict(),
         }
-
-
-class ServerCounters:
-    """Thread-safe accumulator behind :class:`ServerStats`.
-
-    Every mutation happens under one lock; :meth:`snapshot` reads a
-    consistent point-in-time view under the same lock, so ``/stats``
-    served mid-flight never shows e.g. ``completed > accepted``.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._accepted = 0
-        self._completed = 0
-        self._rejected_queue_full = 0
-        self._rejected_rate_limited = 0
-        self._rejected_invalid = 0
-        self._rejected_shutdown = 0
-        self._shed_degraded = 0
-        self._errors_internal = 0
-        self._in_flight = 0
-        self._queue_wait = StageAccumulator()
-        self._handle = StageAccumulator()
-
-    def accept(self) -> None:
-        """One request admitted into the queue."""
-        with self._lock:
-            self._accepted += 1
-
-    def reject(self, reason: str) -> None:
-        """One refusal: ``queue_full`` / ``rate_limited`` / ``invalid`` /
-        ``shutdown``."""
-        with self._lock:
-            if reason == "queue_full":
-                self._rejected_queue_full += 1
-            elif reason == "rate_limited":
-                self._rejected_rate_limited += 1
-            elif reason == "invalid":
-                self._rejected_invalid += 1
-            elif reason == "shutdown":
-                self._rejected_shutdown += 1
-            else:
-                raise ValueError(f"unknown rejection reason {reason!r}")
-
-    def start_execution(self, queue_wait_s: float) -> None:
-        """A worker picked a job up after ``queue_wait_s`` in the queue."""
-        with self._lock:
-            self._in_flight += 1
-            self._queue_wait.add(queue_wait_s)
-
-    def finish_execution(
-        self, handle_s: float, degraded: bool, failed: bool
-    ) -> None:
-        """A worker finished a job (successfully or not)."""
-        with self._lock:
-            self._in_flight -= 1
-            self._handle.add(handle_s)
-            if failed:
-                self._errors_internal += 1
-            else:
-                self._completed += 1
-                if degraded:
-                    self._shed_degraded += 1
-
-    def snapshot(self, queue_depth: int, uptime_s: float) -> ServerStats:
-        """One consistent point-in-time view of every counter."""
-        with self._lock:
-            return ServerStats(
-                accepted=self._accepted,
-                completed=self._completed,
-                rejected_queue_full=self._rejected_queue_full,
-                rejected_rate_limited=self._rejected_rate_limited,
-                rejected_invalid=self._rejected_invalid,
-                rejected_shutdown=self._rejected_shutdown,
-                shed_degraded=self._shed_degraded,
-                errors_internal=self._errors_internal,
-                queue_depth=queue_depth,
-                in_flight=self._in_flight,
-                uptime_s=uptime_s,
-                queue_wait=self._queue_wait.snapshot(),
-                handle=self._handle.snapshot(),
-            )

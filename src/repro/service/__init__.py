@@ -1,17 +1,18 @@
 """The serving layer: one façade over the whole WWT pipeline.
 
 ``WWTService`` answers column-keyword queries against an indexed corpus
-behind a request/response API with LRU result + probe caching, thread-pool
-batch fan-out, pagination, and per-stage timing — the seam every scaling
-change (sharded index, journaled mutation, the HTTP front door) plugs
-into.  All behaviour is configured by one frozen :class:`EngineConfig`.
+behind a request/response API with LRU result + probe caching
+(``BoundedCache``), thread-pool batch fan-out, pagination, and per-stage
+timing — the seam every scaling change (sharded index, journaled
+mutation, the HTTP front door) plugs into.  All behaviour is configured
+by one frozen :class:`EngineConfig`.
 
 Queries execute through the staged engine in :mod:`repro.exec`: the
-config's ``deadline_ms`` budget and ``degraded_ok`` policy bound tail
-latency (degraded answers skip the stage-2 probe and fall back to the
-fastest inference), and :meth:`WWTService.stats` reports per-stage
-latency aggregates (:class:`StageStats`) plus deadline-hit counts read
-off the execution span trees.
+config's ``deadline_ms`` budget bounds tail latency (a spent budget
+always degrades: the stage-2 probe is skipped and column mapping falls
+back to the fastest inference), and :meth:`WWTService.stats` reports
+per-stage latency aggregates (:class:`StageStats`) plus deadline-hit
+counts, all read off one ``repro.exec.Stats`` fed by the span trees.
 """
 
 from ..exec.stats import StageStats
@@ -22,7 +23,7 @@ from ..inference.registry import (
     UnknownAlgorithmError,
     register_algorithm,
 )
-from .cache import CacheStats, LRUCache
+from .cache import CacheStats
 from .config import EngineConfig
 from .facade import ServiceStats, WWTService
 from .types import QueryRequest, QueryResponse, build_explain, normalized_query_key
@@ -35,7 +36,6 @@ __all__ = [
     "CacheStats",
     "EngineConfig",
     "InferenceRegistry",
-    "LRUCache",
     "QueryRequest",
     "QueryResponse",
     "REGISTRY",

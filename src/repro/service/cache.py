@@ -1,23 +1,20 @@
-"""Thread-safe LRU cache with hit/miss accounting.
+"""Cache counter snapshots for ``WWTService.stats()``.
 
-Backs both service caches: the query-result cache (full pipeline outputs
-keyed on normalized query text) and the probe cache (candidate-retrieval
-outputs).  Counters feed ``WWTService.stats()``.
-
-One eviction/locking implementation lives in the codebase —
-:class:`~repro.core.features.BoundedCache`; :class:`LRUCache` is the
-service-layer adapter over it, keeping this layer's historical API
-(``get`` returning ``(hit, value)``, ``CacheStats`` snapshots).
+The service's result and probe caches are typed
+:class:`~repro.core.features.BoundedCache` LRUs, the one eviction/locking
+implementation in the codebase; the feature cache is a
+:class:`~repro.core.features.FeatureCache` over two of them.  All three
+report through :meth:`CacheStats.of`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Optional, Tuple
+from typing import Any, Dict, Union
 
-from ..core.features import BoundedCache
+from ..core.features import BoundedCache, FeatureCache
 
-__all__ = ["CacheStats", "LRUCache"]
+__all__ = ["CacheStats"]
 
 
 @dataclass(frozen=True)
@@ -28,6 +25,17 @@ class CacheStats:
     misses: int
     size: int
     capacity: int
+
+    @classmethod
+    def of(cls, cache: Union[BoundedCache[Any, Any], FeatureCache]) -> CacheStats:
+        """Snapshot ``cache.stats()`` (one atomic read of its counters)."""
+        snapshot = cache.stats()
+        return cls(
+            hits=snapshot["hits"],
+            misses=snapshot["misses"],
+            size=snapshot["size"],
+            capacity=snapshot["capacity"],
+        )
 
     @property
     def lookups(self) -> int:
@@ -48,46 +56,3 @@ class CacheStats:
             "capacity": self.capacity,
             "hit_rate": round(self.hit_rate, 4),
         }
-
-
-class LRUCache:
-    """Bounded least-recently-used map; capacity 0 disables it entirely."""
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 0:
-            raise ValueError("capacity must be >= 0")
-        self.capacity = capacity
-        self._cache = BoundedCache(capacity)
-
-    @property
-    def enabled(self) -> bool:
-        """False when capacity is 0 (every lookup misses, puts drop)."""
-        return self.capacity > 0
-
-    def get(self, key: Hashable) -> Tuple[bool, Optional[Any]]:
-        """``(hit, value)``; a hit refreshes the key's recency."""
-        return self._cache.lookup(key)
-
-    def put(self, key: Hashable, value: Any) -> None:
-        """Insert/refresh a key, evicting the LRU entry when full."""
-        self._cache.put(key, value)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._cache
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    def clear(self) -> None:
-        """Drop all entries (counters are kept)."""
-        self._cache.clear()
-
-    def stats(self) -> CacheStats:
-        """Snapshot of the counters."""
-        snapshot = self._cache.stats()
-        return CacheStats(
-            hits=snapshot["hits"],
-            misses=snapshot["misses"],
-            size=snapshot["size"],
-            capacity=self.capacity,
-        )

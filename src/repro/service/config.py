@@ -92,10 +92,6 @@ class EngineConfig:
     #: within budget plus one stage's own cost (see DESIGN.md,
     #: "Execution engine").
     deadline_ms: Optional[float] = None
-    #: What to do when the deadline expires mid-plan: return a partial
-    #: answer flagged ``degraded`` (True, the default) or raise
-    #: :class:`~repro.exec.DeadlineExceeded` (False).
-    degraded_ok: bool = True
 
     def __post_init__(self) -> None:
         if self.inference not in DEFAULT_REGISTRY:
@@ -165,7 +161,6 @@ class EngineConfig:
             "parallel_mode": self.parallel_mode,
             "auto_compact_threshold": self.auto_compact_threshold,
             "deadline_ms": self.deadline_ms,
-            "degraded_ok": self.degraded_ok,
         }
 
     @classmethod
@@ -193,7 +188,7 @@ class EngineConfig:
             "inference", "cache_size", "probe_cache_size",
             "feature_cache_size", "max_workers", "page_size",
             "num_shards", "index_path", "parallel_mode",
-            "auto_compact_threshold", "deadline_ms", "degraded_ok",
+            "auto_compact_threshold", "deadline_ms",
         }
         unknown = sorted(set(data) - top_known)
         if unknown:

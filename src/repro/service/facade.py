@@ -12,29 +12,41 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
-from ..core.features import FeatureCache
+from ..core.features import BoundedCache, FeatureCache
 from ..core.pmi import PmiScorer
 from ..exec.context import (
     SPAN_CACHED,
     SPAN_OK,
     SPAN_SKIPPED,
     ExecutionContext,
+    Span,
     wall_clock,
 )
 from ..exec.plan import ExecutionPlan
 from ..exec.query import MAPPING_STAGES, PARSE_STAGES, QUERY_STAGES
 from ..exec.state import QueryState
-from ..exec.stats import StageAccumulator, StageStats
+from ..exec.stats import StageStats, Stats
 from ..faults.health import Coverage
 from ..index.protocol import CorpusProtocol
 from ..index.sharded import load_corpus
 from ..inference.registry import DEFAULT_REGISTRY
+from ..pipeline.probe import ProbeResult
 from ..pipeline.wwt import QueryTiming, WWTAnswer
 from ..query.model import Query
 from ..tables.table import WebTable
-from .cache import CacheStats, LRUCache
+from .cache import CacheStats
 from .config import EngineConfig
 from .types import QueryRequest, QueryResponse, build_explain, normalized_query_key
 
@@ -52,10 +64,13 @@ _MAPPING_PLAN = ExecutionPlan(MAPPING_STAGES, name="query")
 #: Anything ``answer``/``answer_batch`` accepts as a query.
 RequestLike = Union[QueryRequest, Query, str]
 
+#: Count-name prefix of the per-reason degraded-answer counts.
+_DEGRADED_BY = "degraded_reasons."
+
 
 @dataclass(frozen=True)
 class ServiceStats:
-    """Serving counters since construction (or the last ``reset_stats``)."""
+    """Serving counters since the service was constructed."""
 
     queries: int
     batches: int
@@ -144,8 +159,14 @@ class WWTService:
         if isinstance(corpus, (str, Path)):
             corpus = load_corpus(corpus)
         self.corpus = corpus
-        self._result_cache = LRUCache(self.config.cache_size)
-        self._probe_cache = LRUCache(self.config.probe_cache_size)
+        #: Full answers keyed by ``(normalized query, inference name)``.
+        self._result_cache: BoundedCache[Tuple[str, str], WWTAnswer] = (
+            BoundedCache(self.config.cache_size)
+        )
+        #: Probe outputs plus their spans, keyed by normalized query.
+        self._probe_cache: BoundedCache[
+            str, Tuple[ProbeResult, List[Span]]
+        ] = BoundedCache(self.config.probe_cache_size)
         #: Per-(query, table) feature memo shared by the probe's
         #: confidence pass and the full inference assembly, so stage-1
         #: features are computed once per query instead of twice.
@@ -161,16 +182,8 @@ class WWTService:
         #: Single-flight map: cache key -> Future of the leading computation,
         #: so concurrent identical queries compute the pipeline once.
         self._inflight: Dict[Any, Future[WWTAnswer]] = {}
-        self._queries = 0
-        self._batches = 0
-        self._total_time = 0.0
-        #: Per-stage latency accumulators keyed by stage name, fed by
-        #: every executed (non-cached) span.
-        self._stage_stats: Dict[str, StageAccumulator] = {}
-        self._deadline_hits = 0
-        self._degraded_answers = 0
-        self._degraded_reasons: Dict[str, int] = {}
-        self._partial_answers = 0
+        #: Every serving counter and per-stage latency behind :meth:`stats`.
+        self._stats = Stats()
 
     # -- the pipeline -----------------------------------------------------
 
@@ -188,10 +201,9 @@ class WWTService:
         The plan (``parse -> probe.* -> column_map -> consolidate ->
         rank``) runs under an :class:`~repro.exec.ExecutionContext`
         carrying the request's ``deadline_ms`` (falling back to the
-        config's) and the config's ``degraded_ok``; the span tree it
-        records is the source of both the response's
-        :class:`~repro.pipeline.wwt.QueryTiming` and the service's
-        per-stage aggregates.
+        config's); the span tree it records is the source of both the
+        response's :class:`~repro.pipeline.wwt.QueryTiming` and the
+        service's per-stage aggregates.
         """
         algorithm = DEFAULT_REGISTRY.get_algorithm(inference)  # fail fast
         ctx = ExecutionContext(
@@ -199,7 +211,6 @@ class WWTService:
                 deadline_ms if deadline_ms is not None
                 else self.config.deadline_ms
             ),
-            degraded_ok=self.config.degraded_ok,
         )
         state = QueryState(
             query=query,
@@ -219,10 +230,11 @@ class WWTService:
         # grafting the cached spans in the probe's place.
         probe_key = normalized_query_key(query)
         hit, entry = (
-            self._probe_cache.get(probe_key) if use_cache else (False, None)
+            self._probe_cache.lookup(probe_key) if use_cache
+            else (False, None)
         )
         try:
-            if hit:
+            if entry is not None:
                 state.probe, probe_spans = entry
                 _PARSE_PLAN.run(ctx, state)
                 ctx.adopt(probe_spans)
@@ -261,38 +273,29 @@ class WWTService:
             coverage=state.coverage,
         )
 
-    def _record_execution(
-        self, ctx: ExecutionContext, state: Optional[QueryState] = None
-    ) -> None:
-        """Fold one execution's spans into the per-stage aggregates."""
-        with self._lock:
-            for span in ctx.root.leaves():
-                if span is ctx.root:
-                    continue  # childless root (aborted before any stage)
-                if span.status in (SPAN_CACHED, SPAN_SKIPPED):
-                    continue  # not executed by this request
-                # Degraded executions (e.g. column_map's cheap fallback)
-                # aggregate under their own key — mixing them into the
-                # normal-stage percentiles would misdescribe the
-                # configured solver's latency.
-                key = (
-                    span.name if span.status == SPAN_OK
-                    else f"{span.name}:{span.status}"
-                )
-                acc = self._stage_stats.get(key)
-                if acc is None:
-                    acc = self._stage_stats[key] = StageAccumulator()
-                acc.add(span.duration)
-            if ctx.deadline_hit:
-                self._deadline_hits += 1
-            if ctx.degraded:
-                self._degraded_answers += 1
-            for reason in ctx.degraded_reasons:
-                self._degraded_reasons[reason] = (
-                    self._degraded_reasons.get(reason, 0) + 1
-                )
-            if state is not None and state.coverage is not None:
-                self._partial_answers += 1
+    def _record_execution(self, ctx: ExecutionContext, state: QueryState) -> None:
+        """Fold one execution's outcome and executed spans into the stats,
+        as one event."""
+        counts = {
+            "deadline_hits": int(ctx.deadline_hit),
+            "degraded_answers": int(ctx.degraded),
+            "partial_answers": int(state.coverage is not None),
+        }
+        for reason in ctx.degraded_reasons:
+            counts[_DEGRADED_BY + reason] = 1
+        # Cached and skipped spans were not executed by this request.
+        # Degraded executions (e.g. column_map's cheap fallback) aggregate
+        # under their own key — mixing them into the normal-stage
+        # percentiles would misdescribe the configured solver's latency.
+        self._stats.record(counts, [
+            (
+                span.name if span.status == SPAN_OK
+                else f"{span.name}:{span.status}",
+                span.duration,
+            )
+            for span in ctx.root.leaves()
+            if span.status not in (SPAN_CACHED, SPAN_SKIPPED)
+        ])
 
     def _cached_answer(
         self,
@@ -320,7 +323,7 @@ class WWTService:
                 query, name, deadline_ms, use_cache=False
             )
         key = (normalized_query_key(query), name)
-        hit, cached = self._result_cache.get(key)
+        hit, cached = self._result_cache.lookup(key)
         if hit:
             return True, cached
         flight_key = key + (deadline_ms,)
@@ -387,9 +390,7 @@ class WWTService:
         lo = (request.page - 1) * page_size
         rows = full.answer.rows[lo: lo + page_size]
         served_in = wall_clock() - start
-        with self._lock:
-            self._queries += 1
-            self._total_time += served_in
+        self._stats.record({"queries": 1, "total_time": served_in})
 
         return QueryResponse(
             query=request.query,
@@ -424,8 +425,7 @@ class WWTService:
         response reports its own cache provenance.
         """
         coerced = [QueryRequest.of(r) for r in requests]
-        with self._lock:
-            self._batches += 1
+        self._stats.record({"batches": 1})
         if not coerced:
             return []
         width = max_workers if max_workers is not None else self.config.max_workers
@@ -499,35 +499,22 @@ class WWTService:
 
     def stats(self) -> ServiceStats:
         """Snapshot of the serving counters."""
-        with self._lock:
-            queries, batches = self._queries, self._batches
-            total_time = self._total_time
-            stages = {
-                name: acc.snapshot()
-                for name, acc in self._stage_stats.items()
-            }
-            deadline_hits = self._deadline_hits
-            degraded_answers = self._degraded_answers
-            degraded_reasons = dict(self._degraded_reasons)
-            partial_answers = self._partial_answers
-        feature = self._feature_cache.stats()  # one atomic snapshot
+        counts, stages = self._stats.snapshot()
         return ServiceStats(
-            queries=queries,
-            batches=batches,
-            result_cache=self._result_cache.stats(),
-            probe_cache=self._probe_cache.stats(),
-            feature_cache=CacheStats(
-                hits=feature["hits"],
-                misses=feature["misses"],
-                size=feature["size"],
-                capacity=feature["capacity"],
-            ),
-            total_time=total_time,
+            queries=int(counts.get("queries", 0)),
+            batches=int(counts.get("batches", 0)),
+            result_cache=CacheStats.of(self._result_cache),
+            probe_cache=CacheStats.of(self._probe_cache),
+            feature_cache=CacheStats.of(self._feature_cache),
+            total_time=float(counts.get("total_time", 0.0)),
             stages=stages,
-            deadline_hits=deadline_hits,
-            degraded_answers=degraded_answers,
-            degraded_reasons=degraded_reasons,
-            partial_answers=partial_answers,
+            deadline_hits=int(counts.get("deadline_hits", 0)),
+            degraded_answers=int(counts.get("degraded_answers", 0)),
+            degraded_reasons={
+                name[len(_DEGRADED_BY):]: int(n)
+                for name, n in counts.items() if name.startswith(_DEGRADED_BY)
+            },
+            partial_answers=int(counts.get("partial_answers", 0)),
         )
 
     def coverage(self) -> Coverage:

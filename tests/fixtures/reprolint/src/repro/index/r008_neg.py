@@ -29,9 +29,9 @@ def strict_load(fn):
         raise RuntimeError("corrupt shard") from exc  # converted, not lost
 
 
-def refuse(counters, exc):
+def refuse(front, exc):
     try:
         raise exc
-    except KeyError:
-        counters.reject("invalid")  # counted refusal
+    except KeyError as err:
+        front.count_refusal(err)  # counted refusal
         return None

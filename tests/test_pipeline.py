@@ -28,13 +28,6 @@ class TestTwoStageProbe:
         ids = [t.table_id for t in result.tables]
         assert len(set(ids)) == len(ids)  # no duplicates across stages
 
-    def test_probe_timings_recorded(self, small_env):
-        wq = query_by_id("country | currency")
-        timings = {}
-        two_stage_probe(wq.query, small_env.synthetic.corpus, timings=timings)
-        assert "index1" in timings and timings["index1"] >= 0.0
-        assert "read1" in timings
-
     def test_second_stage_adds_content_matches(self, small_env):
         # The second probe must fire for a meaningful share of queries (the
         # paper reports ~65% at full scale; the small test corpus yields

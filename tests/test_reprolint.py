@@ -1,9 +1,9 @@
 """Fixture-based self-tests for the reprolint invariant linter.
 
-Every rule R001-R009 is exercised against a positive fixture (code that
-must be flagged, with pinned line numbers) and a negative fixture (the
-compliant counterpart, which must be clean); the scoped rules (R003,
-R006, R008) additionally prove the same code is *not* flagged outside
+Every rule R001-R009 (R006 was retired with the exceptions it guarded)
+is exercised against a positive fixture (code that must be flagged, with
+pinned line numbers) and a negative fixture (the compliant counterpart,
+which must be clean); the scoped rules (R003, R008) additionally prove the same code is *not* flagged outside
 their packages.  The hygiene fixtures pin the disable-comment grammar: a
 reasoned disable suppresses exactly its target, while bare, unknown-id,
 and malformed disables are themselves errors (R000).  Finally, the
@@ -42,8 +42,8 @@ class TestRuleCatalog(unittest.TestCase):
     def test_all_rules_registered_in_order(self):
         self.assertEqual(
             [rule.id for rule in ALL_RULES],
-            ["R001", "R002", "R003", "R004", "R005", "R006", "R007",
-             "R008", "R009"],
+            ["R001", "R002", "R003", "R004", "R005", "R007", "R008",
+             "R009"],
         )
 
     def test_every_rule_has_title_and_docstring(self):
@@ -120,20 +120,6 @@ class TestR005LockDiscipline(unittest.TestCase):
 
     def test_negative_helpers_called_under_lock_are_clean(self):
         self.assertEqual(lint_fixture("src/repro/core/r005_neg.py"), [])
-
-
-class TestR006SwallowedCancellation(unittest.TestCase):
-    def test_positive(self):
-        violations = lint_fixture("src/repro/exec/r006_pos.py")
-        self.assertEqual(lines_of(violations, "R006"), [11, 18, 20])
-
-    def test_negative_reraising_handlers_are_clean(self):
-        self.assertEqual(lint_fixture("src/repro/exec/r006_neg.py"), [])
-
-    def test_negative_out_of_scope_package(self):
-        self.assertEqual(
-            lint_fixture("src/other/pkg/r006_out_of_scope.py"), []
-        )
 
 
 class TestR007MutableDefault(unittest.TestCase):

@@ -13,7 +13,6 @@ from repro.query.model import Query
 from repro.serve import (
     ERROR_BAD_JSON,
     ERROR_BODY_TOO_LARGE,
-    ERROR_DEADLINE_EXCEEDED,
     ERROR_INTERNAL,
     ERROR_INVALID_VALUE,
     ERROR_METHOD_NOT_ALLOWED,
@@ -33,7 +32,6 @@ from repro.serve import (
     parse_query_payload,
     response_envelope,
 )
-from repro.serve.stats import ServerCounters
 from repro.service import QueryRequest, QueryResponse, WWTService
 
 
@@ -344,35 +342,6 @@ class TestRateLimiter:
         assert limiter.try_acquire("b")[0]
 
 
-class TestServerCounters:
-    def test_reject_reasons(self):
-        counters = ServerCounters()
-        for reason in ("queue_full", "rate_limited", "invalid", "shutdown"):
-            counters.reject(reason)
-        stats = counters.snapshot(queue_depth=0, uptime_s=1.0).to_dict()
-        assert stats["rejected"] == {
-            "queue_full": 1, "rate_limited": 1, "invalid": 1, "shutdown": 1,
-        }
-        with pytest.raises(ValueError):
-            counters.reject("nope")
-
-    def test_execution_lifecycle(self):
-        counters = ServerCounters()
-        counters.accept()
-        counters.start_execution(0.25)
-        mid = counters.snapshot(queue_depth=0, uptime_s=1.0)
-        assert mid.in_flight == 1 and mid.completed == 0
-        counters.finish_execution(0.5, degraded=True, failed=False)
-        done = counters.snapshot(queue_depth=0, uptime_s=2.0)
-        assert done.in_flight == 0
-        assert done.completed == 1 and done.shed_degraded == 1
-        assert done.queue_wait.count == 1 and done.handle.count == 1
-        counters.accept()
-        counters.start_execution(0.0)
-        counters.finish_execution(0.1, degraded=False, failed=True)
-        assert counters.snapshot(0, 3.0).errors_internal == 1
-
-
 # ---------------------------------------------------------------------------
 # The server over real sockets (stub engine)
 
@@ -381,6 +350,87 @@ def start_stub(service, **overrides):
     defaults = dict(port=0, workers=1, queue_depth=4)
     defaults.update(overrides)
     return ReproServer(service, ServeConfig(**defaults)).start()
+
+
+class TestServerCounters:
+    def test_reject_reasons(self):
+        server = ReproServer(StubService(), ServeConfig(port=0))
+        for code in (
+            ERROR_QUEUE_FULL, ERROR_RATE_LIMITED, ERROR_BAD_JSON,
+            ERROR_SHUTTING_DOWN, ERROR_BODY_TOO_LARGE,
+        ):
+            server.count_refusal(ServeError(code, "refused"))
+        stats = server.stats().to_dict()
+        assert stats["rejected"] == {  # every other code is a bad request
+            "queue_full": 1, "rate_limited": 1, "invalid": 2, "shutdown": 1,
+        }
+        assert stats["accepted"] == 0
+
+    def test_execution_lifecycle(self):
+        stub = StubService(block=True, degraded=True)
+        server = start_stub(stub)
+        statuses = []
+
+        def post():
+            with ServeClient(server.host, server.port) as client:
+                statuses.append(client.query(QUERY_BODY)[0])
+
+        try:
+            poster = threading.Thread(target=post)
+            poster.start()
+            assert stub.started.wait(timeout=10)
+            mid = server.stats()
+            assert (mid.accepted, mid.in_flight, mid.completed) == (1, 1, 0)
+            assert mid.queue_wait.count == 1 and mid.handle.count == 0
+            stub.release.set()
+            poster.join(timeout=30)
+            done = server.stats()
+            assert done.in_flight == 0
+            assert done.completed == 1 and done.shed_degraded == 1
+            assert done.queue_wait.count == 1 and done.handle.count == 1
+            stub.raise_exc = RuntimeError("boom")
+            post()
+            failed = server.stats()
+            assert (failed.accepted, failed.completed) == (2, 1)
+            assert failed.errors_internal == 1 and failed.shed_degraded == 1
+            assert statuses == [200, 500]
+        finally:
+            stub.release.set()
+            server.shutdown()
+
+    def test_snapshots_never_show_more_finished_than_admitted(self):
+        """Clients hammer a small server (some refused 429) while this
+        thread polls: no snapshot may count more jobs as finished or
+        running than were admitted."""
+        server = start_stub(StubService(), workers=2, queue_depth=2)
+        statuses = []
+
+        def client_loop(i):
+            with ServeClient(server.host, server.port, client_id=f"c{i}") as c:
+                for _ in range(15):
+                    statuses.append(c.query(QUERY_BODY)[0])
+
+        clients = [
+            threading.Thread(target=client_loop, args=(i,)) for i in range(6)
+        ]
+        try:
+            for thread in clients:
+                thread.start()
+            torn = []
+            while any(thread.is_alive() for thread in clients):
+                s = server.stats()
+                if s.completed + s.errors_internal + s.in_flight > s.accepted:
+                    torn.append(s)
+            for thread in clients:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in clients)
+            assert torn == []
+            final = server.stats()
+            assert len(statuses) == 90 and set(statuses) <= {200, 429}
+            assert final.accepted == final.completed == statuses.count(200)
+            assert final.rejected_queue_full == statuses.count(429)
+        finally:
+            server.shutdown()
 
 
 class TestServerAdmission:
@@ -501,13 +551,27 @@ class TestServerAdmission:
         finally:
             server.shutdown()
 
-    def test_strict_deadline_timeout_is_a_504(self):
-        server = start_stub(StubService(raise_exc=TimeoutError("over budget")))
+    def test_admission_is_counted_before_its_job_can_finish(self):
+        """Regression: ``admit`` enqueued the job and counted it only
+        afterwards, so a worker could finish it in between and ``/stats``
+        read ``accepted 0, completed 1``."""
+        server = start_stub(StubService(), workers=1)
+        enqueue = server._queue.put_nowait
+        seen = []
+
+        def enqueue_then_let_it_finish(job):
+            enqueue(job)
+            job.future.result(timeout=10)
+            wait_until(lambda: server.stats().in_flight == 0)
+            seen.append(server.stats())
+
+        server._queue.put_nowait = enqueue_then_let_it_finish
         try:
             with ServeClient(server.host, server.port) as client:
-                status, _, body = client.query(QUERY_BODY)
-            assert status == 504
-            assert body["error"]["code"] == ERROR_DEADLINE_EXCEEDED
+                assert client.query(QUERY_BODY)[0] == 200
+            [mid] = seen
+            assert (mid.accepted, mid.completed, mid.in_flight) == (1, 1, 0)
+            assert server.stats().accepted == 1
         finally:
             server.shutdown()
 
@@ -606,6 +670,95 @@ def corpus():
 @pytest.fixture()
 def service(corpus):
     return WWTService(corpus)
+
+
+def type_tree(data):
+    """``data`` with every leaf replaced by its type's name."""
+    if isinstance(data, dict):
+        return {key: type_tree(value) for key, value in data.items()}
+    return type(data).__name__
+
+
+_LATENCY = {
+    "count": "int", "total": "float", "mean": "float",
+    "p50": "float", "p95": "float",
+}
+_CACHE = {
+    "hits": "int", "misses": "int", "size": "int", "capacity": "int",
+    "hit_rate": "float",
+}
+#: ``service.stats().to_dict()`` after ``TestStatsShape``'s request
+#: sequence, as the three separate accumulators reported it before one
+#: ``Stats`` replaced them.
+SERVICE_TREE = {
+    "queries": "int",
+    "batches": "int",
+    "total_time": "float",
+    "result_cache": _CACHE,
+    "probe_cache": _CACHE,
+    "feature_cache": _CACHE,
+    "stages": {
+        name: _LATENCY for name in (
+            "column_map", "column_map:degraded", "consolidate", "parse",
+            "probe.confidence", "probe.index1", "probe.index2",
+            "probe.read1", "probe.read2", "rank",
+        )
+    },
+    "deadline_hits": "int",
+    "degraded_answers": "int",
+    "degraded_reasons": {"deadline": "int"},
+    "partial_answers": "int",
+}
+#: The ``server`` half of ``/stats`` (any request sequence).
+SERVER_TREE = {
+    "accepted": "int",
+    "completed": "int",
+    "rejected": {
+        "queue_full": "int", "rate_limited": "int", "invalid": "int",
+        "shutdown": "int",
+    },
+    "shed_degraded": "int",
+    "errors_internal": "int",
+    "queue_depth": "int",
+    "in_flight": "int",
+    "uptime_s": "float",
+    "queue_wait": _LATENCY,
+    "handle": _LATENCY,
+}
+
+
+class TestStatsShape:
+    """``/stats`` and ``service.stats().to_dict()`` keep their key tree and
+    value types — benchmarks and dashboards read them by path."""
+
+    def test_fresh_service_and_server(self, service):
+        idle = dict(SERVICE_TREE, stages={}, degraded_reasons={})
+        assert type_tree(service.stats().to_dict()) == idle
+        server = ReproServer(service, ServeConfig(port=0))
+        assert type_tree(server.stats_payload()) == {
+            "server": SERVER_TREE, "service": idle,
+        }
+
+    def test_after_a_request_sequence(self, service):
+        service.answer("country | currency")
+        service.answer("country | currency")
+        service.answer(QueryRequest.parse("dog breed", deadline_ms=0.001))
+        service.answer_batch(["country | gdp"])
+        assert type_tree(service.stats().to_dict()) == SERVICE_TREE
+        with ReproServer(service, ServeConfig(port=0)) as server:
+            with ServeClient(server.host, server.port) as client:
+                client.query(QUERY_BODY)
+                client.query({"query": "dog breed", "deadline_ms": 0.001,
+                              "use_cache": False})
+                client.request("POST", "/query", b"{nope")
+            with ServeClient(server.host, server.port) as client:
+                status, _, body = client.stats()
+        assert status == 200
+        assert type_tree(body) == {
+            "server": SERVER_TREE, "service": SERVICE_TREE,
+        }
+        assert body["server"]["completed"] == 2
+        assert body["server"]["rejected"]["invalid"] == 1
 
 
 class TestServedIdentity:

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from repro.core.features import query_feature_key
+from repro.core.features import BoundedCache, query_feature_key
 from repro.exec import SPAN_CACHED
 from repro.inference import ALGORITHMS, REGISTRY
 from repro.inference.registry import (
@@ -15,8 +15,8 @@ from repro.inference.registry import (
 from repro.pipeline.wwt import WWTAnswer
 from repro.query.model import Query
 from repro.service import (
+    CacheStats,
     EngineConfig,
-    LRUCache,
     QueryRequest,
     WWTService,
     normalized_query_key,
@@ -97,17 +97,23 @@ class TestEngineConfig:
             EngineConfig(page_size=0)
 
     def test_deadline_knobs_round_trip_and_validate(self):
-        config = EngineConfig(deadline_ms=75.5, degraded_ok=False)
+        config = EngineConfig(deadline_ms=75.5)
         restored = EngineConfig.from_dict(config.to_dict())
         assert restored == config
         assert restored.deadline_ms == 75.5
-        assert restored.degraded_ok is False
         assert EngineConfig().deadline_ms is None  # unbounded by default
-        assert EngineConfig().degraded_ok is True
         with pytest.raises(ValueError, match="deadline_ms"):
             EngineConfig(deadline_ms=0)
         with pytest.raises(ValueError, match="deadline_ms"):
             EngineConfig(deadline_ms=-1.0)
+
+    def test_removed_strict_deadline_mode_is_an_unknown_key(self):
+        """A spent budget always degrades: there is no raising mode."""
+        with pytest.raises(TypeError, match="degraded_ok"):
+            EngineConfig(degraded_ok=False)
+        with pytest.raises(ValueError, match=r"keys: \['degraded_ok'\]"):
+            EngineConfig.from_dict({"degraded_ok": False})
+        assert "degraded_ok" not in EngineConfig().to_dict()
 
 
 class TestRegistry:
@@ -158,39 +164,41 @@ class TestRegistry:
 
 
 class TestLRUCache:
+    """The service's result and probe caches: typed ``BoundedCache``s read
+    through ``lookup()`` and reported through ``CacheStats.of``."""
+
     def test_hit_miss_counters(self):
-        cache = LRUCache(capacity=2)
-        assert cache.get("a") == (False, None)
+        cache = BoundedCache(capacity=2)
+        assert cache.lookup("a") == (False, None)
         cache.put("a", 1)
-        assert cache.get("a") == (True, 1)
-        stats = cache.stats()
-        assert stats.hits == 1 and stats.misses == 1
+        assert cache.lookup("a") == (True, 1)
+        stats = CacheStats.of(cache)
+        assert stats == CacheStats(hits=1, misses=1, size=1, capacity=2)
         assert stats.hit_rate == pytest.approx(0.5)
 
     def test_lru_eviction_order(self):
-        cache = LRUCache(capacity=2)
+        cache = BoundedCache(capacity=2)
         cache.put("a", 1)
         cache.put("b", 2)
-        cache.get("a")  # refresh a: b is now least-recent
+        cache.lookup("a")  # refresh a: b is now least-recent
         cache.put("c", 3)
         assert "b" not in cache
-        assert cache.get("a") == (True, 1)
-        assert cache.get("c") == (True, 3)
+        assert cache.lookup("a") == (True, 1)
+        assert cache.lookup("c") == (True, 3)
 
     def test_zero_capacity_disables(self):
-        cache = LRUCache(capacity=0)
+        cache = BoundedCache(capacity=0)
         cache.put("a", 1)
-        assert not cache.enabled
-        assert cache.get("a") == (False, None)
+        assert cache.lookup("a") == (False, None)
         assert len(cache) == 0
 
     def test_clear_keeps_counters(self):
-        cache = LRUCache(capacity=4)
+        cache = BoundedCache(capacity=4)
         cache.put("a", 1)
-        cache.get("a")
+        cache.lookup("a")
         cache.clear()
         assert len(cache) == 0
-        assert cache.stats().hits == 1
+        assert CacheStats.of(cache).hits == 1
 
 
 class TestRequestTypes:

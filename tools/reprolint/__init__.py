@@ -1,6 +1,6 @@
 """reprolint — the repo-specific invariant linter (stdlib ``ast`` only).
 
-Nine machine-checkable rules encode the invariants behind the engine's
+Eight machine-checkable rules encode the invariants behind the engine's
 headline guarantee — bit-identical rankings across every backend — plus
 the concurrency discipline the execution engine relies on:
 
@@ -10,7 +10,6 @@ R002 no module-level/unseeded ``random`` — rngs are passed explicitly
 R003 no float accumulation in a set's order, direct or inherited (scoring)
 R004 no unbounded dict-shaped caches — memoization uses ``BoundedCache``
 R005 attributes written under ``self._lock`` are written only under it
-R006 ``repro.exec`` never swallows deadline/cancellation exceptions
 R007 no mutable default arguments, repo-wide
 R008 recovery paths record every failure they absorb
 R009 a ``WebTable`` is never written outside ``repro.tables.table``

@@ -17,7 +17,6 @@ from .r002_unseeded_random import UnseededRandomRule
 from .r003_unordered_iteration import UnorderedIterationRule
 from .r004_unbounded_cache import UnboundedCacheRule
 from .r005_lock_discipline import LockDisciplineRule
-from .r006_swallowed_cancellation import SwallowedCancellationRule
 from .r007_mutable_default import MutableDefaultRule
 from .r008_unrecorded_recovery import UnrecordedRecoveryRule
 from .r009_table_immutability import TableImmutabilityRule
@@ -30,7 +29,6 @@ __all__ = [
     "UnorderedIterationRule",
     "UnboundedCacheRule",
     "LockDisciplineRule",
-    "SwallowedCancellationRule",
     "MutableDefaultRule",
     "UnrecordedRecoveryRule",
     "TableImmutabilityRule",
@@ -43,7 +41,6 @@ ALL_RULES: List[Rule] = [
     UnorderedIterationRule(),
     UnboundedCacheRule(),
     LockDisciplineRule(),
-    SwallowedCancellationRule(),
     MutableDefaultRule(),
     UnrecordedRecoveryRule(),
     TableImmutabilityRule(),

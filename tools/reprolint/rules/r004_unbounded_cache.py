@@ -13,10 +13,6 @@ from ..base import (
     self_attribute,
 )
 
-#: Sanctioned cache constructors (bounded, thread-safe, counter-instrumented).
-BOUNDED_CACHES = frozenset({"BoundedCache", "LRUCache", "FeatureCache"})
-
-
 def _cache_like(name: str) -> bool:
     lowered = name.lower()
     return "cache" in lowered or "memo" in lowered

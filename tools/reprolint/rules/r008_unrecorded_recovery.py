@@ -22,7 +22,6 @@ RECORDING_NAMES = frozenset({
     "record_issue",      # scrub: structured defect reporting
     "set_exception",     # Future: the failure travels to the waiter
     "count_refusal",     # serve counters: refusal taxonomy
-    "reject",            # ServerCounters: rejection taxonomy
     "mark_degraded",     # ExecutionContext: degradation flag + reason
     "fail",              # binfmt._Reader: uniform path:offset ValueError
 })
@@ -64,7 +63,7 @@ class UnrecordedRecoveryRule(Rule):
     answer is silently wrong — the precise failure mode the chaos suite
     exists to rule out.  Every handler here must re-raise, or call a
     recording seam (``record_failure``/``record_success``,
-    ``record_issue``, ``set_exception``, ``count_refusal``/``reject``,
+    ``record_issue``, ``set_exception``, ``count_refusal``,
     ``mark_degraded``, the binfmt reader's ``fail``), or carry a
     ``reprolint: disable=R008`` comment whose reason explains why
     silence is correct there.
