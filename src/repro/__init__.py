@@ -42,14 +42,12 @@ from .evaluation import build_environment, f1_error, run_method
 from .exec import ExecutionContext, ExecutionPlan, Span, Stage
 from .index import (
     CorpusProtocol,
-    JournaledCorpus,
     ShardedCorpus,
     build_corpus_index,
     build_sharded_corpus,
     load_corpus,
 )
 from .inference import (
-    ALGORITHMS,
     REGISTRY,
     InferenceRegistry,
     MappingResult,
@@ -71,7 +69,6 @@ from .service import (
 __version__ = "1.5.0"
 
 __all__ = [
-    "ALGORITHMS",
     "AnswerRow",
     "AnswerTable",
     "CorpusConfig",
@@ -83,7 +80,6 @@ __all__ = [
     "FeatureCache",
     "GroundTruth",
     "InferenceRegistry",
-    "JournaledCorpus",
     "MappingResult",
     "ModelParams",
     "ProbeConfig",

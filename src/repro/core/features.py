@@ -15,10 +15,10 @@ stage-2 tables only.
 engine"): a cache is valid for one ``(stats, reliabilities, pmi_scorer)``
 triple, pinned by object identity on first use and auto-cleared whenever a
 different triple arrives.  That rule is correct by construction for live
-corpora — :class:`~repro.index.journal.JournaledCorpus` materializes a
-*new* merged :class:`~repro.text.tfidf.TermStatistics` object at the first
-probe after any journaled mutation, so the identity flip clears the cache
-exactly when features could go stale.  The serving facade clears it on
+corpora — :attr:`~repro.index.sharded.ShardedCorpus.stats` returns a *new*
+:class:`~repro.text.tfidf.TermStatistics` object at the first read after
+any mutation and the same object otherwise, so the identity flip clears
+the cache exactly when features could go stale.  The serving facade clears it on
 every mutation besides (``WWTService.clear_caches`` runs on every
 ``add_tables``/``delete_tables``).
 

@@ -138,7 +138,7 @@ def iter_tables(
     The ingestion path for incremental updates: generated pages go through
     the full real extraction pipeline, but the tables are *yielded* one by
     one instead of being indexed, ready for
-    :meth:`~repro.index.journal.JournaledCorpus.add_tables`::
+    :meth:`~repro.index.sharded.ShardedCorpus.add_tables`::
 
         corpus = load_corpus("corpus-dir")
         corpus.add_tables(iter_tables(CorpusConfig(scale=0.05),

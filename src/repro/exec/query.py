@@ -32,7 +32,7 @@ from typing import List
 from ..consolidate.merge import consolidate
 from ..consolidate.ranker import rank_answer
 from ..core.model import build_problem
-from ..inference.registry import DEFAULT_REGISTRY
+from ..inference.registry import DEFAULT_REGISTRY, InferenceFn
 from ..pipeline.probe import (
     ProbeConfig,
     ProbeResult,
@@ -250,13 +250,9 @@ MAPPING_STAGES = (
 QUERY_STAGES = PARSE_STAGES + PROBE_STAGES + MAPPING_STAGES
 
 
-def build_query_plan(include_probe: bool = True) -> ExecutionPlan:
-    """The full query plan; ``include_probe=False`` omits the probe
-    stages (the facade's probe-cache hit path, which grafts the cached
-    probe's spans between ``parse`` and ``column_map`` instead)."""
-    if include_probe:
-        return ExecutionPlan(QUERY_STAGES, name="query")
-    return ExecutionPlan(PARSE_STAGES + MAPPING_STAGES, name="query")
+def build_query_plan() -> ExecutionPlan:
+    """The full query plan, every stage in execution order."""
+    return ExecutionPlan(QUERY_STAGES, name="query")
 
 
 def build_probe_plan() -> ExecutionPlan:

@@ -9,7 +9,7 @@ derail extraction — the paper's corpus is arbitrary crawled HTML.
 from __future__ import annotations
 
 from html.parser import HTMLParser
-from typing import List
+from typing import List, Optional, Tuple
 
 from .dom import ElementNode, TextNode, VOID_ELEMENTS
 

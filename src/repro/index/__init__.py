@@ -1,15 +1,15 @@
 """Index substrate: fielded inverted index, table store, corpus builders.
 
-One snapshot backend implements :class:`CorpusProtocol`:
+One corpus class implements :class:`CorpusProtocol`:
 :class:`ShardedCorpus`, hash-partitioned scatter-gather over N >= 1
 :class:`Shard` records (loaded at construction, or opened from disk and
-materialized on first probe), with directory persistence via
-``save``/:func:`load_corpus`.  One :class:`TableStore` holds every
-shard's tables, parsed lazily from a persisted ``tables.jsonl`` or held
-in memory.  :class:`JournaledCorpus` wraps the snapshot with a
-crash-safe write-ahead journal for live ``add_tables``/``delete_tables``
-mutation and ``compact()`` folding — :func:`load_corpus` returns one for
-any persisted directory.
+materialized on first probe), mutable in place with
+``add_tables``/``delete_tables``, and persisted with ``save`` /
+:func:`load_corpus`.  A corpus opened from a directory journals each
+mutation to a crash-safe write-ahead log first (:mod:`repro.index.journal`)
+and ``compact()`` writes the live shards back.  One :class:`TableStore`
+holds every shard's tables, parsed lazily from a persisted
+``tables.jsonl`` or held in memory.
 
 Every save writes, and every load reads, the version-3 binary columnar
 layout of :mod:`repro.index.binfmt` (mmap'd, checksummed);
@@ -20,7 +20,6 @@ stream in O(shard) memory.
 from .binfmt import read_index_bin, write_index_bin
 from .builder import analyze_table, build_corpus_index, build_corpus_stream
 from .inverted import FIELD_BOOSTS, InvertedIndex, SearchHit
-from .journal import JournaledCorpus
 from .protocol import CorpusProtocol
 from .sharded import (
     Shard,
@@ -35,7 +34,6 @@ __all__ = [
     "CorpusProtocol",
     "FIELD_BOOSTS",
     "InvertedIndex",
-    "JournaledCorpus",
     "SearchHit",
     "Shard",
     "ShardedCorpus",

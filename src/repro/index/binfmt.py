@@ -105,20 +105,23 @@ class _StringTable:
 def encode_index(index: InvertedIndex) -> bytes:
     """Serialize an in-memory index to the v3 binary snapshot bytes.
 
-    The index must be removal-free (every interned doc number still names a
-    live document) — which every persisted snapshot is by construction:
-    base shards are append-only and deletions are folded at compaction.
-    A delta index carrying removals is rejected with ``ValueError``.
+    Removed documents are skipped and the survivors renumbered densely in
+    their original order, so the snapshot of a mutated index decodes to
+    the index a fresh build of its live documents gives.
     """
-    doc_names: List[str] = []
-    for num, name in enumerate(index._doc_names):
-        if name is None:
-            raise ValueError(
-                f"index holds a removed document (doc number {num}); only "
-                "compacted, removal-free indexes can be written as binary "
-                "snapshots"
-            )
-        doc_names.append(name)
+    doc_names = [name for name in index._doc_names if name is not None]
+    renumber: Optional[Dict[int, int]] = None
+    if len(doc_names) != len(index._doc_names):
+        live = [
+            num for num, name in enumerate(index._doc_names)
+            if name is not None
+        ]
+        renumber = {old: new for new, old in enumerate(live)}
+
+    def doc_nums(nums: "array[int]") -> "array[int]":
+        if renumber is None:
+            return nums
+        return array("q", (renumber[d] for d in nums))
 
     strings = _StringTable()
     doc_refs = array("q", (strings.ref(name) for name in doc_names))
@@ -131,12 +134,15 @@ def encode_index(index: InvertedIndex) -> bytes:
     flds += _I64.pack(len(fields))
     for field in fields:
         lengths = index._lengths[field]
+        norms = index._norms[field]
+        if renumber is not None:
+            norms = [norms[old] for old in renumber]
         flds += _I64.pack(strings.ref(field))
         flds += _F64.pack(index.boosts.get(field, 1.0))
         flds += _I64.pack(len(lengths))
-        flds += _le_bytes(array("q", lengths.keys()))
+        flds += _le_bytes(doc_nums(array("q", lengths.keys())))
         flds += _le_bytes(array("q", lengths.values()))
-        flds += _le_bytes(array("d", index._norms[field]))
+        flds += _le_bytes(array("d", norms))
 
     pstg = bytearray()
     pstg += _I64.pack(len(fields))
@@ -147,7 +153,7 @@ def encode_index(index: InvertedIndex) -> bytes:
         for term, plist in postings.items():
             pstg += _I64.pack(strings.ref(term))
             pstg += _I64.pack(len(plist))
-            pstg += _le_bytes(plist.doc_nums)
+            pstg += _le_bytes(doc_nums(plist.doc_nums))
             pstg += _le_bytes(plist.tfs)
             pstg += _le_bytes(plist.weights)
 

@@ -101,34 +101,6 @@ def _save_shard(
     return extras
 
 
-def journal_paths(path: Union[str, Path], manifest: Dict[str, Any]) -> List[Path]:
-    """Existing, non-empty per-shard journal files of a corpus directory.
-
-    Compaction replaces the whole directory (journals included), so any
-    surviving non-empty ``journal.jsonl`` holds mutations not yet folded
-    into the shard snapshots.
-    """
-    path = Path(path)
-    out = []
-    for entry in manifest["shards"]:
-        journal = path / entry["dir"] / JOURNAL_FILE
-        if journal.is_file() and journal.stat().st_size > 0:
-            out.append(journal)
-    return out
-
-
-def _refuse_unfolded_journal(path: Path, manifest: Dict[str, Any]) -> None:
-    """Raise if a snapshot-only loader would drop journaled mutations."""
-    pending = journal_paths(path, manifest)
-    if pending:
-        raise ValueError(
-            f"{path} has an unfolded write-ahead journal "
-            f"({', '.join(p.parent.name for p in pending)}); load it with "
-            "repro.index.load_corpus (which replays the journal) or fold "
-            "it first with compact()"
-        )
-
-
 def load_stats(path: Path) -> TermStatistics:
     """Read the shared ``stats.json`` of a persisted corpus directory."""
     stats_path = Path(path) / STATS_FILE
@@ -311,10 +283,10 @@ def read_manifest(path: Union[str, Path]) -> Dict[str, Any]:
 def analyze_table(table: WebTable) -> Dict[str, List[str]]:
     """Tokenize one table into its three boosted document fields.
 
-    THE analysis path: the in-memory builder, the streaming builder, the
-    journal's delta index, compaction and repair all tokenize through this
-    one function, so "a journaled table is analyzed exactly as a rebuilt
-    one" is structural rather than a convention the call sites must honor.
+    THE analysis path: the in-memory builder, the streaming builder, live
+    adds and deletes, and repair all tokenize through this one function,
+    so "a journaled table is analyzed exactly as a rebuilt one" is
+    structural rather than a convention the call sites must honor.
     """
     return {
         name: tokenize(table.field_text(name))

@@ -206,11 +206,11 @@ class InvertedIndex:
         The caller supplies the fields (re-analyzing the document is
         cheaper than keeping a forward index here) and the posting entries
         are deleted term by term — O(document · posting length), not
-        O(index).  Used by the journal's in-memory delta; persisted shard
-        snapshots stay append-only by design (deletes are folded at
-        compaction).  The df counters are decremented for exactly the
-        terms whose posting entries were found and removed, so they stay
-        consistent with the posting structure even on caller error.
+        O(index).  The document's number is retired, not reused; the
+        binary encoder renumbers the survivors.  The df counters are
+        decremented for exactly the terms whose posting entries were found
+        and removed, so they stay consistent with the posting structure
+        even on caller error.
         """
         num = self._doc_nums.pop(doc_id)  # KeyError(doc_id) when absent
         self._doc_names[num] = None

@@ -5,10 +5,9 @@
 retrieval, conjunctive containment, table reads, and the corpus-global
 :class:`~repro.text.tfidf.TermStatistics` that keeps every similarity's IDF
 weights comparable.  :class:`CorpusProtocol` names that contract so the
-pipeline is written once and runs unchanged against a
-:class:`~repro.index.sharded.ShardedCorpus` snapshot (hash-partitioned
-scatter-gather over N >= 1 shards) or the mutable
-:class:`~repro.index.journal.JournaledCorpus` wrapped around one.
+pipeline is written once; :class:`~repro.index.sharded.ShardedCorpus`
+(hash-partitioned scatter-gather over N >= 1 shards, mutable in place)
+is the package's one implementation.
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ __all__ = ["CorpusProtocol"]
 class CorpusProtocol(Protocol):
     """What a corpus must provide to serve the query pipeline.
 
-    Code written against this contract runs unchanged on a snapshot and
-    on a journaled corpus, whatever the shard count::
+    Code written against this contract runs unchanged whatever the shard
+    count, and before or after live mutations::
 
         def candidate_ids(corpus: CorpusProtocol, tokens):
             hits = corpus.search(tokens, limit=60)
@@ -36,13 +35,15 @@ class CorpusProtocol(Protocol):
 
         candidate_ids(build_corpus_index(tables), tokens)       # one shard
         candidate_ids(build_sharded_corpus(tables, 4), tokens)  # four
-        candidate_ids(load_corpus("corpus-dir"), tokens)        # journaled
+        candidate_ids(load_corpus("corpus-dir"), tokens)        # persisted
     """
 
-    #: Corpus-global document-frequency table: the statistics of the
-    #: *whole* corpus (never of one shard), which is the invariant that
-    #: keeps scores independent of the shard count.
-    stats: TermStatistics
+    @property
+    def stats(self) -> TermStatistics:
+        """Corpus-global document-frequency table: the statistics of the
+        *whole* corpus (never of one shard), which is the invariant that
+        keeps scores independent of the shard count."""
+        ...
 
     @property
     def num_tables(self) -> int:

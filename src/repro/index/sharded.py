@@ -1,8 +1,8 @@
-"""``repro.index.sharded`` — hash-partitioned corpus with scatter-gather probes.
+"""``repro.index.sharded`` — the corpus: hash-partitioned, mutable in place.
 
 The paper's engine fronts a 25M-table crawl; one in-memory index rebuilt
 per process start does not scale to that.  :class:`ShardedCorpus` — the
-one snapshot backend, for every N >= 1 — partitions tables across N
+one corpus class, for every N >= 1 — partitions tables across N
 independent shards by a stable hash of the table id and answers the
 pipeline's probes by scatter-gather:
 
@@ -18,29 +18,38 @@ pipeline's probes by scatter-gather:
   shard intersects locally; the union over shards is the global conjunction
   (again because shards partition the documents).
 
-The scatter is one serial loop over the shards in the calling thread
-(:meth:`ShardedCorpus.scatter`): a probe is 1-3 % of a query, and fanning
-it over a thread pool measured slower at every width (DESIGN.md, "Modes
-removed").
+The scatter is one serial loop over the shards in the calling thread: a
+probe is 1-3 % of a query, and fanning it over a thread pool measured
+slower at every width (DESIGN.md, "Modes removed").
+
+**Live mutation.**  :meth:`ShardedCorpus.add_tables` and
+:meth:`ShardedCorpus.delete_tables` change the owning shard's index and
+store in place, so a mutated corpus *is* the corpus a fresh build of its
+live tables gives — same ids in the same order, same scores, same
+statistics.  A corpus opened from a directory first appends each batch to
+the per-shard write-ahead journal (:mod:`repro.index.journal`);
+:meth:`ShardedCorpus.compact` writes the live shards back and retires the
+journal.
 
 Persistence is a directory (see DESIGN.md): ``manifest.json`` +
 ``stats.json`` (the shared :class:`~repro.text.tfidf.TermStatistics`) +
 one ``shard-NNNN/`` per shard holding the binary index snapshot
-(``index.bin``) and the table store (``tables.jsonl``).
-:func:`load_corpus` opens a directory in O(manifest): each shard comes
-from :meth:`Shard.open`, whose snapshot and table file materialize on
-first probe, not at open.
+(``index.bin``), the table store (``tables.jsonl``) and any unfolded
+``journal.jsonl``.  :func:`load_corpus` opens a directory in O(manifest)
+plus its journal: each shard comes from :meth:`Shard.open`, whose snapshot
+and table file materialize on first access, not at open.
 """
 
 from __future__ import annotations
 
 import heapq
+import os
 import threading
 import zlib
+from collections import Counter
 from functools import partial
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -64,7 +73,7 @@ from ..tables.table import WebTable
 from ..text.tfidf import TermStatistics
 from .binfmt import SHARD_BIN_FILE, read_index_bin
 from .builder import (
-    _refuse_unfolded_journal,
+    JOURNAL_FILE,
     MANIFEST_FILE,
     SHARD_TABLES_FILE,
     analyze_table,
@@ -73,10 +82,8 @@ from .builder import (
     save_corpus_dir,
 )
 from .inverted import FIELD_BOOSTS, InvertedIndex, SearchHit, lucene_idf
+from .journal import append_records, read_journal, repair_journal
 from .store import TableStore
-
-if TYPE_CHECKING:
-    from .protocol import CorpusProtocol
 
 __all__ = [
     "Shard",
@@ -99,18 +106,14 @@ def shard_of(table_id: str, num_shards: int) -> int:
 
 
 class Shard:
-    """One shard: an index, its table store, and the shared statistics.
+    """One shard: an index and its table store.
 
-    ``Shard(index, store, stats)`` is loaded from construction — what a
-    build and a compaction produce.  :meth:`open` is a persisted shard,
-    materialized on first access to :attr:`index` or :attr:`store`; until
-    then :attr:`num_tables` and :attr:`boosts` answer from the manifest.
-    ``stats`` is the *shared corpus-global* statistics object, never this
-    shard's own.
+    ``Shard(index, store)`` is loaded from construction — what a build
+    produces.  :meth:`open` is a persisted shard, materialized on first
+    access to :attr:`index` or :attr:`store`; until then
+    :attr:`num_tables` and :attr:`boosts` answer from the manifest.
     """
 
-    #: Corpus-global document-frequency table (shared across shards).
-    stats: TermStatistics
     #: Number of tables in this shard (never materializes).
     num_tables: int
     #: Field boosts of this shard's index (never materializes).
@@ -122,10 +125,7 @@ class Shard:
     _dir: Path
     _entry: Mapping[str, Any]
 
-    def __init__(
-        self, index: InvertedIndex, store: TableStore, stats: TermStatistics
-    ) -> None:
-        self.stats = stats
+    def __init__(self, index: InvertedIndex, store: TableStore) -> None:
         self.num_tables = len(store)
         self.boosts = dict(index.boosts)
         self._pair = (index, store)
@@ -136,7 +136,6 @@ class Shard:
         cls,
         shard_dir: Union[str, Path],
         entry: Mapping[str, Any],
-        stats: TermStatistics,
         boosts: Mapping[str, float],
     ) -> Shard:
         """A persisted shard, read from ``shard_dir`` on first access.
@@ -148,7 +147,6 @@ class Shard:
         first probes materialize it a single time.
         """
         shard = cls.__new__(cls)
-        shard.stats = stats
         shard.num_tables = int(entry["num_tables"])
         shard.boosts = {str(f): float(b) for f, b in boosts.items()}
         shard._pair = None
@@ -179,7 +177,7 @@ class Shard:
         )
         # The decoded index's doc-name order *is* the tables.jsonl line
         # order (both follow build insertion order), and a decoded
-        # snapshot is removal-free (the encoder rejects None doc names),
+        # snapshot is removal-free (the encoder renumbers live documents),
         # hence the cast.  The open itself refuses a tables.jsonl with
         # more or fewer rows than the index has documents.
         store = TableStore.open(
@@ -228,18 +226,24 @@ def _stored(table_id: str, shard: Shard) -> Optional[WebTable]:
 
 
 class ShardedCorpus:
-    """N >= 1 shards behind one ``CorpusProtocol`` front.
+    """N >= 1 shards behind one ``CorpusProtocol`` front, mutable in place.
 
-    Every shard's ``stats`` attribute is the *shared corpus-global*
-    :class:`TermStatistics`, and every probe scores with the corpus-global
-    IDF — the invariant that makes rankings shard-invariant::
+    Every probe scores with the corpus-global IDF — the invariant that
+    makes rankings shard-invariant — and :attr:`stats` is the statistics
+    of the whole corpus, never of one shard::
 
         from repro.index import build_sharded_corpus, load_corpus
 
         sharded = build_sharded_corpus(tables, num_shards=4)
         hits = sharded.search(["country", "currency"], limit=20)
         sharded.save("corpus-dir")              # manifest + per-shard files
-        reloaded = load_corpus("corpus-dir")    # O(manifest), journal-aware
+        corpus = load_corpus("corpus-dir")      # O(manifest), replays journal
+        corpus.add_tables(new_tables)           # WAL append, then in place
+        corpus.compact()                        # write shards, drop journal
+
+    One corpus lock serializes mutations with every read of the shards
+    (probes, table reads, ``ids``, ``stats``): a probe racing a mutation
+    sees the corpus from before or after it, never a torn one.
     """
 
     def __init__(
@@ -271,12 +275,6 @@ class ShardedCorpus:
                             "shard_of() (use build_sharded_corpus to "
                             "partition)"
                         )
-        self.stats = stats
-        #: The policy this corpus was constructed with (``None`` = strict
-        #: all-or-nothing scatter) — kept, with the clock, so compaction
-        #: can rebuild an equivalent corpus.
-        self.health_policy = health
-        self._clock = clock
         #: Per-shard failure domains.  ``None`` (the default) is the strict
         #: contract: any shard error raises through and no health
         #: bookkeeping runs.
@@ -288,6 +286,19 @@ class ShardedCorpus:
         self._df_cache: BoundedCache[str, int] = BoundedCache(
             STATS_CACHE_SIZE
         )
+        #: The current statistics vintage; ``None`` from a mutation until
+        #: the next :attr:`stats` read derives the new one.
+        self._stats: Optional[TermStatistics] = stats
+        #: Live corpus-global document frequencies, copied from the
+        #: statistics at the first mutation and kept current after it.
+        self._live_df: Optional[Counter[str]] = None
+        #: The directory this corpus journals to (``None``: in memory).
+        self._path: Optional[Path] = None
+        #: Highest journal sequence number folded into the snapshots, and
+        #: the next one to hand out.
+        self._base_seq = 0
+        self._next_seq = 1
+        self._lock = threading.RLock()
 
     # -- shape -----------------------------------------------------------------
 
@@ -298,8 +309,13 @@ class ShardedCorpus:
 
     @property
     def num_tables(self) -> int:
-        """Number of tables across all shards."""
+        """Number of live tables across all shards."""
         return self._num_tables
+
+    @property
+    def journal_depth(self) -> int:
+        """Mutations since the last compaction (the unfolded journal)."""
+        return self._next_seq - 1 - self._base_seq
 
     @property
     def boosts(self) -> Dict[str, float]:
@@ -313,6 +329,25 @@ class ShardedCorpus:
     def shard_sizes(self) -> List[int]:
         """Per-shard table counts (partition balance diagnostics)."""
         return [s.num_tables for s in self.shards]
+
+    @property
+    def stats(self) -> TermStatistics:
+        """Corpus-global :class:`TermStatistics` of the live tables.
+
+        One object per vintage: reads between two mutations return the
+        same object (``FeatureCache.pin`` keys on that identity), and the
+        first read after a mutation returns a new one, equal to what a
+        fresh build of the live tables computes.
+        """
+        stats = self._stats
+        if stats is not None:
+            return stats
+        with self._lock:
+            if self._stats is None:
+                self._stats = TermStatistics.from_dict({
+                    "num_docs": self._num_tables, "df": self._live_df,
+                })
+            return self._stats
 
     # -- scatter-gather machinery ----------------------------------------------
 
@@ -347,12 +382,11 @@ class ShardedCorpus:
             tracker.record_success(si)
         return result
 
-    def scatter(self, fn: Callable[[Shard], T]) -> List[T]:
+    def _scatter(self, fn: Callable[[Shard], T]) -> List[T]:
         """Apply ``fn`` to every reachable shard, serially, in shard order.
 
-        Every probe — :meth:`search`, :meth:`docs_containing_all` and the
-        journal's delta-merge path — goes through here, so each trips the
-        ``shard.search`` fault point and is health-gated alike.
+        Both probes go through here, so each trips the ``shard.search``
+        fault point and is health-gated alike.
         """
         results = (
             self._attempt(si, fn, POINT_SHARD_SEARCH)
@@ -364,8 +398,7 @@ class ShardedCorpus:
         """Corpus-global document frequency: the sum of the shard dfs.
 
         Each document lives in exactly one shard, so the sum is the df of
-        one index over all tables; cached because the posting structure
-        is immutable after construction.
+        one index over all tables; cached until the next mutation.
 
         With failure domains enabled the df is summed over *reachable*
         shards only — what a partial answer is actually scored with — and
@@ -374,26 +407,27 @@ class ShardedCorpus:
         unhealthy or failing bypasses the cache, so values from partial
         visibility never leak into full-coverage probes (or vice versa).
         """
-        tracker = self._health
-        incomplete = tracker is not None and not tracker.all_healthy()
-        if not incomplete:
-            cached = self._df_cache.get(term)
-            if cached is not None:
-                return cached
-        df = 0
-        for si, shard in enumerate(self.shards):
-            if tracker is not None and not tracker.available(si):
-                continue
-            try:
-                df += shard.index.document_frequency(term)
-            except Exception as exc:
-                if tracker is None:
-                    raise
-                tracker.record_failure(si, exc)
-                incomplete = True
-        if not incomplete:
-            self._df_cache.put(term, df)
-        return df
+        with self._lock:
+            tracker = self._health
+            incomplete = tracker is not None and not tracker.all_healthy()
+            if not incomplete:
+                cached = self._df_cache.get(term)
+                if cached is not None:
+                    return cached
+            df = 0
+            for si, shard in enumerate(self.shards):
+                if tracker is not None and not tracker.available(si):
+                    continue
+                try:
+                    df += shard.index.document_frequency(term)
+                except Exception as exc:
+                    if tracker is None:
+                        raise
+                    tracker.record_failure(si, exc)
+                    incomplete = True
+            if not incomplete:
+                self._df_cache.put(term, df)
+            return df
 
     def global_idf(self, term: str) -> float:
         """Lucene-classic IDF from corpus-global document frequencies.
@@ -401,7 +435,8 @@ class ShardedCorpus:
         Same :func:`~repro.index.inverted.lucene_idf` expression as
         :meth:`InvertedIndex.idf`, evaluated over :meth:`global_df`.
         """
-        return lucene_idf(self._num_tables, self.global_df(term))
+        with self._lock:
+            return lucene_idf(self._num_tables, self.global_df(term))
 
     # -- CorpusProtocol --------------------------------------------------------
 
@@ -422,11 +457,14 @@ class ShardedCorpus:
         :meth:`coverage` quantifies what was missed.  Without them, any
         shard error raises through.
         """
-        if self._num_tables == 0:
-            return []
-        results = self.scatter(
-            lambda s: s.index.search(terms, limit=limit, idf=self.global_idf)
-        )
+        with self._lock:
+            if self._num_tables == 0:
+                return []
+            results = self._scatter(
+                lambda s: s.index.search(
+                    terms, limit=limit, idf=self.global_idf
+                )
+            )
         merged = [hit for hits in results for hit in hits]
         return heapq.nsmallest(
             limit, merged, key=lambda h: (-h.score, h.doc_id)
@@ -438,15 +476,20 @@ class ShardedCorpus:
         """Scatter-gather conjunctive containment probe (PMI²'s H and B sets)."""
         field_list = list(fields)
         out: Set[str] = set()
-        for docs in self.scatter(
-            lambda s: s.index.docs_containing_all(terms, field_list)
-        ):
-            out.update(docs)
+        with self._lock:
+            for docs in self._scatter(
+                lambda s: s.index.docs_containing_all(terms, field_list)
+            ):
+                out.update(docs)
         return out
+
+    def _shard_for(self, table_id: str) -> Shard:
+        return self.shards[shard_of(table_id, len(self.shards))]
 
     def get_table(self, table_id: str) -> WebTable:
         """Fetch one table by id — routed straight to its shard."""
-        return self.shards[shard_of(table_id, self.num_shards)].store.get(table_id)
+        with self._lock:
+            return self._shard_for(table_id).store.get(table_id)
 
     def get_many(self, table_ids: Iterable[str]) -> List[WebTable]:
         """Fetch several tables, preserving input order, skipping unknowns.
@@ -456,31 +499,187 @@ class ShardedCorpus:
         the same partial-result contract as :meth:`search`.
         """
         out: List[WebTable] = []
-        for table_id in table_ids:
-            table = self._attempt(
-                shard_of(table_id, self.num_shards),
-                partial(_stored, table_id),
-            )
-            if table is not None:
-                out.append(table)
+        with self._lock:
+            for table_id in table_ids:
+                table = self._attempt(
+                    shard_of(table_id, len(self.shards)),
+                    partial(_stored, table_id),
+                )
+                if table is not None:
+                    out.append(table)
         return out
 
     def ids(self) -> List[str]:
-        """All table ids, shard-major (shard 0's insertion order first)."""
-        return [i for shard in self.shards for i in shard.store.ids()]
+        """All table ids, shard-major, each shard in insertion order."""
+        with self._lock:
+            return [i for shard in self.shards for i in shard.store.ids()]
 
     def __contains__(self, table_id: str) -> bool:
-        return table_id in self.shards[shard_of(table_id, self.num_shards)].store
+        with self._lock:
+            return table_id in self._shard_for(table_id).store
 
     def __iter__(self) -> Iterator[WebTable]:
-        for shard in self.shards:
-            yield from shard.store
+        """The live tables in :meth:`ids` order, as of the call."""
+        with self._lock:
+            tables = [t for shard in self.shards for t in shard.store]
+        return iter(tables)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"ShardedCorpus({self.num_shards} shards, "
-            f"{self.num_tables} tables)"
+            f"{self.num_tables} tables, depth={self.journal_depth})"
         )
+
+    # -- live mutation ---------------------------------------------------------
+
+    def add_tables(self, tables: Iterable[WebTable]) -> int:
+        """Add ``tables`` to their shards; searchable on return.
+
+        The batch is validated first — a missing id, or a duplicate within
+        the batch or against the corpus, rejects the whole call — then
+        journaled durably (:meth:`_commit`), then applied.  Returns the
+        number added.
+        """
+        batch = list(tables)
+        with self._lock:
+            seen: Set[str] = set()
+            for table in batch:
+                if not table.table_id:
+                    raise ValueError("table must have a table_id")
+                if table.table_id in seen:
+                    raise ValueError(
+                        f"duplicate table id {table.table_id!r} in batch"
+                    )
+                if table.table_id in self:
+                    raise ValueError(
+                        f"table id {table.table_id!r} already in corpus"
+                    )
+                seen.add(table.table_id)
+            self._commit([
+                (t.table_id, {"op": "add", "table": t.to_dict()})
+                for t in batch
+            ])
+            for table in batch:
+                self._apply_add(table)
+        return len(batch)
+
+    def delete_tables(self, table_ids: Iterable[str]) -> int:
+        """Remove tables from their shards; gone from every read on return.
+
+        Unknown or repeated ids raise ``KeyError`` and reject the whole
+        batch.  Same journal discipline as :meth:`add_tables`.  Returns
+        the number deleted.
+        """
+        ids = list(table_ids)
+        with self._lock:
+            seen: Set[str] = set()
+            for table_id in ids:
+                if table_id in seen:
+                    raise KeyError(
+                        f"duplicate table id {table_id!r} in batch"
+                    )
+                if table_id not in self:
+                    raise KeyError(f"table id {table_id!r} not in corpus")
+                seen.add(table_id)
+            self._commit([
+                (i, {"op": "delete", "table_id": i}) for i in ids
+            ])
+            for table_id in ids:
+                self._apply_delete(table_id)
+        return len(ids)
+
+    def _commit(self, batch: Sequence[Tuple[str, Dict[str, Any]]]) -> None:
+        """Journal one validated batch, then advance the sequence.
+
+        ``batch`` pairs each table id with its record minus ``seq``.
+        Records carry corpus-global sequence numbers and land in the
+        journal of the shard owning their table, one fsync per touched
+        shard.  All or nothing: if a later shard's append fails (disk
+        full, permissions), the shards already written are truncated back
+        to their pre-batch length, so a rejected batch can never partially
+        resurrect on replay.  An in-memory corpus journals nothing.
+        """
+        if self._path is not None:
+            by_shard: Dict[int, List[Dict[str, Any]]] = {}
+            for offset, (table_id, record) in enumerate(batch):
+                by_shard.setdefault(
+                    shard_of(table_id, len(self.shards)), []
+                ).append({"seq": self._next_seq + offset, **record})
+            undo: List[Tuple[Path, int]] = []
+            try:
+                for si, records in sorted(by_shard.items()):
+                    journal = self._path / f"shard-{si:04d}" / JOURNAL_FILE
+                    undo.append(
+                        (journal,
+                         journal.stat().st_size if journal.exists() else -1)
+                    )
+                    append_records(journal, records)
+            except BaseException:
+                for journal, size in undo:
+                    try:
+                        if size < 0:
+                            journal.unlink(missing_ok=True)
+                        else:
+                            with journal.open("r+b") as fh:
+                                fh.truncate(size)
+                                fh.flush()
+                                os.fsync(fh.fileno())
+                    except OSError:  # reprolint: disable=R008 -- best-effort rollback inside a handler that re-raises the original append failure below; a rarer rollback error must not mask it # pragma: no cover
+                        pass
+                raise
+        self._next_seq += len(batch)
+
+    def _apply_add(self, table: WebTable) -> None:
+        shard = self._shard_for(table.table_id)
+        fields = analyze_table(table)
+        shard.store.add(table)
+        shard.index.add_document(table.table_id, fields)
+        shard.num_tables += 1
+        self._recount(fields, 1)
+
+    def _apply_delete(self, table_id: str) -> None:
+        shard = self._shard_for(table_id)
+        fields = analyze_table(shard.store.remove(table_id))
+        shard.index.remove_document(table_id, fields)
+        shard.num_tables -= 1
+        self._recount(fields, -1)
+
+    def _recount(self, fields: Mapping[str, Sequence[str]], sign: int) -> None:
+        """Move the corpus counts by one document and retire the vintage."""
+        df = self._live_df
+        if df is None:
+            df = self._live_df = Counter(
+                cast(Dict[str, int], self.stats.to_dict()["df"])
+            )
+        for term in sorted({t for toks in fields.values() for t in toks}):
+            count = df[term] + sign
+            if count:
+                df[term] = count
+            else:
+                del df[term]
+        self._num_tables += sign
+        self._stats = None
+        self._df_cache.clear()
+
+    def compact(self) -> int:
+        """Write the live shards back and retire the journal.
+
+        Returns the number of journal records folded.  The directory
+        write is :meth:`save` to the corpus's own path with
+        ``journal_seq`` advanced to the last record, through the atomic
+        write-new-then-rename path of
+        :func:`~repro.index.builder.save_corpus_dir`: a crash at any point
+        leaves either the old snapshot + journal or the new snapshot,
+        never a mix.  Nothing is re-analyzed — the shards already hold the
+        live tables.
+        """
+        with self._lock:
+            folded = self.journal_depth
+            if folded:
+                if self._path is not None:
+                    self.save(self._path)
+                self._base_seq = self._next_seq - 1
+            return folded
 
     # -- failure domains -------------------------------------------------------
 
@@ -528,54 +727,91 @@ class ShardedCorpus:
     # -- persistence -----------------------------------------------------------
 
     def save(self, path: Union[str, Path]) -> Path:
-        """Persist to a directory: manifest + shared stats + per-shard files.
+        """Persist the live corpus: manifest + shared stats + per-shard files.
 
-        The write (:func:`~repro.index.builder.save_corpus_dir`) is
-        crash-safe (temp dir + swap), which also means a re-save with a
+        The written directory has no journal to replay: its manifest's
+        ``journal_seq`` covers every mutation so far, and deleted
+        documents and rows are dropped with the survivors renumbered in
+        order.  The write (:func:`~repro.index.builder.save_corpus_dir`)
+        is crash-safe (temp dir + swap), which also means a re-save with a
         different shard count cannot leave stale shard directories
         behind.  Saving necessarily materializes opened shards.
         """
-        return save_corpus_dir(
-            path,
-            [(shard.index, shard.store) for shard in self.shards],
-            self.stats,
-        )
+        with self._lock:
+            return save_corpus_dir(
+                path,
+                [(shard.index, shard.store) for shard in self.shards],
+                self.stats,
+                journal_seq=self._next_seq - 1,
+            )
 
     @classmethod
     def load(
         cls,
         path: Union[str, Path],
-        ignore_journal: bool = False,
         health: Optional[HealthPolicy] = None,
         clock: Optional[Callable[[], float]] = None,
     ) -> ShardedCorpus:
-        """Open a corpus saved by :meth:`save` in O(manifest).
+        """Open a corpus directory in O(manifest) and replay its journal.
 
-        Each shard is a :meth:`Shard.open`, decoded on first probe.
-        Snapshot only: loading just the snapshot of a directory that
-        carries an unfolded write-ahead journal would silently drop the
-        journaled mutations, so this refuses unless ``ignore_journal=True``
-        (which :func:`load_corpus`, the journal-aware entry point, passes
-        before replaying the journal itself).  ``health`` enables
-        per-shard failure domains (see :meth:`search`); ``clock`` injects
-        the tracker's clock.
+        Each shard is a :meth:`Shard.open`, decoded on first access.  A
+        crash that interrupted a previous save or compaction between its
+        two directory renames is healed first by restoring the backup
+        sibling.  Journal records with ``seq <= manifest["journal_seq"]``
+        were already folded into the snapshots and are skipped; everything
+        newer is re-applied in global sequence order, restoring exactly
+        the pre-crash state (minus a torn final append, which never
+        committed and is truncated here before the journal is appended to
+        again).  ``health`` enables per-shard failure domains (see
+        :meth:`search`); ``clock`` injects the tracker's clock.
         """
         path = Path(path)
+        _restore_backup_if_orphaned(path)
         manifest = read_manifest(path)
-        if not ignore_journal:
-            _refuse_unfolded_journal(path, manifest)
         stats = load_stats(path)
         shards = [
-            Shard.open(path / entry["dir"], entry, stats, manifest["boosts"])
+            Shard.open(path / entry["dir"], entry, manifest["boosts"])
             for entry in manifest["shards"]
         ]
         # validate=False: the persisted partition came from shard_of() at
         # build time; re-hashing every id would make load O(num_tables)
         # (and materialize every shard).
-        return cls(
+        corpus = cls(
             shards=shards, stats=stats, validate=False, health=health,
             clock=clock,
         )
+        corpus._path = path
+        corpus._base_seq = manifest["journal_seq"]
+        corpus._next_seq = corpus._base_seq + 1
+        corpus._replay(manifest)
+        return corpus
+
+    def _replay(self, manifest: Mapping[str, Any]) -> None:
+        """Re-apply the unfolded journal records, in sequence order."""
+        assert self._path is not None
+        pending: List[Tuple[int, Path, Dict[str, Any]]] = []
+        for entry in manifest["shards"]:
+            journal = self._path / entry["dir"] / JOURNAL_FILE
+            if not journal.is_file():
+                continue
+            repair_journal(journal)
+            for record in read_journal(journal):
+                if record["seq"] > self._base_seq:
+                    pending.append((record["seq"], journal, record))
+        pending.sort(key=lambda item: item[0])
+        with self._lock:
+            for seq, journal, record in pending:
+                try:
+                    if record["op"] == "add":
+                        self._apply_add(WebTable.from_dict(record["table"]))
+                    else:
+                        self._apply_delete(record["table_id"])
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ValueError(
+                        f"{journal}: replay of journal record seq={seq} "
+                        f"failed: {exc!r}"
+                    ) from exc
+                self._next_seq = seq + 1
 
 
 def build_sharded_corpus(
@@ -602,9 +838,7 @@ def build_sharded_corpus(
         fields = analyze_table(table)
         indexes[si].add_document(table.table_id, fields)
         stats.add_document([t for toks in fields.values() for t in toks])
-    shards = [
-        Shard(index, store, stats) for index, store in zip(indexes, stores)
-    ]
+    shards = [Shard(index, store) for index, store in zip(indexes, stores)]
     # validate=False: the loop above IS the shard_of() partition.
     return ShardedCorpus(shards=shards, stats=stats, validate=False)
 
@@ -631,32 +865,17 @@ def _restore_backup_if_orphaned(path: Path) -> None:
 
 def load_corpus(
     path: Union[str, Path],
-    mutable: bool = True,
     health: Optional[HealthPolicy] = None,
     clock: Optional[Callable[[], float]] = None,
     parallel_mode: str = "serial",
-) -> CorpusProtocol:
-    """Open a persisted corpus directory.
-
-    The journal-aware entry point, and the one serving processes should
-    use::
+) -> ShardedCorpus:
+    """Open a persisted corpus directory (:meth:`ShardedCorpus.load`)::
 
         from repro.index import load_corpus
 
         corpus = load_corpus("corpus-dir")       # replays any journal
         corpus.add_tables(new_tables)            # durable live mutation
-        corpus.compact()                         # fold into snapshots
-
-    Opens the shard snapshots (O(manifest)), replays any
-    surviving write-ahead journal (``repro.index.journal``), and returns a
-    mutable :class:`~repro.index.journal.JournaledCorpus` wrapping the
-    :class:`ShardedCorpus` snapshot.  A crash that interrupted a previous
-    save or compaction between its two directory renames is healed here by
-    restoring the backup sibling.
-
-    ``mutable=False`` returns the bare :class:`ShardedCorpus` instead; it
-    refuses directories with unfolded journal records rather than silently
-    dropping them.
+        corpus.compact()                         # write shards, drop journal
 
     ``health`` enables per-shard failure domains (retry/quarantine
     lifecycle, partial scatter-gather, coverage — see
@@ -665,18 +884,9 @@ def load_corpus(
     is the only scatter there is, and the name stays only because
     ``benchmarks/e2e`` still passes it (DESIGN.md, "Modes removed").
     """
-    from .journal import JournaledCorpus
-
     if parallel_mode != "serial":
         raise ValueError(
             f"parallel_mode {parallel_mode!r} was removed: the shard "
             'scatter is always serial ("serial" is the only accepted value)'
         )
-    path = Path(path)
-    _restore_backup_if_orphaned(path)
-    base = ShardedCorpus.load(
-        path, ignore_journal=mutable, health=health, clock=clock
-    )
-    if not mutable:
-        return base
-    return JournaledCorpus.open(path, base, read_manifest(path))
+    return ShardedCorpus.load(path, health=health, clock=clock)

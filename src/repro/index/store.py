@@ -7,9 +7,10 @@ greppable and append-friendly.
 
 One :class:`TableStore` serves every use.  It holds rows from an optional
 backing ``tables.jsonl`` — a persisted shard's, opened by
-:meth:`TableStore.open` — plus rows added in memory (a build, the
-journal's delta, a compaction's appends).  A backing file is never
-parsed at open: the store knows every row's byte offset (from the
+:meth:`TableStore.open` — plus rows added in memory (a build, live adds).
+Removing a row of either kind drops it from every read and from the next
+:meth:`TableStore.save`.  A backing file is never parsed at open: the
+store knows every row's byte offset (from the
 ``tables.offsets`` sidecar, or a newline scan of the mmap'd file) and
 parses a row's JSON only when that table is first read.  At 10^5 tables
 this turns shard materialization's eager parse — tens of seconds of
@@ -52,15 +53,17 @@ class TableStore:
     :meth:`open` fronts a ``tables.jsonl`` file whose rows parse on first
     read (and are cached, so steady-state reads cost the same as the
     in-memory ones); :meth:`load` parses a file eagerly.  Either way
-    :meth:`add` appends rows in memory after the file's, and ``ids()`` /
-    iteration / :meth:`save` follow that order.
+    :meth:`add` appends rows in memory after the file's, :meth:`remove`
+    drops a row of either kind, and ``ids()`` / iteration / :meth:`save`
+    follow the surviving rows in that order.
     """
 
     def __init__(self, tables: Optional[Iterable[WebTable]] = None) -> None:
         #: The backing file, ``None`` for a store without one.
         self._path: Optional[Path] = None
-        #: The file's row ids in line order, and each id's row number.
-        self._line_ids: List[str] = []
+        #: The file's row ids in line order (``None``: removed), and each
+        #: live id's row number.
+        self._line_ids: List[Optional[str]] = []
         self._line_of: Dict[str, int] = {}
         #: Row ``i``'s bytes are ``file[_offsets[i]:_offsets[i + 1]]``.
         self._offsets: List[int] = []
@@ -103,9 +106,10 @@ class TableStore:
             )
         store = cls()
         store._path = path
-        store._line_ids = [str(t) for t in table_ids]
-        store._line_of = {tid: i for i, tid in enumerate(store._line_ids)}
-        if len(store._line_of) != len(store._line_ids):
+        line_ids = [str(t) for t in table_ids]
+        store._line_ids = list(line_ids)
+        store._line_of = {tid: i for i, tid in enumerate(line_ids)}
+        if len(store._line_of) != len(line_ids):
             raise ValueError(f"{path}: duplicate table ids in row order")
         store._offsets = offsets
         if table_ids:
@@ -209,20 +213,18 @@ class TableStore:
         return self._fetch(table_id)
 
     def remove(self, table_id: str) -> WebTable:
-        """Remove and return a table added in memory (KeyError if absent).
+        """Remove and return a table (KeyError if absent).
 
-        O(1); used by the journal's delta store when a journaled add is
-        itself deleted.  A row of the backing file cannot be removed: a
-        persisted shard is append-only, and its deletions fold at
-        compaction, which rebuilds the shard's store.
+        O(1).  A row of the backing file is parsed first (the caller needs
+        its content to un-index it) and then forgotten: the file itself is
+        untouched, and the next :meth:`save` skips the row.
         """
-        if table_id in self._line_of:
-            raise ValueError(
-                f"{self._path}: table {table_id!r} is a row of the backing "
-                "file, which is append-only; only tables added in memory "
-                "can be removed"
-            )
-        return self._added.pop(table_id)
+        if table_id in self._added:
+            return self._added.pop(table_id)
+        table = self._fetch(table_id)
+        self._line_ids[self._line_of.pop(table_id)] = None
+        del self._parsed[table_id]
+        return table
 
     def get_many(self, table_ids: Iterable[str]) -> List[WebTable]:
         """Fetch several tables, preserving input order, skipping unknowns."""
@@ -232,16 +234,17 @@ class TableStore:
         return table_id in self._added or table_id in self._line_of
 
     def __len__(self) -> int:
-        return len(self._line_ids) + len(self._added)
+        return len(self._line_of) + len(self._added)
 
     def __iter__(self) -> Iterator[WebTable]:
-        for table_id in self._line_ids:
+        for table_id in self.ids():
             yield self._fetch(table_id)
-        yield from self._added.values()
 
     def ids(self) -> List[str]:
         """All table ids: file row order first, then in-memory adds."""
-        return self._line_ids + list(self._added)
+        return [
+            i for i in self._line_ids if i is not None
+        ] + list(self._added)
 
     def close(self) -> None:
         """Release the backing file's map (idempotent).
@@ -259,16 +262,18 @@ class TableStore:
     def save(self, path: Union[str, Path]) -> None:
         """Write the store as JSON-lines, one table per line.
 
-        File rows are copied byte-for-byte (no parse + re-serialize round
-        trip), then the in-memory rows serialize after them, so
-        ``load(save(s))`` round-trips both contents and ordering.  All
-        bytes are gathered *before* the target opens, so saving over the
-        store's own backing file is safe.
+        Surviving file rows are copied byte-for-byte (no parse +
+        re-serialize round trip), then the in-memory rows serialize after
+        them, so ``load(save(s))`` round-trips both contents and ordering.
+        All bytes are gathered *before* the target opens, so saving over
+        the store's own backing file is safe.
         """
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         chunks: List[bytes] = []
-        for row in range(len(self._line_ids)):
+        for row, table_id in enumerate(self._line_ids):
+            if table_id is None:
+                continue
             raw = self._row_bytes(row)
             chunks.append(raw if raw.endswith(b"\n") else raw + b"\n")
         for table in self._added.values():

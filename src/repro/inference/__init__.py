@@ -8,9 +8,8 @@ test oracle.
 
 Each algorithm registers itself into :data:`REGISTRY` (an
 :class:`~repro.inference.registry.InferenceRegistry`) at import time via
-the :func:`~repro.inference.registry.register_algorithm` decorator.
-``ALGORITHMS`` is the same registry under its historical name — it still
-behaves like the ``Dict[str, InferenceFn]`` it used to be.
+the :func:`~repro.inference.registry.register_algorithm` decorator; the
+registry reads like a ``Dict[str, InferenceFn]``.
 """
 
 from .alpha_expansion import alpha_expansion_inference
@@ -35,10 +34,6 @@ from .trws import trws_inference
 #: above at import time).
 REGISTRY: InferenceRegistry = DEFAULT_REGISTRY
 
-#: Legacy alias — the registry satisfies the Mapping protocol, so code
-#: written against the old plain-dict constant keeps working.
-ALGORITHMS = REGISTRY
-
 
 def get_algorithm(name: str) -> InferenceFn:
     """Look up an inference algorithm by registered name."""
@@ -46,7 +41,6 @@ def get_algorithm(name: str) -> InferenceFn:
 
 
 __all__ = [
-    "ALGORITHMS",
     "AlgorithmInfo",
     "InferenceRegistry",
     "REGISTRY",

@@ -4,9 +4,9 @@ Inference algorithms register themselves at definition time with
 :func:`register_algorithm`, attaching capability metadata (is the solver
 exact or approximate?  does it reason collectively across tables?) that the
 service layer surfaces in explain payloads and the CLI uses to build its
-option lists.  The registry implements the ``Mapping`` protocol so the
-legacy ``ALGORITHMS`` dict idiom (``ALGORITHMS[name]``, ``name in
-ALGORITHMS``, ``ALGORITHMS.items()``) keeps working unchanged.
+option lists.  The registry implements the ``Mapping`` protocol, so
+``REGISTRY[name]``, ``name in REGISTRY`` and ``REGISTRY.items()`` work as
+on a plain dict.
 """
 
 from __future__ import annotations
@@ -71,9 +71,8 @@ class AlgorithmInfo:
 class InferenceRegistry(Mapping[str, InferenceFn]):
     """Name -> algorithm registry with decorator-based registration.
 
-    Reads like a plain ``Dict[str, InferenceFn]`` (the shape of the old
-    ``ALGORITHMS`` module constant) while also exposing per-algorithm
-    metadata via :meth:`info`.
+    Reads like a plain ``Dict[str, InferenceFn]`` while also exposing
+    per-algorithm metadata via :meth:`info`.
     """
 
     def __init__(self) -> None:
@@ -175,7 +174,7 @@ class InferenceRegistry(Mapping[str, InferenceFn]):
         """All metadata records, sorted by name."""
         return [self._algorithms[name] for name in self.names()]
 
-    # -- Mapping protocol (legacy ``ALGORITHMS`` dict idiom) --------------
+    # -- Mapping protocol ------------------------------------------------
 
     def __getitem__(self, name: str) -> InferenceFn:
         return self.get_algorithm(name)

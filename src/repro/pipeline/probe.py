@@ -135,16 +135,15 @@ def two_stage_probe(
     """Run the Section 2.2.1 candidate retrieval.
 
     ``corpus`` is any :class:`~repro.index.protocol.CorpusProtocol` corpus
-    — a :class:`~repro.index.ShardedCorpus` snapshot or the journaled
-    wrapper around one; results do not depend on the shard count (see
-    DESIGN.md, "Sharded index & persistence").
+    — usually a :class:`~repro.index.ShardedCorpus`; results do not
+    depend on the shard count (see DESIGN.md, "Sharded index &
+    persistence").
 
     The stage-2 row sample draws from a private ``random.Random`` seeded
     with ``config.seed`` (never the module-global generator), so concurrent
-    probes — including parallel sharded scatter-gather — and cached reruns
-    are bit-reproducible.  Pass ``rng`` to thread your own generator
-    instead (it is consumed; share one only for deliberately coupled
-    sampling sequences).
+    probes and cached reruns are bit-reproducible.  Pass ``rng`` to thread
+    your own generator instead (it is consumed; share one only for
+    deliberately coupled sampling sequences).
 
     ``feature_cache`` (when given) is populated by the confidence pass's
     :func:`~repro.core.model.build_problem` call, so a caller assembling

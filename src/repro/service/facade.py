@@ -13,7 +13,6 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING,
     Any,
     Dict,
     Iterable,
@@ -40,7 +39,7 @@ from ..exec.state import QueryState
 from ..exec.stats import StageStats, Stats
 from ..faults.health import Coverage
 from ..index.protocol import CorpusProtocol
-from ..index.sharded import load_corpus
+from ..index.sharded import ShardedCorpus, load_corpus
 from ..inference.registry import DEFAULT_REGISTRY
 from ..pipeline.probe import ProbeResult
 from ..pipeline.wwt import QueryTiming, WWTAnswer
@@ -49,9 +48,6 @@ from ..tables.table import WebTable
 from .cache import CacheStats
 from .config import EngineConfig
 from .types import QueryRequest, QueryResponse, build_explain, normalized_query_key
-
-if TYPE_CHECKING:  # typing-only: journal is an optional runtime surface here
-    from ..index.journal import JournaledCorpus
 
 __all__ = ["ServiceStats", "WWTService"]
 
@@ -127,17 +123,18 @@ class WWTService:
         print(service.stats().to_dict())
 
     ``corpus`` is any :class:`~repro.index.protocol.CorpusProtocol` corpus
-    (a built snapshot or a journaled one), or a path to a persisted corpus
-    directory (``repro index build``).  With no corpus argument at all,
-    the config's ``index_path`` is loaded — so a service is fully
-    constructible from one JSON config file.
+    (usually a :class:`~repro.index.sharded.ShardedCorpus`), or a path to
+    a persisted corpus directory (``repro index build``).  With no corpus
+    argument at all, the config's ``index_path`` is loaded — so a service
+    is fully constructible from one JSON config file.
 
-    A service over a persisted directory can also mutate it live — new
-    tables are journaled durably and searchable immediately::
+    The served corpus can also be mutated live — new tables are
+    searchable immediately, and journaled durably first when the corpus
+    was opened from a directory::
 
         service = WWTService("corpus-dir")
         service.add_tables(new_tables)      # caches invalidated
-        service.compact()                   # fold journal into snapshots
+        service.compact()                   # write shards, drop journal
     """
 
     def __init__(
@@ -437,37 +434,36 @@ class WWTService:
 
     # -- live mutation -----------------------------------------------------
 
-    def _mutable_corpus(self) -> JournaledCorpus:
-        """The served corpus, if it supports journaled mutation.
+    def _mutable_corpus(self) -> ShardedCorpus:
+        """The served corpus, if it supports live mutation.
 
-        Corpora loaded from a persisted directory (``WWTService(path)`` or
-        ``EngineConfig.index_path``) are
-        :class:`~repro.index.journal.JournaledCorpus` instances and
-        mutable; an in-memory corpus object passed in by the caller
-        usually is not.
+        Every :class:`~repro.index.sharded.ShardedCorpus` does; another
+        :class:`~repro.index.protocol.CorpusProtocol` implementation
+        passed in by the caller may not.
         """
-        if not hasattr(self.corpus, "add_tables"):
+        if not isinstance(self.corpus, ShardedCorpus):
             raise ValueError(
-                "the served corpus is immutable; serve a persisted corpus "
-                "directory (repro index build + WWTService(path)) to get "
-                "journaled add_tables/delete_tables"
+                f"the served corpus ({type(self.corpus).__name__}) is "
+                "immutable; serve a ShardedCorpus to get "
+                "add_tables/delete_tables"
             )
         return self.corpus
 
     def add_tables(self, tables: Iterable[WebTable]) -> int:
-        """Journal new tables into the served corpus, live.
+        """Add new tables to the served corpus, live.
 
         The tables are searchable by the next query — both caches are
         dropped (cached answers were computed against the smaller corpus)
-        — and the mutation is durable before this returns.  When the
-        config sets ``auto_compact_threshold`` and the journal has grown
-        to that depth, the corpus is compacted in the same call.  Returns
-        the number of tables added.
+        — and, for a corpus opened from a directory, the mutation is
+        durable before this returns.  When the config sets
+        ``auto_compact_threshold`` and the journal has grown to that
+        depth, the corpus is compacted in the same call.  Returns the
+        number of tables added.
         """
         corpus = self._mutable_corpus()
         added = corpus.add_tables(tables)
         self.clear_caches()
-        self._maybe_auto_compact()
+        self._maybe_auto_compact(corpus)
         return added
 
     def delete_tables(self, table_ids: Iterable[str]) -> int:
@@ -475,25 +471,21 @@ class WWTService:
         corpus = self._mutable_corpus()
         deleted = corpus.delete_tables(table_ids)
         self.clear_caches()
-        self._maybe_auto_compact()
+        self._maybe_auto_compact(corpus)
         return deleted
 
     def compact(self) -> int:
-        """Fold the served corpus's journal into fresh shard snapshots.
+        """Write the served corpus's shards back and retire its journal.
 
         Returns the number of journal records folded.  Cached answers stay
-        valid (compaction preserves rankings exactly), so the caches are
-        left alone.
+        valid (compaction changes no table), so the caches are left alone.
         """
         return self._mutable_corpus().compact()
 
-    def _maybe_auto_compact(self) -> None:
+    def _maybe_auto_compact(self, corpus: ShardedCorpus) -> None:
         threshold = self.config.auto_compact_threshold
-        if (
-            threshold is not None
-            and getattr(self.corpus, "journal_depth", 0) >= threshold
-        ):
-            self.corpus.compact()
+        if threshold is not None and corpus.journal_depth >= threshold:
+            corpus.compact()
 
     # -- operations -------------------------------------------------------
 

@@ -1,5 +1,6 @@
 """R003 negative: ordered, counted, or non-accumulating set use."""
 
+from typing import Set
 
 def sorted_sum(weights, a, b):
     return sum(weights[t] for t in sorted(set(a) & set(b)))

@@ -26,9 +26,11 @@ from repro.corpus.generator import iter_synthetic_tables
 from repro.index import (
     InvertedIndex,
     Shard,
+    ShardedCorpus,
     build_corpus_index,
     build_corpus_stream,
     load_corpus,
+    shard_of,
 )
 from repro.index.binfmt import encode_index, read_index_bin, write_index_bin
 from repro.index.builder import read_manifest
@@ -459,13 +461,34 @@ class TestDfDefects:
 
 
 class TestEncoderGuards:
-    def test_encoder_rejects_removed_documents(self):
+    def test_encoder_renumbers_removed_documents(self, tmp_path):
+        """Removed documents are skipped and the survivors renumbered:
+        the snapshot is the one a build of the survivors writes."""
         index = InvertedIndex()
-        index.add_document("a", {"content": ["x", "y"]})
-        index.add_document("b", {"content": ["x"]})
-        index.remove_document("a", {"content": ["x", "y"]})
-        with pytest.raises(ValueError, match="removed document"):
-            encode_index(index)
+        index.add_document("a", {"content": ["x", "y"], "header": ["h"]})
+        index.add_document("b", {"content": ["x"], "header": ["h", "h"]})
+        index.add_document("c", {"content": ["y", "x"]})
+        index.remove_document("a", {"content": ["x", "y"], "header": ["h"]})
+        fresh = InvertedIndex()
+        fresh.add_document("b", {"content": ["x"], "header": ["h", "h"]})
+        fresh.add_document("c", {"content": ["y", "x"]})
+        write_index_bin(tmp_path / "index.bin", index)
+        decoded = read_index_bin(tmp_path / "index.bin")
+        assert decoded._doc_names == ["b", "c"]
+        for field in fresh.boosts:
+            assert decoded._norms[field] == fresh._norms[field]
+            assert decoded._lengths[field] == fresh._lengths[field]
+        for term in ("x", "y", "h"):
+            assert decoded.document_frequency(term) == (
+                fresh.document_frequency(term)
+            )
+            for field in fresh.boosts:
+                assert decoded.postings(field, term) == (
+                    fresh.postings(field, term)
+                )
+        assert [(h.doc_id, h.score) for h in decoded.search(["x", "h"])] == [
+            (h.doc_id, h.score) for h in fresh.search(["x", "h"])
+        ]
 
 
 # -- round trips and bit-identity ----------------------------------------------
@@ -541,7 +564,7 @@ class TestLazyShard:
 
     def test_open_is_lazy_until_first_probe(self, tmp_path):
         tables, path = self.make_corpus(tmp_path)
-        corpus = load_corpus(path, mutable=False)
+        corpus = load_corpus(path)
         assert all(isinstance(s, Shard) for s in corpus.shards)
         assert not any(s.materialized for s in corpus.shards)
         # The cheap surfaces answer from the manifest alone.
@@ -554,20 +577,24 @@ class TestLazyShard:
 
     def test_routed_table_access_materializes_one_shard(self, tmp_path):
         tables, path = self.make_corpus(tmp_path)
-        corpus = load_corpus(path, mutable=False)
+        corpus = load_corpus(path)
         corpus.get_table(tables[0].table_id)
         assert sum(1 for s in corpus.shards if s.materialized) == 1
 
     def test_mutable_open_stays_lazy(self, tmp_path):
         _, path = self.make_corpus(tmp_path)
-        corpus = load_corpus(path)  # JournaledCorpus wrapper
-        assert not any(s.materialized for s in corpus.base.shards)
+        corpus = load_corpus(path)
+        extra = list(iter_synthetic_tables(1, seed=12, id_prefix="new-"))
+        corpus.add_tables(extra)  # touches only the owning shard
+        assert [s.materialized for s in corpus.shards] == [
+            si == shard_of(extra[0].table_id, 2) for si in range(2)
+        ]
 
     def test_corruption_surfaces_at_first_probe_not_open(self, tmp_path):
         tables, path = self.make_corpus(tmp_path)
         victim = path / "shard-0000" / "index.bin"
         victim.write_bytes(b"garbage")
-        corpus = load_corpus(path, mutable=False)  # opens fine: lazy
+        corpus = load_corpus(path)  # opens fine: lazy
         with pytest.raises(ValueError, match="index.bin"):
             corpus.search(["country"])
 
@@ -578,7 +605,7 @@ class TestLazyShard:
         manifest["shards"][0]["num_tables"] += 1
         manifest["num_tables"] += 1
         manifest_path.write_text(json.dumps(manifest))
-        corpus = load_corpus(path, mutable=False)
+        corpus = load_corpus(path)
         with pytest.raises(ValueError, match="manifest records"):
             corpus.search(["country"])
 
@@ -588,7 +615,7 @@ class TestLazyShard:
         manifest = json.loads(manifest_path.read_text())
         manifest["boosts"]["header"] = 9.0
         manifest_path.write_text(json.dumps(manifest))
-        corpus = load_corpus(path, mutable=False)
+        corpus = load_corpus(path)
         with pytest.raises(ValueError, match="boosts"):
             corpus.search(["country"])
 
@@ -598,7 +625,7 @@ class TestLazyShard:
         extra["table_id"] = "smuggled-row"
         with (path / "shard-0000" / "tables.jsonl").open("a") as fh:
             fh.write(json.dumps(extra) + "\n")
-        corpus = load_corpus(path, mutable=False)
+        corpus = load_corpus(path)
         with pytest.raises(ValueError, match="table store holds"):
             corpus.search(["country"])
 
@@ -632,7 +659,7 @@ class TestGoldenFixture:
 
     def test_fixture_loads_and_ranks_like_fresh_build(self):
         fresh = build_corpus_index(fixture_tables(), num_shards=2)
-        corpus = load_corpus(V3_DIR, mutable=False)
+        corpus = load_corpus(V3_DIR)
         assert rankings(corpus) == rankings(fresh)
 
     def test_fixture_manifest_is_version_3(self):
@@ -662,7 +689,7 @@ class TestCrossVersion:
         message = r"unsupported version 2 .*tables\.jsonl.*build_corpus_stream"
         for open_corpus in (
             load_corpus,
-            lambda p: load_corpus(p, mutable=False),
+            ShardedCorpus.load,
             WWTService,
         ):
             with pytest.raises(ValueError, match=message):
@@ -692,7 +719,7 @@ class TestCrossVersion:
         (workdir / "manifest.json").write_text(json.dumps(manifest, indent=2))
         extra = list(iter_synthetic_tables(3, seed=9, id_prefix="live-"))
         with load_corpus(workdir) as corpus:
-            assert type(corpus.base).__name__ == "ShardedCorpus"
+            assert type(corpus).__name__ == "ShardedCorpus"
             assert rankings(corpus) == rankings(
                 build_corpus_index(fixture_tables())
             )
@@ -705,7 +732,7 @@ class TestCrossVersion:
         manifest = read_manifest(workdir)
         assert (manifest["version"], manifest["kind"]) == (3, "sharded")
         assert manifest["num_tables"] == 8
-        assert rankings(load_corpus(workdir, mutable=False)) == live
+        assert rankings(load_corpus(workdir)) == live
 
     def test_monolithic_kind_with_several_shards_rejected(self, tmp_path):
         build_corpus_index(fixture_tables(), num_shards=2, save=tmp_path / "c")
@@ -737,7 +764,7 @@ class TestFuzzRoundTrip:
         mem = build_corpus_index(
             tables, num_shards=num_shards, save=tmp_path / "c"
         )
-        loaded = load_corpus(tmp_path / "c", mutable=False)
+        loaded = load_corpus(tmp_path / "c")
         assert rankings(loaded, FUZZ_QUERIES) == rankings(mem, FUZZ_QUERIES)
 
     @pytest.mark.parametrize("seed", [11, 22])
@@ -755,7 +782,7 @@ class TestFuzzRoundTrip:
             assert corpus.compact() > 0
         # The compacted v3 directory must reproduce the live rankings,
         # and so must the equivalent from-scratch in-memory build.
-        reloaded = load_corpus(save, mutable=False)
+        reloaded = load_corpus(save)
         assert rankings(reloaded, FUZZ_QUERIES) == live
         survivors = [t for t in tables if t.table_id not in set(doomed)]
         rebuilt = build_corpus_index(survivors + extra, num_shards=2)
@@ -767,7 +794,7 @@ class TestFuzzRoundTrip:
         build_corpus_stream(
             iter_synthetic_tables(120, seed=5), tmp_path / "c", num_shards=3
         )
-        streamed = load_corpus(tmp_path / "c", mutable=False)
+        streamed = load_corpus(tmp_path / "c")
         assert rankings(streamed, FUZZ_QUERIES) == rankings(
             mem, FUZZ_QUERIES
         )

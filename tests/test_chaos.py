@@ -29,7 +29,7 @@ from repro.faults.injection import (
     POINT_SHARD_SEARCH,
     POINT_STORE_GET,
 )
-from repro.index import JournaledCorpus, ShardedCorpus, build_sharded_corpus
+from repro.index import ShardedCorpus, build_sharded_corpus
 from repro.service import WWTService
 
 NUM_SHARDS = 3
@@ -92,8 +92,8 @@ def run_workload(tables, queries, policy=None, clock=None,
                  advance_between=0.0, journaled=False):
     """One full workload pass; returns ``(query_id, WWTAnswer)`` pairs.
 
-    ``journaled`` serves the corpus through a (clean) ``JournaledCorpus``,
-    the wrapper ``load_corpus`` returns for every persisted directory.
+    ``journaled`` deletes and re-adds one table before serving, so the
+    corpus answers from shards mutated in place with unchanged content.
     """
     built = build_sharded_corpus(tables, NUM_SHARDS)
     corpus = (
@@ -104,7 +104,10 @@ def run_workload(tables, queries, policy=None, clock=None,
             validate=False, health=policy, clock=clock,
         )
     )
-    service = WWTService(JournaledCorpus(corpus) if journaled else corpus)
+    if journaled:
+        corpus.delete_tables([tables[0].table_id])
+        corpus.add_tables([tables[0]])
+    service = WWTService(corpus)
     outcomes = []
     for wq in queries:
         outcomes.append(
@@ -202,7 +205,7 @@ class TestChaosMatrix:
     def test_clean_journaled_corpus_degrades_exactly_like_its_base(
         self, small_env, tables, baseline
     ):
-        """Regression: the journal read base tables past the health
+        """Regression: a journaled corpus once read tables past the health
         tracker, so a table-read fault crashed the query instead."""
         rules = [
             FaultRule(POINT_SHARD_SEARCH, WithProbability(0.05, seed=303)),

@@ -36,13 +36,13 @@ class TestDocstringGate:
         import repro.exec
         import repro.serve
         from repro.exec import ExecutionContext, ExecutionPlan
-        from repro.index import JournaledCorpus, ShardedCorpus, load_corpus
+        from repro.index import ShardedCorpus, load_corpus
         from repro.index.protocol import CorpusProtocol
         from repro.serve import ReproServer, ServeClient, ServeConfig
         from repro.service import EngineConfig, WWTService
 
         for obj in (WWTService, EngineConfig, ShardedCorpus,
-                    JournaledCorpus, CorpusProtocol, load_corpus, repro.cli,
+                    CorpusProtocol, load_corpus, repro.cli,
                     repro.exec, ExecutionContext, ExecutionPlan,
                     repro.serve, ReproServer, ServeConfig, ServeClient):
             doc = obj.__doc__ or ""

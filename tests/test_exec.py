@@ -31,6 +31,7 @@ from repro.exec import (
     build_query_plan,
     percentile,
 )
+from repro.exec.query import MAPPING_STAGES, PARSE_STAGES
 from repro.inference import REGISTRY, get_algorithm
 from repro.inference.registry import InferenceRegistry
 from repro.pipeline.probe import ProbeConfig
@@ -259,7 +260,7 @@ class TestExecutionPlan:
             "probe.index2", "probe.read2", "column_map", "consolidate",
             "rank",
         ]
-        assert build_query_plan(include_probe=False).stage_names() == [
+        assert [s.name for s in PARSE_STAGES + MAPPING_STAGES] == [
             "parse", "column_map", "consolidate", "rank",
         ]
         assert build_probe_plan().stage_names() == [
@@ -654,12 +655,7 @@ class TestServiceDegradation:
         """A probe that ran every stage is cacheable even when a later
         stage fell back — only *skipped probe stages* block the cache."""
         import repro.service.facade as facade_mod
-        from repro.exec.query import (
-            MAPPING_STAGES,
-            PARSE_STAGES,
-            PROBE_STAGES,
-            _stage_column_map_fallback,
-        )
+        from repro.exec.query import PROBE_STAGES, _stage_column_map_fallback
 
         def degraded_map(ctx, state):
             ctx.mark_degraded()  # emulate a post-probe deadline fallback

@@ -1,6 +1,6 @@
 """Tests for ``repro.faults``: deterministic injection, the per-shard
 health lifecycle on a fake clock, partial scatter-gather with coverage
-(one path for clean and journaled corpora alike), close() beside live
+(one path before and after live mutations), close() beside live
 probes, the serve client's narrow retry, and the service-level
 degradation counters."""
 
@@ -418,10 +418,9 @@ class TestShardedFailureDomains:
         build_sharded_corpus(tables, 2).save(tmp_path / "corpus")
         clock = FakeClock()
         corpus = load_corpus(
-            tmp_path / "corpus", mutable=False,
-            health=self.POLICY, clock=clock,
+            tmp_path / "corpus", health=self.POLICY, clock=clock,
         )
-        baseline = load_corpus(tmp_path / "corpus", mutable=False).search(
+        baseline = load_corpus(tmp_path / "corpus").search(
             ["name"], limit=50
         )
         rule = FaultRule(
@@ -437,10 +436,10 @@ class TestShardedFailureDomains:
         assert corpus.coverage().complete
 
     def test_journaled_probe_is_fault_gated_like_a_clean_one(self, tmp_path):
-        """Regression: with a pending mutation the journal scattered past
-        the ``shard.search`` fault point and the health tracker, so the
-        fault below was silently ignored and a real shard error raised
-        through a corpus that had failure domains switched on."""
+        """Regression: with a pending mutation a journaled corpus once
+        scattered past the ``shard.search`` fault point and the health
+        tracker, so the fault below was silently ignored and a real shard
+        error raised through a corpus that had failure domains on."""
         build_sharded_corpus(make_tables(32), 4).save(tmp_path / "corpus")
         corpus = load_corpus(
             tmp_path / "corpus", health=HealthPolicy(), clock=FakeClock()
@@ -453,7 +452,9 @@ class TestShardedFailureDomains:
             assert injector.fires() == 1
         shard1_ids = set(corpus.shards[1].store.ids())
         assert hits and shard1_ids.isdisjoint(h.doc_id for h in hits)
-        assert "new0" in {h.doc_id for h in hits}  # the delta still merges
+        # The add lives in its own (reachable) shard.
+        assert shard_of("new0", 4) != 1
+        assert "new0" in {h.doc_id for h in hits}
         coverage = corpus.coverage()
         assert (coverage.shards_reachable, coverage.shards_total) == (3, 4)
 
@@ -467,24 +468,26 @@ class TestShardedFailureDomains:
     def test_journaled_table_reads_degrade_like_a_clean_corpus(
         self, tmp_path
     ):
-        """Regression: ``JournaledCorpus.get_many`` read base tables through
+        """Regression: a journaled corpus once read tables through
         ``get_table``, past the health tracker, so the table-read fault
         below raised ``InjectedFault`` where the bare snapshot degraded."""
         tables = make_tables(12)
         build_sharded_corpus(tables, 3).save(tmp_path / "corpus")
         ids = [t.table_id for t in tables]
-        for mutable in (False, True):
+        for mutated in (False, True):
             corpus = load_corpus(
-                tmp_path / "corpus", mutable=mutable,
-                health=HealthPolicy(), clock=FakeClock(),
+                tmp_path / "corpus", health=HealthPolicy(), clock=FakeClock(),
             )
+            if mutated:
+                corpus.delete_tables(["t5"])
+                corpus.add_tables([tables[5]])
             with injected(FaultRule(POINT_STORE_GET, EveryNth(1))):
                 assert corpus.get_many(ids) == []
             coverage = corpus.coverage()
             assert (coverage.shards_reachable, coverage.shards_total) == (0, 3)
 
-        # With pending mutations: order, tombstones and delta rows hold,
-        # and a failing shard drops only its own base tables.
+        # With pending mutations: order, deletes and adds hold, and a
+        # failing shard drops only its own tables.
         corpus = load_corpus(
             tmp_path / "corpus", health=HealthPolicy(), clock=FakeClock()
         )
@@ -496,10 +499,7 @@ class TestShardedFailureDomains:
         with injected(FaultRule(POINT_STORE_GET, EveryNth(1), key="t1")):
             got = [t.table_id for t in corpus.get_many(wanted)]
         dead = shard_of("t1", 3)
-        assert got == [
-            i for i in live
-            if i.startswith("new") or shard_of(i, 3) != dead
-        ]
+        assert got == [i for i in live if shard_of(i, 3) != dead]
         assert corpus.coverage().shards_reachable == 2
 
     def test_broken_shard_is_not_blamed_on_a_healthy_peer(self):

@@ -5,8 +5,8 @@ Four guarantees the DESIGN.md "Hot-path engine" section promises:
 1. The compiled :meth:`InvertedIndex.search` matches the
    :class:`~tests.naive_scorer.NaiveScorer` oracle hit-for-hit — doc ids
    and scores (bit-exactly) — on random corpora and on the
-   full 59-query workload, for one shard, four shards and a journaled
-   corpus, including after add/delete/compact.
+   full 59-query workload, for one shard, four shards and a corpus
+   mutated in place, including after add/delete/compact.
 2. The incrementally maintained df counters always equal the brute-force
    set-union definition they replaced.
 3. Feature memoization (:class:`FeatureCache`) and the promoted PMI²
@@ -33,7 +33,6 @@ from repro.core.pmi import PmiScorer
 from repro.flow.bipartite import BipartiteMatcher
 from repro.index import (
     InvertedIndex,
-    JournaledCorpus,
     build_corpus_index,
     build_sharded_corpus,
     read_index_bin,
@@ -175,21 +174,10 @@ class TestWorkloadEquivalence:
         sharded = build_sharded_corpus(tables, num_shards=4)
         self._check_workload(sharded, naive, small_env.queries)
 
-    def test_dirty_journal_merges_through_tombstones_and_delta(
-        self, small_env, tables
-    ):
-        """Delete + re-add one table: net content — and scores — unchanged,
-        but hits now flow through the tombstone filter and the delta."""
-        naive = NaiveScorer(small_env.synthetic.corpus.shards[0].index)
-        journaled = JournaledCorpus(build_sharded_corpus(tables, 3))
-        journaled.delete_tables([tables[0].table_id])
-        journaled.add_tables([tables[0]])
-        self._check_workload(journaled, naive, small_env.queries[:10])
-
     def test_journaled_after_add_delete_compact(self, small_env, tables):
         split = int(len(tables) * 0.8)
         base_tables, extra = tables[:split], tables[split:]
-        journaled = JournaledCorpus(build_corpus_index(base_tables))
+        journaled = build_corpus_index(base_tables)
         journaled.add_tables(extra)
         doomed = [t.table_id for t in base_tables[::7]] + [
             t.table_id for t in extra[::5]
@@ -588,7 +576,7 @@ class TestCompiledTable:
         to a corpus built from scratch over the same tables."""
         tables = list(small_env.synthetic.corpus)
         split = int(len(tables) * 0.8)
-        journaled = JournaledCorpus(build_corpus_index(tables[:split]))
+        journaled = build_corpus_index(tables[:split])
         wq = small_env.queries[0]
 
         before = two_stage_probe(wq.query, journaled)
@@ -612,7 +600,7 @@ class TestCompiledTable:
 
     def test_readded_id_gets_the_new_tables_compiled_form(self, small_env):
         tables = list(small_env.synthetic.corpus)
-        journaled = JournaledCorpus(build_corpus_index(tables))
+        journaled = build_corpus_index(tables)
         wq = small_env.queries[0]
         old, donor = small_env.candidates[wq.query_id].tables[:2]
         served = journaled.get_table(old.table_id)

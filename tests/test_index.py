@@ -319,12 +319,18 @@ class TestLazyTableStore:
         assert "e1" in store and len(store) == 5
         assert store.ids() == ["t0", "t1", "t2", "t3", "e1"]
 
-        # File rows are append-only: a persisted shard's deletions fold at
-        # compaction, which rebuilds the store.
-        with pytest.raises(ValueError, match="'t1' is a row of the backing"):
+        # A file row is removed like an added one: gone from every read
+        # and from the next save, the backing file itself untouched.
+        assert store.remove("t1").table_id == "t1"
+        assert "t1" not in store and len(store) == 4
+        assert store.ids() == ["t0", "t2", "t3", "e1"]
+        assert [t.table_id for t in store] == store.ids()
+        with pytest.raises(KeyError):
             store.remove("t1")
-        assert "t1" in store and len(store) == 5
         assert store.remove("e1") is extra
+        out = tmp_path / "saved.jsonl"
+        store.save(out)
+        assert TableStore.load(out).ids() == ["t0", "t2", "t3"]
         store.close()
 
     def test_get_many_preserves_order_skips_unknown(self, tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.inference import (
-    ALGORITHMS,
+    REGISTRY,
     alpha_expansion_inference,
     belief_propagation_inference,
     exhaustive_inference,
@@ -114,7 +114,7 @@ class TestConstraintsAlwaysHold:
         if len(widths) == 2:
             edges = [((0, 0), (1, 0), nsim)]
         problem = make_problem("a | b", widths, potentials, edges=edges)
-        for name, algo in ALGORITHMS.items():
+        for name, algo in REGISTRY.items():
             result = algo(problem)
             assert problem.constraints_satisfied(result.labels), (
                 f"{name} violated constraints"

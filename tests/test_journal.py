@@ -1,15 +1,17 @@
-"""Tests for ``repro.index.journal``: live mutation, crash recovery,
-ranking equivalence against full rebuilds, and the no-reindex guarantee."""
+"""Tests for live corpus mutation and ``repro.index.journal``: journaled
+adds and deletes, crash recovery, ranking equivalence against full
+rebuilds, and the no-reindex guarantee.  ``tests/test_mutation_model.py``
+checks generated mutation histories against a rebuild oracle."""
 
-import gc
+import json
+import shutil
+from pathlib import Path
 
 import pytest
 
 from repro.faults import HealthPolicy
 from repro.index import (
     InvertedIndex,
-    JournaledCorpus,
-    ShardedCorpus,
     build_corpus_index,
     build_sharded_corpus,
     load_corpus,
@@ -73,17 +75,6 @@ class TestMutation:
         with pytest.raises(KeyError):
             corpus.get_table("t3")
 
-    def test_delete_of_journaled_add(self, tmp_path):
-        corpus = built_dir(tmp_path, make_tables(6))
-        corpus.add_tables(make_tables(2, prefix="new"))
-        corpus.delete_tables(["new0"])
-        assert corpus.num_tables == 7
-        assert "new0" not in corpus and "new1" in corpus
-        assert corpus.journal_depth == 3
-        # The WAL is append-only: reload replays add then delete.
-        reloaded = load_corpus(tmp_path / "c")
-        assert sorted(reloaded.ids()) == sorted(corpus.ids())
-
     def test_duplicate_and_unknown_ids_rejected_atomically(self, tmp_path):
         corpus = built_dir(tmp_path, make_tables(4))
         with pytest.raises(ValueError, match="already in corpus"):
@@ -112,13 +103,16 @@ class TestMutation:
         assert reloaded.get_table("t2").body_cell(0, 0).text == "fresh"
 
     def test_ephemeral_journal_without_path(self, corpus_tables):
-        base = build_sharded_corpus(corpus_tables[:-2], 2)
-        corpus = JournaledCorpus(base)
+        """An in-memory corpus mutates in place and journals nothing."""
+        corpus = build_sharded_corpus(corpus_tables[:-2], 2)
         corpus.add_tables(corpus_tables[-2:])
         assert corpus.num_tables == len(corpus_tables)
+        assert corpus.journal_depth == 2
         assert corpus.compact() == 2
         assert corpus.journal_depth == 0
-        assert corpus.base.num_tables == len(corpus_tables)
+        assert sorted(corpus.ids()) == sorted(
+            t.table_id for t in corpus_tables
+        )
 
 
 class TestExportAndConcurrency:
@@ -136,12 +130,12 @@ class TestExportAndConcurrency:
         assert hits_of(copy, ["name"]) == hits_of(corpus, ["name"])
         # The source instance is untouched: same journal, same live state.
         assert corpus.journal_depth == 4
-        assert corpus.base.num_tables == 10
+        assert corpus.num_tables == 12
         assert load_corpus(tmp_path / "c").journal_depth == 4
 
     def test_failed_append_rolls_back_cleanly(self, tmp_path, monkeypatch):
         """A mid-batch WAL failure must leave memory AND disk unchanged."""
-        from repro.index import journal as journal_mod
+        from repro.index import sharded as journal_mod
 
         corpus = built_dir(tmp_path, make_tables(12), num_shards=4)
         state_before = sorted(corpus.ids())
@@ -167,7 +161,10 @@ class TestExportAndConcurrency:
         assert load_corpus(tmp_path / "c").num_tables == 20
 
     def test_probes_concurrent_with_mutations(self, tmp_path):
-        """Probes racing adds/deletes/compaction: no torn reads, no dups."""
+        """Probes racing adds/deletes/compaction: no torn reads, no dups,
+        and every probe sees one corpus state (its hits are as many as
+        the tables holding the term, which every table does)."""
+        import sys
         import threading
 
         corpus = built_dir(tmp_path, make_tables(30), num_shards=4)
@@ -178,26 +175,35 @@ class TestExportAndConcurrency:
         def prober():
             try:
                 while not stop.is_set():
-                    hits = corpus.search(["name"], limit=40)
+                    hits = corpus.search(["name"], limit=1000)
                     ids = [h.doc_id for h in hits]
                     assert len(ids) == len(set(ids)), "duplicate hits"
+                    assert len(ids) in counts, "a torn corpus state"
                     corpus.docs_containing_all(["name"], ["header"])
+                    corpus.get_many(ids)
             except BaseException as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
 
-        threads = [threading.Thread(target=prober) for _ in range(3)]
+        counts = {corpus.num_tables}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        threads = [threading.Thread(target=prober) for _ in range(4)]
         for t in threads:
             t.start()
         try:
             for i in range(12):
+                counts.add(corpus.num_tables + 3)
                 corpus.add_tables(make_tables(3, prefix=f"w{i}_"))
                 if i % 4 == 3:
+                    counts.add(corpus.num_tables - 1)
                     corpus.delete_tables([f"w{i}_0"])
                     corpus.compact()
         finally:
             stop.set()
             for t in threads:
-                t.join()
+                t.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert not errors, errors[:1]
 
     def test_export_keeps_index_and_store_row_order(self, tmp_path):
@@ -212,8 +218,9 @@ class TestExportAndConcurrency:
         assert copy.ids() == ["t3", "t1", "t2", "a0"]
         assert [t.table_id for t in copy.get_many(copy.ids())] == copy.ids()
         assert hits_of(copy, ["name"]) == hits_of(corpus, ["name"])
-        # The live base was copied, not extended.
-        assert corpus.base.num_tables == 3
+        # The export left the source directory's journal pending.
+        assert load_corpus(tmp_path / "c").ids() == copy.ids()
+        assert corpus.journal_depth == 1
 
 
 class TestRankingEquivalence:
@@ -289,10 +296,17 @@ class TestRankingEquivalence:
         corpus.close()
 
     def test_untouched_corpus_stats_identity(self, tmp_path):
-        """Empty journal: the wrapper serves the base's objects verbatim."""
+        """One statistics object per vintage: repeated reads return the
+        same object, the first read after a mutation a new one."""
         corpus = built_dir(tmp_path, make_tables(6), num_shards=2)
-        assert corpus.stats is corpus.base.stats
-        assert hits_of(corpus, ["name"]) == hits_of(corpus.base, ["name"])
+        first = corpus.stats
+        assert corpus.stats is first
+        corpus.search(["name"])
+        assert corpus.stats is first
+        corpus.add_tables(make_tables(1, prefix="new"))
+        second = corpus.stats
+        assert second is not first and corpus.stats is second
+        assert first.num_docs == 6 and second.num_docs == 7
 
 
 class TestCrashRecovery:
@@ -368,18 +382,6 @@ class TestCrashRecovery:
         assert recovered.journal_depth == 2  # journal survived the crash
         assert not (tmp_path / ".c.replaced").exists()
 
-    def test_snapshot_loaders_refuse_unfolded_journal(self, tmp_path):
-        sharded = built_dir(tmp_path, make_tables(8), num_shards=2,
-                            name="s")
-        sharded.add_tables(make_tables(1, prefix="new"))
-        with pytest.raises(ValueError, match="unfolded"):
-            ShardedCorpus.load(tmp_path / "s")
-        with pytest.raises(ValueError, match="unfolded"):
-            load_corpus(tmp_path / "s", mutable=False)
-        # After compaction the snapshot is complete again.
-        sharded.compact()
-        assert ShardedCorpus.load(tmp_path / "s").num_tables == 9
-
     def test_compaction_removes_journals_and_advances_seq(self, tmp_path):
         corpus = built_dir(tmp_path, make_tables(8), num_shards=2)
         corpus.add_tables(make_tables(3, prefix="new"))
@@ -391,41 +393,25 @@ class TestCrashRecovery:
         assert manifest["num_tables"] == 10
 
     def test_compaction_keeps_health_policy_and_reused_stores(self, tmp_path):
-        """``_swap_base`` rebuilds the base around the folded shards: the
-        failure-domain policy carries over, and the old base is *not*
-        closed — the new one reuses the lazy stores of every shard the
-        fold left alone or extended, un-parsed rows included."""
+        """Compaction writes the live shards out and swaps nothing in: the
+        health tracker, the shards and their lazy stores (un-parsed rows
+        included) keep serving."""
         tables = make_tables(8)
         build_corpus_index(tables, num_shards=2, save=tmp_path / "c")
         policy = HealthPolicy()
         with load_corpus(tmp_path / "c", health=policy) as corpus:
-            old = corpus.base
+            tracker = corpus._health
             corpus.add_tables(make_tables(3, prefix="new"))
+            shards = list(corpus.shards)
+            stores = [s.store for s in shards]
             corpus.compact()
-            assert corpus.base is not old
-            assert corpus.base.health_policy is policy
+            assert corpus._health is tracker
+            assert corpus.shards == shards
+            assert [s.store for s in corpus.shards] == stores
             assert corpus.coverage().complete
             assert sorted(t.table_id for t in corpus) == sorted(
                 t.table_id for t in tables + make_tables(3, prefix="new")
             )
-
-    def test_fold_takes_the_full_collection_and_freezes_the_survivors(
-        self, tmp_path
-    ):
-        """A fold that replaces the base pays the collector's full pass
-        itself and parks the new base outside it; one with nothing to
-        fold leaves the collector alone."""
-        corpus = built_dir(tmp_path, make_tables(8), num_shards=2)
-        gc.unfreeze()
-        try:
-            assert corpus.compact() == 0
-            assert gc.get_freeze_count() == 0
-            corpus.add_tables(make_tables(3, prefix="new"))
-            corpus.delete_tables(["t1"])
-            assert corpus.compact() == 4
-            assert gc.get_freeze_count() > 0
-        finally:
-            gc.unfreeze()
 
     def test_read_journal_round_trip(self, tmp_path):
         journal = tmp_path / JOURNAL_FILE
@@ -439,7 +425,7 @@ class TestCrashRecovery:
 
 
 class TestNoReindex:
-    """Adding tables must never touch existing shard snapshots."""
+    """A mutation indexes only the tables it adds; compaction none."""
 
     def counting(self, monkeypatch):
         calls = []
@@ -457,7 +443,7 @@ class TestNoReindex:
         corpus = load_corpus(tmp_path / "c")
         calls = self.counting(monkeypatch)
         corpus.add_tables(make_tables(1, prefix="new"))
-        assert calls == ["new0"]  # 1 delta-index call; 0 shard re-indexing
+        assert calls == ["new0"]  # the new table only; no re-indexing
 
     def test_addonly_compact_indexes_only_the_delta(
         self, tmp_path, monkeypatch
@@ -467,7 +453,7 @@ class TestNoReindex:
         corpus.add_tables(make_tables(2, prefix="new"))
         calls = self.counting(monkeypatch)
         corpus.compact()
-        assert sorted(calls) == ["new0", "new1"]
+        assert calls == []  # indexed when added, written as it is
 
     def test_delete_compact_reindexes_only_affected_shards(
         self, tmp_path, monkeypatch
@@ -479,12 +465,13 @@ class TestNoReindex:
         corpus = load_corpus(tmp_path / "c")
         victim = tables[0].table_id
         shard = shard_of(victim, 4)
-        shard_size = corpus.base.shard_sizes()[shard]
-        corpus.delete_tables([victim])
+        shard_size = corpus.shard_sizes()[shard]
         calls = self.counting(monkeypatch)
+        corpus.delete_tables([victim])
         corpus.compact()
-        # Only the victim's shard is rebuilt (its survivors re-indexed).
-        assert len(calls) == shard_size - 1
+        # The delete un-indexes in place; no shard is rebuilt.
+        assert calls == []
+        assert corpus.shard_sizes()[shard] == shard_size - 1
 
 
 class TestServiceIntegration:
@@ -515,7 +502,19 @@ class TestServiceIntegration:
             assert read_manifest(tmp_path / "c")["num_tables"] == 14
 
     def test_immutable_corpus_rejects_mutation(self, corpus_tables):
-        service = WWTService(build_sharded_corpus(corpus_tables[:10], 2))
+        """Only a ShardedCorpus mutates; another CorpusProtocol
+        implementation served by the facade is refused."""
+
+        class ReadOnly:
+            def __init__(self, corpus):
+                self._corpus = corpus
+
+            def __getattr__(self, name):
+                return getattr(self._corpus, name)
+
+        service = WWTService(
+            ReadOnly(build_sharded_corpus(corpus_tables[:10], 2))
+        )
         with pytest.raises(ValueError, match="immutable"):
             service.add_tables(make_tables(1, prefix="new"))
         with pytest.raises(ValueError, match="immutable"):
@@ -526,6 +525,44 @@ class TestServiceIntegration:
         assert EngineConfig.from_dict(config.to_dict()) == config
         with pytest.raises(ValueError, match="auto_compact_threshold"):
             EngineConfig(auto_compact_threshold=0)
+
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+
+class TestOlderJournal:
+    """``tests/fixtures/journal_v3`` was written by repro 1.5.0, whose
+    journaled corpus kept pending mutations in a delta index: five tables
+    over two shards, then adds, deletes and a delete + re-add of one id,
+    all unfolded.  ``journal_v3_expected.json`` pins what that version
+    served from it."""
+
+    def test_older_journal_replays_to_the_same_ids_and_rankings(
+        self, tmp_path
+    ):
+        expected = json.loads(
+            (FIXTURES / "journal_v3_expected.json").read_text()
+        )
+        workdir = tmp_path / "c"
+        shutil.copytree(FIXTURES / "journal_v3", workdir)
+
+        def check(corpus):
+            assert sorted(corpus.ids()) == expected["ids"]
+            for query, want in expected["rankings"].items():
+                got = corpus.search(query.split(), limit=25)
+                assert [[h.doc_id, h.score] for h in got] == want, query
+            assert corpus.stats.to_dict() == expected["stats"]
+
+        with load_corpus(workdir) as corpus:
+            assert corpus.journal_depth == expected["journal_depth"]
+            check(corpus)
+            # Shard-major order: the order a fresh build gives.
+            live = [corpus.get_table(i) for i in corpus.ids()]
+            assert corpus.ids() == build_corpus_index(live, num_shards=2).ids()
+            assert corpus.compact() == expected["journal_depth"]
+        with load_corpus(workdir) as reopened:
+            assert reopened.journal_depth == 0
+            check(reopened)
 
 
 class TestStreamingIngestion:

@@ -1,6 +1,6 @@
 """Fixture-based self-tests for the reprolint invariant linter.
 
-Every rule R001-R009 (R006 was retired with the exceptions it guarded)
+Every rule R001-R010 (R006 was retired with the exceptions it guarded)
 is exercised against a positive fixture (code that must be flagged, with
 pinned line numbers) and a negative fixture (the compliant counterpart,
 which must be clean); the scoped rules (R003, R008) additionally prove the same code is *not* flagged outside
@@ -43,7 +43,7 @@ class TestRuleCatalog(unittest.TestCase):
         self.assertEqual(
             [rule.id for rule in ALL_RULES],
             ["R001", "R002", "R003", "R004", "R005", "R007", "R008",
-             "R009"],
+             "R009", "R010"],
         )
 
     def test_every_rule_has_title_and_docstring(self):
@@ -52,7 +52,7 @@ class TestRuleCatalog(unittest.TestCase):
             self.assertTrue((rule.__doc__ or "").strip(), rule.id)
 
     def test_lookup_by_id(self):
-        self.assertIs(RULES_BY_ID["R009"], ALL_RULES[-1])
+        self.assertIs(RULES_BY_ID["R010"], ALL_RULES[-1])
 
 
 class TestR001WallClock(unittest.TestCase):
@@ -158,6 +158,19 @@ class TestR009TableImmutability(unittest.TestCase):
 
     def test_negative_constructor_module_is_exempt(self):
         self.assertEqual(lint_fixture("src/repro/tables/table.py"), [])
+
+
+class TestR010AnnotationNames(unittest.TestCase):
+    def test_positive(self):
+        violations = lint_fixture("src/repro/core/r010_pos.py")
+        self.assertEqual(
+            [(v.line, v.message.split("`")[1]) for v in violations],
+            [(8, "Problem"), (8, "Result"), (12, "Tuple"), (12, "Optional"),
+             (17, "Deque"), (19, "Job")],
+        )
+
+    def test_negative_imports_defs_and_type_checking_block_bind(self):
+        self.assertEqual(lint_fixture("src/repro/core/r010_neg.py"), [])
 
 
 class TestDisableHygiene(unittest.TestCase):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.features import BoundedCache, query_feature_key
 from repro.exec import SPAN_CACHED
-from repro.inference import ALGORITHMS, REGISTRY
+from repro.inference import REGISTRY
 from repro.inference.registry import (
     AlgorithmInfo,
     InferenceRegistry,
@@ -154,9 +154,8 @@ class TestRegistry:
         assert set(REGISTRY.names()) == {
             "none", "alpha-expansion", "bp", "trws", "table-centric",
         }
-        # The legacy dict constant is the registry itself.
-        assert ALGORITHMS is REGISTRY
-        assert dict(ALGORITHMS.items())["table-centric"] is (
+        # The registry reads like the name -> algorithm dict it replaced.
+        assert dict(REGISTRY.items())["table-centric"] is (
             REGISTRY.get_algorithm("table-centric")
         )
         assert not REGISTRY.info("none").collective

@@ -11,7 +11,6 @@ import pytest
 from repro.index import (
     CorpusProtocol,
     InvertedIndex,
-    JournaledCorpus,
     ShardedCorpus,
     analyze_table,
     build_corpus_index,
@@ -89,7 +88,6 @@ class TestProtocolConformance:
     def test_both_backends_satisfy_protocol(self, small_env, sharded_by_k):
         assert isinstance(small_env.synthetic.corpus, CorpusProtocol)
         assert isinstance(sharded_by_k[2], CorpusProtocol)
-        assert isinstance(JournaledCorpus(sharded_by_k[2]), CorpusProtocol)
 
     def test_search_takes_exactly_the_protocols_parameters(self):
         """``isinstance`` against a runtime-checkable protocol compares
@@ -105,7 +103,6 @@ class TestProtocolConformance:
         declared = shape(CorpusProtocol.search)
         assert [name for name, _, _ in declared] == ["self", "terms", "limit"]
         assert shape(ShardedCorpus.search) == declared
-        assert shape(JournaledCorpus.search) == declared
         index_shape = shape(InvertedIndex.search)
         assert index_shape[:-1] == declared
         assert index_shape[-1][0] == "idf" and index_shape[-1][2] is None
@@ -186,10 +183,7 @@ class TestPersistence:
         sharded = sharded_by_k[4]
         path = sharded.save(tmp_path / "corpus")
         loaded = load_corpus(path)
-        # load_corpus wraps the snapshot in a mutable JournaledCorpus;
-        # with an empty journal it is a transparent front for the base.
-        assert isinstance(loaded, JournaledCorpus)
-        assert isinstance(loaded.base, ShardedCorpus)
+        assert isinstance(loaded, ShardedCorpus)
         assert loaded.num_shards == 4
         assert loaded.num_tables == sharded.num_tables
         assert loaded.stats.num_docs == sharded.stats.num_docs
@@ -207,16 +201,15 @@ class TestPersistence:
         manifest = json.loads((tmp_path / "one" / "manifest.json").read_text())
         assert (manifest["version"], manifest["kind"]) == (3, "sharded")
         loaded = load_corpus(tmp_path / "one")
-        assert isinstance(loaded, JournaledCorpus)
-        assert isinstance(loaded.base, ShardedCorpus)
+        assert isinstance(loaded, ShardedCorpus)
         # Open, counts, boosts and stats are manifest-level: nothing is
         # decoded until the first probe.
         assert loaded.num_tables == 8 and loaded.boosts == corpus.boosts
         assert loaded.stats.num_docs == corpus.stats.num_docs
-        assert not any(s.materialized for s in loaded.base.shards)
+        assert not any(s.materialized for s in loaded.shards)
         a = corpus.search(["name", "rank"], limit=10)
         b = loaded.search(["name", "rank"], limit=10)
-        assert all(s.materialized for s in loaded.base.shards)
+        assert all(s.materialized for s in loaded.shards)
         assert [(h.doc_id, h.score) for h in a] == [
             (h.doc_id, h.score) for h in b
         ]
@@ -349,7 +342,7 @@ class TestShardedValidation:
 
     def test_close_releases_lazy_table_maps(self, sharded_by_k, tmp_path):
         path = sharded_by_k[4].save(tmp_path / "corpus")
-        with load_corpus(path, mutable=False) as corpus:
+        with load_corpus(path) as corpus:
             before = corpus.search(["country"], limit=10)
             parsed = corpus.get_table(before[0].doc_id)
             stores = [shard.store for shard in corpus.shards]
@@ -403,7 +396,7 @@ class TestParallelModes:
         with pytest.raises(ValueError, match=f"parallel_mode '{mode}'"):
             load_corpus(path, parallel_mode=mode)
         with load_corpus(path, parallel_mode="serial") as corpus:
-            assert not hasattr(corpus.base, "parallel_mode")
+            assert not hasattr(corpus, "parallel_mode")
 
 
 class TestProbeDeterminism:

@@ -1,8 +1,9 @@
 """reprolint — the repo-specific invariant linter (stdlib ``ast`` only).
 
-Eight machine-checkable rules encode the invariants behind the engine's
+Nine machine-checkable rules encode the invariants behind the engine's
 headline guarantee — bit-identical rankings across every backend — plus
-the concurrency discipline the execution engine relies on:
+the concurrency discipline the execution engine relies on and the
+annotation hygiene the CI type checkers enforce:
 
 ==== =====================================================================
 R001 wall-clock reads only through the ``repro.exec.context`` clock seam
@@ -13,6 +14,7 @@ R005 attributes written under ``self._lock`` are written only under it
 R007 no mutable default arguments, repo-wide
 R008 recovery paths record every failure they absorb
 R009 a ``WebTable`` is never written outside ``repro.tables.table``
+R010 every name an annotation uses is bound in its module
 ==== =====================================================================
 
 Run ``python -m tools.reprolint`` (defaults to ``src benchmarks tools``),

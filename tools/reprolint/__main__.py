@@ -29,7 +29,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run the linter; returns the process exit status."""
     parser = argparse.ArgumentParser(
         prog="reprolint",
-        description="repo-specific invariant linter (rules R001-R009)",
+        description="repo-specific invariant linter (rules R001-R010)",
     )
     parser.add_argument(
         "paths", nargs="*", type=Path,

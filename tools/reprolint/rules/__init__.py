@@ -20,6 +20,7 @@ from .r005_lock_discipline import LockDisciplineRule
 from .r007_mutable_default import MutableDefaultRule
 from .r008_unrecorded_recovery import UnrecordedRecoveryRule
 from .r009_table_immutability import TableImmutabilityRule
+from .r010_annotation_names import AnnotationNamesRule
 
 __all__ = [
     "ALL_RULES",
@@ -32,6 +33,7 @@ __all__ = [
     "MutableDefaultRule",
     "UnrecordedRecoveryRule",
     "TableImmutabilityRule",
+    "AnnotationNamesRule",
 ]
 
 #: Every rule, instantiated, in id order.
@@ -44,6 +46,7 @@ ALL_RULES: List[Rule] = [
     MutableDefaultRule(),
     UnrecordedRecoveryRule(),
     TableImmutabilityRule(),
+    AnnotationNamesRule(),
 ]
 
 #: Rule lookup by id (``"R001"`` …), used for disable-comment validation.

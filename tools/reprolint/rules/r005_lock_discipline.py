@@ -151,12 +151,12 @@ class LockDisciplineRule(Rule):
     class has declared ``x`` to be lock-protected shared state — a write
     to it anywhere else in the class without that lock is a race window
     (half-applied mutations become visible to the locked readers).  This
-    is exactly the discipline the journal's probe/mutation serialization
+    is exactly the discipline the corpus's probe/mutation serialization
     and the service's stats counters rely on.
 
     The analysis is per class, flow-insensitive, and propagates through
     private helpers: a method only ever invoked (or referenced) while the
-    lock is held — e.g. ``_swap_base`` called from ``compact``'s locked
+    lock is held — e.g. ``_recount`` called from ``add_tables``'s locked
     region — inherits the lock context transitively, so helpers don't
     need renaming or re-locking.  ``__init__``/``__post_init__``/``__new__``
     are exempt (state is not yet shared during construction).  Reads are
