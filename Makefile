@@ -51,4 +51,5 @@ docs:
 docs-coverage:
 	python tools/docstring_coverage.py --fail-under 95 -v \
 		src/repro/service src/repro/index src/repro/exec src/repro/serve \
-		src/repro/faults src/repro/cli.py
+		src/repro/faults src/repro/cli.py src/repro/core src/repro/inference \
+		src/repro/flow src/repro/consolidate

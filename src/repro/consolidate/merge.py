@@ -13,7 +13,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..query.model import Query
 from ..tables.table import WebTable
-from .dedup import rows_duplicate, subject_key
+from .dedup import NormalizedRow
 
 __all__ = ["AnswerRow", "AnswerTable", "consolidate"]
 
@@ -27,15 +27,23 @@ class AnswerRow:
     source_tables: List[str] = field(default_factory=list)
     relevance: float = 0.0  # best source-table relevance score
 
-    def merge(self, cells: Sequence[str], table_id: str, relevance: float) -> None:
-        """Fold a duplicate occurrence into this row."""
+    def merge(
+        self, cells: Sequence[str], table_id: str, relevance: float
+    ) -> List[int]:
+        """Fold a duplicate occurrence into this row.
+
+        Returns the positions of the empty cells it filled from ``cells``.
+        """
+        filled: List[int] = []
         for i, value in enumerate(cells):
             if not self.cells[i].strip() and value.strip():
                 self.cells[i] = value
+                filled.append(i)
         self.support += 1
         if table_id not in self.source_tables:
             self.source_tables.append(table_id)
         self.relevance = max(self.relevance, relevance)
+        return filled
 
 
 @dataclass
@@ -66,9 +74,14 @@ def consolidate(
 
     ``mappings`` maps table index -> {table column -> 1-based query column}
     (only relevant tables should appear).  Duplicate rows merge; empty
-    projected rows are dropped.
+    projected rows are dropped.  Each projected row is normalized once; a
+    row with an empty subject key is never compared, since it duplicates
+    nothing.
     """
     answer = AnswerTable(query=query)
+    # normalized[idx] is answer.rows[idx]'s comparison form, sharing its
+    # cells list; by_key indexes rows with a non-empty subject key.
+    normalized: List[NormalizedRow] = []
     by_key: Dict[str, List[int]] = {}
 
     for ti, mapping in sorted(mappings.items()):
@@ -89,21 +102,27 @@ def consolidate(
             ]
             if not any(c.strip() for c in cells):
                 continue
-            key = subject_key(cells[0])
+            incoming = NormalizedRow(cells)
+            key = incoming.keys[0]
             merged = False
             for idx in by_key.get(key, []):
-                if rows_duplicate(answer.rows[idx].cells, cells):
-                    answer.rows[idx].merge(cells, table.table_id, relevance)
+                if normalized[idx].duplicates(incoming):
+                    for i in answer.rows[idx].merge(
+                        cells, table.table_id, relevance
+                    ):
+                        normalized[idx].fill(i, incoming)
                     merged = True
                     break
             if not merged:
                 answer.rows.append(
                     AnswerRow(
-                        cells=list(cells),
+                        cells=cells,
                         support=1,
                         source_tables=[table.table_id],
                         relevance=relevance,
                     )
                 )
-                by_key.setdefault(key, []).append(len(answer.rows) - 1)
+                normalized.append(incoming)
+                if key:
+                    by_key.setdefault(key, []).append(len(answer.rows) - 1)
     return answer

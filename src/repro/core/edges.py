@@ -16,7 +16,8 @@ building edges over a hundred candidate tables stays fast.
 
 from __future__ import annotations
 
-from collections import defaultdict
+import itertools
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from math import sqrt
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
@@ -35,18 +36,30 @@ NSIM_LAMBDA = 0.3
 CONTENT_WEIGHT = 0.8
 
 
+class _IdfTable(Dict[str, float]):
+    """``stats.idf`` per token, each computed once: one per ``build_edges``
+    call, shared by every column profile of the call."""
+
+    def __init__(self, stats: TermStatistics) -> None:
+        super().__init__()
+        self._idf = stats.idf
+
+    def __missing__(self, term: str) -> float:
+        value = self[term] = self._idf(term)
+        return value
+
+
 def _weighted(
-    counts: Dict[str, int], stats: Optional[TermStatistics]
+    counts: Dict[str, int], idf: Optional[Mapping[str, float]]
 ) -> Tuple[Mapping[str, float], float]:
     """Raw token counts times IDF, in the counts' own order, and the norm.
 
-    Without ``stats`` every IDF is 1 and the compiled counts are used as
+    Without ``idf`` every IDF is 1 and the compiled counts are used as
     they are (shared with the table, never written).
     """
     weighted: Mapping[str, float] = counts
-    if stats is not None:
-        idf = stats.idf
-        weighted = {t: c * idf(t) for t, c in counts.items()}
+    if idf is not None:
+        weighted = {t: c * idf[t] for t, c in counts.items()}
     norm = sqrt(
         sum(w * w for w in weighted.values())  # reprolint: disable=R003 -- the compiled counts are in the column's first-occurrence token order, fixed by the input table
     )
@@ -71,12 +84,16 @@ class ColumnProfile:
         table_idx: int,
         col_idx: int,
         table: WebTable,
-        stats: Optional[TermStatistics],
+        idf: Optional[Mapping[str, float]],
     ) -> ColumnProfile:
-        """Re-weight the table's compiled column; no cell is tokenized."""
+        """Re-weight the table's compiled column; no cell is tokenized.
+
+        ``idf`` maps a token to its IDF (``build_edges`` passes one table
+        per call); ``None`` weighs every token 1.
+        """
         column = table.compiled().columns[col_idx]
-        token_counts, token_norm = _weighted(column.token_counts, stats)
-        header_counts, header_norm = _weighted(column.header_counts, stats)
+        token_counts, token_norm = _weighted(column.token_counts, idf)
+        header_counts, header_norm = _weighted(column.header_counts, idf)
         return cls(
             table_idx=table_idx,
             col_idx=col_idx,
@@ -141,29 +158,29 @@ def _blocked_pairs(
     candidate ``(a, b)`` pairs (``a < b``); their order follows set
     iteration, so callers sort before anything order-sensitive.
     """
+    idf = _IdfTable(stats) if stats is not None else None
     profiles: Dict[_ColumnKey, ColumnProfile] = {}
     by_value: Dict[str, List[_ColumnKey]] = defaultdict(list)
     for ti, table in enumerate(tables):
         for ci in range(table.num_cols):
-            profile = ColumnProfile.build(ti, ci, table, stats)
+            profile = ColumnProfile.build(ti, ci, table, idf)
             profiles[(ti, ci)] = profile
             for value in profile.values:
                 by_value[value].append((ti, ci))
 
-    shared: Dict[Tuple[_ColumnKey, _ColumnKey], int] = defaultdict(int)
+    # Each value's columns are ascending, so every combination is (a, b)
+    # with a < b; same-table pairs are counted and dropped below.
+    shared: Counter[Tuple[_ColumnKey, _ColumnKey]] = Counter()
     for _value, cols in by_value.items():
         if len(cols) > 60:
             continue  # stop-value (e.g. "euro" everywhere) — too common to block on
-        for i in range(len(cols)):
-            for j in range(i + 1, len(cols)):
-                a, b = cols[i], cols[j]
-                if a[0] == b[0]:
-                    continue
-                key = (a, b) if a < b else (b, a)
-                shared[key] += 1
+        if len(cols) > 1:
+            shared.update(itertools.combinations(cols, 2))
 
     candidates: List[Tuple[_ColumnKey, _ColumnKey]] = []
     for (a, b), cnt in shared.items():
+        if a[0] == b[0]:
+            continue
         small = min(len(profiles[a].values), len(profiles[b].values)) < 4
         if cnt >= 2 or (small and cnt >= 1):
             candidates.append((a, b))
@@ -214,11 +231,13 @@ def build_edges(
     for (ta, tb), pairs in candidate_pairs.items():
         cols_a = sorted({a[1] for a, _b in pairs})
         cols_b = sorted({b[1] for _a, b in pairs})
+        pos_a = {c: i for i, c in enumerate(cols_a)}
+        pos_b = {c: i for i, c in enumerate(cols_b)}
         sims: Dict[Tuple[int, int], float] = {}
         for a, b in pairs:
             sim = column_pair_similarity(profiles[a], profiles[b])
             if sim >= sim_floor:
-                sims[(cols_a.index(a[1]), cols_b.index(b[1]))] = sim
+                sims[(pos_a[a[1]], pos_b[b[1]])] = sim
         if not sims:
             continue
         for ia, ib in one_to_one_pairs(sims, len(cols_a), len(cols_b)):

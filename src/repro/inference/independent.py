@@ -17,6 +17,7 @@ from ..flow.bipartite import BipartiteMatcher
 from .base import MappingResult, column_distributions
 from .max_marginals import all_max_marginals
 from .registry import register_algorithm
+from .small_matching import rank_assignments
 
 __all__ = ["solve_table", "independent_inference", "M1_BONUS"]
 
@@ -24,35 +25,25 @@ __all__ = ["solve_table", "independent_inference", "M1_BONUS"]
 M1_BONUS = 1e6
 
 
-def _build_matcher(
+def _weight_rows(
     problem: ColumnMappingProblem,
     ti: int,
-    potentials: Optional[Dict[Tuple[int, int], List[float]]] = None,
-    enforce_must_match: bool = True,
-    enforce_min_match: bool = True,
-) -> BipartiteMatcher:
-    """The bipartite reduction for one table.
+    theta: Dict[Tuple[int, int], List[float]],
+) -> List[List[float]]:
+    """The bipartite reduction's weights for one table.
 
-    ``potentials`` overrides the problem's node potentials (the
-    table-centric algorithm re-solves with message-boosted potentials).
+    Row ``ci`` holds the query labels' potentials, label 1 carrying
+    :data:`M1_BONUS` (must-match), then ``na``'s.
     """
-    table = problem.tables[ti]
     labels = problem.labels
     q = labels.q
-    nt = table.num_cols
-    theta = potentials if potentials is not None else problem.node_potentials
-
     weights: List[List[float]] = []
-    for ci in range(nt):
+    for ci in range(problem.tables[ti].num_cols):
         row = [theta[(ti, ci)][l] for l in range(q)]
-        if enforce_must_match:
-            row[0] += M1_BONUS
-        row.append(theta[(ti, ci)][labels.na])  # na column
+        row[0] += M1_BONUS
+        row.append(theta[(ti, ci)][labels.na])
         weights.append(row)
-
-    na_cap = max(0, nt - problem.min_match(ti)) if enforce_min_match else nt
-    right_caps = [1] * q + [na_cap]
-    return BipartiteMatcher(weights, [1] * nt, right_caps)
+    return weights
 
 
 def solve_table(
@@ -63,7 +54,10 @@ def solve_table(
     """Optimal labeling of one table under all four constraints.
 
     Returns the per-column dense labels, choosing between the best relevant
-    labeling (via matching) and the all-``nr`` labeling by score.
+    labeling (via matching) and the all-``nr`` labeling by score.  The
+    matching is :func:`~repro.inference.small_matching.rank_assignments`
+    when it decides, else the min-cost-flow :class:`BipartiteMatcher`;
+    both give the same pairs and the same ``total_weight`` float.
     """
     table = problem.tables[ti]
     labels = problem.labels
@@ -73,14 +67,27 @@ def solve_table(
 
     nr_score = sum(theta[(ti, ci)][labels.nr] for ci in range(nt))
 
+    weights = _weight_rows(problem, ti, theta)
+    # na capacity n_t - m enforces min-match.
+    na_cap = max(0, nt - problem.min_match(ti))
+    ranked = rank_assignments(weights, q, na_cap)
+    if ranked is not None and nr_score >= ranked.total - M1_BONUS:
+        # No assignment the matcher could return beats all-nr, whichever
+        # of a tie it settles on.
+        return {(ti, ci): labels.nr for ci in range(nt)}
+    if ranked is not None and ranked.unique():
+        pairs = list(enumerate(ranked.assignment))
+        total_weight = ranked.total
+    else:
+        result = BipartiteMatcher(weights, [1] * nt, [1] * q + [na_cap]).solve()
+        pairs, total_weight = result.pairs, result.total_weight
+
     relevant_assignment: Optional[Dict[Tuple[int, int], int]] = None
     relevant_score = float("-inf")
-    matcher = _build_matcher(problem, ti, potentials)
-    result = matcher.solve()
-    used_labels = {j for _i, j in result.pairs}
+    used_labels = {j for _i, j in pairs}
     if 0 in used_labels:  # must-match achievable
-        relevant_score = result.total_weight - M1_BONUS
-        right_of = dict(result.pairs)  # every column has capacity one
+        relevant_score = total_weight - M1_BONUS
+        right_of = dict(pairs)  # every column has capacity one
         relevant_assignment = {}
         for ci in range(nt):
             j = right_of.get(ci)

@@ -7,8 +7,11 @@ labels stay comparable (the paper calls this out explicitly).
 
 For query labels and ``na`` this is a forced-assignment bipartite optimum,
 computed for all (c, l) pairs at once from the residual graph of a single
-min-cost-flow solve (one Bellman–Ford per label).  For ``nr``, all-Irr
-forces the whole table, so ``µ_tc(nr)`` is the all-``nr`` table score.
+min-cost-flow solve (one Bellman–Ford per label) — or, for a small table
+whose optimum and residual paths are unique, the same floats from
+:func:`~repro.inference.small_matching.max_marginal_matrix` without a
+flow network.  For ``nr``, all-Irr forces the whole table, so
+``µ_tc(nr)`` is the all-``nr`` table score.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.model import ColumnMappingProblem
 from ..flow.bipartite import BipartiteMatcher
+from .small_matching import max_marginal_matrix
 
 __all__ = ["table_max_marginals", "all_max_marginals"]
 
@@ -25,15 +29,20 @@ _Rows = Tuple[Tuple[float, ...], ...]
 
 
 def _solve_rows(thetas: _Rows, q: int) -> _Rows:
-    """Fig. 3 for one table: a pure function of its potential rows and q."""
+    """Fig. 3 for one table: a pure function of its potential rows and q.
+
+    The exact small-instance solver answers when it can; the flow solver
+    otherwise, with the same floats either way.
+    """
     nt = len(thetas)
     # Bipartite graph without must-match (no M1) and without min-match
     # (na capacity = nt), exactly Fig. 3's construction.
-    matcher = BipartiteMatcher(
-        [row[: q + 1] for row in thetas], [1] * nt, [1] * q + [nt]
-    )
-    matcher.solve()
-    mm = matcher.max_marginals()
+    weights = [row[: q + 1] for row in thetas]
+    mm = max_marginal_matrix(weights, q)
+    if mm is None:
+        matcher = BipartiteMatcher(weights, [1] * nt, [1] * q + [nt])
+        matcher.solve()
+        mm = matcher.max_marginals()
     # nr: all-Irr forces the whole table.
     nr_score = sum(row[q + 1] for row in thetas)
     return tuple((*mm[ci], nr_score) for ci in range(nt))

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.consolidate.dedup import (
     _CELL_SIM_THRESHOLD,
@@ -168,6 +170,76 @@ class TestConsolidate:
         assert {row.cells[1] for row in answer.rows} == {
             "Dutch", "Portuguese",
         }
+
+
+    def test_filled_cell_takes_part_in_later_comparisons(self):
+        """A cell a merge filled is compared under its new value: the empty
+        wildcard it replaced no longer matches a conflicting row."""
+        table = WebTable.from_rows(
+            [["Tasman", ""], ["Tasman", "Dutch"], ["Tasman", "Portuguese"]],
+            header=["Name", "Nationality"],
+            table_id="t",
+        )
+        query = Query.parse("explorer | nationality")
+        answer = consolidate(query, [table], {0: {0: 1, 1: 2}})
+        assert [(r.cells, r.support) for r in answer.rows] == [
+            (["Tasman", "Dutch"], 2), (["Tasman", "Portuguese"], 1),
+        ]
+
+    def test_merge_reports_the_cells_it_filled(self):
+        row = AnswerRow(cells=["a", "", " ", "c"])
+        assert row.merge(["a", "b", "", "d"], "t", 0.5) == [1]
+        assert row.cells == ["a", "b", " ", "c"]
+
+
+# Cells that normalize alike, differ, overlap in tokens or are empty.
+CELL = st.sampled_from([
+    "", " ", "Abel Tasman", "abel  tasman", "Cook", "Dutch", "dutch",
+    "Sea route to India", "sea route india", "route", "--",
+])
+
+
+def reference_consolidate(query, tables, mappings):
+    """Consolidation as it was: every comparison re-normalizes both rows."""
+    rows = []
+    for ti, mapping in sorted(mappings.items()):
+        inverse = {qc - 1: tc for tc, qc in mapping.items()}
+        for row in tables[ti].body_rows():
+            cells = [
+                row[inverse[l]].text
+                if l in inverse and inverse[l] < len(row) else ""
+                for l in range(query.q)
+            ]
+            if not any(c.strip() for c in cells):
+                continue
+            for kept in rows:
+                if rows_duplicate(kept.cells, cells):
+                    kept.merge(cells, tables[ti].table_id, 1.0)
+                    break
+            else:
+                rows.append(AnswerRow(cells=list(cells),
+                                      source_tables=[tables[ti].table_id]))
+    return [(r.cells, r.support, r.source_tables) for r in rows]
+
+
+class TestConsolidateMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.lists(st.lists(CELL, min_size=3, max_size=3), min_size=1,
+                 max_size=6),
+        min_size=1, max_size=3,
+    ))
+    def test_same_rows_as_pairwise_rows_duplicate(self, bodies):
+        query = Query.parse("a | b | c")
+        tables = [
+            WebTable.from_rows(body, header=["x", "y", "z"], table_id=f"t{i}")
+            for i, body in enumerate(bodies)
+        ]
+        mappings = {i: {0: 1, 1: 2, 2: 3} for i in range(len(tables))}
+        answer = consolidate(query, tables, mappings)
+        assert [
+            (r.cells, r.support, r.source_tables) for r in answer.rows
+        ] == reference_consolidate(query, tables, mappings)
 
 
 class TestRanker:

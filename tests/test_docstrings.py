@@ -1,4 +1,5 @@
-"""Docstring-coverage gate on the public serving/index surface.
+"""Docstring-coverage gate on the public serving/index surface and the
+scoring pipeline (core, inference, flow, consolidate).
 
 CI additionally runs the real ``interrogate --fail-under 80`` over the
 same targets; this in-tree twin (``tools/docstring_coverage.py``, stdlib
@@ -19,6 +20,11 @@ GATED = [
     str(REPO_ROOT / "src" / "repro" / "exec"),
     str(REPO_ROOT / "src" / "repro" / "serve"),
     str(REPO_ROOT / "src" / "repro" / "cli.py"),
+    # The scoring pipeline: features, inference, flow, consolidation.
+    str(REPO_ROOT / "src" / "repro" / "core"),
+    str(REPO_ROOT / "src" / "repro" / "inference"),
+    str(REPO_ROOT / "src" / "repro" / "flow"),
+    str(REPO_ROOT / "src" / "repro" / "consolidate"),
 ]
 
 

@@ -30,7 +30,6 @@ from repro.core import DEFAULT_PARAMS, FeatureCache, build_problem
 from repro.core.features import BoundedCache, query_feature_key
 from repro.core.params import ModelParams
 from repro.core.pmi import PmiScorer
-from repro.flow.bipartite import BipartiteMatcher
 from repro.index import (
     InvertedIndex,
     build_corpus_index,
@@ -299,18 +298,20 @@ class TestMaxMarginalReuse:
     memo that makes it so is invisible in edges, labels and distributions."""
 
     QUERIES = 8
+    #: The unpatched per-table solve (each ``_run`` patches the module).
+    SOLVE_ROWS = staticmethod(max_marginals._solve_rows)
 
     def _run(self, env, cache, monkeypatch):
         """Probe + problem + table-centric per query, as the engine's plan
         and the benchmark's replay do; returns (repr, solves, tables)."""
         solves = []
+        solve_rows = self.SOLVE_ROWS
 
-        class CountingMatcher(BipartiteMatcher):
-            def solve(self):
-                solves[-1] += 1
-                return super().solve()
+        def counting_solve_rows(thetas, q):
+            solves[-1] += 1
+            return solve_rows(thetas, q)
 
-        monkeypatch.setattr(max_marginals, "BipartiteMatcher", CountingMatcher)
+        monkeypatch.setattr(max_marginals, "_solve_rows", counting_solve_rows)
         corpus = env.synthetic.corpus
         algorithm = REGISTRY.get_algorithm("table-centric")
         out, shapes = [], []
