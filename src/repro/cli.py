@@ -3,7 +3,7 @@
 Commands
 --------
 ``query``    answer a column-keyword query against a generated corpus
-``batch``    answer many queries through the service (caching + fan-out)
+``batch``    answer many queries through the service, in order, cached
 ``corpus``   generate a corpus and print its census / save the table store
 ``index``    ``build`` a persisted corpus of N >= 1 shards; ``add``
              journal new tables into it; ``compact`` fold the journal into
@@ -97,8 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_service_options(batch)
     batch.add_argument("--repeat", type=int, default=1,
                        help="repeat the query list N times (cache demo)")
-    batch.add_argument("--workers", type=int, default=None,
-                       help="thread-pool width (default: config max_workers)")
     batch.add_argument("--deadline-ms", type=float, default=None,
                        help="per-query wall-clock budget in ms; queries "
                             "that exceed it return degraded partial "
@@ -281,7 +279,7 @@ def _cmd_batch(args: argparse.Namespace, out: TextIO) -> int:
         for _ in range(max(1, args.repeat))
         for text in args.texts
     ]
-    responses = service.answer_batch(requests, max_workers=args.workers)
+    responses = service.answer_batch(requests)
     for response in responses:
         marker = "cache" if response.cache_hit else f"{response.served_in:.3f}s"
         degraded = "  (degraded)" if response.degraded else ""

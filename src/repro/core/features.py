@@ -25,7 +25,7 @@ every mutation besides (``WWTService.clear_caches`` runs on every
 :class:`BoundedCache` is the codebase's one thread-safe LRU: it also backs
 the corpus-level PMI² containment-probe caches
 (:class:`~repro.core.pmi.PmiScorer`), which this module sizes, and the
-serving facade's result and probe caches.
+serving facade's result cache.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ __all__ = [
     "FeatureCache",
     "PMI_B_CACHE_SIZE",
     "PMI_H_CACHE_SIZE",
-    "STATS_CACHE_SIZE",
     "query_feature_key",
 ]
 
@@ -63,10 +62,6 @@ PMI_H_CACHE_SIZE = 1024
 #: cell text — the large key space that made the per-scorer dicts grow
 #: without bound before they were promoted to bounded corpus-level caches).
 PMI_B_CACHE_SIZE = 32768
-#: Default capacity of the corpus-level IDF / document-frequency caches
-#: (:class:`~repro.index.sharded.ShardedCorpus` and the journal's derived
-#: ranking state) — keyed by term, so sized like the PMI ``B`` cache.
-STATS_CACHE_SIZE = 65536
 
 _MISS = object()
 
@@ -78,7 +73,7 @@ class BoundedCache(Generic[K, V]):
     """Thread-safe bounded LRU map with hit/miss counters.
 
     The one LRU in the codebase, from the core layer's memos up to the
-    service's result and probe caches: capacity 0 disables it, eviction
+    service's result cache: capacity 0 disables it, eviction
     drops the least-recently-used entry, and the counters feed
     cache-hit-rate reporting in ``WWTService.stats()`` (the benchmark's
     ``core.feature_cache_hit_ratio``).  Eviction only ever costs
@@ -176,8 +171,8 @@ def query_feature_key(query: Query) -> str:
     Analyzer-normalized column keywords, so two surface forms that
     tokenize identically (case, punctuation, whitespace) share cache
     entries — ``"Country | Currency"`` and ``"country|currency"`` are the
-    same query to the engine.  The service layer keys its result and
-    probe caches with this same function
+    same query to the engine.  The service layer keys its result cache
+    with this same function
     (``repro.service.normalized_query_key``).
     """
     return " | ".join(" ".join(tokenize(column)) for column in query.columns)
@@ -200,8 +195,8 @@ class FeatureCache:
     change, so a cache accidentally shared across corpora degrades to a
     correct cold cache instead of serving stale features.
 
-    Thread-safe — ``WWTService.answer_batch`` fans concurrent pipelines
-    over one shared instance.
+    Thread-safe — the HTTP server's workers run concurrent pipelines over
+    one service's shared instance.
     """
 
     def __init__(self, capacity: int = 4096) -> None:

@@ -50,12 +50,11 @@ class PmiScorer:
 
     The ``H(Q_l)`` / ``B(cell)`` containment-probe results are cached in
     bounded, thread-safe corpus-level caches
-    (:class:`~repro.core.features.BoundedCache`).  Pass ``h_cache`` /
-    ``b_cache`` to share them across scorers — the serving facade keeps
-    one pair per corpus so every query of an ``answer_batch`` (and every
-    batch after it) reuses earlier probes; by default each scorer gets a
-    private pair.  Eviction only ever costs a recomputed probe, never a
-    different score.
+    (:class:`~repro.core.features.BoundedCache`).  By default each scorer
+    gets a private pair; pass ``h_cache`` / ``b_cache`` to share them
+    across scorers.  The serving facade holds one scorer per service, so
+    every query it answers reuses earlier probes.  Eviction only ever
+    costs a recomputed probe, never a different score.
     """
 
     def __init__(

@@ -30,7 +30,6 @@ of blowing the budget.  Degrading is the only way a plan ends early.
 """
 
 from .context import (
-    SPAN_CACHED,
     SPAN_DEGRADED,
     SPAN_OK,
     SPAN_SKIPPED,
@@ -53,7 +52,6 @@ __all__ = [
     "PROBE_STAGES",
     "QUERY_STAGES",
     "QueryState",
-    "SPAN_CACHED",
     "SPAN_DEGRADED",
     "SPAN_OK",
     "SPAN_SKIPPED",

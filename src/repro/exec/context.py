@@ -20,7 +20,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 __all__ = [
     "ExecutionContext",
@@ -30,7 +30,6 @@ __all__ = [
     "SPAN_OK",
     "SPAN_DEGRADED",
     "SPAN_SKIPPED",
-    "SPAN_CACHED",
     "wall_clock",
 ]
 
@@ -59,9 +58,6 @@ SPAN_OK = "ok"
 SPAN_DEGRADED = "degraded"
 #: Span was skipped outright under deadline pressure (zero duration).
 SPAN_SKIPPED = "skipped"
-#: Span was grafted from an earlier execution (e.g. a probe-cache hit);
-#: its duration reports the *original* cost, not this request's.
-SPAN_CACHED = "cached"
 
 
 @dataclass
@@ -69,8 +65,8 @@ class Span:
     """One timed node of the execution trace.
 
     ``duration`` is wall-clock seconds; ``status`` is one of
-    :data:`SPAN_OK`, :data:`SPAN_DEGRADED`, :data:`SPAN_SKIPPED`,
-    :data:`SPAN_CACHED`; ``note`` carries a short human-readable marker
+    :data:`SPAN_OK`, :data:`SPAN_DEGRADED`, :data:`SPAN_SKIPPED`;
+    ``note`` carries a short human-readable marker
     (e.g. the fallback algorithm a degraded stage used).
     """
 
@@ -106,13 +102,7 @@ class Span:
         return sum(s.duration for s in self.leaves() if s.name == name)
 
     def stage_names(self) -> List[str]:
-        """Names of the leaf stages whose results this tree reflects.
-
-        Deadline-skipped stages are excluded; ``cached`` spans (a probe
-        replayed from the probe cache) are *included* — their outputs
-        feed the answer even though this request did not re-execute
-        them (``ServiceStats.stages`` is the executed-only view).
-        """
+        """Names of the leaf stages that ran, deadline-skipped ones excluded."""
         return [s.name for s in self.leaves() if s.status != SPAN_SKIPPED]
 
     @property
@@ -122,18 +112,7 @@ class Span:
             s.status in (SPAN_SKIPPED, SPAN_DEGRADED) for s in self.leaves()
         )
 
-    # -- transforms -------------------------------------------------------
-
-    def copy(self, status: Optional[str] = None) -> Span:
-        """Deep copy, optionally rewriting every node's status."""
-        return Span(
-            name=self.name,
-            duration=self.duration,
-            status=status if status is not None else self.status,
-            note=self.note,
-            counters=dict(self.counters),
-            children=[c.copy(status) for c in self.children],
-        )
+    # -- views ------------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe nested form (durations in milliseconds)."""
@@ -279,14 +258,3 @@ class ExecutionContext:
         self.degraded = True
         if reason not in self.degraded_reasons:
             self.degraded_reasons.append(reason)
-
-    def adopt(self, spans: Sequence[Span]) -> None:
-        """Graft copies of previously recorded spans into the tree.
-
-        Used by the probe cache: a hit replays the original probe's spans
-        (status rewritten to :data:`SPAN_CACHED`) so the response still
-        reports the probe's real cost — Figure 7's slices — instead of a
-        misleading zero.
-        """
-        for span in spans:
-            self._stack[-1].children.append(span.copy(status=SPAN_CACHED))

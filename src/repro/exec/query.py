@@ -221,9 +221,6 @@ def _stage_rank(ctx: ExecutionContext, s: QueryState) -> None:
 
 # -- the plan -------------------------------------------------------------
 
-#: Request normalization (text -> query, inference resolution, RNG).
-PARSE_STAGES = (Stage("parse", _stage_parse),)
-
 #: The candidate-retrieval sub-sequence (Section 2.2.1), reusable on its
 #: own by :func:`~repro.pipeline.probe.two_stage_probe`.
 PROBE_STAGES = (
@@ -234,20 +231,20 @@ PROBE_STAGES = (
     Stage("probe.read2", _stage_read2),
 )
 
-#: Column mapping, consolidation, ranking — runs after the probe (or a
-#: probe-cache hit's grafted spans).
-MAPPING_STAGES = (
-    Stage(
-        "column_map",
-        _stage_column_map,
-        fallback=_stage_column_map_fallback,
-    ),
-    Stage("consolidate", _stage_consolidate),
-    Stage("rank", _stage_rank),
-)
-
 #: The full query plan, in execution order.
-QUERY_STAGES = PARSE_STAGES + PROBE_STAGES + MAPPING_STAGES
+QUERY_STAGES = (
+    (Stage("parse", _stage_parse),)
+    + PROBE_STAGES
+    + (
+        Stage(
+            "column_map",
+            _stage_column_map,
+            fallback=_stage_column_map_fallback,
+        ),
+        Stage("consolidate", _stage_consolidate),
+        Stage("rank", _stage_rank),
+    )
+)
 
 
 def build_query_plan() -> ExecutionPlan:

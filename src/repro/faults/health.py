@@ -248,11 +248,6 @@ class HealthTracker:
         with self._lock:
             return [d.state for d in self._domains]
 
-    def all_healthy(self) -> bool:
-        """Is every domain healthy (the fast common case)?"""
-        with self._lock:
-            return all(d.state == DOMAIN_HEALTHY for d in self._domains)
-
     def quarantined(self) -> int:
         """Number of currently quarantined domains."""
         with self._lock:

@@ -216,8 +216,8 @@ class _RuleState:
 class FaultInjector:
     """Evaluates armed rules at every tripped fault point.
 
-    Thread-safe: concurrent queries (``answer_batch``, the HTTP workers)
-    trip points concurrently, so counter and RNG updates happen under
+    Thread-safe: concurrent queries (the HTTP server's workers) trip
+    points concurrently, so counter and RNG updates happen under
     one lock.  The raise itself happens
     outside the lock.
     """

@@ -198,9 +198,20 @@ class FlowNetwork:
     def min_cost_max_flow(self, s: int, t: int) -> Tuple[float, float]:
         """Successive-shortest-paths min-cost max-flow.
 
-        Returns ``(total flow, total cost)``.  Augments along Bellman–Ford
-        shortest (cost) paths, which keeps the residual graph free of
-        negative cycles — the invariant Fig. 3 relies on.
+        Returns ``(total flow, total cost)`` of the flow the network holds
+        on return: a maximum s-t flow, and the summed cost of every unit
+        pushed.  Augments along Bellman–Ford shortest (cost) paths, which
+        keeps the residual graph free of negative cycles — the invariant
+        Fig. 3 relies on.
+
+        The ``EPS``-tolerant relaxations can, on near-ties, leave the
+        parent edges looping through a residual cycle that never reaches
+        ``s``.  The trace then cancels that cycle instead of following it
+        forever: it pushes the cycle's bottleneck residual around it, adds
+        that flow's cost to the total, and searches again.  The returned
+        flow is then still maximum, and the cost is that of the flow as
+        re-routed; an input whose parent edges always reach ``s`` never
+        takes this branch and returns the same floats as without it.
 
         Precondition: the input graph has no negative-cost *directed
         cycle*.  Negative edge costs are fine (matching reductions negate
@@ -213,20 +224,33 @@ class FlowNetwork:
             dist, parent_edge = self._bellman_ford_path(s)
             if dist[t] == float("inf"):
                 break
-            bottleneck = float("inf")
+            # path[i] is the parent edge of the i-th node traced back from
+            # t; position[v] is the index of v's own parent edge in path.
+            path: List[int] = []
+            position = {t: 0}
             v = t
             while v != s:
                 eid = parent_edge[v]
-                bottleneck = min(bottleneck, self.residual(eid))
+                path.append(eid)
                 v = self.edge_tail(eid)
+                if v in position:
+                    break
+                position[v] = len(path)
+            if v != s:
+                cycle = path[position[v]:]
+                bottleneck = min(self.residual(eid) for eid in cycle)
+                for eid in cycle:
+                    self.push(eid, bottleneck)
+                    total_cost += bottleneck * self.cost[eid]
+                continue
+            bottleneck = min(
+                (self.residual(eid) for eid in path), default=float("inf")
+            )
             if bottleneck <= EPS or bottleneck == float("inf"):
                 break
-            v = t
-            while v != s:
-                eid = parent_edge[v]
+            for eid in path:
                 self.push(eid, bottleneck)
                 total_cost += bottleneck * self.cost[eid]
-                v = self.edge_tail(eid)
             total_flow += bottleneck
         return total_flow, total_cost
 

@@ -298,7 +298,6 @@ def build_corpus_stream(
     tables: Iterable[WebTable],
     save: Union[str, Path],
     num_shards: Optional[int] = None,
-    boosts: Optional[Dict[str, float]] = None,
 ) -> Path:
     """Stream ``tables`` straight to a persisted corpus directory.
 
@@ -321,7 +320,6 @@ def build_corpus_stream(
     n = 1 if num_shards is None else num_shards
     if n < 1:
         raise ValueError("num_shards must be >= 1")
-    field_boosts = dict(boosts or FIELD_BOOSTS)
     txn = _SaveTransaction(save)
 
     # Pass 1: spill every table to its shard's tables.jsonl, exactly the
@@ -347,7 +345,7 @@ def build_corpus_stream(
     shard_entries: List[Dict[str, Any]] = []
     for shard_dir in shard_dirs:
         store = TableStore.load(shard_dir / SHARD_TABLES_FILE)
-        index = InvertedIndex(field_boosts)
+        index = InvertedIndex()
         for table in store:
             fields = analyze_table(table)
             index.add_document(table.table_id, fields)
@@ -359,13 +357,12 @@ def build_corpus_stream(
         write_offsets_sidecar(shard_dir / SHARD_TABLES_FILE)
         shard_entries.append(entry)
     return txn.finish(
-        shard_entries, stats, journal_seq=0, boosts=field_boosts
+        shard_entries, stats, journal_seq=0, boosts=dict(FIELD_BOOSTS)
     )
 
 
 def build_corpus_index(
     tables: Iterable[WebTable],
-    boosts: Optional[Dict[str, float]] = None,
     num_shards: Optional[int] = None,
     save: Optional[Union[str, Path]] = None,
 ) -> ShardedCorpus:
@@ -385,7 +382,7 @@ def build_corpus_index(
     from .sharded import build_sharded_corpus
 
     corpus = build_sharded_corpus(
-        tables, 1 if num_shards is None else num_shards, boosts=boosts
+        tables, 1 if num_shards is None else num_shards
     )
     if save is not None:
         corpus.save(save)

@@ -10,10 +10,10 @@ pipeline's probes by scatter-gather:
   retrieves its local top-``limit`` with the *corpus-global* IDF, then a
   global merge re-sorts by ``(-score, doc_id)`` and truncates.  Because tf,
   field length, and field boost are per-document quantities and the IDF is
-  computed from corpus-global document frequencies (each document lives in
-  exactly one shard, so global df is the sum of shard dfs), per-document
-  scores are bit-identical to one index over all tables — the merge
-  reproduces single-index ranking exactly, not approximately.
+  computed from the corpus statistics (whose df is the df of one index
+  over all tables), per-document scores are bit-identical to one index
+  over all tables — the merge reproduces single-index ranking exactly,
+  not approximately.
 - **Conjunctive containment probe** (:meth:`docs_containing_all`): each
   shard intersects locally; the union over shards is the global conjunction
   (again because shards partition the documents).
@@ -66,7 +66,6 @@ from typing import (
     cast,
 )
 
-from ..core.features import BoundedCache, STATS_CACHE_SIZE
 from ..faults.health import Coverage, HealthPolicy, HealthTracker
 from ..faults.injection import POINT_SHARD_MATERIALIZE, POINT_SHARD_SEARCH, trip
 from ..tables.table import WebTable
@@ -81,7 +80,7 @@ from .builder import (
     read_manifest,
     save_corpus_dir,
 )
-from .inverted import FIELD_BOOSTS, InvertedIndex, SearchHit, lucene_idf
+from .inverted import InvertedIndex, SearchHit, lucene_idf
 from .journal import append_records, read_journal, repair_journal
 from .store import TableStore
 
@@ -283,9 +282,6 @@ class ShardedCorpus:
             if health is not None else None
         )
         self._num_tables = sum(s.num_tables for s in self.shards)
-        self._df_cache: BoundedCache[str, int] = BoundedCache(
-            STATS_CACHE_SIZE
-        )
         #: The current statistics vintage; ``None`` from a mutation until
         #: the next :attr:`stats` read derives the new one.
         self._stats: Optional[TermStatistics] = stats
@@ -394,49 +390,20 @@ class ShardedCorpus:
         )
         return [result for result in results if result is not None]
 
-    def global_df(self, term: str) -> int:
-        """Corpus-global document frequency: the sum of the shard dfs.
-
-        Each document lives in exactly one shard, so the sum is the df of
-        one index over all tables; cached until the next mutation.
-
-        With failure domains enabled the df is summed over *reachable*
-        shards only — what a partial answer is actually scored with — and
-        a failed read is recorded against the shard that failed, not the
-        one whose score loop asked.  A df computed while any shard was
-        unhealthy or failing bypasses the cache, so values from partial
-        visibility never leak into full-coverage probes (or vice versa).
-        """
-        with self._lock:
-            tracker = self._health
-            incomplete = tracker is not None and not tracker.all_healthy()
-            if not incomplete:
-                cached = self._df_cache.get(term)
-                if cached is not None:
-                    return cached
-            df = 0
-            for si, shard in enumerate(self.shards):
-                if tracker is not None and not tracker.available(si):
-                    continue
-                try:
-                    df += shard.index.document_frequency(term)
-                except Exception as exc:
-                    if tracker is None:
-                        raise
-                    tracker.record_failure(si, exc)
-                    incomplete = True
-            if not incomplete:
-                self._df_cache.put(term, df)
-            return df
-
     def global_idf(self, term: str) -> float:
-        """Lucene-classic IDF from corpus-global document frequencies.
+        """Lucene-classic IDF from the corpus statistics.
 
         Same :func:`~repro.index.inverted.lucene_idf` expression as
-        :meth:`InvertedIndex.idf`, evaluated over :meth:`global_df`.
+        :meth:`InvertedIndex.idf`, over :attr:`stats`' document frequency
+        — the df of one index over all tables, since every shard indexes
+        the same fields the statistics count.  It never reads a shard, so
+        a probe that misses a shard scores the others exactly as a
+        fault-free probe does.
         """
         with self._lock:
-            return lucene_idf(self._num_tables, self.global_df(term))
+            return lucene_idf(
+                self._num_tables, self.stats.document_frequency(term)
+            )
 
     # -- CorpusProtocol --------------------------------------------------------
 
@@ -453,9 +420,10 @@ class ShardedCorpus:
 
         With failure domains enabled (``health=`` at construction), a
         failing or backing-off shard contributes nothing instead of
-        raising — the merge covers the reachable shards and
-        :meth:`coverage` quantifies what was missed.  Without them, any
-        shard error raises through.
+        raising: the hits are the fault-free ranking restricted to the
+        reachable shards, scores included, and :meth:`coverage`
+        quantifies what was missed.  Without them, any shard error raises
+        through.
         """
         with self._lock:
             if self._num_tables == 0:
@@ -659,7 +627,6 @@ class ShardedCorpus:
                 del df[term]
         self._num_tables += sign
         self._stats = None
-        self._df_cache.clear()
 
     def compact(self) -> int:
         """Write the live shards back and retire the journal.
@@ -815,9 +782,7 @@ class ShardedCorpus:
 
 
 def build_sharded_corpus(
-    tables: Iterable[WebTable],
-    num_shards: int,
-    boosts: Optional[Dict[str, float]] = None,
+    tables: Iterable[WebTable], num_shards: int
 ) -> ShardedCorpus:
     """Hash-partition ``tables`` across ``num_shards`` indexed shards.
 
@@ -828,8 +793,7 @@ def build_sharded_corpus(
     """
     if num_shards < 1:
         raise ValueError("num_shards must be >= 1")
-    boosts = boosts or FIELD_BOOSTS
-    indexes = [InvertedIndex(boosts) for _ in range(num_shards)]
+    indexes = [InvertedIndex() for _ in range(num_shards)]
     stores = [TableStore() for _ in range(num_shards)]
     stats = TermStatistics()
     for table in tables:

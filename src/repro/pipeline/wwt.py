@@ -113,8 +113,8 @@ class WWTAnswer:
     #: answer is partial (see DESIGN.md, "Execution engine").
     degraded: bool = False
     #: Stage names whose results this answer reflects, in execution
-    #: order: executed this request or replayed from the probe cache;
-    #: deadline-skipped stages are absent.
+    #: order, as this request executed them; deadline-skipped stages are
+    #: absent.
     stages_ran: list = field(default_factory=list)
     #: Why the answer is degraded, in first-occurrence order
     #: (``"deadline"``, ``"shard_failure"``); empty iff not degraded.

@@ -1,9 +1,9 @@
 """The serving layer: one façade over the whole WWT pipeline.
 
 ``WWTService`` answers column-keyword queries against an indexed corpus
-behind a request/response API with LRU result + probe caching
-(``BoundedCache``), thread-pool batch fan-out, pagination, and per-stage
-timing — the seam every scaling change (sharded index, journaled
+behind a request/response API with an LRU result cache
+(``BoundedCache``), single-flight collapsing of concurrent duplicates,
+pagination, and per-stage timing — the seam every scaling change (sharded index, journaled
 mutation, the HTTP front door) plugs into.  All behaviour is configured
 by one frozen :class:`EngineConfig`.
 

@@ -1,10 +1,10 @@
 """Cache counter snapshots for ``WWTService.stats()``.
 
-The service's result and probe caches are typed
-:class:`~repro.core.features.BoundedCache` LRUs, the one eviction/locking
+The service's result cache is a typed
+:class:`~repro.core.features.BoundedCache` LRU, the one eviction/locking
 implementation in the codebase; the feature cache is a
-:class:`~repro.core.features.FeatureCache` over two of them.  All three
-report through :meth:`CacheStats.of`.
+:class:`~repro.core.features.FeatureCache` over two of them.  Both report
+through :meth:`CacheStats.of`.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ Before the service layer, engine behaviour was configured in four places:
 ``ModelParams`` (graphical-model weights), ``ProbeConfig`` (two-stage probe
 tunables), a bare inference-name string, and ad-hoc keyword arguments.
 :class:`EngineConfig` folds them into one frozen value plus the serving
-knobs (cache sizes, batch concurrency, page size), and round-trips through
+knobs (cache sizes, page size, deadline), and round-trips through
 plain dicts so the CLI and experiment harness can load configurations from
 JSON files.
 """
@@ -56,14 +56,14 @@ class EngineConfig:
     inference: str = "table-centric"
     #: LRU capacity of the query-result cache (full pipeline outputs).
     cache_size: int = 256
-    #: LRU capacity of the probe cache (candidate-retrieval outputs).
-    probe_cache_size: int = 128
+    #: A checked constant, not a knob: there is no probe cache, and 0 is
+    #: the only accepted value.  The name stays only while
+    #: ``benchmarks/e2e`` passes it (DESIGN.md, "Modes removed").
+    probe_cache_size: int = 0
     #: LRU capacity of the per-(query, table) feature cache shared between
     #: the probe's confidence pass and the full inference assembly (the
     #: hot-path memoization — see DESIGN.md, "Hot-path engine").
     feature_cache_size: int = 4096
-    #: Thread-pool width for :meth:`WWTService.answer_batch`.
-    max_workers: int = 4
     #: Default answer-row page size for :class:`QueryResponse` pagination.
     page_size: int = 25
     #: Shard count for corpora *built* on behalf of this config — the CLI's
@@ -99,14 +99,13 @@ class EngineConfig:
                 f"unknown inference {self.inference!r}; "
                 f"options: {DEFAULT_REGISTRY.names()}"
             )
-        if (
-            self.cache_size < 0
-            or self.probe_cache_size < 0
-            or self.feature_cache_size < 0
-        ):
+        if self.cache_size < 0 or self.feature_cache_size < 0:
             raise ValueError("cache sizes must be >= 0 (0 disables the cache)")
-        if self.max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
+        if self.probe_cache_size != 0:
+            raise ValueError(
+                f"probe_cache_size {self.probe_cache_size!r} was removed: "
+                "there is no probe cache (0 is the only accepted value)"
+            )
         if self.page_size < 1:
             raise ValueError("page_size must be >= 1")
         if self.num_shards is not None and self.num_shards < 1:
@@ -154,7 +153,6 @@ class EngineConfig:
             "cache_size": self.cache_size,
             "probe_cache_size": self.probe_cache_size,
             "feature_cache_size": self.feature_cache_size,
-            "max_workers": self.max_workers,
             "page_size": self.page_size,
             "num_shards": self.num_shards,
             "index_path": self.index_path,
@@ -186,7 +184,7 @@ class EngineConfig:
             )
         top_known = {
             "inference", "cache_size", "probe_cache_size",
-            "feature_cache_size", "max_workers", "page_size",
+            "feature_cache_size", "page_size",
             "num_shards", "index_path", "parallel_mode",
             "auto_compact_threshold", "deadline_ms",
         }

@@ -2,14 +2,15 @@
 
 Owns the full query-time pipeline of Figure 2 (two-stage probe, collective
 column mapping, consolidation, ranking) behind a request/response API with
-result + probe caching, batch fan-out, and serving statistics.
+a result cache, single-flight collapsing of concurrent duplicates, and
+serving statistics.
 """
 
 from __future__ import annotations
 
 import random
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -25,23 +26,14 @@ from typing import (
 
 from ..core.features import BoundedCache, FeatureCache
 from ..core.pmi import PmiScorer
-from ..exec.context import (
-    SPAN_CACHED,
-    SPAN_OK,
-    SPAN_SKIPPED,
-    ExecutionContext,
-    Span,
-    wall_clock,
-)
-from ..exec.plan import ExecutionPlan
-from ..exec.query import MAPPING_STAGES, PARSE_STAGES, QUERY_STAGES
+from ..exec.context import SPAN_OK, SPAN_SKIPPED, ExecutionContext, wall_clock
+from ..exec.query import build_query_plan
 from ..exec.state import QueryState
 from ..exec.stats import StageStats, Stats
 from ..faults.health import Coverage
 from ..index.protocol import CorpusProtocol
 from ..index.sharded import ShardedCorpus, load_corpus
 from ..inference.registry import DEFAULT_REGISTRY
-from ..pipeline.probe import ProbeResult
 from ..pipeline.wwt import QueryTiming, WWTAnswer
 from ..query.model import Query
 from ..tables.table import WebTable
@@ -51,11 +43,8 @@ from .types import QueryRequest, QueryResponse, build_explain, normalized_query_
 
 __all__ = ["ServiceStats", "WWTService"]
 
-#: The three plan shapes the facade runs: the full pipeline, and the
-#: parse/mapping halves used around a probe-cache hit's grafted spans.
-_FULL_PLAN = ExecutionPlan(QUERY_STAGES, name="query")
-_PARSE_PLAN = ExecutionPlan(PARSE_STAGES, name="query")
-_MAPPING_PLAN = ExecutionPlan(MAPPING_STAGES, name="query")
+#: The one plan every query runs: the full pipeline, stage by stage.
+_QUERY_PLAN = build_query_plan()
 
 #: Anything ``answer``/``answer_batch`` accepts as a query.
 RequestLike = Union[QueryRequest, Query, str]
@@ -71,6 +60,8 @@ class ServiceStats:
     queries: int
     batches: int
     result_cache: CacheStats
+    #: Always empty: there is no probe cache.  The field stays only while
+    #: ``benchmarks/e2e`` reads it (DESIGN.md, "Modes removed").
     probe_cache: CacheStats
     #: Per-(query, table) feature memoization counters (the hot-path
     #: cache shared between probe confidence and full inference).
@@ -160,17 +151,13 @@ class WWTService:
         self._result_cache: BoundedCache[Tuple[str, str], WWTAnswer] = (
             BoundedCache(self.config.cache_size)
         )
-        #: Probe outputs plus their spans, keyed by normalized query.
-        self._probe_cache: BoundedCache[
-            str, Tuple[ProbeResult, List[Span]]
-        ] = BoundedCache(self.config.probe_cache_size)
         #: Per-(query, table) feature memo shared by the probe's
         #: confidence pass and the full inference assembly, so stage-1
         #: features are computed once per query instead of twice.
         self._feature_cache = FeatureCache(self.config.feature_cache_size)
         #: One corpus-level PMI² scorer (bounded H/B containment-probe
-        #: caches shared across every query and batch) — only when the
-        #: configured weights actually consult PMI².
+        #: caches shared across every query) — only when the configured
+        #: weights actually consult PMI².
         self._pmi_scorer = (
             PmiScorer(self.corpus)
             if self.config.params.w3 != 0.0 else None
@@ -189,11 +176,8 @@ class WWTService:
         query: Query,
         inference: str,
         deadline_ms: Optional[float] = None,
-        use_cache: bool = True,
     ) -> WWTAnswer:
-        """Run one query through the staged execution engine, uncached
-        except for the probe-stage cache (bypassed too when ``use_cache``
-        is false).
+        """Run one query through the staged execution engine, uncached.
 
         The plan (``parse -> probe.* -> column_map -> consolidate ->
         rank``) runs under an :class:`~repro.exec.ExecutionContext`
@@ -220,42 +204,10 @@ class WWTService:
             feature_cache=self._feature_cache,
             pmi_scorer=self._pmi_scorer,
         )
-
-        # The probe cache stores the probe's spans next to the result so a
-        # hit still reports the probe's original cost (Figure 7's slices),
-        # not a misleading zero; the plan then runs without probe stages,
-        # grafting the cached spans in the probe's place.
-        probe_key = normalized_query_key(query)
-        hit, entry = (
-            self._probe_cache.lookup(probe_key) if use_cache
-            else (False, None)
-        )
         try:
-            if entry is not None:
-                state.probe, probe_spans = entry
-                _PARSE_PLAN.run(ctx, state)
-                ctx.adopt(probe_spans)
-                _MAPPING_PLAN.run(ctx, state)
-            else:
-                _FULL_PLAN.run(ctx, state)
+            _QUERY_PLAN.run(ctx, state)
         finally:
             self._record_execution(ctx, state)
-        if use_cache and not hit:
-            # A truncated probe (skipped stages) is partial — caching it
-            # would serve short candidate sets to unbounded queries.  A
-            # probe computed over a partial corpus (shards unreachable)
-            # is partial the same way: replaying it after the shards heal
-            # would pin the outage's candidate set.  A probe that ran
-            # every stage at full coverage is the query's real candidate
-            # set and cacheable even when a *later* stage degraded.
-            probe_spans = [
-                s for s in ctx.root.children if s.name.startswith("probe.")
-            ]
-            if all(s.status != SPAN_SKIPPED for s in probe_spans) and (
-                state.coverage is None or state.coverage.complete
-            ):
-                self._probe_cache.put(probe_key, (state.probe, probe_spans))
-
         return WWTAnswer(
             query=state.query,
             answer=state.answer,
@@ -280,10 +232,10 @@ class WWTService:
         }
         for reason in ctx.degraded_reasons:
             counts[_DEGRADED_BY + reason] = 1
-        # Cached and skipped spans were not executed by this request.
-        # Degraded executions (e.g. column_map's cheap fallback) aggregate
-        # under their own key — mixing them into the normal-stage
-        # percentiles would misdescribe the configured solver's latency.
+        # Skipped spans did not execute.  Degraded executions (e.g.
+        # column_map's cheap fallback) aggregate under their own key —
+        # mixing them into the normal-stage percentiles would misdescribe
+        # the configured solver's latency.
         self._stats.record(counts, [
             (
                 span.name if span.status == SPAN_OK
@@ -291,7 +243,7 @@ class WWTService:
                 span.duration,
             )
             for span in ctx.root.leaves()
-            if span.status not in (SPAN_CACHED, SPAN_SKIPPED)
+            if span.status != SPAN_SKIPPED
         ])
 
     def _cached_answer(
@@ -305,9 +257,9 @@ class WWTService:
 
         The single shared path behind :meth:`answer` and
         :meth:`answer_full`: LRU result lookup, then single-flight
-        collapsing so concurrent identical queries (a batch with repeats)
-        compute the pipeline once — followers wait on the leader's future
-        and count as served-from-cache.
+        collapsing so concurrent identical queries (the HTTP server's
+        workers) compute the pipeline once — followers wait on the
+        leader's future and count as served-from-cache.
 
         The result-cache key deliberately omits ``deadline_ms``: only
         non-degraded answers are stored, and those are deadline-invariant
@@ -316,9 +268,7 @@ class WWTService:
         adopts a degraded answer computed under someone else's SLO.
         """
         if not use_cache:
-            return False, self._compute(
-                query, name, deadline_ms, use_cache=False
-            )
+            return False, self._compute(query, name, deadline_ms)
         key = (normalized_query_key(query), name)
         hit, cached = self._result_cache.lookup(key)
         if hit:
@@ -409,28 +359,19 @@ class WWTService:
         )
 
     def answer_batch(
-        self,
-        requests: Sequence[RequestLike],
-        max_workers: Optional[int] = None,
+        self, requests: Sequence[RequestLike]
     ) -> List[QueryResponse]:
-        """Answer many requests with thread-pool fan-out.
+        """Answer many requests in order, in the calling thread.
 
-        Responses come back in input order.  Width defaults to the config's
-        ``max_workers``; repeated (normalized) queries — within one batch
-        or across calls — compute the pipeline once (LRU cache plus
-        single-flight collapsing of concurrent duplicates), and each
-        response reports its own cache provenance.
+        Repeated (normalized) queries — within one batch or across calls —
+        compute the pipeline once through the result cache, and each
+        response reports its own cache provenance.  There is no thread
+        pool: the pipeline holds the interpreter lock, so fanning a batch
+        out measured slower than this loop (DESIGN.md, "Modes removed").
         """
         coerced = [QueryRequest.of(r) for r in requests]
         self._stats.record({"batches": 1})
-        if not coerced:
-            return []
-        width = max_workers if max_workers is not None else self.config.max_workers
-        width = max(1, min(width, len(coerced)))
-        if width == 1:
-            return [self.answer(r) for r in coerced]
-        with ThreadPoolExecutor(max_workers=width) as pool:
-            return list(pool.map(self.answer, coerced))
+        return [self.answer(r) for r in coerced]
 
     # -- live mutation -----------------------------------------------------
 
@@ -452,7 +393,7 @@ class WWTService:
     def add_tables(self, tables: Iterable[WebTable]) -> int:
         """Add new tables to the served corpus, live.
 
-        The tables are searchable by the next query — both caches are
+        The tables are searchable by the next query — the caches are
         dropped (cached answers were computed against the smaller corpus)
         — and, for a corpus opened from a directory, the mutation is
         durable before this returns.  When the config sets
@@ -496,7 +437,7 @@ class WWTService:
             queries=int(counts.get("queries", 0)),
             batches=int(counts.get("batches", 0)),
             result_cache=CacheStats.of(self._result_cache),
-            probe_cache=CacheStats.of(self._probe_cache),
+            probe_cache=CacheStats(0, 0, 0, 0),
             feature_cache=CacheStats.of(self._feature_cache),
             total_time=float(counts.get("total_time", 0.0)),
             stages=stages,
@@ -520,13 +461,11 @@ class WWTService:
     def clear_caches(self) -> None:
         """Drop all serving caches (hit/miss counters are kept).
 
-        Covers the result and probe LRUs, the per-(query, table) feature
-        memo, and — when PMI² is configured — the corpus-level H/B
+        Covers the result LRU, the per-(query, table) feature memo, and — when PMI² is configured — the corpus-level H/B
         containment-probe caches; all of them key off corpus content, so
         a live mutation invalidates the lot.
         """
         self._result_cache.clear()
-        self._probe_cache.clear()
         self._feature_cache.clear()
         if self._pmi_scorer is not None:
             self._pmi_scorer.clear_caches()

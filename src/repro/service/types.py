@@ -25,7 +25,7 @@ __all__ = ["QueryRequest", "QueryResponse", "normalized_query_key", "build_expla
 
 
 #: Canonical cache key of a query — the service layer's public name for
-#: :func:`repro.core.features.query_feature_key`, so the result, probe and
+#: :func:`repro.core.features.query_feature_key`, so the result and
 #: feature caches cannot disagree on which surface forms are one query.
 normalized_query_key = query_feature_key
 
@@ -94,8 +94,8 @@ class QueryResponse:
     #: back to a cheaper inference — the rows are a partial answer.
     degraded: bool = False
     #: Execution stages whose results this response reflects, in order
-    #: (probe stages replayed from the probe cache included; stages a
-    #: deadline skipped absent — compare against ``trace`` statuses).
+    #: (stages a deadline skipped absent — compare against ``trace``
+    #: statuses).
     stages_ran: List[str] = field(default_factory=list)
     #: Root of the execution span tree for this answer (the original
     #: computation's spans on a cache hit); ``None`` for legacy paths.

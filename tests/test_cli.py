@@ -134,6 +134,15 @@ class TestCommands:
         assert code == 2
         assert "deadline_ms" in capsys.readouterr().err
 
+    def test_batch_removed_workers_option_exits_2(self, capsys):
+        """``batch --workers`` went with the batch thread pool: argparse
+        refuses it as an unrecognized argument."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["batch", "country | currency", "--workers", "2"],
+                 out=io.StringIO())
+        assert exit_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
     def test_bad_config_file_is_cli_error(self, capsys):
         out = io.StringIO()
         code = main(

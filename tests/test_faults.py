@@ -503,9 +503,10 @@ class TestShardedFailureDomains:
         assert corpus.coverage().shards_reachable == 2
 
     def test_broken_shard_is_not_blamed_on_a_healthy_peer(self):
-        """Regression: the corpus-global df is summed over *all* shards
-        from inside whichever shard's score loop first asks for an
-        uncached term, so one broken shard used to mark two unreachable."""
+        """Regression: the corpus-global df used to be summed over *all*
+        shards from inside whichever shard's score loop first asked for a
+        term, so one broken shard marked two unreachable.  The df now
+        comes from the corpus statistics and never reads a shard."""
         corpus = sharded_with_health(
             make_tables(32), 4, HealthPolicy(), FakeClock()
         )
@@ -517,12 +518,29 @@ class TestShardedFailureDomains:
             DOMAIN_HEALTHY, DOMAIN_RETRYING, DOMAIN_HEALTHY, DOMAIN_HEALTHY
         ]
         assert corpus.coverage().shards_reachable == 3
-        # Nothing computed while a df read failed was cached: an identical
-        # probe scores with the same reachable-shards IDF.
+        # An identical probe scores the same.
         assert first and ranking(corpus.search(["name", "rank"], limit=50)) == (
             ranking(first)
         )
-        assert len(corpus._df_cache) == 0
+
+    def test_partial_probe_is_the_fault_free_ranking_of_reachable_shards(
+        self, small_env
+    ):
+        """Every shard is scored under one IDF, fault or not: a probe that
+        misses a shard returns the fault-free ranking restricted to the
+        shards it reached, scores included."""
+        source = small_env.synthetic.corpus
+        tables = source.get_many(source.ids()[:60])
+        terms, limit = ["name", "rank", "country"], 1000
+        fault_free = build_sharded_corpus(tables, 3).search(terms, limit)
+        corpus = sharded_with_health(tables, 3, self.POLICY, FakeClock())
+        lost = set(corpus.shards[1].store.ids())
+        with injected(FaultRule(POINT_SHARD_SEARCH, Once(), key="1")):
+            partial = corpus.search(terms, limit)
+        expected = [h for h in fault_free if h.doc_id not in lost]
+        assert len(expected) < len(fault_free)  # shard 1 had hits to lose
+        assert {shard_of(h.doc_id, 3) for h in expected} == {0, 2}
+        assert ranking(partial) == ranking(expected)
 
 
 # ---------------------------------------------------------------------------

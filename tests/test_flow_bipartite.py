@@ -1,8 +1,12 @@
 """Bipartite matcher and max-marginals vs brute-force enumeration."""
 
 import itertools
+import json
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import find, given, settings
@@ -259,3 +263,44 @@ class TestOneToOnePairs:
         conflicting = {(0, 0): 0.4, (0, 1): 0.9, (1, 1): 0.7}
         assert one_to_one_pairs(conflicting, 2, 2) == [(0, 0), (1, 1)]
         assert built == [1]
+
+
+#: Near-tie weights whose Bellman–Ford parent edges loop through a residual
+#: cycle that never reaches the source; tracing them used to spin forever.
+NEAR_TIE_WEIGHTS = [
+    [1.1000000010000002, 0.299998, 0.7000000009999999, 1.0999995],
+    [1.1000005000000002, 0.299998, 0.7000099999999999, 1.1],
+    [1.1000005000000002, 0.299998, 0.699998, 1.1],
+    [0.799999999, 0.300000001, 0.39999999999999997, 0.8000005000000001],
+    [1.4000005000000002, 1.0000000272292198e-09, 0.9999994999999999,
+     1.4000020000000002],
+]
+NEAR_TIE_RIGHT_CAPS = [1, 1, 1, 5]
+
+
+class TestNearTies:
+    def test_parent_cycle_is_cancelled_not_followed(self):
+        # A subprocess with a timeout, so a regression fails instead of
+        # hanging the suite.
+        script = (
+            "import json, sys\n"
+            "from repro.flow.bipartite import BipartiteMatcher\n"
+            "w, caps = json.loads(sys.argv[1])\n"
+            "r = BipartiteMatcher(w, [1] * len(w), caps).solve()\n"
+            "print(json.dumps([r.pairs, r.total_weight]))\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", script,
+             json.dumps([NEAR_TIE_WEIGHTS, NEAR_TIE_RIGHT_CAPS])],
+            capture_output=True, text=True, timeout=30,
+            env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+        )
+        assert done.returncode == 0, done.stderr
+        pairs, total = json.loads(done.stdout)
+        assert total == pytest.approx(
+            brute_force_best(NEAR_TIE_WEIGHTS, NEAR_TIE_RIGHT_CAPS), abs=1e-6
+        )
+        assert sum(NEAR_TIE_WEIGHTS[i][j] for i, j in pairs) == (
+            pytest.approx(total, abs=1e-12)
+        )

@@ -403,7 +403,7 @@ class TestMaxMarginalReuse:
 
 
     def test_concurrent_solves_and_clears_never_mix_values(self):
-        """``answer_batch`` shares one cache across threads: whatever the
+        """Concurrent queries share one cache across threads: whatever the
         interleaving of solves, evictions and clears, a key's value is
         the pure function of that key."""
         cache = FeatureCache(capacity=8)  # smaller than the key space
@@ -631,21 +631,37 @@ class TestCompiledTable:
         compile one, to equal values) answer exactly as one thread does."""
         tables = list(small_env.synthetic.corpus)
         queries = [wq.query for wq in small_env.queries[:12]]
-        uncached = EngineConfig(cache_size=0, probe_cache_size=0)
+        uncached = EngineConfig(cache_size=0)
         serial_service = WWTService(
             build_corpus_index([fresh_copy(t) for t in tables]), uncached
         )
         serial = [serial_service.answer(q) for q in queries]
 
         cold = [fresh_copy(t) for t in tables]
-        batch_service = WWTService(build_corpus_index(cold), uncached)
+        threaded_service = WWTService(build_corpus_index(cold), uncached)
+        width = 6
+        barrier = threading.Barrier(width)
+        threaded = [None] * len(queries)
+
+        def answer_slice(k):
+            barrier.wait()
+            for i in range(k, len(queries), width):
+                threaded[i] = threaded_service.answer(queries[i])
+
+        threads = [
+            threading.Thread(target=answer_slice, args=(k,))
+            for k in range(width)
+        ]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            batch = batch_service.answer_batch(queries, max_workers=6)
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
         finally:
             sys.setswitchinterval(interval)
-        assert [(r.header, r.rows) for r in batch] == [
+        assert [(r.header, r.rows) for r in threaded] == [
             (r.header, r.rows) for r in serial
         ]
         assert any(t._compiled is not None for t in cold)
@@ -659,8 +675,7 @@ class TestServiceHotPath:
         queries = [wq.query for wq in small_env.queries[:6]]
         memoized = WWTService(corpus, EngineConfig())
         plain = WWTService(
-            corpus, EngineConfig(feature_cache_size=0, cache_size=0,
-                                 probe_cache_size=0)
+            corpus, EngineConfig(feature_cache_size=0, cache_size=0)
         )
         for query in queries:
             a = memoized.answer_full(query)

@@ -15,7 +15,7 @@ from repro.service import EngineConfig, WWTService
 def uncached_service(corpus, **config):
     """A service that recomputes every query (no result/probe cache)."""
     return WWTService(
-        corpus, EngineConfig(cache_size=0, probe_cache_size=0, **config)
+        corpus, EngineConfig(cache_size=0, **config)
     )
 
 

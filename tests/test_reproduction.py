@@ -199,7 +199,7 @@ def test_fig7_running_time(env):
     mapper is most of it, and PMI² is the expensive method (§5.1)."""
     bounds = DATA["fig7_running_time"]
     service = WWTService(
-        env.synthetic.corpus, EngineConfig(cache_size=0, probe_cache_size=0)
+        env.synthetic.corpus, EngineConfig(cache_size=0)
     )
     slices = {}
     for wq in env.queries:

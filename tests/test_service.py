@@ -1,11 +1,11 @@
 """Tests for the serving layer: EngineConfig, registry, caches, WWTService."""
 
+import threading
 import time
 
 import pytest
 
 from repro.core.features import BoundedCache, query_feature_key
-from repro.exec import SPAN_CACHED
 from repro.inference import REGISTRY
 from repro.inference.registry import (
     AlgorithmInfo,
@@ -30,10 +30,7 @@ class TestEngineConfig:
         assert config.caching_enabled
 
     def test_round_trip(self):
-        config = EngineConfig(
-            inference="bp", cache_size=7, probe_cache_size=3,
-            max_workers=2, page_size=10,
-        )
+        config = EngineConfig(inference="bp", cache_size=7, page_size=10)
         data = config.to_dict()
         assert data["inference"] == "bp"
         assert EngineConfig.from_dict(data) == config
@@ -88,11 +85,27 @@ class TestEngineConfig:
             EngineConfig(probe_workers=2)
         assert "probe_workers" not in EngineConfig().to_dict()
 
+    def test_removed_probe_cache_size_rejected(self):
+        """``probe_cache_size`` is a checked constant: there is no probe
+        cache, so anything but 0 is refused with a message naming it."""
+        for size in (1, 128):
+            with pytest.raises(ValueError, match=f"probe_cache_size {size}") as err:
+                EngineConfig(probe_cache_size=size)
+            assert "there is no probe cache" in str(err.value)
+        with pytest.raises(ValueError, match="probe_cache_size 1 was removed"):
+            EngineConfig.from_dict({"probe_cache_size": 1})
+        assert EngineConfig(probe_cache_size=0) == EngineConfig()
+
+    def test_removed_max_workers_is_an_unknown_key(self):
+        with pytest.raises(ValueError, match=r"keys: \['max_workers'\]"):
+            EngineConfig.from_dict({"max_workers": 4})
+        with pytest.raises(TypeError, match="max_workers"):
+            EngineConfig(max_workers=4)
+        assert "max_workers" not in EngineConfig().to_dict()
+
     def test_serving_knobs_validated(self):
         with pytest.raises(ValueError):
             EngineConfig(cache_size=-1)
-        with pytest.raises(ValueError):
-            EngineConfig(max_workers=0)
         with pytest.raises(ValueError):
             EngineConfig(page_size=0)
 
@@ -244,7 +257,7 @@ class TestRequestTypes:
 def service(small_env):
     return WWTService(
         small_env.synthetic.corpus,
-        EngineConfig(cache_size=64, probe_cache_size=64, max_workers=4),
+        EngineConfig(cache_size=64),
     )
 
 
@@ -323,7 +336,7 @@ class TestWWTService:
         service = WWTService(small_env.synthetic.corpus)
         texts = ["country | currency", "dog breed", "country | gdp",
                  "dog breed", "country | currency"]
-        responses = service.answer_batch(texts, max_workers=3)
+        responses = service.answer_batch(texts)
         assert [str(r.query) for r in responses] == texts
         assert service.stats().batches == 1
 
@@ -334,7 +347,7 @@ class TestWWTService:
         """Acceptance: >=20 workload queries, repeats measurably faster."""
         service = WWTService(
             small_env.synthetic.corpus,
-            EngineConfig(cache_size=128, probe_cache_size=128, max_workers=4),
+            EngineConfig(cache_size=128),
         )
         queries = [wq.query for wq in small_env.queries[:20]]
         assert len(queries) >= 20
@@ -366,39 +379,29 @@ class TestWWTService:
             return original(query, name, deadline_ms)
 
         service._compute = counting_compute
-        responses = service.answer_batch(["country | currency"] * 4,
-                                         max_workers=4)
+        barrier = threading.Barrier(4)
+        responses = []
+
+        def ask():
+            barrier.wait()
+            responses.append(service.answer("country | currency"))
+
+        threads = [threading.Thread(target=ask) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(responses) == 4
         assert len(computations) == 1
         assert sum(1 for r in responses if not r.cache_hit) == 1
         assert sum(1 for r in responses if r.cache_hit) == 3
 
-    def test_probe_cache_hit_keeps_probe_timings(self, small_env):
+    def test_probe_cache_stats_stay_zero_after_traffic(self, small_env):
         service = WWTService(small_env.synthetic.corpus)
-        cold = service.answer("country | currency")
-        # Result-cache miss (different inference) but probe-cache hit: the
-        # probe stages must still report the original cost, not zero.
-        warm = service.answer(
-            QueryRequest.parse("country | currency", inference="none")
-        )
-        assert not warm.cache_hit
-        assert warm.timing.index1 == cold.timing.index1
-        assert warm.timing.read1 == cold.timing.read1
-        assert cold.timing.index1 > 0.0
-
-    def test_uncached_request_bypasses_the_probe_cache(self, small_env):
-        """Regression: ``use_cache=False`` skipped the result cache but
-        still replayed (and filled) the probe cache."""
-        service = WWTService(small_env.synthetic.corpus)
-        for _ in range(2):
-            full = service.answer_full("country | currency", use_cache=False)
-            assert not any(
-                span.status == SPAN_CACHED for span in full.spans.leaves()
-            )
-        probe = service.stats().probe_cache
-        assert (probe.hits, probe.misses, probe.size) == (0, 0, 0)
-        assert not service.answer(
-            QueryRequest.parse("country | currency", use_cache=False)
-        ).cache_hit
+        service.answer("country | currency")
+        service.answer(QueryRequest.parse("country | currency", inference="none"))
+        service.answer_full("country | currency", use_cache=False)
+        assert service.stats().probe_cache == CacheStats(0, 0, 0, 0)
 
     def test_stats_to_dict(self, service):
         data = service.stats().to_dict()
