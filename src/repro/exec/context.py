@@ -25,7 +25,6 @@ from typing import Any, Callable, Dict, Iterator, List, Optional
 __all__ = [
     "ExecutionContext",
     "REASON_DEADLINE",
-    "REASON_SHARD_FAILURE",
     "Span",
     "SPAN_OK",
     "SPAN_DEGRADED",
@@ -48,9 +47,6 @@ def wall_clock() -> float:
 
 #: Degradation reason: the deadline budget forced skips or fallbacks.
 REASON_DEADLINE = "deadline"
-#: Degradation reason: one or more corpus shards were unreachable, so
-#: the answer covers only part of the corpus (see ``QueryState.coverage``).
-REASON_SHARD_FAILURE = "shard_failure"
 
 #: Span ran normally.
 SPAN_OK = "ok"
@@ -184,8 +180,8 @@ class ExecutionContext:
         self._stack: List[Span] = [self.root]
         #: Did any stage skip or fall back?  (The answer is partial.)
         self.degraded = False
-        #: Why, in first-occurrence order — :data:`REASON_DEADLINE`,
-        #: :data:`REASON_SHARD_FAILURE`, or both.  Empty iff not degraded.
+        #: Why, in first-occurrence order (:data:`REASON_DEADLINE` is the
+        #: one reason).  Empty iff not degraded.
         self.degraded_reasons: List[str] = []
         #: Did the budget run out at any between-stage check?
         self.deadline_hit = False
@@ -251,9 +247,9 @@ class ExecutionContext:
     def mark_degraded(self, reason: str = REASON_DEADLINE) -> None:
         """Flag the run as having returned a partial/degraded answer.
 
-        ``reason`` says *why* — deadline pressure or shard failure — and
-        accumulates in :attr:`degraded_reasons` (deduplicated, in
-        first-occurrence order) so serving layers can report both.
+        ``reason`` says *why* and accumulates in :attr:`degraded_reasons`
+        (deduplicated, in first-occurrence order) for the serving layers
+        to report.
         """
         self.degraded = True
         if reason not in self.degraded_reasons:

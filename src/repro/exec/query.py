@@ -41,7 +41,7 @@ from ..pipeline.probe import (
 )
 from ..query.model import Query
 from ..text.tokenize import tokenize
-from .context import REASON_SHARD_FAILURE, ExecutionContext
+from .context import ExecutionContext
 from .plan import ExecutionPlan, Stage
 from .state import QueryState
 
@@ -54,23 +54,6 @@ __all__ = [
 
 
 # -- stage bodies ---------------------------------------------------------
-
-
-def _note_coverage(ctx: ExecutionContext, s: QueryState) -> None:
-    """After a corpus-touching stage: record shard coverage, flag partials.
-
-    Corpora without failure domains always report complete coverage, so
-    this costs one call on the fault-free path.  With failure domains, the
-    *worst* coverage seen across the query's stages is kept (the answer is
-    only as complete as its least-complete probe) and the context is
-    marked degraded with :data:`~repro.exec.context.REASON_SHARD_FAILURE`.
-    """
-    coverage = s.corpus.coverage()
-    if coverage.complete:
-        return
-    if s.coverage is None or coverage.fraction < s.coverage.fraction:
-        s.coverage = coverage
-    ctx.mark_degraded(REASON_SHARD_FAILURE)
 
 
 def _stage_parse(ctx: ExecutionContext, s: QueryState) -> None:
@@ -95,14 +78,12 @@ def _stage_index1(ctx: ExecutionContext, s: QueryState) -> None:
     )
     s.stage1_ids = [h.doc_id for h in hits]
     ctx.count("hits", len(s.stage1_ids))
-    _note_coverage(ctx, s)
 
 
 def _stage_read1(ctx: ExecutionContext, s: QueryState) -> None:
     """Read the stage-1 candidate tables from the store."""
     s.stage1_tables = s.corpus.get_many(s.stage1_ids)
     ctx.count("tables", len(s.stage1_tables))
-    _note_coverage(ctx, s)
 
 
 def _stage_confidence(ctx: ExecutionContext, s: QueryState) -> None:
@@ -125,7 +106,6 @@ def _stage_confidence(ctx: ExecutionContext, s: QueryState) -> None:
         if s.confidences[i] >= config.seed_confidence
     ]
     ctx.count("seeds", len(s.seeds))
-    _note_coverage(ctx, s)
 
 
 def _stage_index2(ctx: ExecutionContext, s: QueryState) -> None:
@@ -149,7 +129,6 @@ def _stage_index2(ctx: ExecutionContext, s: QueryState) -> None:
     seen = set(s.stage1_ids)
     s.stage2_ids = [h.doc_id for h in stage2_hits if h.doc_id not in seen]
     ctx.count("hits", len(s.stage2_ids))
-    _note_coverage(ctx, s)
 
 
 def _stage_read2(ctx: ExecutionContext, s: QueryState) -> None:
@@ -167,7 +146,6 @@ def _stage_read2(ctx: ExecutionContext, s: QueryState) -> None:
         seed_table_ids=[t.table_id for t in s.seeds],
     )
     ctx.count("candidates", len(tables))
-    _note_coverage(ctx, s)
 
 
 def _map_with(

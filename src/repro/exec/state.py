@@ -17,7 +17,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..core.model import ColumnMappingProblem
     from ..core.params import ModelParams
     from ..core.pmi import PmiScorer
-    from ..faults.health import Coverage
     from ..pipeline.probe import ProbeConfig, ProbeResult
     from ..query.model import Query
     from ..tables.table import WebTable
@@ -65,11 +64,6 @@ class QueryState:
     stage2_ids: List[str] = field(default_factory=list)
     #: The finalized candidate-retrieval artifact (``probe.read2``).
     probe: Optional[ProbeResult] = None
-
-    #: Worst (lowest-fraction) shard coverage observed across the
-    #: corpus-touching stages; ``None`` when the corpus has no failure
-    #: domains or every probe reached every shard.
-    coverage: Optional[Coverage] = None
 
     # -- mapping / answer outputs -----------------------------------------
     problem: Optional[ColumnMappingProblem] = None

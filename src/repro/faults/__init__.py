@@ -1,32 +1,18 @@
-"""``repro.faults`` — deterministic fault injection and failure domains.
+"""``repro.faults`` — deterministic fault injection.
 
-Two halves, both stdlib-only and fully seeded:
+:mod:`repro.faults.injection` compiles named fault points (``trip``) into
+the risky edges of the engine: shard materialization, per-shard search,
+table-store reads, journal appends and serve workers.  Disabled — the
+default, and the only state tier-1 tests ever see — a tripped point is a
+single module-global ``None`` check.  Activated, a :class:`FaultInjector`
+evaluates deterministic trigger policies (every-Nth,
+probability-with-seed, one-shot) and raises :class:`InjectedFault`.
 
-- :mod:`repro.faults.injection` — named fault points (``trip``) compiled
-  into the risky edges of the engine (shard materialization, per-shard
-  search, table-store reads, journal appends, serve workers).  Disabled
-  — the default, and the only state tier-1 tests ever see — a tripped
-  point is a single module-global ``None`` check.  Activated, a
-  :class:`FaultInjector` evaluates deterministic trigger policies
-  (every-Nth, probability-with-seed, one-shot) and raises
-  :class:`InjectedFault`.
-- :mod:`repro.faults.health` — per-failure-domain health state
-  (healthy → retrying → quarantined) with bounded deterministic backoff
-  and reopen probation on the injected clock seam, plus the
-  :class:`Coverage` record that quantifies how much of the corpus a
-  partial answer actually consulted.
-
-See DESIGN.md, "Failure domains & fault injection".
+The injected failure takes the same path as a real one: a shard error
+raises out of the corpus call that hit it and fails the query (see
+DESIGN.md, "Fault injection and the failure contract").
 """
 
-from .health import (
-    DOMAIN_HEALTHY,
-    DOMAIN_QUARANTINED,
-    DOMAIN_RETRYING,
-    Coverage,
-    HealthPolicy,
-    HealthTracker,
-)
 from .injection import (
     KNOWN_POINTS,
     POINT_JOURNAL_APPEND,
@@ -48,15 +34,9 @@ from .injection import (
 )
 
 __all__ = [
-    "Coverage",
-    "DOMAIN_HEALTHY",
-    "DOMAIN_QUARANTINED",
-    "DOMAIN_RETRYING",
     "EveryNth",
     "FaultInjector",
     "FaultRule",
-    "HealthPolicy",
-    "HealthTracker",
     "InjectedFault",
     "KNOWN_POINTS",
     "Once",

@@ -11,7 +11,8 @@ when a point fires: the same rules over the same call sequence always
 fault the same calls, which is what makes chaos runs reproducible and
 their assertions exact.
 
-Fault-point catalog (see DESIGN.md, "Failure domains & fault injection"):
+Fault-point catalog (see DESIGN.md, "Fault injection and the failure
+contract"):
 
 ========================  ====================================================
 point                     guarded edge
@@ -35,7 +36,7 @@ import random
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence
 
 __all__ = [
     "EveryNth",
@@ -341,9 +342,3 @@ def injected(
     finally:
         deactivate()
 
-
-def rules_from_spec(
-    spec: Sequence[Tuple[str, TriggerPolicy]],
-) -> List[FaultRule]:
-    """Build unkeyed rules from ``(point, policy)`` pairs (bench configs)."""
-    return [FaultRule(point, policy) for point, policy in spec]

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Iterable, List, Protocol, Sequence, Set, runtime_checkable
 
-from ..faults.health import Coverage
 from ..tables.table import WebTable
 from ..text.tfidf import TermStatistics
 from .inverted import SearchHit
@@ -36,6 +35,9 @@ class CorpusProtocol(Protocol):
         candidate_ids(build_corpus_index(tables), tokens)       # one shard
         candidate_ids(build_sharded_corpus(tables, 4), tokens)  # four
         candidate_ids(load_corpus("corpus-dir"), tokens)        # persisted
+
+    Every call answers from the whole corpus or raises: an error in any
+    shard fails the call that hit it.
     """
 
     @property
@@ -71,10 +73,6 @@ class CorpusProtocol(Protocol):
 
     def get_many(self, table_ids: Iterable[str]) -> List[WebTable]:
         """Fetch several tables, preserving input order, skipping unknowns."""
-        ...
-
-    def coverage(self) -> Coverage:
-        """How much of the corpus a probe routed right now reaches."""
         ...
 
     def close(self) -> None:

@@ -47,7 +47,6 @@ import os
 import threading
 import zlib
 from collections import Counter
-from functools import partial
 from pathlib import Path
 from typing import (
     Any,
@@ -66,7 +65,6 @@ from typing import (
     cast,
 )
 
-from ..faults.health import Coverage, HealthPolicy, HealthTracker
 from ..faults.injection import POINT_SHARD_MATERIALIZE, POINT_SHARD_SEARCH, trip
 from ..tables.table import WebTable
 from ..text.tfidf import TermStatistics
@@ -218,12 +216,6 @@ class Shard:
         return f"Shard({self.num_tables} tables, {state})"
 
 
-def _stored(table_id: str, shard: Shard) -> Optional[WebTable]:
-    """``table_id``'s table when ``shard`` holds it, else ``None``."""
-    store = shard.store
-    return store.get(table_id) if table_id in store else None
-
-
 class ShardedCorpus:
     """N >= 1 shards behind one ``CorpusProtocol`` front, mutable in place.
 
@@ -243,6 +235,9 @@ class ShardedCorpus:
     One corpus lock serializes mutations with every read of the shards
     (probes, table reads, ``ids``, ``stats``): a probe racing a mutation
     sees the corpus from before or after it, never a torn one.
+
+    A shard error — open, decode, search or table read — raises out of
+    the call that hit it; no read answers from part of the corpus.
     """
 
     def __init__(
@@ -250,8 +245,6 @@ class ShardedCorpus:
         shards: Sequence[Shard],
         stats: TermStatistics,
         validate: bool = True,
-        health: Optional[HealthPolicy] = None,
-        clock: Optional[Callable[[], float]] = None,
     ) -> None:
         if not shards:
             raise ValueError("a ShardedCorpus needs at least one shard")
@@ -274,13 +267,6 @@ class ShardedCorpus:
                             "shard_of() (use build_sharded_corpus to "
                             "partition)"
                         )
-        #: Per-shard failure domains.  ``None`` (the default) is the strict
-        #: contract: any shard error raises through and no health
-        #: bookkeeping runs.
-        self._health: Optional[HealthTracker] = (
-            HealthTracker(len(self.shards), health, clock=clock)
-            if health is not None else None
-        )
         self._num_tables = sum(s.num_tables for s in self.shards)
         #: The current statistics vintage; ``None`` from a mutation until
         #: the next :attr:`stats` read derives the new one.
@@ -347,48 +333,18 @@ class ShardedCorpus:
 
     # -- scatter-gather machinery ----------------------------------------------
 
-    def _attempt(
-        self,
-        si: int,
-        fn: Callable[[Shard], T],
-        point: Optional[str] = None,
-    ) -> Optional[T]:
-        """``fn(shard si)`` behind fault point ``point``, or ``None``.
-
-        The one place a shard is touched on behalf of a probe.  Without
-        failure domains any error raises through (the strict contract).
-        With them, a shard sitting out a backoff/quarantine window is
-        skipped, a failure is recorded and yields ``None``, and a success
-        is recorded too — the outcomes that drive the tracker's retry →
-        quarantine → reopen lifecycle.
-        """
-        tracker = self._health
-        if tracker is not None and not tracker.available(si):
-            return None
-        try:
-            if point is not None:
-                trip(point, key=str(si))
-            result = fn(self.shards[si])
-        except Exception as exc:
-            if tracker is None:
-                raise
-            tracker.record_failure(si, exc)
-            return None
-        if tracker is not None:
-            tracker.record_success(si)
-        return result
-
     def _scatter(self, fn: Callable[[Shard], T]) -> List[T]:
-        """Apply ``fn`` to every reachable shard, serially, in shard order.
+        """Apply ``fn`` to every shard, serially, in shard order.
 
         Both probes go through here, so each trips the ``shard.search``
-        fault point and is health-gated alike.
+        fault point.  A shard error raises through: a probe either hears
+        from every shard or fails.
         """
-        results = (
-            self._attempt(si, fn, POINT_SHARD_SEARCH)
-            for si in range(len(self.shards))
-        )
-        return [result for result in results if result is not None]
+        results: List[T] = []
+        for si, shard in enumerate(self.shards):
+            trip(POINT_SHARD_SEARCH, key=str(si))
+            results.append(fn(shard))
+        return results
 
     def global_idf(self, term: str) -> float:
         """Lucene-classic IDF from the corpus statistics.
@@ -397,8 +353,8 @@ class ShardedCorpus:
         :meth:`InvertedIndex.idf`, over :attr:`stats`' document frequency
         — the df of one index over all tables, since every shard indexes
         the same fields the statistics count.  It never reads a shard, so
-        a probe that misses a shard scores the others exactly as a
-        fault-free probe does.
+        a broken shard fails only the probe that reaches it, never a
+        peer's scoring.
         """
         with self._lock:
             return lucene_idf(
@@ -416,14 +372,7 @@ class ShardedCorpus:
         returns it.  Any document in the global top-``limit`` is
         necessarily in its own shard's top-``limit`` (a shard holds a
         subset of its competitors), so the merge equals the ranking of
-        one index over all tables.
-
-        With failure domains enabled (``health=`` at construction), a
-        failing or backing-off shard contributes nothing instead of
-        raising: the hits are the fault-free ranking restricted to the
-        reachable shards, scores included, and :meth:`coverage`
-        quantifies what was missed.  Without them, any shard error raises
-        through.
+        one index over all tables.  Any shard error raises through.
         """
         with self._lock:
             if self._num_tables == 0:
@@ -462,19 +411,14 @@ class ShardedCorpus:
     def get_many(self, table_ids: Iterable[str]) -> List[WebTable]:
         """Fetch several tables, preserving input order, skipping unknowns.
 
-        With failure domains enabled, tables on a failing or backing-off
-        shard are skipped (recorded to the tracker) rather than raising —
-        the same partial-result contract as :meth:`search`.
+        A failing read raises through, as in :meth:`search`.
         """
         out: List[WebTable] = []
         with self._lock:
             for table_id in table_ids:
-                table = self._attempt(
-                    shard_of(table_id, len(self.shards)),
-                    partial(_stored, table_id),
-                )
-                if table is not None:
-                    out.append(table)
+                store = self._shard_for(table_id).store
+                if table_id in store:
+                    out.append(store.get(table_id))
         return out
 
     def ids(self) -> List[str]:
@@ -648,27 +592,6 @@ class ShardedCorpus:
                 self._base_seq = self._next_seq - 1
             return folded
 
-    # -- failure domains -------------------------------------------------------
-
-    def coverage(self) -> Coverage:
-        """How much of the corpus a probe routed right now reaches.
-
-        Without failure domains this is always the full-coverage record.
-        With them, reachability reflects the tracker's *current* health
-        states — a shard that failed during the probe just described was
-        marked unhealthy by that very failure, so reading coverage right
-        after a probe describes that probe accurately.
-        """
-        tracker = self._health
-        if tracker is None:
-            return Coverage.full(self.num_shards, self._num_tables)
-        return tracker.coverage(self.shard_sizes())
-
-    def health_snapshot(self) -> Optional[List[Dict[str, Any]]]:
-        """Per-shard health diagnostics (``None`` without failure domains)."""
-        tracker = self._health
-        return tracker.snapshot() if tracker is not None else None
-
     # -- lifecycle -------------------------------------------------------------
 
     def close(self) -> None:
@@ -713,12 +636,7 @@ class ShardedCorpus:
             )
 
     @classmethod
-    def load(
-        cls,
-        path: Union[str, Path],
-        health: Optional[HealthPolicy] = None,
-        clock: Optional[Callable[[], float]] = None,
-    ) -> ShardedCorpus:
+    def load(cls, path: Union[str, Path]) -> ShardedCorpus:
         """Open a corpus directory in O(manifest) and replay its journal.
 
         Each shard is a :meth:`Shard.open`, decoded on first access.  A
@@ -729,8 +647,7 @@ class ShardedCorpus:
         newer is re-applied in global sequence order, restoring exactly
         the pre-crash state (minus a torn final append, which never
         committed and is truncated here before the journal is appended to
-        again).  ``health`` enables per-shard failure domains (see
-        :meth:`search`); ``clock`` injects the tracker's clock.
+        again).
         """
         path = Path(path)
         _restore_backup_if_orphaned(path)
@@ -743,10 +660,7 @@ class ShardedCorpus:
         # validate=False: the persisted partition came from shard_of() at
         # build time; re-hashing every id would make load O(num_tables)
         # (and materialize every shard).
-        corpus = cls(
-            shards=shards, stats=stats, validate=False, health=health,
-            clock=clock,
-        )
+        corpus = cls(shards=shards, stats=stats, validate=False)
         corpus._path = path
         corpus._base_seq = manifest["journal_seq"]
         corpus._next_seq = corpus._base_seq + 1
@@ -828,10 +742,7 @@ def _restore_backup_if_orphaned(path: Path) -> None:
 
 
 def load_corpus(
-    path: Union[str, Path],
-    health: Optional[HealthPolicy] = None,
-    clock: Optional[Callable[[], float]] = None,
-    parallel_mode: str = "serial",
+    path: Union[str, Path], parallel_mode: str = "serial"
 ) -> ShardedCorpus:
     """Open a persisted corpus directory (:meth:`ShardedCorpus.load`)::
 
@@ -841,16 +752,13 @@ def load_corpus(
         corpus.add_tables(new_tables)            # durable live mutation
         corpus.compact()                         # write shards, drop journal
 
-    ``health`` enables per-shard failure domains (retry/quarantine
-    lifecycle, partial scatter-gather, coverage — see
-    :meth:`ShardedCorpus.search`); ``clock`` injects the health tracker's
-    clock (tests).  ``parallel_mode`` is a checked constant: ``"serial"``
-    is the only scatter there is, and the name stays only because
-    ``benchmarks/e2e`` still passes it (DESIGN.md, "Modes removed").
+    ``parallel_mode`` is a checked constant: ``"serial"`` is the only
+    scatter there is, and the name stays only because ``benchmarks/e2e``
+    still passes it (DESIGN.md, "Modes removed").
     """
     if parallel_mode != "serial":
         raise ValueError(
             f"parallel_mode {parallel_mode!r} was removed: the shard "
             'scatter is always serial ("serial" is the only accepted value)'
         )
-    return ShardedCorpus.load(path, health=health, clock=clock)
+    return ShardedCorpus.load(path)

@@ -18,7 +18,6 @@ from .probe import ProbeResult
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..exec.context import Span
-    from ..faults.health import Coverage
 
 __all__ = ["QueryTiming", "WWTAnswer"]
 
@@ -116,9 +115,6 @@ class WWTAnswer:
     #: order, as this request executed them; deadline-skipped stages are
     #: absent.
     stages_ran: list = field(default_factory=list)
-    #: Why the answer is degraded, in first-occurrence order
-    #: (``"deadline"``, ``"shard_failure"``); empty iff not degraded.
+    #: Why the answer is degraded (``"deadline"``); empty iff not
+    #: degraded.
     degraded_reasons: list = field(default_factory=list)
-    #: Worst shard coverage the probes saw; ``None`` when the corpus has
-    #: no failure domains or every shard answered every probe.
-    coverage: Optional[Coverage] = None

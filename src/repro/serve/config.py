@@ -60,11 +60,6 @@ class ServeConfig:
     #: Header carrying the rate-limit client identity; falls back to the
     #: peer IP address when absent.
     client_header: str = "X-Client-Id"
-    #: Readiness floor: ``GET /healthz`` reports 503 ``unavailable`` when
-    #: the served corpus's shard coverage fraction drops below this.  The
-    #: default 0.0 never fails readiness on coverage (any partial corpus
-    #: still serves degraded answers); 1.0 demands a fully healthy corpus.
-    min_coverage: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.host:
@@ -89,8 +84,6 @@ class ServeConfig:
             raise ValueError("retry_after_s must be >= 1")
         if not self.client_header:
             raise ValueError("client_header must be non-empty")
-        if not 0.0 <= self.min_coverage <= 1.0:
-            raise ValueError("min_coverage must be in [0.0, 1.0]")
 
     def replace(self, **changes: Any) -> ServeConfig:
         """Copy with some fields replaced (re-validates)."""

@@ -241,10 +241,6 @@ def response_envelope(
             "cache_hit": response.cache_hit,
             "degraded": response.degraded,
             "degraded_reasons": list(response.degraded_reasons),
-            "coverage": (
-                response.coverage.to_dict()
-                if response.coverage is not None else None
-            ),
             "stages_ran": list(response.stages_ran),
             "served_in_ms": round(response.served_in * 1000.0, 3),
             "queue_ms": round(queue_ms, 3),

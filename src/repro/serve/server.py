@@ -26,6 +26,10 @@ deducted before the engine runs, so a request that waited out most of
 its budget executes under a near-zero budget and comes back degraded
 (flagged in the envelope) rather than blowing the SLO or timing out.
 
+An engine error fails its request: the client gets a 500 ``internal``
+envelope carrying the error's message (a torn shard's names its file),
+and ``/stats`` counts it in ``errors_internal``.
+
 Shutdown is graceful: new work is refused with 503, queued work drains
 through the workers, then the listener closes.
 """
@@ -40,7 +44,6 @@ import threading
 from concurrent.futures import Future
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import (
-    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -72,9 +75,6 @@ from .protocol import (
     response_envelope,
 )
 from .stats import ServerStats
-
-if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from ..faults.health import Coverage
 
 __all__ = ["AnswerService", "ReproServer"]
 
@@ -515,49 +515,22 @@ class ReproServer:
         """Seconds since construction (monotonic clock seam)."""
         return self._clock() - self._started_at
 
-    def service_coverage(self) -> Optional[Coverage]:
-        """Current shard coverage of the served engine's corpus.
-
-        ``None`` when the engine exposes no coverage surface (stub
-        services, corpora without failure domains) — readiness then falls
-        back to draining-only semantics.
-        """
-        coverage_fn = getattr(self.service, "coverage", None)
-        if coverage_fn is None:
-            return None
-        coverage: Optional[Coverage] = coverage_fn()
-        return coverage
-
     def health_payload(self) -> Tuple[int, Dict[str, Any]]:
-        """``GET /healthz``'s ``(status, body)`` — liveness plus readiness.
+        """``GET /healthz``'s ``(status, body)``: 503 ``draining`` once
+        shutdown has begun, else 200 ``ok``.
 
-        Draining always reports 503.  With a coverage-aware engine, shard
-        coverage below ``config.min_coverage`` reports 503 ``unavailable``
-        (take this instance out of rotation); a reachable-but-incomplete
-        corpus reports 200 ``degraded`` — still serving, answers flagged
-        partial; otherwise 200 ``ok``.
+        It reports the server, not the corpus: a torn shard fails the
+        queries that reach it with a 500 naming the file (counted in
+        ``/stats`` as ``errors_internal``), and ``repro index verify``
+        finds it offline.
         """
-        coverage = self.service_coverage()
-        if self.is_draining:
-            status, code = "draining", 503
-        elif (
-            coverage is not None
-            and coverage.fraction < self.config.min_coverage
-        ):
-            status, code = "unavailable", 503
-        elif coverage is not None and not coverage.complete:
-            status, code = "degraded", 200
-        else:
-            status, code = "ok", 200
-        payload: Dict[str, Any] = {
+        status, code = ("draining", 503) if self.is_draining else ("ok", 200)
+        return code, {
             "status": status,
             "uptime_s": round(self.uptime_s, 3),
             "queue_depth": self.queue_depth,
             "workers": self.config.workers,
         }
-        if coverage is not None:
-            payload["coverage"] = coverage.to_dict()
-        return code, payload
 
     def stats(self) -> ServerStats:
         """Serving-layer counters snapshot."""

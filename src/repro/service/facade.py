@@ -30,7 +30,6 @@ from ..exec.context import SPAN_OK, SPAN_SKIPPED, ExecutionContext, wall_clock
 from ..exec.query import build_query_plan
 from ..exec.state import QueryState
 from ..exec.stats import StageStats, Stats
-from ..faults.health import Coverage
 from ..index.protocol import CorpusProtocol
 from ..index.sharded import ShardedCorpus, load_corpus
 from ..inference.registry import DEFAULT_REGISTRY
@@ -76,12 +75,8 @@ class ServiceStats:
     deadline_hits: int = 0
     #: Queries answered degraded (stages skipped or fallback inference).
     degraded_answers: int = 0
-    #: Degraded queries broken down by reason (``"deadline"``,
-    #: ``"shard_failure"``); a query degraded for both counts under both.
+    #: Degraded queries broken down by reason (``"deadline"``).
     degraded_reasons: Dict[str, int] = field(default_factory=dict)
-    #: Queries answered from a partial corpus (some shard unreachable) —
-    #: the subset of ``degraded_answers`` carrying a coverage record.
-    partial_answers: int = 0
 
     def to_dict(self) -> Dict[str, Any]:
         """Plain-dict form for logging/CLI output."""
@@ -99,7 +94,6 @@ class ServiceStats:
             "deadline_hits": self.deadline_hits,
             "degraded_answers": self.degraded_answers,
             "degraded_reasons": dict(sorted(self.degraded_reasons.items())),
-            "partial_answers": self.partial_answers,
         }
 
 
@@ -207,7 +201,7 @@ class WWTService:
         try:
             _QUERY_PLAN.run(ctx, state)
         finally:
-            self._record_execution(ctx, state)
+            self._record_execution(ctx)
         return WWTAnswer(
             query=state.query,
             answer=state.answer,
@@ -219,16 +213,14 @@ class WWTService:
             degraded=ctx.degraded,
             stages_ran=ctx.root.stage_names(),
             degraded_reasons=list(ctx.degraded_reasons),
-            coverage=state.coverage,
         )
 
-    def _record_execution(self, ctx: ExecutionContext, state: QueryState) -> None:
+    def _record_execution(self, ctx: ExecutionContext) -> None:
         """Fold one execution's outcome and executed spans into the stats,
         as one event."""
         counts = {
             "deadline_hits": int(ctx.deadline_hit),
             "degraded_answers": int(ctx.degraded),
-            "partial_answers": int(state.coverage is not None),
         }
         for reason in ctx.degraded_reasons:
             counts[_DEGRADED_BY + reason] = 1
@@ -355,7 +347,6 @@ class WWTService:
             trace=full.spans,
             explain=build_explain(full) if request.explain else None,
             degraded_reasons=list(full.degraded_reasons),
-            coverage=full.coverage,
         )
 
     def answer_batch(
@@ -447,16 +438,7 @@ class WWTService:
                 name[len(_DEGRADED_BY):]: int(n)
                 for name, n in counts.items() if name.startswith(_DEGRADED_BY)
             },
-            partial_answers=int(counts.get("partial_answers", 0)),
         )
-
-    def coverage(self) -> Coverage:
-        """The served corpus's current shard :class:`~repro.faults.Coverage`.
-
-        Always the full-coverage record unless the corpus was opened with
-        a health policy (failure domains) and a shard is unreachable.
-        """
-        return self.corpus.coverage()
 
     def clear_caches(self) -> None:
         """Drop all serving caches (hit/miss counters are kept).

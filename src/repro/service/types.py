@@ -10,10 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
-
-if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from ..faults.health import Coverage
+from typing import Any, Dict, List, Optional, Union
 
 from ..consolidate.merge import AnswerRow
 from ..core.features import query_feature_key
@@ -101,12 +98,9 @@ class QueryResponse:
     #: computation's spans on a cache hit); ``None`` for legacy paths.
     trace: Optional[Span] = None
     explain: Optional[Dict[str, Any]] = None
-    #: Why the answer is degraded (``"deadline"``, ``"shard_failure"``),
-    #: in first-occurrence order; empty iff ``degraded`` is False.
+    #: Why the answer is degraded (``"deadline"``); empty iff
+    #: ``degraded`` is False.
     degraded_reasons: List[str] = field(default_factory=list)
-    #: Worst shard coverage the query's probes saw; ``None`` when the
-    #: corpus has no failure domains or every shard answered.
-    coverage: Optional[Coverage] = None
 
     @property
     def num_pages(self) -> int:
@@ -144,9 +138,6 @@ class QueryResponse:
             "served_in": self.served_in,
             "degraded": self.degraded,
             "degraded_reasons": list(self.degraded_reasons),
-            "coverage": (
-                self.coverage.to_dict() if self.coverage is not None else None
-            ),
             "stages_ran": list(self.stages_ran),
             "timing": self.timing.as_dict(),
             "trace": self.trace.to_dict() if self.trace is not None else None,

@@ -1,14 +1,11 @@
 """R008 negative: recovery paths that record, re-raise, or convert."""
 
 
-def probe(tracker, si, shard):
+def resolve(future, shard):
     try:
-        result = shard.search()
+        future.set_result(shard.search())
     except Exception as exc:
-        tracker.record_failure(si, exc)  # recorded to the health seam
-        return None
-    tracker.record_success(si)
-    return result
+        future.set_exception(exc)  # the failure travels to the waiter
 
 
 def verify(path, issues):

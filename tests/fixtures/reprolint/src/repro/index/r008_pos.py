@@ -16,3 +16,11 @@ def scatter(jobs):
         except Exception:  # line 16: flagged (shard failure vanishes)
             continue
     return results
+
+
+def probe(tracker, si, shard):
+    try:
+        return shard.search()
+    except Exception as exc:  # line 24: flagged (no seam by that name)
+        tracker.record_failure(si, exc)
+        return None

@@ -1,59 +1,58 @@
 """Chaos matrix over the 59-query workload.
 
-The invariant under injected faults (ISSUE 9's acceptance bar): every
-answer is either **bit-identical** to the fault-free computation or
-**flagged degraded with an accurate coverage record** — never a crash,
-never a silent wrong answer.  And the seam itself must be provably
-inert: with no injector active (or an armed injector whose rules never
-fire), a health-enabled corpus answers bit-identically to the plain
-sharded baseline.
+The invariant under injected faults is the strict failure contract:
+every query either returns the **bit-identical** fault-free answer or
+**raises** the shard error that hit it — never a degraded flag, never a
+silently different answer.  And a failed query leaves nothing behind:
+once the injector is disarmed, the *same* service, with its result,
+feature and PMI² caches on, answers every query bit-identically.
 
-Determinism notes: every shard scatter is one serial loop and every
-health tracker runs on a fake clock advanced only between queries, so
-trigger sequences and backoff windows are exact — the same chaos config
-replayed twice produces byte-for-byte the same outcomes, which the
-replay test asserts.
+The matrix runs twice: at the default parameters, and with PMI² on
+(``w3 = 0.5``), where every query also scatters dozens of containment
+probes (§3.2.3) whose H/B sets land in corpus-level caches.
+
+Determinism notes: every shard scatter is one serial loop, so trigger
+sequences are exact — the same chaos config replayed twice produces
+byte-for-byte the same outcomes, which the replay test asserts.  The
+seam itself must be inert: an armed injector whose rules never fire
+changes no answer.
 """
 
 import pytest
 
-from repro.exec.context import REASON_SHARD_FAILURE
+from repro.core.params import ModelParams
 from repro.faults import (
+    POINT_SHARD_SEARCH,
+    POINT_STORE_GET,
     EveryNth,
     FaultRule,
-    HealthPolicy,
+    InjectedFault,
     WithProbability,
     injected,
 )
-from repro.faults.injection import (
-    POINT_SHARD_SEARCH,
-    POINT_STORE_GET,
-)
-from repro.index import ShardedCorpus, build_sharded_corpus
-from repro.service import WWTService
+from repro.index import build_sharded_corpus
+from repro.service import EngineConfig, WWTService
 
 NUM_SHARDS = 3
 
-#: Never heals within a run (the fake clock stays at 0): a shard that
-#: fails once is out for the rest of the workload — deterministic.
-STICKY = HealthPolicy(
-    max_retries=0, backoff_s=0.05, reopen_after_s=3600.0,
-)
-#: Heals between queries when the clock is advanced past the window.
-HEALING = HealthPolicy(
-    max_retries=0, backoff_s=0.05, reopen_after_s=5.0,
-)
+#: The two parameter settings the matrix runs at.
+PARAMS = {
+    "default": ModelParams(),
+    "pmi2": ModelParams().with_values(w3=0.5),
+}
 
-
-class FakeClock:
-    def __init__(self, now=0.0):
-        self.now = now
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, seconds):
-        self.now += seconds
+#: Fault rules of the matrix; each fails some queries at both settings
+#: and leaves others untouched.
+RULES = {
+    "probabilistic": (
+        FaultRule(POINT_SHARD_SEARCH, WithProbability(0.001, seed=101)),
+        FaultRule(POINT_STORE_GET, WithProbability(0.01, seed=202)),
+    ),
+    "every_nth": (
+        FaultRule(POINT_SHARD_SEARCH, EveryNth(1009)),
+        FaultRule(POINT_STORE_GET, EveryNth(97)),
+    ),
+}
 
 
 def fingerprint(full):
@@ -75,187 +74,158 @@ def tables(small_env):
     return list(small_env.synthetic.corpus)
 
 
-@pytest.fixture(scope="module")
-def baseline(small_env, tables):
-    """Fault-free fingerprints on the plain sharded backend (no health,
-    no injector) — the bit-identity reference for every chaos run."""
-    service = WWTService(build_sharded_corpus(tables, NUM_SHARDS))
-    return {
-        wq.query_id: fingerprint(
-            service.answer_full(wq.query, use_cache=False)
-        )
-        for wq in small_env.queries
-    }
+def make_service(tables, params=PARAMS["default"], journaled=False):
+    """A fresh service over a fresh sharded corpus, caches on.
 
-
-def run_workload(tables, queries, policy=None, clock=None,
-                 advance_between=0.0, journaled=False):
-    """One full workload pass; returns ``(query_id, WWTAnswer)`` pairs.
-
-    ``journaled`` deletes and re-adds one table before serving, so the
-    corpus answers from shards mutated in place with unchanged content.
+    ``journaled`` deletes and re-adds one table first, so the corpus
+    answers from shards mutated in place with unchanged content.
     """
-    built = build_sharded_corpus(tables, NUM_SHARDS)
-    corpus = (
-        built
-        if policy is None
-        else ShardedCorpus(
-            built.shards, built.stats,
-            validate=False, health=policy, clock=clock,
-        )
-    )
+    corpus = build_sharded_corpus(tables, NUM_SHARDS)
     if journaled:
         corpus.delete_tables([tables[0].table_id])
         corpus.add_tables([tables[0]])
-    service = WWTService(corpus)
+    return WWTService(corpus, EngineConfig(params=params))
+
+
+@pytest.fixture(scope="module")
+def baselines(small_env, tables):
+    """Fault-free fingerprints per parameter setting — the bit-identity
+    reference for every chaos run."""
+    out = {}
+    for name, params in PARAMS.items():
+        service = make_service(tables, params)
+        out[name] = {
+            wq.query_id: fingerprint(
+                service.answer_full(wq.query, use_cache=False)
+            )
+            for wq in small_env.queries
+        }
+    return out
+
+
+def run_workload(service, queries):
+    """One full workload pass: ``(query_id, WWTAnswer or exception)``."""
     outcomes = []
     for wq in queries:
-        outcomes.append(
-            (wq.query_id, service.answer_full(wq.query, use_cache=False))
-        )
-        if clock is not None and advance_between:
-            clock.advance(advance_between)
+        try:
+            outcomes.append((wq.query_id, service.answer_full(wq.query)))
+        except Exception as exc:  # the strict contract: the query fails
+            outcomes.append((wq.query_id, exc))
     return outcomes
 
 
 def outcome_digest(outcomes):
-    """Replayable value view of a chaos run (for exact-replay asserts)."""
+    """Replayable value view of a chaos run: which queries raised, and
+    what (for exact-replay asserts)."""
     return [
-        (
-            query_id,
-            full.degraded,
-            tuple(full.degraded_reasons),
-            None if full.coverage is None else full.coverage.to_dict(),
-            fingerprint(full),
-        )
-        for query_id, full in outcomes
+        (query_id, type(out).__name__, str(out))
+        if isinstance(out, Exception)
+        else (query_id, fingerprint(out))
+        for query_id, out in outcomes
     ]
 
 
-def check_invariant(outcomes, baseline, num_tables):
-    """Every answer: bit-identical, or degraded with accurate coverage."""
-    degraded_count = 0
-    for query_id, full in outcomes:
-        if not full.degraded:
-            assert full.coverage is None
-            assert fingerprint(full) == baseline[query_id], query_id
+def check_invariant(outcomes, baseline):
+    """Every query: the fault-free answer, or the injected fault raised.
+
+    Returns the number of queries that raised.
+    """
+    raised = 0
+    for query_id, out in outcomes:
+        if isinstance(out, Exception):
+            assert isinstance(out, InjectedFault), (query_id, out)
+            raised += 1
         else:
-            degraded_count += 1
-            assert full.degraded_reasons == [REASON_SHARD_FAILURE], query_id
-            coverage = full.coverage
-            assert coverage is not None, query_id
-            assert not coverage.complete
-            assert coverage.shards_total == NUM_SHARDS
-            assert coverage.shards_reachable < NUM_SHARDS
-            assert coverage.tables_total == num_tables
-            assert 0.0 <= coverage.fraction < 1.0
-    return degraded_count
+            assert not out.degraded, query_id
+            assert out.degraded_reasons == [], query_id
+            assert fingerprint(out) == baseline[query_id], query_id
+    return raised
+
+
+def check_after_pass(service, queries, baseline):
+    """With the injector disarmed, the same service answers every query
+    bit-identically — nothing a failed query computed was kept."""
+    for wq in queries:
+        full = service.answer_full(wq.query)
+        assert not full.degraded, wq.query_id
+        assert fingerprint(full) == baseline[wq.query_id], wq.query_id
 
 
 class TestInertWhenDisabled:
     """Fault machinery present but quiet must change nothing at all."""
 
-    def test_health_enabled_corpus_matches_plain_baseline(
-        self, small_env, tables, baseline
-    ):
-        outcomes = run_workload(
-            tables, small_env.queries, policy=STICKY, clock=FakeClock()
-        )
-        for query_id, full in outcomes:
-            assert not full.degraded, query_id
-            assert full.coverage is None
-            assert fingerprint(full) == baseline[query_id], query_id
-
     def test_armed_injector_with_never_firing_rules_is_inert(
-        self, small_env, tables, baseline
+        self, small_env, tables, baselines
     ):
         rules = [
             FaultRule(POINT_SHARD_SEARCH, WithProbability(0.0, seed=1)),
             FaultRule(POINT_STORE_GET, WithProbability(0.0, seed=2)),
         ]
         with injected(*rules) as injector:
-            outcomes = run_workload(
-                tables, small_env.queries, policy=STICKY, clock=FakeClock()
-            )
+            outcomes = run_workload(make_service(tables), small_env.queries)
             assert injector.fires() == 0
             assert any(
                 s["evaluations"] > 0 for s in injector.snapshot()
             )  # the points really were tripped, the rules just never fired
-        for query_id, full in outcomes:
-            assert not full.degraded, query_id
-            assert fingerprint(full) == baseline[query_id], query_id
+        assert check_invariant(outcomes, baselines["default"]) == 0
 
 
 class TestChaosMatrix:
-    def test_probabilistic_faults_never_crash_or_lie(
-        self, small_env, tables, baseline
+    @pytest.mark.parametrize("rules", sorted(RULES))
+    @pytest.mark.parametrize("params", sorted(PARAMS))
+    def test_every_query_is_exact_or_raises_and_nothing_sticks(
+        self, small_env, tables, baselines, params, rules
     ):
-        rules = [
-            FaultRule(POINT_SHARD_SEARCH, WithProbability(0.10, seed=101)),
-            FaultRule(POINT_STORE_GET, WithProbability(0.02, seed=202)),
-        ]
-        with injected(*rules) as injector:
-            outcomes = run_workload(
-                tables, small_env.queries, policy=STICKY, clock=FakeClock()
-            )
+        service = make_service(tables, PARAMS[params])
+        with injected(*RULES[rules]) as injector:
+            outcomes = run_workload(service, small_env.queries)
             assert injector.fires() > 0  # the run actually saw chaos
-        degraded = check_invariant(outcomes, baseline, len(tables))
-        assert degraded > 0
+        raised = check_invariant(outcomes, baselines[params])
+        assert 0 < raised < len(small_env.queries)
+        check_after_pass(service, small_env.queries, baselines[params])
 
-    def test_clean_journaled_corpus_degrades_exactly_like_its_base(
-        self, small_env, tables, baseline
+    def test_clean_journaled_corpus_fails_exactly_like_its_base(
+        self, small_env, tables, baselines
     ):
-        """Regression: a journaled corpus once read tables past the health
-        tracker, so a table-read fault crashed the query instead."""
+        """Regression: a journaled corpus once read tables past the fault
+        point, so a table-read fault was silently skipped."""
         rules = [
             FaultRule(POINT_SHARD_SEARCH, WithProbability(0.05, seed=303)),
-            FaultRule(POINT_STORE_GET, WithProbability(0.05, seed=404)),
+            FaultRule(POINT_STORE_GET, WithProbability(0.005, seed=404)),
         ]
         runs = []
         for journaled in (False, True):
             with injected(*rules):
                 runs.append(run_workload(
-                    tables, small_env.queries, policy=STICKY,
-                    clock=FakeClock(), journaled=journaled,
+                    make_service(tables, journaled=journaled),
+                    small_env.queries,
                 ))
         plain, journaled = runs
-        assert check_invariant(journaled, baseline, len(tables)) > 0
+        assert check_invariant(journaled, baselines["default"]) > 0
         assert outcome_digest(journaled) == outcome_digest(plain)
 
     def test_every_nth_faults_replay_byte_identically(
-        self, small_env, tables, baseline
+        self, small_env, tables, baselines
     ):
         def run():
-            with injected(
-                FaultRule(POINT_SHARD_SEARCH, EveryNth(7))
-            ):
-                return run_workload(
-                    tables, small_env.queries,
-                    policy=STICKY, clock=FakeClock(),
-                )
+            with injected(FaultRule(POINT_SHARD_SEARCH, EveryNth(7))):
+                return run_workload(make_service(tables), small_env.queries)
 
         first = run()
-        check_invariant(first, baseline, len(tables))
+        assert check_invariant(first, baselines["default"]) > 0
         assert outcome_digest(run()) == outcome_digest(first)
 
     def test_single_shard_outage_heals_between_queries(
-        self, small_env, tables, baseline
+        self, small_env, tables, baselines
     ):
-        clock = FakeClock()
-        # Shard 1 fails every other probe that reaches it; the clock
-        # jumps past the reopen window between queries, so the shard
-        # oscillates outage -> probation heal -> outage deterministically.
-        with injected(
-            FaultRule(POINT_SHARD_SEARCH, EveryNth(2), key="1")
-        ):
-            outcomes = run_workload(
-                tables, small_env.queries, policy=HEALING, clock=clock,
-                advance_between=10.0,
-            )
-        degraded = check_invariant(outcomes, baseline, len(tables))
-        # The outage is real but not total: some queries answered at full
-        # coverage (healed windows), some were flagged partial.
-        assert 0 < degraded < len(small_env.queries)
-        for _, full in outcomes:
-            if full.degraded:
-                assert full.coverage.shards_reachable == NUM_SHARDS - 1
+        # Shard 1 fails every third probe that reaches it.  Nothing is
+        # latched, so the queries it misses answer in full.
+        service = make_service(tables)
+        with injected(FaultRule(POINT_SHARD_SEARCH, EveryNth(3), key="1")):
+            outcomes = run_workload(service, small_env.queries)
+        raised = check_invariant(outcomes, baselines["default"])
+        assert 0 < raised < len(small_env.queries)
+        for _, out in outcomes:
+            if isinstance(out, Exception):
+                assert (out.point, out.key) == (POINT_SHARD_SEARCH, "1")
+        check_after_pass(service, small_env.queries, baselines["default"])

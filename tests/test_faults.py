@@ -1,8 +1,8 @@
-"""Tests for ``repro.faults``: deterministic injection, the per-shard
-health lifecycle on a fake clock, partial scatter-gather with coverage
-(one path before and after live mutations), close() beside live
-probes, the serve client's narrow retry, and the service-level
-degradation counters."""
+"""Tests for ``repro.faults``: deterministic injection, the strict
+failure contract at each fault point (a shard error raises out of the
+corpus call that hit it, before and after live mutations, and nothing is
+latched), close() beside live probes, the serve client's narrow retry,
+and a failed query at the service facade."""
 
 import http.client
 import socket
@@ -11,15 +11,9 @@ import threading
 import pytest
 
 from repro.faults import (
-    DOMAIN_HEALTHY,
-    DOMAIN_QUARANTINED,
-    DOMAIN_RETRYING,
-    Coverage,
     EveryNth,
     FaultInjector,
     FaultRule,
-    HealthPolicy,
-    HealthTracker,
     InjectedFault,
     Once,
     WithProbability,
@@ -34,10 +28,8 @@ from repro.faults.injection import (
     POINT_SHARD_MATERIALIZE,
     POINT_SHARD_SEARCH,
     POINT_STORE_GET,
-    rules_from_spec,
 )
 from repro.index import (
-    ShardedCorpus,
     build_sharded_corpus,
     load_corpus,
     shard_of,
@@ -58,28 +50,9 @@ def make_tables(n=24, prefix="t"):
     ]
 
 
-class FakeClock:
-    def __init__(self, now=0.0):
-        self.now = now
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, seconds):
-        self.now += seconds
-
-
 def ranking(hits):
     """Value view of a hit list (SearchHit compares by identity)."""
     return [(h.doc_id, h.score) for h in hits]
-
-
-def sharded_with_health(tables, num_shards, policy, clock):
-    """A health-enabled corpus over the standard CRC32 partition."""
-    built = build_sharded_corpus(tables, num_shards)
-    return ShardedCorpus(
-        built.shards, built.stats, validate=False, health=policy, clock=clock,
-    )
 
 
 def raise_oserror(*_args, **_kwargs):
@@ -143,12 +116,6 @@ class TestTriggerPolicies:
     def test_unknown_point_rejected_at_construction(self):
         with pytest.raises(ValueError, match="unknown fault point"):
             FaultRule("shard.serach", EveryNth(1))
-
-    def test_rules_from_spec_builds_unkeyed_rules(self):
-        rules = rules_from_spec([(POINT_SHARD_SEARCH, EveryNth(2))])
-        assert [(r.point, r.key) for r in rules] == [
-            (POINT_SHARD_SEARCH, None)
-        ]
 
     def test_known_points_catalog_is_closed(self):
         assert POINT_SHARD_SEARCH in KNOWN_POINTS
@@ -230,121 +197,13 @@ class TestInjectorSeam:
 
 
 # ---------------------------------------------------------------------------
-# HealthTracker lifecycle (fake clock, exact assertions)
-
-
-class TestHealthTracker:
-    def policy(self, **overrides):
-        defaults = dict(
-            max_retries=2, backoff_s=0.5, backoff_factor=2.0,
-            max_backoff_s=4.0, reopen_after_s=10.0,
-        )
-        defaults.update(overrides)
-        return HealthPolicy(**defaults)
-
-    def test_backoff_schedule_is_exponential_and_capped(self):
-        policy = self.policy()
-        assert [policy.backoff_for(n) for n in range(5)] == [
-            0.0, 0.5, 1.0, 2.0, 4.0,  # capped at max_backoff_s
-        ]
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            HealthPolicy(max_retries=-1)
-        with pytest.raises(ValueError):
-            HealthPolicy(backoff_factor=0.5)
-        with pytest.raises(ValueError):
-            HealthPolicy(backoff_s=2.0, max_backoff_s=1.0)
-
-    def test_failure_backs_off_then_retries(self):
-        clock = FakeClock()
-        tracker = HealthTracker(2, self.policy(), clock=clock)
-        assert tracker.available(0)
-        tracker.record_failure(0, RuntimeError("probe died"))
-        assert tracker.state(0) == DOMAIN_RETRYING
-        assert not tracker.available(0)  # inside the 0.5s window
-        clock.advance(0.5)
-        assert tracker.available(0)  # this probe IS the retry
-        tracker.record_success(0)
-        assert tracker.state(0) == DOMAIN_HEALTHY
-        assert tracker.states() == [DOMAIN_HEALTHY, DOMAIN_HEALTHY]
-
-    def test_quarantine_after_max_retries_then_reopen_heals(self):
-        clock = FakeClock()
-        tracker = HealthTracker(3, self.policy(), clock=clock)
-        # Three consecutive failures: retrying, retrying, quarantined.
-        tracker.record_failure(1)
-        assert tracker.state(1) == DOMAIN_RETRYING
-        clock.advance(0.5)
-        tracker.record_failure(1)
-        assert tracker.state(1) == DOMAIN_RETRYING
-        clock.advance(1.0)
-        tracker.record_failure(1)
-        assert tracker.state(1) == DOMAIN_QUARANTINED
-        assert tracker.quarantined() == 1
-        assert not tracker.available(1)
-        clock.advance(9.999)
-        assert not tracker.available(1)  # reopen window not yet elapsed
-        clock.advance(0.001)
-        assert tracker.available(1)  # half-open probation
-        tracker.record_success(1)
-        assert tracker.state(1) == DOMAIN_HEALTHY
-        assert tracker.quarantined() == 0
-
-    def test_failed_reopen_requarantines(self):
-        clock = FakeClock()
-        tracker = HealthTracker(1, self.policy(max_retries=0), clock=clock)
-        tracker.record_failure(0)
-        assert tracker.state(0) == DOMAIN_QUARANTINED
-        clock.advance(10.0)
-        assert tracker.available(0)
-        tracker.record_failure(0)  # probation probe failed
-        assert tracker.state(0) == DOMAIN_QUARANTINED
-        assert not tracker.available(0)
-
-    def test_coverage_counts_only_healthy_domains(self):
-        clock = FakeClock()
-        tracker = HealthTracker(3, self.policy(), clock=clock)
-        tracker.record_failure(2)
-        coverage = tracker.coverage([10, 20, 30])
-        assert coverage == Coverage(
-            shards_total=3, shards_reachable=2,
-            tables_total=60, tables_reachable=30,
-        )
-        assert coverage.fraction == 0.5
-        assert not coverage.complete
-        with pytest.raises(ValueError, match="weights"):
-            tracker.coverage([10, 20])
-
-    def test_coverage_full_and_empty_records(self):
-        assert Coverage.full(4, 100).complete
-        assert Coverage.full(4, 100).fraction == 1.0
-        empty = Coverage(1, 1, 0, 0)
-        assert empty.fraction == 1.0  # empty corpus: vacuously covered
-        d = Coverage(2, 1, 10, 4).to_dict()
-        assert d["fraction"] == 0.4 and d["complete"] is False
-
-    def test_snapshot_carries_counters_and_last_error(self):
-        tracker = HealthTracker(2, self.policy(), clock=FakeClock())
-        tracker.record_failure(0, ValueError("bad shard"))
-        tracker.record_success(1)
-        snap = tracker.snapshot()
-        assert snap[0]["failures"] == 1
-        assert snap[0]["last_error"] == "ValueError: bad shard"
-        assert snap[1]["successes"] == 1
-        assert tracker.num_domains == 2
-        with pytest.raises(ValueError):
-            HealthTracker(0)
-
-
-# ---------------------------------------------------------------------------
-# ShardedCorpus failure domains: partial scatter, coverage, healing
+# ShardedCorpus under the strict contract: every fault point raises
 
 
 class TestShardedFailureDomains:
-    POLICY = HealthPolicy(
-        max_retries=0, backoff_s=0.1, reopen_after_s=5.0,
-    )
+    """A shard is the unit that fails.  Its error raises out of the corpus
+    call that hit it, whichever fault point it came from, and nothing is
+    latched: the next call tries every shard again."""
 
     def test_strict_corpus_raises_through(self):
         corpus = build_sharded_corpus(make_tables(), 3)
@@ -352,74 +211,9 @@ class TestShardedFailureDomains:
             with pytest.raises(InjectedFault):
                 corpus.search(["val1a"])
 
-    def test_partial_search_covers_reachable_shards_then_heals(self):
-        tables = make_tables()
-        clock = FakeClock()
-        corpus = sharded_with_health(tables, 3, self.POLICY, clock)
-        baseline = build_sharded_corpus(tables, 3).search(["name"], limit=50)
-        assert baseline  # the probe matches something to lose
-
-        with injected(FaultRule(POINT_SHARD_SEARCH, Once(), key="1")):
-            partial = corpus.search(["name"], limit=50)
-        lost = {h.doc_id for h in baseline} - {h.doc_id for h in partial}
-        shard1_ids = set(corpus.shards[1].store.ids())
-        assert lost  # shard 1 contributed to the baseline
-        assert lost <= shard1_ids
-        coverage = corpus.coverage()
-        assert not coverage.complete
-        assert coverage.shards_reachable == 2
-        assert coverage.tables_reachable == corpus.num_tables - len(
-            shard1_ids
-        )
-
-        # Inside the quarantine window the shard sits out silently: no
-        # shard-1 document can appear, and coverage stays partial.
-        inside = corpus.search(["name"], limit=50)
-        assert shard1_ids.isdisjoint({h.doc_id for h in inside})
-        assert not corpus.coverage().complete
-        # After the reopen window the probation probe succeeds and heals —
-        # and the healed ranking is bit-identical to the fault-free one.
-        clock.advance(5.0)
-        healed = corpus.search(["name"], limit=50)
-        assert ranking(healed) == ranking(baseline)
-        assert corpus.coverage().complete
-
-    def test_partial_conjunctive_probe_and_get_many(self):
-        tables = make_tables()
-        clock = FakeClock()
-        corpus = sharded_with_health(tables, 3, self.POLICY, clock)
-        strict = build_sharded_corpus(tables, 3)
-        all_docs = strict.docs_containing_all(["name"], ["header"])
-        all_ids = [t.table_id for t in tables]
-        shard1_ids = set(corpus.shards[1].store.ids())
-
-        with injected(FaultRule(POINT_SHARD_SEARCH, Once(), key="1")):
-            partial = corpus.docs_containing_all(["name"], ["header"])
-        assert partial == all_docs - shard1_ids
-        # get_many skips the quarantined shard instead of raising.
-        fetched = corpus.get_many(all_ids)
-        assert [t.table_id for t in fetched] == [
-            i for i in all_ids if i not in shard1_ids
-        ]
-        clock.advance(5.0)
-        assert corpus.docs_containing_all(["name"], ["header"]) == all_docs
-        assert len(corpus.get_many(all_ids)) == len(all_ids)
-
-    def test_health_snapshot_surface(self):
-        corpus = sharded_with_health(
-            make_tables(), 2, self.POLICY, FakeClock()
-        )
-        snap = corpus.health_snapshot()
-        assert [d["state"] for d in snap] == [DOMAIN_HEALTHY] * 2
-        assert build_sharded_corpus(make_tables(), 2).health_snapshot() is None
-
     def test_materialize_fault_on_lazy_shard(self, tmp_path):
-        tables = make_tables()
-        build_sharded_corpus(tables, 2).save(tmp_path / "corpus")
-        clock = FakeClock()
-        corpus = load_corpus(
-            tmp_path / "corpus", health=self.POLICY, clock=clock,
-        )
+        build_sharded_corpus(make_tables(), 2).save(tmp_path / "corpus")
+        corpus = load_corpus(tmp_path / "corpus")
         baseline = load_corpus(tmp_path / "corpus").search(
             ["name"], limit=50
         )
@@ -427,120 +221,95 @@ class TestShardedFailureDomains:
             POINT_SHARD_MATERIALIZE, Once(), key="shard-0001"
         )
         with injected(rule) as injector:
-            partial = corpus.search(["name"], limit=50)
+            with pytest.raises(InjectedFault) as excinfo:
+                corpus.search(["name"], limit=50)
+            assert excinfo.value.key == "shard-0001"
+            assert not corpus.shards[1].materialized
+            # The failed decode is not latched: the next probe
+            # materializes the shard and answers in full.
+            assert ranking(corpus.search(["name"], limit=50)) == ranking(
+                baseline
+            )
             assert injector.fires() == 1
-        assert len(partial) < len(baseline)
-        assert not corpus.coverage().complete
-        clock.advance(5.0)  # reopen: materialization retries and succeeds
-        assert ranking(corpus.search(["name"], limit=50)) == ranking(baseline)
-        assert corpus.coverage().complete
+        assert corpus.shards[1].materialized
 
     def test_journaled_probe_is_fault_gated_like_a_clean_one(self, tmp_path):
         """Regression: with a pending mutation a journaled corpus once
-        scattered past the ``shard.search`` fault point and the health
-        tracker, so the fault below was silently ignored and a real shard
-        error raised through a corpus that had failure domains on."""
+        scattered past the ``shard.search`` fault point, so the fault
+        below was silently ignored."""
         build_sharded_corpus(make_tables(32), 4).save(tmp_path / "corpus")
-        corpus = load_corpus(
-            tmp_path / "corpus", health=HealthPolicy(), clock=FakeClock()
-        )
+        corpus = load_corpus(tmp_path / "corpus")
         corpus.add_tables(make_tables(1, prefix="new"))
+        before = ranking(corpus.search(["name"], limit=50))
+        assert "new0" in {doc_id for doc_id, _ in before}
         with injected(
             FaultRule(POINT_SHARD_SEARCH, EveryNth(1), key="1")
         ) as injector:
-            hits = corpus.search(["name"], limit=50)
-            assert injector.fires() == 1
-        shard1_ids = set(corpus.shards[1].store.ids())
-        assert hits and shard1_ids.isdisjoint(h.doc_id for h in hits)
-        # The add lives in its own (reachable) shard.
-        assert shard_of("new0", 4) != 1
-        assert "new0" in {h.doc_id for h in hits}
-        coverage = corpus.coverage()
-        assert (coverage.shards_reachable, coverage.shards_total) == (3, 4)
+            with pytest.raises(InjectedFault):
+                corpus.search(["name"], limit=50)
+            with pytest.raises(InjectedFault):
+                corpus.docs_containing_all(["name"], ["header"])
+            assert injector.fires() == 2
+        assert ranking(corpus.search(["name"], limit=50)) == before
 
-        # A real failure (not an injected one) degrades the same way.
+        # A real failure (not an injected one) raises the same way.
         corpus.shards[2].index.search = raise_oserror
-        hits = corpus.search(["name"], limit=50)
-        assert hits
-        assert corpus.coverage().shards_reachable == 2
-        assert "OSError" in corpus.health_snapshot()[2]["last_error"]
+        with pytest.raises(OSError, match="went away"):
+            corpus.search(["name"], limit=50)
 
-    def test_journaled_table_reads_degrade_like_a_clean_corpus(
-        self, tmp_path
-    ):
+    def test_journaled_table_reads_fail_like_a_clean_corpus(self, tmp_path):
         """Regression: a journaled corpus once read tables through
-        ``get_table``, past the health tracker, so the table-read fault
-        below raised ``InjectedFault`` where the bare snapshot degraded."""
+        ``get_table``, past the table-read fault point."""
         tables = make_tables(12)
         build_sharded_corpus(tables, 3).save(tmp_path / "corpus")
         ids = [t.table_id for t in tables]
         for mutated in (False, True):
-            corpus = load_corpus(
-                tmp_path / "corpus", health=HealthPolicy(), clock=FakeClock(),
-            )
+            corpus = load_corpus(tmp_path / "corpus")
             if mutated:
                 corpus.delete_tables(["t5"])
                 corpus.add_tables([tables[5]])
             with injected(FaultRule(POINT_STORE_GET, EveryNth(1))):
-                assert corpus.get_many(ids) == []
-            coverage = corpus.coverage()
-            assert (coverage.shards_reachable, coverage.shards_total) == (0, 3)
+                with pytest.raises(InjectedFault):
+                    corpus.get_many(ids)
+            assert [t.table_id for t in corpus.get_many(ids)] == ids
 
-        # With pending mutations: order, deletes and adds hold, and a
-        # failing shard drops only its own tables.
-        corpus = load_corpus(
-            tmp_path / "corpus", health=HealthPolicy(), clock=FakeClock()
-        )
+        # With pending mutations: order, deletes and adds hold, and one
+        # failing read fails the whole call, naming its table.
+        corpus = load_corpus(tmp_path / "corpus")
         corpus.add_tables(make_tables(2, prefix="new"))
         corpus.delete_tables(["t3"])
         wanted = ["new1", "t1", "t0", "t3", "new0", "t2", "zz", "t0"]
         live = ["new1", "t1", "t0", "new0", "t2", "t0"]
         assert [t.table_id for t in corpus.get_many(wanted)] == live
         with injected(FaultRule(POINT_STORE_GET, EveryNth(1), key="t1")):
-            got = [t.table_id for t in corpus.get_many(wanted)]
-        dead = shard_of("t1", 3)
-        assert got == [i for i in live if shard_of(i, 3) != dead]
-        assert corpus.coverage().shards_reachable == 2
+            with pytest.raises(InjectedFault) as excinfo:
+                corpus.get_many(wanted)
+        assert excinfo.value.key == "t1"
+        assert [t.table_id for t in corpus.get_many(wanted)] == live
 
     def test_broken_shard_is_not_blamed_on_a_healthy_peer(self):
         """Regression: the corpus-global df used to be summed over *all*
         shards from inside whichever shard's score loop first asked for a
-        term, so one broken shard marked two unreachable.  The df now
-        comes from the corpus statistics and never reads a shard."""
-        corpus = sharded_with_health(
-            make_tables(32), 4, HealthPolicy(), FakeClock()
-        )
+        term, so one broken shard broke its peers' scoring too.  The df
+        now comes from the corpus statistics and never reads a shard."""
+        corpus = build_sharded_corpus(make_tables(32), 4)
+        terms = ["name", "rank"]
+        baseline = ranking(corpus.search(terms, limit=50))
         broken = corpus.shards[1].index
         broken.search = broken.document_frequency = raise_oserror
-        first = corpus.search(["name", "rank"], limit=50)
-        states = [d["state"] for d in corpus.health_snapshot()]
-        assert states == [
-            DOMAIN_HEALTHY, DOMAIN_RETRYING, DOMAIN_HEALTHY, DOMAIN_HEALTHY
-        ]
-        assert corpus.coverage().shards_reachable == 3
-        # An identical probe scores the same.
-        assert first and ranking(corpus.search(["name", "rank"], limit=50)) == (
-            ranking(first)
-        )
-
-    def test_partial_probe_is_the_fault_free_ranking_of_reachable_shards(
-        self, small_env
-    ):
-        """Every shard is scored under one IDF, fault or not: a probe that
-        misses a shard returns the fault-free ranking restricted to the
-        shards it reached, scores included."""
-        source = small_env.synthetic.corpus
-        tables = source.get_many(source.ids()[:60])
-        terms, limit = ["name", "rank", "country"], 1000
-        fault_free = build_sharded_corpus(tables, 3).search(terms, limit)
-        corpus = sharded_with_health(tables, 3, self.POLICY, FakeClock())
-        lost = set(corpus.shards[1].store.ids())
-        with injected(FaultRule(POINT_SHARD_SEARCH, Once(), key="1")):
-            partial = corpus.search(terms, limit)
-        expected = [h for h in fault_free if h.doc_id not in lost]
-        assert len(expected) < len(fault_free)  # shard 1 had hits to lose
-        assert {shard_of(h.doc_id, 3) for h in expected} == {0, 2}
-        assert ranking(partial) == ranking(expected)
+        with pytest.raises(OSError, match="went away"):
+            corpus.search(terms, limit=50)
+        # Every healthy shard still scores its documents exactly as the
+        # fault-free probe did.
+        for si in (0, 2, 3):
+            hits = corpus.shards[si].index.search(
+                terms, limit=50, idf=corpus.global_idf
+            )
+            assert ranking(hits) == [
+                hit for hit in baseline if shard_of(hit[0], 4) == si
+            ]
+        del broken.search, broken.document_frequency
+        assert ranking(corpus.search(terms, limit=50)) == baseline
 
 
 # ---------------------------------------------------------------------------
@@ -701,81 +470,29 @@ class TestServeClientRetry:
 
 
 # ---------------------------------------------------------------------------
-# Service-level degradation accounting (quarantine lifecycle end-to-end)
+# A failed query at the service facade
 
 
-class TestServiceDegradation:
-    POLICY = HealthPolicy(max_retries=0, backoff_s=0.1, reopen_after_s=5.0)
+def row_values(response):
+    return [(r.cells, r.support, r.relevance) for r in response.rows]
 
-    def service(self, clock):
-        corpus = sharded_with_health(
-            make_tables(48), 3, self.POLICY, clock
-        )
-        return WWTService(corpus)
 
-    def test_partial_answer_is_flagged_counted_and_not_cached(self):
-        clock = FakeClock()
-        service = self.service(clock)
+class TestServiceFailure:
+    def test_failed_query_raises_caches_nothing_and_is_retried(self):
+        service = WWTService(build_sharded_corpus(make_tables(48), 3))
+        pristine = WWTService(build_sharded_corpus(make_tables(48), 3))
         request = QueryRequest.parse("name | rank")
+        expected = pristine.answer(request)
+        assert expected.rows  # the query has an answer to get wrong
         with injected(FaultRule(POINT_SHARD_SEARCH, Once(), key="1")):
-            response = service.answer(request)
-        assert response.degraded
-        assert response.degraded_reasons == ["shard_failure"]
-        assert response.coverage is not None
-        assert not response.coverage.complete
-        assert 0.0 < response.coverage.fraction < 1.0
-        assert not response.cache_hit
-
-        stats = service.stats()
-        assert stats.degraded_answers >= 1
-        assert stats.degraded_reasons.get("shard_failure", 0) >= 1
-        assert stats.partial_answers >= 1
-        assert service.coverage() is not None
-
-        # A partial answer must not have been cached: the same query
-        # after healing recomputes at full coverage.
-        clock.advance(5.0)
-        healed = service.answer(request)
-        assert not healed.cache_hit
-        assert not healed.degraded
-        assert healed.coverage is None  # every shard answered
-        # The healed answer now caches normally.
+            with pytest.raises(InjectedFault):
+                service.answer(request)
+            # The next request tries every shard again and is computed,
+            # not served from anything the failed one left behind.
+            retried = service.answer(request)
+        assert not retried.cache_hit and not retried.degraded
+        assert row_values(retried) == row_values(expected)
         assert service.answer(request).cache_hit
-
-    def test_healed_answer_matches_never_faulted_service(self):
-        clock = FakeClock()
-        service = self.service(clock)
-        request = QueryRequest.parse("name | rank")
-        with injected(FaultRule(POINT_SHARD_SEARCH, Once(), key="0")):
-            service.answer(request)
-        clock.advance(5.0)
-        healed = service.answer(request)
-        pristine = self.service(FakeClock()).answer(request)
-        assert [r.cells for r in healed.rows] == [
-            r.cells for r in pristine.rows
-        ]
-        assert [r.support for r in healed.rows] == [
-            r.support for r in pristine.rows
-        ]
-
-    def test_quarantine_lifecycle_counters(self):
-        clock = FakeClock()
-        corpus = sharded_with_health(make_tables(48), 3, self.POLICY, clock)
-        service = WWTService(corpus)
-        request = QueryRequest.parse("name | rank")
-        with injected(FaultRule(POINT_SHARD_SEARCH, Once(), key="2")):
-            service.answer(request)
-        snap = corpus.health_snapshot()
-        assert snap[2]["state"] == DOMAIN_QUARANTINED
-        assert snap[2]["failures"] == 1
-        assert "InjectedFault" in snap[2]["last_error"]
-        clock.advance(5.0)
-        service.answer(request)
-        snap = corpus.health_snapshot()
-        assert snap[2]["state"] == DOMAIN_HEALTHY
-        assert snap[2]["successes"] >= 1
         stats = service.stats()
-        assert stats.degraded_reasons == {"shard_failure": 1}
-        assert stats.partial_answers == 1
-        assert "degraded_reasons" in stats.to_dict()
-        assert stats.to_dict()["partial_answers"] == 1
+        assert stats.degraded_answers == 0
+        assert stats.degraded_reasons == {}

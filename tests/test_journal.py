@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.faults import HealthPolicy
 from repro.index import (
     InvertedIndex,
     build_corpus_index,
@@ -392,23 +391,19 @@ class TestCrashRecovery:
         assert manifest["journal_seq"] == 4
         assert manifest["num_tables"] == 10
 
-    def test_compaction_keeps_health_policy_and_reused_stores(self, tmp_path):
+    def test_compaction_keeps_reused_stores(self, tmp_path):
         """Compaction writes the live shards out and swaps nothing in: the
-        health tracker, the shards and their lazy stores (un-parsed rows
-        included) keep serving."""
+        shards and their lazy stores (un-parsed rows included) keep
+        serving."""
         tables = make_tables(8)
         build_corpus_index(tables, num_shards=2, save=tmp_path / "c")
-        policy = HealthPolicy()
-        with load_corpus(tmp_path / "c", health=policy) as corpus:
-            tracker = corpus._health
+        with load_corpus(tmp_path / "c") as corpus:
             corpus.add_tables(make_tables(3, prefix="new"))
             shards = list(corpus.shards)
             stores = [s.store for s in shards]
             corpus.compact()
-            assert corpus._health is tracker
             assert corpus.shards == shards
             assert [s.store for s in corpus.shards] == stores
-            assert corpus.coverage().complete
             assert sorted(t.table_id for t in corpus) == sorted(
                 t.table_id for t in tables + make_tables(3, prefix="new")
             )

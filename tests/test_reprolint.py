@@ -134,7 +134,7 @@ class TestR007MutableDefault(unittest.TestCase):
 class TestR008UnrecordedRecovery(unittest.TestCase):
     def test_positive(self):
         violations = lint_fixture("src/repro/index/r008_pos.py")
-        self.assertEqual(lines_of(violations, "R008"), [7, 16])
+        self.assertEqual(lines_of(violations, "R008"), [7, 16, 24])
 
     def test_negative_recording_handlers_are_clean(self):
         self.assertEqual(lint_fixture("src/repro/index/r008_neg.py"), [])

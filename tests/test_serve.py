@@ -1,5 +1,6 @@
 """Tests for the HTTP serving layer: protocol, admission, overload."""
 
+import io
 import json
 import threading
 import time
@@ -7,7 +8,10 @@ import time
 import pytest
 
 from repro.consolidate.merge import AnswerRow
+from repro.cli import main
 from repro.corpus.generator import CorpusConfig, generate_corpus
+from repro.faults import POINT_SERVE_WORKER, FaultRule, Once, injected
+from repro.index import build_corpus_index
 from repro.pipeline.wwt import QueryTiming
 from repro.query.model import Query
 from repro.serve import (
@@ -707,7 +711,6 @@ SERVICE_TREE = {
     "deadline_hits": "int",
     "degraded_answers": "int",
     "degraded_reasons": {"deadline": "int"},
-    "partial_answers": "int",
 }
 #: The ``server`` half of ``/stats`` (any request sequence).
 SERVER_TREE = {
@@ -853,3 +856,63 @@ class TestServedIdentity:
         assert len(statuses) == 48  # a socket error would end a loop early
         assert set(statuses) <= {200, 429} and 200 in statuses
 
+
+
+class TestShardFailureOverHTTP:
+    """The failure contract end to end: an engine error fails its request
+    with a 500 naming it, counted in ``errors_internal``; the server stays
+    live and the next request is served normally."""
+
+    def test_torn_shard_fails_the_query_until_repaired(self, corpus, tmp_path):
+        tables = list(corpus)
+        torn_dir, pristine_dir = tmp_path / "torn", tmp_path / "pristine"
+        build_corpus_index(tables, num_shards=3, save=torn_dir)
+        build_corpus_index(tables, num_shards=3, save=pristine_dir)
+        victim = torn_dir / "shard-0001" / "index.bin"
+        blob = bytearray(victim.read_bytes())
+        blob[len(blob) // 2] ^= 0xFF
+        victim.write_bytes(bytes(blob))
+
+        with WWTService(torn_dir) as torn:
+            with ReproServer(torn, ServeConfig(port=0)) as server:
+                with ServeClient(server.host, server.port) as client:
+                    status, _, body = client.query({"query": "country | gdp"})
+                assert status == 500
+                assert body["error"]["code"] == ERROR_INTERNAL
+                assert "shard-0001/index.bin" in body["error"]["message"]
+                with ServeClient(server.host, server.port) as client:
+                    _, _, stats = client.stats()
+                    health_status, _, health = client.healthz()
+                assert stats["server"]["errors_internal"] == 1
+                assert stats["server"]["completed"] == 0
+                assert health_status == 200
+                assert health == {
+                    "status": "ok", "uptime_s": health["uptime_s"],
+                    "queue_depth": 0, "workers": server.config.workers,
+                }
+
+        assert main(["index", "repair", str(torn_dir)], out=io.StringIO()) == 0
+        request = QueryRequest.parse("country | gdp")
+        with WWTService(torn_dir) as repaired, \
+                WWTService(pristine_dir) as pristine:
+            got, want = repaired.answer(request), pristine.answer(request)
+        assert want.rows
+        assert [(r.cells, r.support, r.relevance) for r in got.rows] == [
+            (r.cells, r.support, r.relevance) for r in want.rows
+        ]
+
+    def test_serve_worker_fault_fails_one_request(self, service):
+        with ReproServer(service, ServeConfig(port=0)) as server:
+            with injected(FaultRule(POINT_SERVE_WORKER, Once())) as injector:
+                with ServeClient(server.host, server.port) as client:
+                    status, _, body = client.query(QUERY_BODY)
+                assert status == 500
+                assert body["error"]["code"] == ERROR_INTERNAL
+                assert "InjectedFault" in body["error"]["message"]
+                assert server.stats().errors_internal == 1
+                with ServeClient(server.host, server.port) as client:
+                    status, _, body = client.query(QUERY_BODY)
+                assert status == 200
+                assert injector.fires() == 1
+            stats = server.stats()
+            assert (stats.errors_internal, stats.completed) == (1, 1)

@@ -9,16 +9,13 @@ from ..base import Rule, SourceFile, Violation
 
 #: The packages whose recovery paths this rule patrols: the storage layer
 #: (shard loads, journal replay, scrubbing), the serving front door, and
-#: the fault-injection/health machinery itself.
+#: the fault-injection machinery itself.
 RECOVERY_PACKAGES = ("repro.index", "repro.serve", "repro.faults")
 
-#: Call names that count as recording the absorbed failure to a health,
-#: counter, or error seam.  Matched on the called name's final segment,
-#: so both ``tracker.record_failure(...)`` and a local ``record_issue(...)``
-#: qualify.
+#: Call names that count as recording the absorbed failure to a counter
+#: or error seam.  Matched on the called name's final segment, so both
+#: ``front.count_refusal(...)`` and a local ``record_issue(...)`` qualify.
 RECORDING_NAMES = frozenset({
-    "record_failure",    # HealthTracker: failure-domain bookkeeping
-    "record_success",    # HealthTracker: heal-path bookkeeping
     "record_issue",      # scrub: structured defect reporting
     "set_exception",     # Future: the failure travels to the waiter
     "count_refusal",     # serve counters: refusal taxonomy
@@ -52,18 +49,16 @@ class UnrecordedRecoveryRule(Rule):
     """Recovery paths in ``repro.index``/``repro.serve``/``repro.faults``
     must record every failure they absorb.
 
-    These packages are exactly where this PR's robustness machinery
-    lives: shard failure domains, partial scatter-gather, journal
-    replay, the serving front door, and offline scrubbing.  Their value
-    rests on one property — **no failure is silent**: an absorbed
-    exception either heals (and the attempt was counted), degrades the
-    answer (and the coverage record says so), or surfaces as a
-    structured report.  An ``except`` that merely swallows breaks that
-    chain: the shard looks healthy, the coverage reads 1.0, and the
-    answer is silently wrong — the precise failure mode the chaos suite
-    exists to rule out.  Every handler here must re-raise, or call a
-    recording seam (``record_failure``/``record_success``,
-    ``record_issue``, ``set_exception``, ``count_refusal``,
+    These packages are where the engine's robustness machinery lives:
+    shard loads, journal replay, the serving front door, and offline
+    scrubbing.  Their value rests on one property — **no failure is
+    silent**: an absorbed exception either travels on (to a waiting
+    future), degrades the answer (and says why), or surfaces as a
+    counted refusal or a structured report.  An ``except`` that merely
+    swallows breaks that chain: the answer is silently wrong — the
+    precise failure mode the chaos suite exists to rule out.  Every
+    handler here must re-raise, or call a recording seam
+    (``record_issue``, ``set_exception``, ``count_refusal``,
     ``mark_degraded``, the binfmt reader's ``fail``), or carry a
     ``reprolint: disable=R008`` comment whose reason explains why
     silence is correct there.
@@ -84,7 +79,7 @@ class UnrecordedRecoveryRule(Rule):
             violations.append(self.violation(
                 source, node,
                 "except clause absorbs a failure without recording it to a "
-                "health/counter seam (record_failure, record_issue, "
+                "counter or error seam (record_issue, set_exception, "
                 "count_refusal, ...); record it, re-raise, or disable with "
                 "a reasoned comment",
             ))
