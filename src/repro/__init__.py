@@ -23,8 +23,9 @@ Package map (see DESIGN.md for the full inventory):
 - :mod:`repro.corpus` — the synthetic web crawl substitute;
 - :mod:`repro.query` — column-keyword queries + the 59-query workload;
 - :mod:`repro.core` — the graphical model (SegSim, PMI², potentials);
-- :mod:`repro.flow`, :mod:`repro.inference` — Section 4's algorithms,
-  behind a decorator-based :data:`REGISTRY`;
+- :mod:`repro.flow`, :mod:`repro.inference` — Section 4's algorithms;
+  :data:`REGISTRY` is the fixed name -> function table of Table 2's
+  five solvers;
 - :mod:`repro.baselines` — Basic / NbrText / PMI²;
 - :mod:`repro.pipeline`, :mod:`repro.consolidate` — the query pipeline;
 - :mod:`repro.service` — the serving facade (:class:`WWTService`,
@@ -49,11 +50,9 @@ from .index import (
 )
 from .inference import (
     REGISTRY,
-    InferenceRegistry,
     MappingResult,
     UnknownAlgorithmError,
     get_algorithm,
-    register_algorithm,
 )
 from .pipeline import ProbeConfig, WWTAnswer
 from .query import WORKLOAD, Query
@@ -79,7 +78,6 @@ __all__ = [
     "ExecutionPlan",
     "FeatureCache",
     "GroundTruth",
-    "InferenceRegistry",
     "MappingResult",
     "ModelParams",
     "ProbeConfig",
@@ -108,6 +106,5 @@ __all__ = [
     "get_algorithm",
     "iter_tables",
     "load_corpus",
-    "register_algorithm",
     "run_method",
 ]

@@ -227,10 +227,7 @@ def _build_service(args: argparse.Namespace) -> WWTService:
     if config.index_path:
         _warn_ignored_corpus_flags(config.index_path)
         return WWTService(config=config)
-    synthetic = generate_corpus(
-        CorpusConfig(seed=args.seed, scale=args.scale),
-        num_shards=config.num_shards,
-    )
+    synthetic = generate_corpus(CorpusConfig(seed=args.seed, scale=args.scale))
     return WWTService(synthetic.corpus, config)
 
 

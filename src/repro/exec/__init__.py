@@ -24,9 +24,9 @@ span tree; :class:`Stats` is the one accumulator that folds those spans
 Degradation contract (see DESIGN.md, "Execution engine"): with no
 deadline, answers are bit-identical to the straight-line pipeline; once
 a deadline expires mid-plan, skippable stages are skipped (the stage-2
-probe first, in practice), ``column_map`` falls back to the fastest
-registered inference, and the answer comes back flagged degraded instead
-of blowing the budget.  Degrading is the only way a plan ends early.
+probe first, in practice), ``column_map`` falls back to the
+non-collective ``none`` inference, and the answer comes back flagged
+degraded instead of blowing the budget.  Degrading is the only way a plan ends early.
 """
 
 from .context import (

@@ -17,6 +17,7 @@ The context never preempts a running stage: deadline enforcement is
 
 from __future__ import annotations
 
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -170,7 +171,7 @@ class ExecutionContext:
         clock: Callable[[], float] = time.perf_counter,
         root_name: str = "query",
     ) -> None:
-        if deadline_ms is not None and deadline_ms <= 0:
+        if deadline_ms is not None and not 0 < deadline_ms < math.inf:
             raise ValueError("deadline_ms must be positive (None disables)")
         self.deadline_ms = deadline_ms
         self._clock = clock

@@ -36,10 +36,9 @@ class Stage:
     fn: StageFn
     #: May the runner skip this stage entirely once the budget is gone?
     skippable: bool = False
-    #: Cheaper body to run instead of ``fn`` once the budget is gone.
+    #: Cheaper body to run instead of ``fn`` once the budget is gone
+    #: (it may label its span through ``ctx.current.note``).
     fallback: Optional[StageFn] = None
-    #: Short label describing the fallback (recorded on the span's note).
-    fallback_note: str = ""
 
 
 class ExecutionPlan:
@@ -83,8 +82,7 @@ class ExecutionPlan:
                     continue
                 if stage.fallback is not None:
                     ctx.mark_degraded()
-                    with ctx.span(stage.name, status=SPAN_DEGRADED) as span:
-                        span.note = stage.fallback_note or "fallback"
+                    with ctx.span(stage.name, status=SPAN_DEGRADED):
                         stage.fallback(ctx, state)
                     continue
                 # Required stage: run it even over budget — this is the

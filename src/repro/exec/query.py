@@ -16,9 +16,9 @@ answers are bit-identical (asserted over the 59-query workload in
 - the probe stages (``probe.index1`` … ``probe.index2``) are skippable —
   in practice a budget expires inside ``probe.confidence``, which skips
   the stage-2 probe, the paper's expensive second round trip;
-- ``column_map`` falls back to the fastest registered inference
-  (:meth:`~repro.inference.registry.InferenceRegistry.fastest`) instead
-  of the configured solver;
+- ``column_map`` falls back to :data:`FALLBACK_INFERENCE` (``none``,
+  per-table matching without cross-table edges) instead of the
+  configured solver;
 - ``probe.read2``, ``consolidate`` and ``rank`` always run — their cost
   is proportional to whatever the earlier stages produced, so a fully
   skipped probe consolidates an empty answer in microseconds.
@@ -32,7 +32,7 @@ from typing import List
 from ..consolidate.merge import consolidate
 from ..consolidate.ranker import rank_answer
 from ..core.model import build_problem
-from ..inference.registry import DEFAULT_REGISTRY, InferenceFn
+from ..inference import REGISTRY, InferenceFn
 from ..pipeline.probe import (
     ProbeConfig,
     ProbeResult,
@@ -46,11 +46,16 @@ from .plan import ExecutionPlan, Stage
 from .state import QueryState
 
 __all__ = [
+    "FALLBACK_INFERENCE",
     "PROBE_STAGES",
     "QUERY_STAGES",
     "build_query_plan",
     "build_probe_plan",
 ]
+
+#: The inference ``column_map`` runs once the deadline has passed:
+#: Table 2's non-collective "None" column, the cheapest solver.
+FALLBACK_INFERENCE = "none"
 
 
 # -- stage bodies ---------------------------------------------------------
@@ -64,7 +69,7 @@ def _stage_parse(ctx: ExecutionContext, s: QueryState) -> None:
     if s.probe_config is None:
         s.probe_config = ProbeConfig()
     if s.algorithm is None and s.inference is not None:
-        s.algorithm = DEFAULT_REGISTRY.get_algorithm(s.inference)
+        s.algorithm = REGISTRY.get_algorithm(s.inference)
     if s.rng is None:
         s.rng = random.Random(s.probe_config.seed)
 
@@ -168,17 +173,18 @@ def _stage_column_map(ctx: ExecutionContext, s: QueryState) -> None:
 
 
 def _stage_column_map_fallback(ctx: ExecutionContext, s: QueryState) -> None:
-    """Degraded column mapping: the fastest registered inference.
+    """Degraded column mapping: :data:`FALLBACK_INFERENCE`.
 
-    A non-collective fallback never reads cross-table edges, so their
+    A non-collective solver never reads cross-table edges, so their
     O(tables² x columns²) construction is skipped too — post-deadline
     work stays proportional to the node potentials the solver actually
     consumes, keeping the overshoot bound honest.
     """
-    s.fallback_inference = DEFAULT_REGISTRY.fastest()
-    info = DEFAULT_REGISTRY.info(s.fallback_inference)
-    ctx.current.note = f"fallback={s.fallback_inference}"
-    _map_with(ctx, s, info.fn, with_edges=info.collective)
+    s.fallback_inference = FALLBACK_INFERENCE
+    ctx.current.note = f"fallback={FALLBACK_INFERENCE}"
+    _map_with(
+        ctx, s, REGISTRY.get_algorithm(FALLBACK_INFERENCE), with_edges=False
+    )
 
 
 def _stage_consolidate(ctx: ExecutionContext, s: QueryState) -> None:

@@ -68,6 +68,6 @@ class QueryState:
     # -- mapping / answer outputs -----------------------------------------
     problem: Optional[ColumnMappingProblem] = None
     mapping: Any = None
-    #: Registry name of the fallback actually used (degraded runs only).
+    #: Name of the fallback inference actually used (degraded runs only).
     fallback_inference: Optional[str] = None
     answer: Optional[AnswerTable] = None

@@ -6,47 +6,49 @@ Table 2); ``table_centric`` is the paper's best collective algorithm;
 ``trws`` the message-passing comparisons; ``exhaustive`` the brute-force
 test oracle.
 
-Each algorithm registers itself into :data:`REGISTRY` (an
-:class:`~repro.inference.registry.InferenceRegistry`) at import time via
-the :func:`~repro.inference.registry.register_algorithm` decorator; the
-registry reads like a ``Dict[str, InferenceFn]``.
+:data:`REGISTRY` is the fixed name -> function table of the five
+algorithms Table 2 compares; it reads like a ``Dict[str, InferenceFn]``.
 """
 
 from .alpha_expansion import alpha_expansion_inference
-from .base import MappingResult, column_distributions, confident_map, softmax
+from .base import (
+    AlgorithmTable,
+    InferenceFn,
+    MappingResult,
+    UnknownAlgorithmError,
+    column_distributions,
+    confident_map,
+    softmax,
+)
 from .belief_propagation import belief_propagation_inference
 from .exhaustive import exhaustive_inference
 from .independent import independent_inference, solve_table
 from .max_marginals import all_max_marginals, table_max_marginals
-from .registry import (
-    DEFAULT_REGISTRY,
-    AlgorithmInfo,
-    InferenceFn,
-    InferenceRegistry,
-    UnknownAlgorithmError,
-    register_algorithm,
-)
 from .repair import repair_assignment, table_violates_constraints
 from .table_centric import table_centric_inference
 from .trws import trws_inference
 
-#: The registry holding the Table 2 algorithms (populated by the modules
-#: above at import time).
-REGISTRY: InferenceRegistry = DEFAULT_REGISTRY
+#: The Table 2 algorithms by name.
+REGISTRY = AlgorithmTable({
+    "none": independent_inference,
+    "table-centric": table_centric_inference,
+    "alpha-expansion": alpha_expansion_inference,
+    "bp": belief_propagation_inference,
+    "trws": trws_inference,
+})
 
 
 def get_algorithm(name: str) -> InferenceFn:
-    """Look up an inference algorithm by registered name."""
+    """Look up an inference algorithm by name."""
     return REGISTRY.get_algorithm(name)
 
 
 __all__ = [
-    "AlgorithmInfo",
-    "InferenceRegistry",
+    "AlgorithmTable",
+    "InferenceFn",
     "REGISTRY",
     "UnknownAlgorithmError",
     "get_algorithm",
-    "register_algorithm",
     "MappingResult",
     "all_max_marginals",
     "alpha_expansion_inference",

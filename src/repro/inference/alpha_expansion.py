@@ -24,7 +24,6 @@ from ..flow.constrained_cut import constrained_min_cut
 from ..flow.network import FlowNetwork
 from .base import MappingResult
 from .pairwise import BIG, PairwiseModel, build_pairwise_model
-from .registry import register_algorithm
 from .repair import repair_assignment
 
 __all__ = ["alpha_expansion_inference"]
@@ -112,10 +111,6 @@ def _expansion_move(
     return new_labeling
 
 
-@register_algorithm(
-    "alpha-expansion",
-    description="constrained graph-cut expansion moves (Section 4.1)",
-)
 def alpha_expansion_inference(
     problem: ColumnMappingProblem,
     max_rounds: int = 5,

@@ -10,11 +10,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Tuple
 
 from ..core.model import ColumnMappingProblem
 
-__all__ = ["softmax", "MappingResult", "column_distributions", "confident_map"]
+__all__ = [
+    "softmax",
+    "MappingResult",
+    "column_distributions",
+    "confident_map",
+    "InferenceFn",
+    "AlgorithmTable",
+    "UnknownAlgorithmError",
+]
 
 
 def softmax(values: List[float]) -> List[float]:
@@ -114,3 +122,53 @@ def confident_map(
             continue
         out[tc] = max(dist[l] for l in labels.query_labels()) > threshold
     return out
+
+
+#: An inference algorithm maps a column-mapping problem to a labeling.
+InferenceFn = Callable[[ColumnMappingProblem], MappingResult]
+
+
+class UnknownAlgorithmError(KeyError):
+    """Raised when a requested inference algorithm is not in the table."""
+
+    def __init__(self, name: str, options: List[str]) -> None:
+        self.name = name
+        self.options = options
+        super().__init__(
+            f"unknown inference algorithm {name!r}; options: {sorted(options)}"
+        )
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
+class AlgorithmTable(Mapping[str, InferenceFn]):
+    """A fixed, read-only name -> inference-function table.
+
+    Reads like a plain dict (``table[name]``, ``name in table``,
+    iteration); an unknown name raises :class:`UnknownAlgorithmError`
+    listing the options.
+    """
+
+    def __init__(self, algorithms: Mapping[str, InferenceFn]) -> None:
+        self._algorithms = dict(algorithms)
+
+    def __getitem__(self, name: str) -> InferenceFn:
+        try:
+            return self._algorithms[name]
+        except KeyError:
+            raise UnknownAlgorithmError(name, list(self._algorithms)) from None
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._algorithms)
+
+    def __len__(self) -> int:
+        return len(self._algorithms)
+
+    def get_algorithm(self, name: str) -> InferenceFn:
+        """The function under ``name``."""
+        return self[name]
+
+    def names(self) -> List[str]:
+        """Sorted algorithm names."""
+        return sorted(self._algorithms)

@@ -14,7 +14,6 @@ from typing import Dict, List, Tuple
 from ..core.model import ColumnMappingProblem
 from .base import MappingResult
 from .pairwise import PairwiseModel, PairwiseTerm, build_pairwise_model
-from .registry import register_algorithm
 from .repair import repair_assignment
 
 __all__ = ["belief_propagation_inference"]
@@ -45,10 +44,6 @@ def _min_sum_message(
     return [v - floor for v in out]
 
 
-@register_algorithm(
-    "bp",
-    description="loopy min-sum belief propagation with damping",
-)
 def belief_propagation_inference(
     problem: ColumnMappingProblem,
     max_iterations: int = 30,

@@ -16,7 +16,6 @@ from ..core.model import ColumnMappingProblem
 from ..flow.bipartite import BipartiteMatcher
 from .base import MappingResult, column_distributions
 from .max_marginals import all_max_marginals
-from .registry import register_algorithm
 from .small_matching import rank_assignments
 
 __all__ = ["solve_table", "independent_inference", "M1_BONUS"]
@@ -101,11 +100,6 @@ def solve_table(
     return relevant_assignment
 
 
-@register_algorithm(
-    "none",
-    collective=False,
-    description="per-table exact matching, no cross-table signals",
-)
 def independent_inference(problem: ColumnMappingProblem) -> MappingResult:
     """Solve every table independently (the "None" column of Table 2)."""
     assignment: Dict[Tuple[int, int], int] = {}

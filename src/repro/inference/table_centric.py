@@ -22,7 +22,6 @@ from ..core.model import ColumnMappingProblem
 from .base import MappingResult, column_distributions, confident_map
 from .independent import solve_table
 from .max_marginals import all_max_marginals
-from .registry import register_algorithm
 
 __all__ = ["table_centric_inference"]
 
@@ -52,10 +51,6 @@ def _messages(
     return msgs
 
 
-@register_algorithm(
-    "table-centric",
-    description="the paper's three-stage collective algorithm (Section 4.2)",
-)
 def table_centric_inference(problem: ColumnMappingProblem) -> MappingResult:
     """Run the three-stage table-centric algorithm."""
     # Stage 1: independent max-marginals -> distributions + confidence.

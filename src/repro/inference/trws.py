@@ -20,16 +20,11 @@ from typing import Dict, List, Tuple
 from ..core.model import ColumnMappingProblem
 from .base import MappingResult
 from .pairwise import PairwiseTerm, build_pairwise_model
-from .registry import register_algorithm
 from .repair import repair_assignment
 
 __all__ = ["trws_inference"]
 
 
-@register_algorithm(
-    "trws",
-    description="sequential tree-reweighted message passing",
-)
 def trws_inference(
     problem: ColumnMappingProblem,
     max_iterations: int = 30,

@@ -56,14 +56,22 @@ from .protocol import (
     parse_query_payload,
     response_envelope,
 )
-from .server import MIN_BUDGET_MS, AnswerService, ReproServer
+from .server import (
+    MAX_BODY_BYTES,
+    MIN_BUDGET_MS,
+    RETRY_AFTER_S,
+    AnswerService,
+    ReproServer,
+)
 from .stats import ServerStats
 
 __all__ = [
     "ServeConfig",
     "ReproServer",
     "AnswerService",
+    "MAX_BODY_BYTES",
     "MIN_BUDGET_MS",
+    "RETRY_AFTER_S",
     "ServeClient",
     "HTTPReply",
     "TokenBucket",

@@ -2,14 +2,21 @@
 
 :class:`ServeConfig` is to :class:`~repro.serve.server.ReproServer` what
 :class:`~repro.service.EngineConfig` is to the engine — one frozen,
-validated, dict-round-trippable value holding every serving-layer knob:
-worker-pool width, bounded-queue depth, per-client token-bucket rates,
-the default per-request deadline, and the HTTP socket parameters.
+validated, dict-round-trippable value holding every serving-layer
+setting a deployment varies: worker-pool width, bounded-queue depth,
+per-client token-bucket rates, the default per-request deadline, the
+client-identity header, and the HTTP socket parameters.  The body-size
+cap (:data:`~repro.serve.server.MAX_BODY_BYTES`), the ``Retry-After``
+advertised on a full queue (:data:`~repro.serve.server.RETRY_AFTER_S`)
+and the rate limiter's client capacity
+(:class:`~repro.serve.admission.RateLimiter`'s ``max_clients``) are
+constants.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional
 
@@ -43,20 +50,12 @@ class ServeConfig:
     rate_limit: Optional[float] = None
     #: Token-bucket burst capacity (tokens a quiet client can bank).
     rate_burst: int = 10
-    #: Most distinct clients tracked by the rate limiter at once
-    #: (least-recently-seen clients are evicted — their next request
-    #: starts a fresh full bucket).
-    rate_clients: int = 4096
     #: Default per-request deadline in milliseconds applied when the
     #: request body carries none (``None`` = unbounded).  The budget
     #: covers queue wait *plus* execution: time spent queued is deducted
     #: before the engine runs, so overloaded requests shed to degraded
     #: answers instead of blowing the SLO.
     default_deadline_ms: Optional[float] = None
-    #: Largest accepted request body in bytes (413 beyond it).
-    max_body_bytes: int = 65536
-    #: ``Retry-After`` seconds advertised on queue-full rejections.
-    retry_after_s: int = 1
     #: Header carrying the rate-limit client identity; falls back to the
     #: peer IP address when absent.
     client_header: str = "X-Client-Id"
@@ -70,18 +69,15 @@ class ServeConfig:
             raise ValueError("workers must be >= 1")
         if self.queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
-        if self.rate_limit is not None and self.rate_limit <= 0:
+        if self.rate_limit is not None and not 0 < self.rate_limit < math.inf:
             raise ValueError("rate_limit must be > 0 req/s (None disables)")
         if self.rate_burst < 1:
             raise ValueError("rate_burst must be >= 1")
-        if self.rate_clients < 1:
-            raise ValueError("rate_clients must be >= 1")
-        if self.default_deadline_ms is not None and self.default_deadline_ms <= 0:
+        if (
+            self.default_deadline_ms is not None
+            and not 0 < self.default_deadline_ms < math.inf
+        ):
             raise ValueError("default_deadline_ms must be > 0 (None disables)")
-        if self.max_body_bytes < 1:
-            raise ValueError("max_body_bytes must be >= 1")
-        if self.retry_after_s < 1:
-            raise ValueError("retry_after_s must be >= 1")
         if not self.client_header:
             raise ValueError("client_header must be non-empty")
 

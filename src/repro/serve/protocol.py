@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Optional
 
-from ..inference.registry import DEFAULT_REGISTRY
+from ..inference import REGISTRY
 from ..query.model import Query
 from ..service.types import QueryRequest, QueryResponse
 
@@ -51,7 +51,7 @@ ERROR_MISSING_FIELD = "missing_field"
 ERROR_UNKNOWN_FIELD = "unknown_field"
 #: A known field holds a value of the wrong type or out of range.
 ERROR_INVALID_VALUE = "invalid_value"
-#: Request body exceeds ``ServeConfig.max_body_bytes``.
+#: Request body exceeds :data:`~repro.serve.server.MAX_BODY_BYTES`.
 ERROR_BODY_TOO_LARGE = "body_too_large"
 #: The client's token bucket is empty (retry after the advertised delay).
 ERROR_RATE_LIMITED = "rate_limited"
@@ -139,12 +139,16 @@ def parse_query_payload(raw: bytes) -> QueryRequest:
 
     Raises :class:`ServeError` (always a 400) with ``error.code`` one of
     ``bad_json`` / ``missing_field`` / ``unknown_field`` /
-    ``invalid_value``; the message names the offending field so clients
-    can fix the call without reading server logs.
+    ``invalid_value``, and nothing else, whatever the bytes; the message
+    names the offending field so clients can fix the call without reading
+    server logs.
     """
     try:
         payload = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and integers past the
+        # interpreter's digit limit; RecursionError, nesting too deep for
+        # the decoder (64 KiB of "[" is within the body cap).
         raise ServeError(
             ERROR_BAD_JSON, f"request body is not JSON: {exc}"
         ) from exc
@@ -176,14 +180,21 @@ def parse_query_payload(raw: bytes) -> QueryRequest:
     explain = _typed(payload, "explain", "bool", "a boolean")
     use_cache = _typed(payload, "use_cache", "bool", "a boolean")
     deadline_ms = _typed(payload, "deadline_ms", "number", "a positive number")
+    if deadline_ms is not None:
+        try:
+            deadline_ms = float(deadline_ms)
+        except OverflowError:
+            raise ServeError(
+                ERROR_INVALID_VALUE, "deadline_ms must be a positive number"
+            ) from None
     inference = _typed(
-        payload, "inference", "str", "a registered algorithm name"
+        payload, "inference", "str", "an algorithm name"
     )
-    if inference is not None and inference not in DEFAULT_REGISTRY:
+    if inference is not None and inference not in REGISTRY:
         raise ServeError(
             ERROR_INVALID_VALUE,
             f"unknown inference {inference!r}; "
-            f"options: {DEFAULT_REGISTRY.names()}",
+            f"options: {REGISTRY.names()}",
         )
 
     try:
@@ -195,11 +206,12 @@ def parse_query_payload(raw: bytes) -> QueryRequest:
             explain=bool(explain) if explain is not None else False,
             use_cache=bool(use_cache) if use_cache is not None else True,
             inference=inference,
-            deadline_ms=float(deadline_ms) if deadline_ms is not None else None,
+            deadline_ms=deadline_ms,
         )
     except ValueError as exc:
         # Query.parse and QueryRequest.__post_init__ validate ranges
-        # (empty columns, page < 1, page_size < 1, deadline_ms <= 0).
+        # (empty columns, page < 1, page_size < 1, deadline_ms not a
+        # finite number > 0).
         raise ServeError(ERROR_INVALID_VALUE, str(exc)) from exc
 
 

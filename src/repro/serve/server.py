@@ -76,12 +76,26 @@ from .protocol import (
 )
 from .stats import ServerStats
 
-__all__ = ["AnswerService", "ReproServer"]
+__all__ = [
+    "AnswerService",
+    "MAX_BODY_BYTES",
+    "MIN_BUDGET_MS",
+    "RETRY_AFTER_S",
+    "ReproServer",
+]
 
 #: Smallest budget handed to the engine once queue wait consumed the
 #: request's deadline: small enough that every between-stage check fires
 #: (maximal shedding), positive so the context accepts it.
 MIN_BUDGET_MS = 0.01
+
+#: Largest accepted request body in bytes (413 beyond it).  The largest
+#: valid body — a query text plus seven scalar fields — is a few hundred
+#: bytes.
+MAX_BODY_BYTES = 65536
+
+#: ``Retry-After`` seconds advertised on queue-full and draining refusals.
+RETRY_AFTER_S = 1
 
 #: Refusal code -> the ``ServerStats`` count it lands in (anything else
 #: is a malformed request).
@@ -216,14 +230,18 @@ class _Handler(BaseHTTPRequestHandler):
         client = self.headers.get(
             front.config.client_header, self.client_address[0]
         )
+        future = None
         try:
             raw = self._read_body()
-            response, queue_ms = front.admit(client, raw)
+            future = front.admit(client, raw)
+            response, queue_ms = future.result()
         except ServeError as exc:
             front.count_refusal(exc)
             self._refuse(exc)
             return
-        except Exception as exc:  # reprolint: disable=R008 -- engine bug surfaced through the future, already counted in errors_internal by the worker; this handler only serializes the 500
+        except Exception as exc:  # reprolint: disable=R008 -- any failure becomes a counted 500: a worker's was counted in errors_internal by the worker, one raised before admission is counted here
+            if future is None:
+                front.count_internal_error()
             self.close_connection = True
             self._send_json(
                 500, error_envelope(ERROR_INTERNAL, f"{type(exc).__name__}: {exc}")
@@ -233,7 +251,6 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_body(self) -> bytes:
         """Read the request body, enforcing presence and the size cap."""
-        front = self.server.repro
         length_header = self.headers.get("Content-Length")
         try:
             length = int(length_header) if length_header is not None else 0
@@ -243,11 +260,11 @@ class _Handler(BaseHTTPRequestHandler):
             ) from exc
         if length <= 0:
             raise ServeError(ERROR_BAD_JSON, "empty request body")
-        if length > front.config.max_body_bytes:
+        if length > MAX_BODY_BYTES:
             raise ServeError(
                 ERROR_BODY_TOO_LARGE,
                 f"request body of {length} bytes exceeds the "
-                f"{front.config.max_body_bytes}-byte limit",
+                f"{MAX_BODY_BYTES}-byte limit",
                 status=413,
             )
         return self.rfile.read(length)
@@ -284,7 +301,6 @@ class ReproServer:
             RateLimiter(
                 rate=self.config.rate_limit,
                 burst=self.config.rate_burst,
-                max_clients=self.config.rate_clients,
                 clock=clock,
             )
             if self.config.rate_limit is not None else None
@@ -361,7 +377,7 @@ class ReproServer:
             if job is not None:
                 job.future.set_exception(ServeError(
                     ERROR_SHUTTING_DOWN, "server is shutting down",
-                    status=503, retry_after_s=self.config.retry_after_s,
+                    status=503, retry_after_s=RETRY_AFTER_S,
                 ))
         if self._httpd is not None:
             self._httpd.shutdown()
@@ -386,17 +402,18 @@ class ReproServer:
 
     def admit(
         self, client: str, raw_body: bytes
-    ) -> Tuple[QueryResponse, float]:
-        """Run one request through admission and the worker pool.
+    ) -> Future[Tuple[QueryResponse, float]]:
+        """Run one request through admission into the worker pool.
 
-        Returns ``(response, queue_ms)``; raises :class:`ServeError` on
-        any refusal (rate limit, full queue, draining, invalid body) and
-        re-raises whatever the engine raised on a worker.
+        Returns the job's future, which resolves to ``(response,
+        queue_ms)`` or to whatever the engine raised on a worker; raises
+        :class:`ServeError` on any refusal (rate limit, full queue,
+        draining, invalid body).
         """
         if self.is_draining:
             raise ServeError(
                 ERROR_SHUTTING_DOWN, "server is shutting down",
-                status=503, retry_after_s=self.config.retry_after_s,
+                status=503, retry_after_s=RETRY_AFTER_S,
             )
         if self._limiter is not None:
             granted, retry_after_s = self._limiter.try_acquire(client)
@@ -428,14 +445,18 @@ class ReproServer:
             raise ServeError(
                 ERROR_QUEUE_FULL,
                 f"request queue is full ({self.config.queue_depth} deep)",
-                status=429, retry_after_s=self.config.retry_after_s,
+                status=429, retry_after_s=RETRY_AFTER_S,
             ) from None
-        return job.future.result()
+        return job.future
 
     def count_refusal(self, exc: ServeError) -> None:
         """Fold one refusal into the serving counters."""
         name = _REFUSAL_COUNTS.get(exc.code, "rejected_invalid")
         self._stats.record({name: 1})
+
+    def count_internal_error(self) -> None:
+        """Count a 500 raised before admission (a worker counts its own)."""
+        self._stats.record({"errors_internal": 1})
 
     # -- the worker pool --------------------------------------------------
 

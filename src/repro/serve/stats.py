@@ -36,7 +36,8 @@ class ServerStats:
     rejected_shutdown: int
     #: Completed answers that came back degraded (deadline shed).
     shed_degraded: int
-    #: 500s — the engine raised unexpectedly.
+    #: 500s — the engine raised on a worker, or the handler raised
+    #: unexpectedly before admission.
     errors_internal: int
     #: Jobs waiting in the bounded queue right now.
     queue_depth: int
@@ -52,7 +53,8 @@ class ServerStats:
     @classmethod
     def of(cls, stats: Stats, queue_depth: int, uptime_s: float) -> ServerStats:
         """Project one :meth:`Stats.snapshot` (a consistent instant: never
-        ``completed + errors_internal + in_flight > accepted``)."""
+        ``completed + errors_internal + in_flight > accepted`` while every
+        500 comes from a worker)."""
         counts, latencies = stats.snapshot()
 
         def count(name: str) -> int:

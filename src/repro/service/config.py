@@ -4,19 +4,27 @@ Before the service layer, engine behaviour was configured in four places:
 ``ModelParams`` (graphical-model weights), ``ProbeConfig`` (two-stage probe
 tunables), a bare inference-name string, and ad-hoc keyword arguments.
 :class:`EngineConfig` folds them into one frozen value plus the serving
-knobs (cache sizes, page size, deadline), and round-trips through
-plain dicts so the CLI and experiment harness can load configurations from
-JSON files.
+settings a caller actually varies (cache sizes, corpus path, deadline),
+and round-trips through plain dicts so the CLI and experiment harness can
+load configurations from JSON files.
+
+Settings that nothing outside the tests set to a second value are
+constants, not fields: the default page size is
+:data:`~repro.service.types.DEFAULT_PAGE_SIZE`, the deadline fallback is
+:data:`~repro.exec.query.FALLBACK_INFERENCE`, and a live-mutated corpus
+compacts when its caller calls ``compact()`` (DESIGN.md, "Modes
+removed").
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional, TypeVar
 
 from ..core.params import ModelParams
-from ..inference.registry import DEFAULT_REGISTRY
+from ..inference import REGISTRY
 from ..pipeline.probe import ProbeConfig
 
 __all__ = ["EngineConfig"]
@@ -46,13 +54,14 @@ class EngineConfig:
         config = EngineConfig(inference="bp", cache_size=512)
         assert EngineConfig.from_dict(config.to_dict()) == config
         service_cfg = EngineConfig.from_dict(
-            {"index_path": "corpus-dir", "auto_compact_threshold": 1000}
+            {"index_path": "corpus-dir", "deadline_ms": 200.0}
         )
     """
 
     params: ModelParams = field(default_factory=ModelParams)
     probe: ProbeConfig = field(default_factory=ProbeConfig)
-    #: Registered inference algorithm used for column mapping.
+    #: Inference algorithm (a :data:`repro.inference.REGISTRY` name) used
+    #: for column mapping.
     inference: str = "table-centric"
     #: LRU capacity of the query-result cache (full pipeline outputs).
     cache_size: int = 256
@@ -64,14 +73,6 @@ class EngineConfig:
     #: the probe's confidence pass and the full inference assembly (the
     #: hot-path memoization — see DESIGN.md, "Hot-path engine").
     feature_cache_size: int = 4096
-    #: Default answer-row page size for :class:`QueryResponse` pagination.
-    page_size: int = 25
-    #: Shard count for corpora *built* on behalf of this config — the CLI's
-    #: generate-then-serve path hash-partitions its
-    #: :class:`~repro.index.ShardedCorpus` with it (``None`` means one
-    #: shard).  A corpus object passed to :class:`WWTService` directly is
-    #: served as-is.
-    num_shards: Optional[int] = None
     #: Directory of a persisted corpus (``repro index build``);
     #: :class:`WWTService` loads it at construction when no corpus object
     #: is passed.
@@ -80,24 +81,19 @@ class EngineConfig:
     #: loop and ``"serial"`` is the only accepted value.  The name stays
     #: only while ``benchmarks/e2e`` passes it (DESIGN.md, "Modes removed").
     parallel_mode: str = "serial"
-    #: Journal depth at which :meth:`WWTService.add_tables` /
-    #: :meth:`WWTService.delete_tables` trigger an automatic ``compact()``
-    #: of the served corpus (``None`` = never; compact manually or via
-    #: ``repro index compact``).
-    auto_compact_threshold: Optional[int] = None
     #: Per-query wall-clock budget in milliseconds (``None`` = unbounded).
     #: The execution engine checks it between stages: once exceeded, the
     #: remaining skippable stages are skipped and column mapping falls
-    #: back to the fastest registered inference, so the response returns
+    #: back to the ``none`` inference, so the response returns
     #: within budget plus one stage's own cost (see DESIGN.md,
     #: "Execution engine").
     deadline_ms: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.inference not in DEFAULT_REGISTRY:
+        if self.inference not in REGISTRY:
             raise ValueError(
                 f"unknown inference {self.inference!r}; "
-                f"options: {DEFAULT_REGISTRY.names()}"
+                f"options: {REGISTRY.names()}"
             )
         if self.cache_size < 0 or self.feature_cache_size < 0:
             raise ValueError("cache sizes must be >= 0 (0 disables the cache)")
@@ -106,23 +102,12 @@ class EngineConfig:
                 f"probe_cache_size {self.probe_cache_size!r} was removed: "
                 "there is no probe cache (0 is the only accepted value)"
             )
-        if self.page_size < 1:
-            raise ValueError("page_size must be >= 1")
-        if self.num_shards is not None and self.num_shards < 1:
-            raise ValueError("num_shards must be >= 1 (None means 1)")
         if self.parallel_mode != "serial":
             raise ValueError(
                 f"parallel_mode {self.parallel_mode!r} was removed: the shard "
                 'scatter is always serial ("serial" is the only accepted value)'
             )
-        if (
-            self.auto_compact_threshold is not None
-            and self.auto_compact_threshold < 1
-        ):
-            raise ValueError(
-                "auto_compact_threshold must be >= 1 (None disables)"
-            )
-        if self.deadline_ms is not None and self.deadline_ms <= 0:
+        if self.deadline_ms is not None and not 0 < self.deadline_ms < math.inf:
             raise ValueError(
                 "deadline_ms must be > 0 (None disables the deadline)"
             )
@@ -153,11 +138,8 @@ class EngineConfig:
             "cache_size": self.cache_size,
             "probe_cache_size": self.probe_cache_size,
             "feature_cache_size": self.feature_cache_size,
-            "page_size": self.page_size,
-            "num_shards": self.num_shards,
             "index_path": self.index_path,
             "parallel_mode": self.parallel_mode,
-            "auto_compact_threshold": self.auto_compact_threshold,
             "deadline_ms": self.deadline_ms,
         }
 
@@ -184,9 +166,8 @@ class EngineConfig:
             )
         top_known = {
             "inference", "cache_size", "probe_cache_size",
-            "feature_cache_size", "page_size",
-            "num_shards", "index_path", "parallel_mode",
-            "auto_compact_threshold", "deadline_ms",
+            "feature_cache_size", "index_path", "parallel_mode",
+            "deadline_ms",
         }
         unknown = sorted(set(data) - top_known)
         if unknown:

@@ -32,13 +32,19 @@ from ..exec.state import QueryState
 from ..exec.stats import StageStats, Stats
 from ..index.protocol import CorpusProtocol
 from ..index.sharded import ShardedCorpus, load_corpus
-from ..inference.registry import DEFAULT_REGISTRY
+from ..inference import REGISTRY
 from ..pipeline.wwt import QueryTiming, WWTAnswer
 from ..query.model import Query
 from ..tables.table import WebTable
 from .cache import CacheStats
 from .config import EngineConfig
-from .types import QueryRequest, QueryResponse, build_explain, normalized_query_key
+from .types import (
+    DEFAULT_PAGE_SIZE,
+    QueryRequest,
+    QueryResponse,
+    build_explain,
+    normalized_query_key,
+)
 
 __all__ = ["ServiceStats", "WWTService"]
 
@@ -180,7 +186,7 @@ class WWTService:
         response's :class:`~repro.pipeline.wwt.QueryTiming` and the
         service's per-stage aggregates.
         """
-        algorithm = DEFAULT_REGISTRY.get_algorithm(inference)  # fail fast
+        algorithm = REGISTRY.get_algorithm(inference)  # fail fast
         ctx = ExecutionContext(
             deadline_ms=(
                 deadline_ms if deadline_ms is not None
@@ -324,7 +330,7 @@ class WWTService:
 
         page_size = (
             request.page_size if request.page_size is not None
-            else self.config.page_size
+            else DEFAULT_PAGE_SIZE
         )
         lo = (request.page - 1) * page_size
         rows = full.answer.rows[lo: lo + page_size]
@@ -387,23 +393,17 @@ class WWTService:
         The tables are searchable by the next query — the caches are
         dropped (cached answers were computed against the smaller corpus)
         — and, for a corpus opened from a directory, the mutation is
-        durable before this returns.  When the config sets
-        ``auto_compact_threshold`` and the journal has grown to that
-        depth, the corpus is compacted in the same call.  Returns the
-        number of tables added.
+        durable before this returns.  The journal grows until the caller
+        calls :meth:`compact`.  Returns the number of tables added.
         """
-        corpus = self._mutable_corpus()
-        added = corpus.add_tables(tables)
+        added = self._mutable_corpus().add_tables(tables)
         self.clear_caches()
-        self._maybe_auto_compact(corpus)
         return added
 
     def delete_tables(self, table_ids: Iterable[str]) -> int:
         """Remove tables from the served corpus, live (see :meth:`add_tables`)."""
-        corpus = self._mutable_corpus()
-        deleted = corpus.delete_tables(table_ids)
+        deleted = self._mutable_corpus().delete_tables(table_ids)
         self.clear_caches()
-        self._maybe_auto_compact(corpus)
         return deleted
 
     def compact(self) -> int:
@@ -413,11 +413,6 @@ class WWTService:
         valid (compaction changes no table), so the caches are left alone.
         """
         return self._mutable_corpus().compact()
-
-    def _maybe_auto_compact(self, corpus: ShardedCorpus) -> None:
-        threshold = self.config.auto_compact_threshold
-        if threshold is not None and corpus.journal_depth >= threshold:
-            corpus.compact()
 
     # -- operations -------------------------------------------------------
 

@@ -18,7 +18,16 @@ from ..exec.context import Span
 from ..pipeline.wwt import QueryTiming, WWTAnswer
 from ..query.model import Query
 
-__all__ = ["QueryRequest", "QueryResponse", "normalized_query_key", "build_explain"]
+__all__ = [
+    "DEFAULT_PAGE_SIZE",
+    "QueryRequest",
+    "QueryResponse",
+    "normalized_query_key",
+    "build_explain",
+]
+
+#: Answer rows per page when a request sets no ``page_size``.
+DEFAULT_PAGE_SIZE = 25
 
 
 #: Canonical cache key of a query — the service layer's public name for
@@ -34,7 +43,7 @@ class QueryRequest:
     query: Query
     #: 1-based page of consolidated answer rows to return.
     page: int = 1
-    #: Rows per page; ``None`` uses the service config's ``page_size``.
+    #: Rows per page; ``None`` uses :data:`DEFAULT_PAGE_SIZE`.
     page_size: Optional[int] = None
     #: Attach the explain payload (probe/mapping decisions) to the response.
     explain: bool = False
@@ -53,7 +62,7 @@ class QueryRequest:
             raise ValueError("page is 1-based and must be >= 1")
         if self.page_size is not None and self.page_size < 1:
             raise ValueError("page_size must be >= 1")
-        if self.deadline_ms is not None and self.deadline_ms <= 0:
+        if self.deadline_ms is not None and not 0 < self.deadline_ms < math.inf:
             raise ValueError("deadline_ms must be > 0 (None uses the config)")
 
     @classmethod

@@ -104,6 +104,20 @@ class TestCommands:
         assert code == 2
         assert "page_size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["batch", "serve"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    def test_non_finite_deadline_ms_is_cli_error(self, command, value, capsys):
+        """A NaN or infinite budget is refused like a non-positive one,
+        not read as "no deadline"."""
+        argv = [command, "country | currency"] if command == "batch" else [
+            "serve", "--port", "0"]
+        code = main(
+            argv + ["--scale", "0.02", "--deadline-ms", value],
+            out=io.StringIO(),
+        )
+        assert code == 2
+        assert "deadline_ms must be > 0" in capsys.readouterr().err
+
     def test_batch_deadline_ms_reports_degraded(self):
         out = io.StringIO()
         code = main(
@@ -345,19 +359,18 @@ class TestIndexCommands:
         assert code == 2
         assert "not a persisted corpus" in capsys.readouterr().err
 
-    def test_config_num_shards_selects_sharded_backend(self, tmp_path):
-        import json as _json
-
-        from repro.cli import _build_service, build_parser
-
+    def test_config_num_shards_is_cli_error(self, tmp_path, capsys):
+        """``num_shards`` is no EngineConfig key: a sharded corpus comes
+        from ``index build --num-shards`` and is served with ``--index``."""
         config_path = tmp_path / "cfg.json"
-        config_path.write_text(_json.dumps({"num_shards": 3}))
-        args = build_parser().parse_args(
-            ["query", "country | currency", "--scale", "0.1",
-             "--config", str(config_path)]
+        config_path.write_text(json.dumps({"num_shards": 3}))
+        code = main(
+            ["query", "country | currency", "--scale", "0.02",
+             "--config", str(config_path)],
+            out=io.StringIO(),
         )
-        service = _build_service(args)
-        assert service.corpus.num_shards == 3
+        assert code == 2
+        assert "['num_shards']" in capsys.readouterr().err
 
     def test_index_with_nondefault_scale_warns(self, tmp_path, capsys):
         corpus_dir = str(tmp_path / "corpus")

@@ -1,11 +1,15 @@
 """Docstring-coverage gate on the public serving/index surface and the
 scoring pipeline (core, inference, flow, consolidate).
 
-CI additionally runs the real ``interrogate --fail-under 80`` over the
-same targets; this in-tree twin (``tools/docstring_coverage.py``, stdlib
-only) keeps the bar enforced wherever the suite runs.
+CI's docs job runs ``tools/docstring_coverage.py --fail-under 95`` over
+exactly :data:`GATED`, and the real ``interrogate --fail-under 80`` over
+the serving/index/fault surface that ``[tool.interrogate].paths`` in
+``pyproject.toml`` lists; this in-tree twin (stdlib only) keeps the bar
+enforced wherever the suite runs, and checks the three lists agree.
 """
 
+import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -19,6 +23,7 @@ GATED = [
     str(REPO_ROOT / "src" / "repro" / "index"),
     str(REPO_ROOT / "src" / "repro" / "exec"),
     str(REPO_ROOT / "src" / "repro" / "serve"),
+    str(REPO_ROOT / "src" / "repro" / "faults"),
     str(REPO_ROOT / "src" / "repro" / "cli.py"),
     # The scoring pipeline: features, inference, flow, consolidation.
     str(REPO_ROOT / "src" / "repro" / "core"),
@@ -35,6 +40,24 @@ class TestDocstringGate:
             "public docstring coverage regressed below the gate; "
             f"missing: {missing}"
         )
+
+    def test_path_lists_match_ci(self):
+        """One path list per gate: ``GATED`` is CI's docstring_coverage.py
+        step, ``[tool.interrogate].paths`` its interrogate step."""
+        ci = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
+
+        def ci_paths(tool):
+            line = next(l for l in ci.splitlines() if tool in l)
+            return [a for a in shlex.split(line) if a.startswith("src/")]
+
+        gated = [str(REPO_ROOT / p) for p in ci_paths("docstring_coverage.py")]
+        assert gated == GATED
+        # tomllib is 3.11+; the suite also runs on 3.9.
+        pyproject = (REPO_ROOT / "pyproject.toml").read_text()
+        section = pyproject.split("[tool.interrogate]")[1].split("\n[")[0]
+        listed = re.search(r"^paths = \[(.*?)\]", section, re.M | re.S)
+        interrogate = re.findall(r'"([^"]+)"', listed.group(1))
+        assert ci_paths("interrogate -vv") == interrogate
 
     def test_key_symbols_have_examples(self):
         """The headline APIs carry example-bearing docstrings (`::` blocks)."""

@@ -30,8 +30,14 @@ from repro.exec import (
     build_query_plan,
     percentile,
 )
-from repro.inference import REGISTRY, get_algorithm
-from repro.inference.registry import InferenceRegistry
+from repro.exec.query import FALLBACK_INFERENCE
+from repro.inference import (
+    REGISTRY,
+    AlgorithmTable,
+    UnknownAlgorithmError,
+    get_algorithm,
+    independent_inference,
+)
 from repro.pipeline.probe import ProbeConfig
 from repro.pipeline.wwt import QueryTiming
 from repro.service import EngineConfig, WWTService
@@ -117,6 +123,9 @@ class TestExecutionContext:
             ExecutionContext(deadline_ms=0)
         with pytest.raises(ValueError):
             ExecutionContext(deadline_ms=-5)
+        for non_finite in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                ExecutionContext(deadline_ms=non_finite)
 
     def test_span_nesting_and_durations(self):
         clock = FakeClock()
@@ -192,12 +201,13 @@ class TestExecutionPlan:
         log = []
 
         def fallback(ctx, state):
+            ctx.current.note = "fallback=cheap"
             log.append("cheap")
 
         plan = ExecutionPlan([
             _recording_stage("slow", log, cost=0.010, clock=clock),
             Stage("map", lambda ctx, s: log.append("full"),
-                  fallback=fallback, fallback_note="fallback=cheap"),
+                  fallback=fallback),
         ])
         ctx = ExecutionContext(deadline_ms=5.0, clock=clock)
         plan.run(ctx, None)
@@ -322,43 +332,15 @@ class TestStageStats:
 
 
 class TestRegistryFastest:
+    """The deadline fallback is a constant: the table's cheapest entry."""
+
     def test_default_registry_fastest_is_non_collective(self):
-        name = REGISTRY.fastest()
-        assert name == "none"
-        assert not REGISTRY.info(name).collective
-
-    def test_cost_hint_orders_candidates(self):
-        registry = InferenceRegistry()
-        registry.add("slow", lambda p: None, collective=True)
-        registry.add("cheap", lambda p: None, collective=True, cost_hint=0.1)
-        assert registry.fastest() == "cheap"
-        registry.add("tiny", lambda p: None, collective=False, cost_hint=0.1)
-        assert registry.fastest() == "tiny"  # tie -> non-collective first
-
-    def test_cost_hint_dominates_collectivity(self):
-        # A *cheaper* collective solver still beats a pricier per-table
-        # one: collectivity only breaks exact cost ties.
-        registry = InferenceRegistry()
-        registry.add("pertable", lambda p: None, collective=False,
-                     cost_hint=0.5)
-        registry.add("msgpass", lambda p: None, collective=True,
-                     cost_hint=0.2)
-        assert registry.fastest() == "msgpass"
-
-    def test_name_breaks_full_ties_deterministically(self):
-        # Equal cost_hint and collectivity -> lexicographic name, so the
-        # fallback choice never depends on registration order.
-        first = InferenceRegistry()
-        first.add("beta", lambda p: None, collective=False, cost_hint=0.1)
-        first.add("alpha", lambda p: None, collective=False, cost_hint=0.1)
-        second = InferenceRegistry()
-        second.add("alpha", lambda p: None, collective=False, cost_hint=0.1)
-        second.add("beta", lambda p: None, collective=False, cost_hint=0.1)
-        assert first.fastest() == second.fastest() == "alpha"
+        assert FALLBACK_INFERENCE == "none"
+        assert REGISTRY[FALLBACK_INFERENCE] is independent_inference
 
     def test_empty_registry_raises(self):
-        with pytest.raises(KeyError):
-            InferenceRegistry().fastest()
+        with pytest.raises(UnknownAlgorithmError):
+            AlgorithmTable({}).get_algorithm(FALLBACK_INFERENCE)
 
 
 # -- bit-identity vs the pre-refactor pipeline ----------------------------
@@ -589,7 +571,7 @@ class TestServiceDegradation:
         response = service.answer("dog breed")
         span = response.trace.find("column_map")
         assert span.status == SPAN_DEGRADED
-        assert span.note == f"fallback={REGISTRY.fastest()}"
+        assert span.note == "fallback=none"
 
     def test_fallback_skips_edge_construction(self, small_env):
         """The non-collective fallback never reads cross-table edges, so
@@ -618,7 +600,7 @@ class TestServiceDegradation:
         with ctx.span("column_map"):
             _stage_column_map_fallback(ctx, state)
         assert state.problem.edges == []
-        assert state.fallback_inference == REGISTRY.fastest()
+        assert state.fallback_inference == "none"
         assert state.answer is None  # mapping only; consolidate not run
 
         state.algorithm = get_algorithm(config.inference)

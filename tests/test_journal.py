@@ -19,7 +19,7 @@ from repro.index.builder import JOURNAL_FILE, read_manifest
 from repro.index.journal import append_records, read_journal
 from repro.pipeline.probe import ProbeConfig, two_stage_probe
 from repro.query.workload import WORKLOAD
-from repro.service import EngineConfig, WWTService
+from repro.service import WWTService
 from repro.tables.table import WebTable
 
 
@@ -486,16 +486,6 @@ class TestServiceIntegration:
             assert service.compact() == 4
             assert service.corpus.journal_depth == 0
 
-    def test_auto_compact_threshold(self, tmp_path):
-        build_corpus_index(make_tables(10), num_shards=2, save=tmp_path / "c")
-        config = EngineConfig(auto_compact_threshold=3)
-        with WWTService(tmp_path / "c", config) as service:
-            service.add_tables(make_tables(2, prefix="a"))
-            assert service.corpus.journal_depth == 2  # below threshold
-            service.add_tables(make_tables(2, prefix="b"))
-            assert service.corpus.journal_depth == 0  # compacted at >= 3
-            assert read_manifest(tmp_path / "c")["num_tables"] == 14
-
     def test_immutable_corpus_rejects_mutation(self, corpus_tables):
         """Only a ShardedCorpus mutates; another CorpusProtocol
         implementation served by the facade is refused."""
@@ -514,12 +504,6 @@ class TestServiceIntegration:
             service.add_tables(make_tables(1, prefix="new"))
         with pytest.raises(ValueError, match="immutable"):
             service.delete_tables(["x"])
-
-    def test_config_round_trips_auto_compact(self):
-        config = EngineConfig(auto_compact_threshold=100)
-        assert EngineConfig.from_dict(config.to_dict()) == config
-        with pytest.raises(ValueError, match="auto_compact_threshold"):
-            EngineConfig(auto_compact_threshold=0)
 
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"

@@ -6,6 +6,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.consolidate.merge import AnswerRow
 from repro.cli import main
@@ -26,6 +28,8 @@ from repro.serve import (
     ERROR_RATE_LIMITED,
     ERROR_SHUTTING_DOWN,
     ERROR_UNKNOWN_FIELD,
+    MAX_BODY_BYTES,
+    RETRY_AFTER_S,
     RateLimiter,
     ReproServer,
     ServeClient,
@@ -125,6 +129,17 @@ class TestServeConfig:
         with pytest.raises(ValueError, match="unknown ServeConfig keys"):
             ServeConfig.from_dict({"worker": 2})
 
+    @pytest.mark.parametrize(
+        "key", ["rate_clients", "max_body_bytes", "retry_after_s"]
+    )
+    def test_removed_settings_are_unknown_keys(self, key):
+        """Constants now (``RateLimiter``'s 4096 clients,
+        ``MAX_BODY_BYTES``, ``RETRY_AFTER_S``), refused as config keys."""
+        with pytest.raises(ValueError, match=rf"keys: \['{key}'\]"):
+            ServeConfig.from_dict({key: 1})
+        with pytest.raises(TypeError, match=key):
+            ServeConfig(**{key: 1})
+
     def test_removed_execution_mode_is_an_unknown_key(self):
         with pytest.raises(ValueError, match="unknown ServeConfig keys") as err:
             ServeConfig.from_dict({"execution_mode": "async"})
@@ -140,10 +155,10 @@ class TestServeConfig:
         {"queue_depth": 0},
         {"rate_limit": 0.0},
         {"rate_burst": 0},
-        {"rate_clients": 0},
+        {"default_deadline_ms": float("nan")},
         {"default_deadline_ms": 0},
-        {"max_body_bytes": 0},
-        {"retry_after_s": 0},
+        {"default_deadline_ms": float("inf")},
+        {"rate_limit": float("nan")},
         {"client_header": ""},
     ])
     def test_validation(self, bad):
@@ -243,6 +258,98 @@ class TestParseQueryPayload:
             parse({"query": "a", "inference": "oracle"})
         assert exc.value.code == ERROR_INVALID_VALUE
         assert "table-centric" in exc.value.message
+
+    @pytest.mark.parametrize("raw, code", [
+        (b"[" * 60_000, ERROR_BAD_JSON),
+        (b'{"query": "a", "page": 1' + b"0" * 5000 + b"}", ERROR_BAD_JSON),
+        (b'{"query": "a | b", "deadline_ms": 1' + b"0" * 400 + b"}",
+         ERROR_INVALID_VALUE),
+        (b'{"query": "a | b", "deadline_ms": NaN}', ERROR_INVALID_VALUE),
+        (b'{"query": "a | b", "deadline_ms": Infinity}', ERROR_INVALID_VALUE),
+        (b'{"query": "a | b", "deadline_ms": -Infinity}', ERROR_INVALID_VALUE),
+    ], ids=["deep-nesting", "int-past-digit-limit", "int-past-float-range",
+            "nan", "infinity", "minus-infinity"])
+    def test_hostile_bodies_within_the_cap_refused(self, raw, code):
+        """Nesting too deep to decode, integers past the interpreter's
+        digit limit or past float range, and non-finite deadlines are
+        400s, not 500s, and never "no deadline"."""
+        assert len(raw) <= MAX_BODY_BYTES
+        with pytest.raises(ServeError) as exc:
+            parse_query_payload(raw)
+        assert exc.value.code == code and exc.value.status == 400
+
+
+# -- the wire contract: any body within the cap parses or is refused ------
+
+#: Field names the generator draws from: every wire field plus one the
+#: protocol does not define.
+_FIELDS = ["query", "page", "page_size", "limit", "explain", "use_cache",
+           "inference", "deadline_ms", "bogus"]
+
+_SCALARS = (
+    st.none() | st.booleans() | st.text(max_size=12)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.integers(min_value=-(10 ** 40), max_value=10 ** 40)
+    | st.sampled_from(["a | b", "country | currency", " | ", "bp", "none"])
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=6), inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+def _dumps(value):
+    return json.dumps(value).encode("utf-8")  # NaN/Infinity stay literal
+
+
+def _nested(opener, depth):
+    return (opener * depth).encode("utf-8")
+
+
+def _huge_int(field, digits):
+    return ('{"query": "a | b", "%s": 1%s}' % (field, "0" * digits)).encode()
+
+
+_BODIES = st.one_of(
+    st.dictionaries(st.sampled_from(_FIELDS), _JSON, max_size=8).map(_dumps),
+    st.fixed_dictionaries(
+        {"query": st.text(max_size=20)},
+        optional={f: _JSON for f in _FIELDS if f != "query"},
+    ).map(_dumps),
+    _JSON.map(_dumps),
+    st.builds(
+        _nested, st.sampled_from(["[", '{"a": ', '{"query": "a", "page": [']),
+        st.integers(min_value=1, max_value=MAX_BODY_BYTES // 25),
+    ),
+    st.builds(_huge_int, st.sampled_from(_FIELDS),
+              st.integers(min_value=0, max_value=6000)),
+    st.binary(max_size=200),
+).filter(lambda raw: len(raw) <= MAX_BODY_BYTES)
+
+
+class TestWireContract:
+    @settings(
+        derandomize=True, max_examples=400, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow,
+                               HealthCheck.data_too_large],
+    )
+    @given(raw=_BODIES)
+    def test_any_body_parses_or_is_refused(self, raw):
+        """Any body of at most 64 KiB — arbitrary JSON, deep nesting,
+        huge integers, NaN/Infinity, wrong types, non-JSON bytes — yields
+        a ``QueryRequest`` or a 400 ``ServeError``, and nothing else."""
+        try:
+            request = parse_query_payload(raw)
+        except ServeError as exc:
+            assert exc.status == 400
+            return
+        assert isinstance(request, QueryRequest)
+        if request.deadline_ms is not None:
+            assert 0 < request.deadline_ms < float("inf")
 
 
 class TestEnvelopes:
@@ -440,7 +547,7 @@ class TestServerCounters:
 class TestServerAdmission:
     def test_queue_full_rejects_with_retry_after(self):
         stub = StubService(block=True)
-        server = start_stub(stub, workers=1, queue_depth=1, retry_after_s=3)
+        server = start_stub(stub, workers=1, queue_depth=1)
         results = []
 
         def post():
@@ -458,7 +565,7 @@ class TestServerAdmission:
                 status, headers, body = client.query(QUERY_BODY)
             assert status == 429
             assert body["error"]["code"] == ERROR_QUEUE_FULL
-            assert headers["retry-after"] == "3"
+            assert headers["retry-after"] == str(RETRY_AFTER_S) == "1"
             stub.release.set()
             first.join(timeout=30)
             second.join(timeout=30)
@@ -597,7 +704,7 @@ class TestServerAdmission:
             server.shutdown()
 
     def test_malformed_bodies_over_the_wire(self):
-        server = start_stub(StubService(), max_body_bytes=64)
+        server = start_stub(StubService())
         try:
             with ServeClient(server.host, server.port) as client:
                 status, _, body = client.request("POST", "/query", b"{nope")
@@ -609,12 +716,55 @@ class TestServerAdmission:
                 assert body["error"]["code"] == ERROR_BAD_JSON
             with ServeClient(server.host, server.port) as client:
                 big = json.dumps(
-                    {"query": "a", "inference": "x" * 100}
+                    {"query": "a", "inference": "x" * MAX_BODY_BYTES}
                 ).encode()
+                assert len(big) > MAX_BODY_BYTES == 64 * 1024
                 status, _, body = client.request("POST", "/query", big)
                 assert status == 413
                 assert body["error"]["code"] == ERROR_BODY_TOO_LARGE
             assert server.stats().rejected_invalid == 3
+        finally:
+            server.shutdown()
+
+    def test_hostile_bodies_over_the_wire_are_counted_400s(self):
+        """Deep nesting, a 400-digit deadline and a NaN deadline: each a
+        400 counted in ``rejected_invalid``, none a 500."""
+        server = start_stub(StubService())
+        bodies = [
+            (b"[" * 60_000, ERROR_BAD_JSON),
+            (b'{"query": "a | b", "deadline_ms": 1' + b"0" * 400 + b"}",
+             ERROR_INVALID_VALUE),
+            (b'{"query": "a | b", "deadline_ms": NaN}', ERROR_INVALID_VALUE),
+        ]
+        try:
+            for raw, code in bodies:
+                with ServeClient(server.host, server.port) as client:
+                    status, _, body = client.request("POST", "/query", raw)
+                assert (status, body["error"]["code"]) == (400, code)
+            stats = server.stats()
+            assert stats.rejected_invalid == 3
+            assert stats.errors_internal == 0 and stats.accepted == 0
+        finally:
+            server.shutdown()
+
+    def test_handler_side_500_counted_in_errors_internal(self, monkeypatch):
+        """A failure before admission (no worker involved) is a 500 that
+        ``/stats`` counts, like a worker's."""
+        import repro.serve.server as server_module
+
+        def broken(raw):
+            raise RuntimeError("parser bug")
+
+        monkeypatch.setattr(server_module, "parse_query_payload", broken)
+        server = start_stub(StubService())
+        try:
+            with ServeClient(server.host, server.port) as client:
+                status, _, body = client.query(QUERY_BODY)
+            assert status == 500
+            assert body["error"]["code"] == ERROR_INTERNAL
+            assert "parser bug" in body["error"]["message"]
+            stats = server.stats()
+            assert stats.errors_internal == 1 and stats.accepted == 0
         finally:
             server.shutdown()
 

@@ -6,11 +6,10 @@ import time
 import pytest
 
 from repro.core.features import BoundedCache, query_feature_key
-from repro.inference import REGISTRY
-from repro.inference.registry import (
-    AlgorithmInfo,
-    InferenceRegistry,
+from repro.inference import (
+    REGISTRY,
     UnknownAlgorithmError,
+    independent_inference,
 )
 from repro.pipeline.wwt import WWTAnswer
 from repro.query.model import Query
@@ -30,7 +29,7 @@ class TestEngineConfig:
         assert config.caching_enabled
 
     def test_round_trip(self):
-        config = EngineConfig(inference="bp", cache_size=7, page_size=10)
+        config = EngineConfig(inference="bp", cache_size=7, feature_cache_size=10)
         data = config.to_dict()
         assert data["inference"] == "bp"
         assert EngineConfig.from_dict(data) == config
@@ -107,7 +106,20 @@ class TestEngineConfig:
         with pytest.raises(ValueError):
             EngineConfig(cache_size=-1)
         with pytest.raises(ValueError):
-            EngineConfig(page_size=0)
+            EngineConfig(feature_cache_size=-1)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("auto_compact_threshold", 3), ("page_size", 10), ("num_shards", 2)],
+    )
+    def test_removed_settings_are_unknown_keys(self, key, value):
+        """Settings nothing set to a second value are constants now: a
+        config naming one fails loudly instead of being ignored."""
+        with pytest.raises(ValueError, match=rf"keys: \['{key}'\]"):
+            EngineConfig.from_dict({key: value})
+        with pytest.raises(TypeError, match=key):
+            EngineConfig(**{key: value})
+        assert key not in EngineConfig().to_dict()
 
     def test_deadline_knobs_round_trip_and_validate(self):
         config = EngineConfig(deadline_ms=75.5)
@@ -117,6 +129,9 @@ class TestEngineConfig:
         assert EngineConfig().deadline_ms is None  # unbounded by default
         with pytest.raises(ValueError, match="deadline_ms"):
             EngineConfig(deadline_ms=0)
+        for non_finite in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="deadline_ms"):
+                EngineConfig(deadline_ms=non_finite)
         with pytest.raises(ValueError, match="deadline_ms"):
             EngineConfig(deadline_ms=-1.0)
 
@@ -130,38 +145,14 @@ class TestEngineConfig:
 
 
 class TestRegistry:
-    def test_decorator_registration_and_metadata(self):
-        registry = InferenceRegistry()
-
-        @registry.register("toy", exact=True, collective=False,
-                           description="test oracle")
-        def toy(problem):
-            return None
-
-        info = registry.info("toy")
-        assert isinstance(info, AlgorithmInfo)
-        assert info.fn is toy
-        assert info.capability == "exact"
-        assert not info.collective
-        assert registry["toy"] is toy
-        assert "toy" in registry and len(registry) == 1
-
-    def test_duplicate_registration_rejected(self):
-        registry = InferenceRegistry()
-        registry.add("x", lambda p: None)
-        with pytest.raises(ValueError, match="already registered"):
-            registry.add("x", lambda p: None)
-        replacement = lambda p: None
-        registry.add("x", replacement, replace=True)
-        assert registry["x"] is replacement
-
     def test_unknown_algorithm_error(self):
-        registry = InferenceRegistry()
         with pytest.raises(UnknownAlgorithmError) as exc:
-            registry.get_algorithm("missing")
+            REGISTRY.get_algorithm("missing")
         assert "missing" in str(exc.value)
-        # Back-compat: callers catching KeyError still work.
+        assert "table-centric" in str(exc.value)  # lists the options
+        # Callers catching KeyError still work, and so does ``in``.
         assert isinstance(exc.value, KeyError)
+        assert "missing" not in REGISTRY
 
     def test_default_registry_holds_table2_algorithms(self):
         assert set(REGISTRY.names()) == {
@@ -171,8 +162,8 @@ class TestRegistry:
         assert dict(REGISTRY.items())["table-centric"] is (
             REGISTRY.get_algorithm("table-centric")
         )
-        assert not REGISTRY.info("none").collective
-        assert REGISTRY.info("table-centric").capability == "approximate"
+        assert REGISTRY["none"] is independent_inference
+        assert len(REGISTRY) == 5 and sorted(REGISTRY) == REGISTRY.names()
 
 
 class TestLRUCache:
@@ -226,6 +217,9 @@ class TestRequestTypes:
             QueryRequest.parse("a | b", page=0)
         with pytest.raises(ValueError):
             QueryRequest.parse("a | b", page_size=0)
+        for deadline_ms in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="deadline_ms"):
+                QueryRequest.parse("a | b", deadline_ms=deadline_ms)
 
     def test_request_coercion(self):
         request = QueryRequest.of("a | b")
@@ -423,20 +417,15 @@ class TestShardedServing:
     """EngineConfig index knobs + WWTService corpus loading."""
 
     def test_new_knobs_round_trip(self):
-        config = EngineConfig(num_shards=4, index_path="/tmp/corpus")
+        config = EngineConfig(index_path="/tmp/corpus")
         restored = EngineConfig.from_dict(config.to_dict())
         assert restored == config
-        assert restored.num_shards == 4
         assert restored.index_path == "/tmp/corpus"
 
     def test_index_path_coerced_to_str(self, tmp_path):
         config = EngineConfig(index_path=tmp_path / "corpus")
         assert isinstance(config.index_path, str)
         assert config.to_dict()["index_path"] == str(tmp_path / "corpus")
-
-    def test_knob_validation(self):
-        with pytest.raises(ValueError):
-            EngineConfig(num_shards=0)
 
     def test_no_corpus_no_path_rejected(self):
         with pytest.raises(ValueError, match="index_path"):
