@@ -44,12 +44,12 @@ check: lint typecheck reprolint
 docs:
 	@python -c "import pdoc" 2>/dev/null || \
 		{ echo "pdoc is not installed: pip install pdoc"; exit 1; }
-	PYTHONPATH=$(PYTHONPATH) python -m pdoc repro.service repro.index repro.exec repro.serve repro.faults repro.cli -o docs/api
+	PYTHONPATH=$(PYTHONPATH) python -m pdoc repro.service repro.index repro.exec repro.serve repro.cli -o docs/api
 	@echo "API reference written to docs/api/"
 
 # Stdlib-only docstring gate (CI additionally runs interrogate).
 docs-coverage:
 	python tools/docstring_coverage.py --fail-under 95 -v \
 		src/repro/service src/repro/index src/repro/exec src/repro/serve \
-		src/repro/faults src/repro/cli.py src/repro/core src/repro/inference \
+		src/repro/cli.py src/repro/core src/repro/inference \
 		src/repro/flow src/repro/consolidate

@@ -9,7 +9,6 @@ from .params import (
     UNSEGMENTED_PARAMS,
     ModelParams,
     enumerate_grid,
-    train_parameters,
 )
 from .pmi import PmiScorer
 from .segsim import (
@@ -42,6 +41,5 @@ __all__ = [
     "estimate_reliabilities",
     "query_feature_key",
     "segmented_similarity",
-    "train_parameters",
     "unsegmented_similarity",
 ]

@@ -1,20 +1,21 @@
-"""Model parameters (Section 3.4) and their grid training.
+"""Model parameters (Section 3.4) and their training grid.
 
 The objective has six trainable parameters: feature weights ``w1..w3``
 (SegSim, Cover, PMI²), the irrelevance weight ``w4``, the negative bias
 ``w5``, and the edge weight ``w_e``.  The paper trains them by exhaustive
 enumeration on a labeled workload ("since we had only six parameters, we
 were able to find the best values through exhaustive enumeration") —
-:func:`enumerate_grid` reproduces that procedure.
+:func:`enumerate_grid` yields that grid, and
+:func:`repro.evaluation.tuning.tune_model_params` searches it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Any, Iterator, Sequence
 
-__all__ = ["ModelParams", "DEFAULT_PARAMS", "UNSEGMENTED_PARAMS", "enumerate_grid", "train_parameters"]
+__all__ = ["ModelParams", "DEFAULT_PARAMS", "UNSEGMENTED_PARAMS", "enumerate_grid"]
 
 
 @dataclass(frozen=True)
@@ -65,25 +66,3 @@ def enumerate_grid(
         w1_grid, w2_grid, w3_grid, w4_grid, w5_grid, we_grid
     ):
         yield base.with_values(w1=w1, w2=w2, w3=w3, w4=w4, w5=w5, we=we)
-
-
-def train_parameters(
-    evaluate: Callable[[ModelParams], float],
-    grid: Optional[Iterable[ModelParams]] = None,
-) -> Tuple[ModelParams, float]:
-    """Exhaustive-enumeration training.
-
-    ``evaluate`` maps a parameter setting to a workload error (lower is
-    better); returns the best setting and its error.  Deterministic: ties
-    break toward the earlier grid point.
-    """
-    best_params: Optional[ModelParams] = None
-    best_error = float("inf")
-    for params in grid if grid is not None else enumerate_grid():
-        error = evaluate(params)
-        if error < best_error:
-            best_error = error
-            best_params = params
-    if best_params is None:
-        raise ValueError("empty parameter grid")
-    return best_params, best_error

@@ -101,13 +101,10 @@ _ENV_CACHE: BoundedCache[Tuple[float, int], WorkloadEnvironment] = BoundedCache(
 def build_environment(
     scale: float = 1.0,
     seed: int = 42,
-    probe_config: Optional[ProbeConfig] = None,
     queries: Optional[Sequence[WorkloadQuery]] = None,
     use_cache: bool = True,
 ) -> WorkloadEnvironment:
     """Generate the corpus, ground truth, and per-query candidate sets."""
-    if probe_config is None:
-        probe_config = ProbeConfig()
     cache_key = (scale, seed)
     if use_cache and queries is None:
         cached_env = _ENV_CACHE.get(cache_key)
@@ -119,13 +116,10 @@ def build_environment(
     bindings = {wq.query_id: (wq.domain_key, wq.attr_keys) for wq in workload}
     truth = GroundTruth.from_provenance(synthetic.provenance, bindings)
 
-    import dataclasses
-
     candidates: Dict[str, ProbeResult] = {}
     for i, wq in enumerate(workload):
-        config = dataclasses.replace(probe_config, seed=seed + i)
         candidates[wq.query_id] = two_stage_probe(
-            wq.query, synthetic.corpus, config
+            wq.query, synthetic.corpus, ProbeConfig(seed=seed + i)
         )
 
     env = WorkloadEnvironment(

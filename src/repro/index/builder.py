@@ -302,7 +302,7 @@ def build_corpus_stream(
     """Stream ``tables`` straight to a persisted corpus directory.
 
     The O(shard)-memory build path for corpora too large to hold at once
-    (ROADMAP item 2): pass 1 routes each table's JSON row directly to its
+    (the million-table corpus): pass 1 routes each table's JSON row directly to its
     staged shard's ``tables.jsonl`` (nothing retained in memory); pass 2
     loads the staged shards back *one at a time*, indexes each through the
     same :func:`analyze_table` path as the in-memory builder, folds the

@@ -17,7 +17,6 @@ import os
 from pathlib import Path
 from typing import List, Sequence, Tuple, Union
 
-from ..faults.injection import POINT_JOURNAL_APPEND, trip
 from .builder import JOURNAL_FILE
 
 __all__ = [
@@ -49,7 +48,6 @@ def append_records(path: Union[str, Path], records: Sequence[dict]) -> None:
     """
     if not records:
         return
-    trip(POINT_JOURNAL_APPEND)
     path = Path(path)
     with path.open("a", encoding="utf-8") as fh:
         for record in records:

@@ -65,7 +65,6 @@ from typing import (
     cast,
 )
 
-from ..faults.injection import POINT_SHARD_MATERIALIZE, POINT_SHARD_SEARCH, trip
 from ..tables.table import WebTable
 from ..text.tfidf import TermStatistics
 from .binfmt import SHARD_BIN_FILE, read_index_bin
@@ -166,7 +165,6 @@ class Shard:
 
     def _read(self) -> Tuple[InvertedIndex, TableStore]:
         """Decode an opened shard's files, checked against the manifest."""
-        trip(POINT_SHARD_MATERIALIZE, key=self._dir.name)
         index = read_index_bin(
             self._dir / SHARD_BIN_FILE,
             expected_bytes=int(self._entry["index_bytes"]),
@@ -336,15 +334,10 @@ class ShardedCorpus:
     def _scatter(self, fn: Callable[[Shard], T]) -> List[T]:
         """Apply ``fn`` to every shard, serially, in shard order.
 
-        Both probes go through here, so each trips the ``shard.search``
-        fault point.  A shard error raises through: a probe either hears
-        from every shard or fails.
+        Both probes go through here.  A shard error raises through: a
+        probe either hears from every shard or fails.
         """
-        results: List[T] = []
-        for si, shard in enumerate(self.shards):
-            trip(POINT_SHARD_SEARCH, key=str(si))
-            results.append(fn(shard))
-        return results
+        return [fn(shard) for shard in self.shards]
 
     def global_idf(self, term: str) -> float:
         """Lucene-classic IDF from the corpus statistics.

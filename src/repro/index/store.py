@@ -27,7 +27,6 @@ import zlib
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
-from ..faults.injection import POINT_STORE_GET, trip
 from ..tables.table import WebTable
 
 __all__ = [
@@ -209,7 +208,6 @@ class TableStore:
 
     def get(self, table_id: str) -> WebTable:
         """Fetch a table by id (KeyError if absent)."""
-        trip(POINT_STORE_GET, key=table_id)
         return self._fetch(table_id)
 
     def remove(self, table_id: str) -> WebTable:

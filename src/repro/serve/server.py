@@ -55,7 +55,6 @@ from typing import (
 
 from ..exec.context import wall_clock
 from ..exec.stats import Stats
-from ..faults.injection import POINT_SERVE_WORKER, trip
 from ..service.facade import ServiceStats
 from ..service.types import QueryRequest, QueryResponse
 from .admission import RateLimiter
@@ -484,7 +483,6 @@ class ReproServer:
                     request = dataclasses.replace(
                         request, deadline_ms=max(remaining, MIN_BUDGET_MS)
                     )
-                trip(POINT_SERVE_WORKER)
                 response = self.service.answer(request)
                 degraded = response.degraded
                 job.future.set_result((response, queue_wait_s * 1000.0))

@@ -14,14 +14,17 @@ probes (§3.2.3) whose H/B sets land in corpus-level caches.
 Determinism notes: every shard scatter is one serial loop, so trigger
 sequences are exact — the same chaos config replayed twice produces
 byte-for-byte the same outcomes, which the replay test asserts.  The
-seam itself must be inert: an armed injector whose rules never fire
-changes no answer.
+patched callables themselves must be inert: an armed injector whose
+rules never fire changes no answer.
 """
 
 import pytest
 
 from repro.core.params import ModelParams
-from repro.faults import (
+from repro.index import build_sharded_corpus
+from repro.service import EngineConfig, WWTService
+
+from .faults import (
     POINT_SHARD_SEARCH,
     POINT_STORE_GET,
     EveryNth,
@@ -30,8 +33,6 @@ from repro.faults import (
     WithProbability,
     injected,
 )
-from repro.index import build_sharded_corpus
-from repro.service import EngineConfig, WWTService
 
 NUM_SHARDS = 3
 
@@ -152,7 +153,7 @@ def check_after_pass(service, queries, baseline):
 
 
 class TestInertWhenDisabled:
-    """Fault machinery present but quiet must change nothing at all."""
+    """Patched callables whose rules never fire must change nothing."""
 
     def test_armed_injector_with_never_firing_rules_is_inert(
         self, small_env, tables, baselines
@@ -166,7 +167,7 @@ class TestInertWhenDisabled:
             assert injector.fires() == 0
             assert any(
                 s["evaluations"] > 0 for s in injector.snapshot()
-            )  # the points really were tripped, the rules just never fired
+            )  # the patches really were called, the rules just never fired
         assert check_invariant(outcomes, baselines["default"]) == 0
 
 

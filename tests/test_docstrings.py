@@ -3,7 +3,7 @@ scoring pipeline (core, inference, flow, consolidate).
 
 CI's docs job runs ``tools/docstring_coverage.py --fail-under 95`` over
 exactly :data:`GATED`, and the real ``interrogate --fail-under 80`` over
-the serving/index/fault surface that ``[tool.interrogate].paths`` in
+the serving/index surface that ``[tool.interrogate].paths`` in
 ``pyproject.toml`` lists; this in-tree twin (stdlib only) keeps the bar
 enforced wherever the suite runs, and checks the three lists agree.
 """
@@ -23,7 +23,6 @@ GATED = [
     str(REPO_ROOT / "src" / "repro" / "index"),
     str(REPO_ROOT / "src" / "repro" / "exec"),
     str(REPO_ROOT / "src" / "repro" / "serve"),
-    str(REPO_ROOT / "src" / "repro" / "faults"),
     str(REPO_ROOT / "src" / "repro" / "cli.py"),
     # The scoring pipeline: features, inference, flow, consolidation.
     str(REPO_ROOT / "src" / "repro" / "core"),

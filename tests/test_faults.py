@@ -1,35 +1,18 @@
-"""Tests for ``repro.faults``: deterministic injection, the strict
-failure contract at each fault point (a shard error raises out of the
-corpus call that hit it, before and after live mutations, and nothing is
-latched), close() beside live probes, the serve client's narrow retry,
+"""Tests for the fault-injection helper (``tests/faults.py``) and the
+strict failure contract at each fault point (a shard error raises out of
+the corpus call that hit it, before and after live mutations, and nothing
+is latched), close() beside live probes, the serve client's narrow retry,
 and a failed query at the service facade."""
 
 import http.client
 import socket
+import sys
 import threading
 
 import pytest
 
-from repro.faults import (
-    EveryNth,
-    FaultInjector,
-    FaultRule,
-    InjectedFault,
-    Once,
-    WithProbability,
-    activate,
-    active_injector,
-    deactivate,
-    injected,
-    trip,
-)
-from repro.faults.injection import (
-    KNOWN_POINTS,
-    POINT_SHARD_MATERIALIZE,
-    POINT_SHARD_SEARCH,
-    POINT_STORE_GET,
-)
 from repro.index import (
+    TableStore,
     build_sharded_corpus,
     load_corpus,
     shard_of,
@@ -37,6 +20,18 @@ from repro.index import (
 from repro.serve import ServeClient
 from repro.service import QueryRequest, WWTService
 from repro.tables.table import WebTable
+
+from .faults import (
+    POINT_SHARD_MATERIALIZE,
+    POINT_SHARD_SEARCH,
+    POINT_STORE_GET,
+    EveryNth,
+    FaultRule,
+    InjectedFault,
+    Once,
+    WithProbability,
+    injected,
+)
 
 
 def make_tables(n=24, prefix="t"):
@@ -67,38 +62,29 @@ def raise_oserror(*_args, **_kwargs):
 class TestTriggerPolicies:
     def test_every_nth_fires_on_multiples(self):
         policy = EveryNth(3)
-        fired = [policy.should_fire(i, None) for i in range(1, 10)]
-        assert fired == [False, False, True] * 3
+        assert [policy(i) for i in range(1, 10)] == [False, False, True] * 3
 
     def test_every_nth_one_is_always(self):
-        assert all(EveryNth(1).should_fire(i, None) for i in range(1, 5))
+        assert all(EveryNth(1)(i) for i in range(1, 5))
 
     def test_once_fires_exactly_at(self):
         policy = Once(at=4)
-        assert [policy.should_fire(i, None) for i in range(1, 7)] == [
+        assert [policy(i) for i in range(1, 7)] == [
             False, False, False, True, False, False,
         ]
 
     def test_with_probability_is_seed_deterministic(self):
         policy = WithProbability(p=0.3, seed=7)
-        first = [
-            policy.should_fire(i, rng)
-            for rng in [policy.make_rng()]
-            for i in range(1, 101)
-        ]
-        second = [
-            policy.should_fire(i, rng)
-            for rng in [policy.make_rng()]
-            for i in range(1, 101)
-        ]
-        assert first == second
+        first = [policy(i) for i in range(1, 101)]
+        # A reused policy replays its draws; a fresh one draws the same.
+        assert [policy(i) for i in range(1, 101)] == first
+        fresh = WithProbability(p=0.3, seed=7)
+        assert [fresh(i) for i in range(1, 101)] == first
         assert any(first) and not all(first)
 
     def test_with_probability_extremes(self):
-        always = WithProbability(p=1.0, seed=1)
-        never = WithProbability(p=0.0, seed=1)
-        assert always.should_fire(1, always.make_rng())
-        assert not never.should_fire(1, never.make_rng())
+        assert WithProbability(p=1.0, seed=1)(1)
+        assert not WithProbability(p=0.0, seed=1)(1)
 
     @pytest.mark.parametrize(
         "bad",
@@ -113,53 +99,45 @@ class TestTriggerPolicies:
         with pytest.raises(ValueError):
             bad()
 
-    def test_unknown_point_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="unknown fault point"):
-            FaultRule("shard.serach", EveryNth(1))
-
-    def test_known_points_catalog_is_closed(self):
-        assert POINT_SHARD_SEARCH in KNOWN_POINTS
-        assert len(KNOWN_POINTS) == 5
-
 
 # ---------------------------------------------------------------------------
-# The injector seam
+# The injector and its patches
 
 
 class TestInjectorSeam:
-    def test_trip_is_a_noop_when_disabled(self):
-        assert active_injector() is None
-        trip(POINT_SHARD_SEARCH)  # must not raise
-        trip(POINT_STORE_GET, key="t1")
-
     def test_injected_arms_and_disarms(self):
-        with injected(FaultRule(POINT_STORE_GET, EveryNth(1))) as injector:
-            assert active_injector() is injector
+        corpus = build_sharded_corpus(make_tables(), 3)
+        original = TableStore.get
+        with injected(FaultRule(POINT_STORE_GET, EveryNth(1))):
+            assert TableStore.get is not original
             with pytest.raises(InjectedFault):
-                trip(POINT_STORE_GET, key="t1")
-        assert active_injector() is None
-        trip(POINT_STORE_GET, key="t1")  # disarmed again
+                corpus.get_table("t1")
+        assert TableStore.get is original
+        assert corpus.get_table("t1").table_id == "t1"  # disarmed again
 
     def test_injected_disarms_on_exception(self):
+        original = TableStore.get
         with pytest.raises(RuntimeError, match="boom"):
             with injected(FaultRule(POINT_STORE_GET, EveryNth(1))):
                 raise RuntimeError("boom")
-        assert active_injector() is None
+        assert TableStore.get is original
 
-    def test_overlapping_scopes_refused(self):
-        with injected():
-            with pytest.raises(RuntimeError, match="already active"):
-                activate(FaultInjector([]))
-        deactivate()  # idempotent
-        deactivate()
+    def test_shard_search_trips_only_inside_the_scatter(self):
+        corpus = build_sharded_corpus(make_tables(), 3)
+        with injected(FaultRule(POINT_SHARD_SEARCH, EveryNth(1))) as injector:
+            corpus.add_tables(make_tables(1, prefix="new"))  # reads .index
+            assert injector.fires() == 0
+            with pytest.raises(InjectedFault) as excinfo:
+                corpus.search(["name"])
+        assert excinfo.value.key == "0"
 
     def test_keyed_rule_matches_only_its_key(self):
         rule = FaultRule(POINT_SHARD_SEARCH, EveryNth(1), key="1")
         with injected(rule) as injector:
-            trip(POINT_SHARD_SEARCH, key="0")  # other shard: no match
-            trip(POINT_SHARD_SEARCH)  # keyless call: no match
+            injector.check(POINT_SHARD_SEARCH, key="0")  # other shard
+            injector.check(POINT_SHARD_SEARCH)  # keyless call: no match
             with pytest.raises(InjectedFault) as excinfo:
-                trip(POINT_SHARD_SEARCH, key="1")
+                injector.check(POINT_SHARD_SEARCH, key="1")
             assert excinfo.value.point == POINT_SHARD_SEARCH
             assert excinfo.value.key == "1"
             (snap,) = injector.snapshot()
@@ -171,7 +149,7 @@ class TestInjectorSeam:
             outcomes = []
             for i in range(6):
                 try:
-                    trip(POINT_SHARD_SEARCH, key=str(i))
+                    injector.check(POINT_SHARD_SEARCH, key=str(i))
                     outcomes.append("ok")
                 except InjectedFault:
                     outcomes.append("fault")
@@ -185,15 +163,39 @@ class TestInjectorSeam:
             fired = []
             with injected(
                 FaultRule(POINT_SHARD_SEARCH, WithProbability(0.4, seed=13))
-            ):
+            ) as injector:
                 for i in range(50):
                     try:
-                        trip(POINT_SHARD_SEARCH, key=str(i % 4))
+                        injector.check(POINT_SHARD_SEARCH, key=str(i % 4))
                     except InjectedFault:
                         fired.append(i)
             return fired
 
         assert run() == run()
+
+    def test_concurrent_checks_lose_no_count(self):
+        """Serve workers check concurrently: no evaluation or fire is lost."""
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with injected(FaultRule(POINT_STORE_GET, EveryNth(7))) as injector:
+                def worker():
+                    for _ in range(700):
+                        try:
+                            injector.check(POINT_STORE_GET, key="t1")
+                        except InjectedFault:
+                            pass
+
+                threads = [threading.Thread(target=worker) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                (snap,) = injector.snapshot()
+        finally:
+            sys.setswitchinterval(switch)
+        assert (snap["evaluations"], snap["fires"]) == (8 * 700, 8 * 100)
 
 
 # ---------------------------------------------------------------------------

@@ -25,15 +25,16 @@ from hypothesis.stateful import (
 )
 
 from repro.corpus.generator import iter_synthetic_tables
-from repro.faults import (
+from repro.index import analyze_table, build_corpus_index, load_corpus
+from repro.tables.table import WebTable
+
+from .faults import (
     POINT_JOURNAL_APPEND,
     FaultRule,
     InjectedFault,
     Once,
     injected,
 )
-from repro.index import analyze_table, build_corpus_index, load_corpus
-from repro.tables.table import WebTable
 
 BASE = list(iter_synthetic_tables(24, seed=5, id_prefix="m-", max_rows=8))
 #: Other tables' content under the ids of the first four.

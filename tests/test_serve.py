@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from repro.consolidate.merge import AnswerRow
 from repro.cli import main
 from repro.corpus.generator import CorpusConfig, generate_corpus
-from repro.faults import POINT_SERVE_WORKER, FaultRule, Once, injected
 from repro.index import build_corpus_index
 from repro.pipeline.wwt import QueryTiming
 from repro.query.model import Query
@@ -41,6 +40,8 @@ from repro.serve import (
     response_envelope,
 )
 from repro.service import QueryRequest, QueryResponse, WWTService
+
+from .faults import POINT_SERVE_WORKER, FaultRule, Once, injected
 
 
 # ---------------------------------------------------------------------------

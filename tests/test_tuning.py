@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.core.params import (
-    DEFAULT_PARAMS,
-    ModelParams,
-    enumerate_grid,
-    train_parameters,
-)
+from repro.core.params import DEFAULT_PARAMS, ModelParams, enumerate_grid
 from repro.evaluation.tuning import tune_basic_params, tune_model_params
 
 
@@ -23,23 +18,6 @@ class TestEnumerateGrid:
         base = ModelParams(use_segmented=False)
         grid = list(enumerate_grid(w1_grid=(1.0,), base=base))
         assert all(not p.use_segmented for p in grid)
-
-
-class TestTrainParameters:
-    def test_picks_minimum(self):
-        grid = [DEFAULT_PARAMS.with_values(w1=w) for w in (0.5, 1.0, 1.5)]
-        best, err = train_parameters(lambda p: abs(p.w1 - 1.0), grid=grid)
-        assert best.w1 == 1.0
-        assert err == 0.0
-
-    def test_tie_breaks_to_first(self):
-        grid = [DEFAULT_PARAMS.with_values(w1=w) for w in (0.5, 1.5)]
-        best, _err = train_parameters(lambda p: 7.0, grid=grid)
-        assert best.w1 == 0.5
-
-    def test_empty_grid_raises(self):
-        with pytest.raises(ValueError):
-            train_parameters(lambda p: 0.0, grid=[])
 
 
 class TestTuneOnEnvironment:
@@ -68,3 +46,8 @@ class TestTuneOnEnvironment:
         bad_grid = [DEFAULT_PARAMS.with_values(use_segmented=False)]
         with pytest.raises(ValueError):
             tune_model_params(small_env, bad_grid, query_ids=ids)
+
+    def test_empty_grid_rejected(self, small_env):
+        ids = [wq.query_id for wq in small_env.queries[:2]]
+        with pytest.raises(ValueError, match="empty grid"):
+            tune_model_params(small_env, [], query_ids=ids)

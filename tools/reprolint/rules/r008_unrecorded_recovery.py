@@ -8,9 +8,8 @@ from typing import List
 from ..base import Rule, SourceFile, Violation
 
 #: The packages whose recovery paths this rule patrols: the storage layer
-#: (shard loads, journal replay, scrubbing), the serving front door, and
-#: the fault-injection machinery itself.
-RECOVERY_PACKAGES = ("repro.index", "repro.serve", "repro.faults")
+#: (shard loads, journal replay, scrubbing) and the serving front door.
+RECOVERY_PACKAGES = ("repro.index", "repro.serve")
 
 #: Call names that count as recording the absorbed failure to a counter
 #: or error seam.  Matched on the called name's final segment, so both
@@ -46,8 +45,8 @@ def _reraises(handler: ast.ExceptHandler) -> bool:
 
 
 class UnrecordedRecoveryRule(Rule):
-    """Recovery paths in ``repro.index``/``repro.serve``/``repro.faults``
-    must record every failure they absorb.
+    """Recovery paths in ``repro.index``/``repro.serve`` must record
+    every failure they absorb.
 
     These packages are where the engine's robustness machinery lives:
     shard loads, journal replay, the serving front door, and offline
