@@ -14,7 +14,7 @@ holds every shard's tables, parsed lazily from a persisted
 Every save writes, and every load reads, the version-3 binary columnar
 layout of :mod:`repro.index.binfmt` (mmap'd, checksummed);
 :func:`build_corpus_stream` builds a persisted corpus from a table
-stream in O(shard) memory.
+stream in O(shard) memory, analyzing each table once.
 """
 
 from .binfmt import read_index_bin, write_index_bin

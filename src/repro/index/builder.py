@@ -11,7 +11,8 @@ Ties the offline half of Figure 2 together: given :class:`WebTable` objects
 ``num_shards=`` says otherwise) and can persist it to a directory
 (``save=``) for O(manifest) reloads.  :func:`build_corpus_stream` is the
 O(shard)-memory streaming builder for corpora that don't fit in RAM at
-once.
+once: it analyzes each table while it is in hand and indexes from a
+per-shard token spill, so no row it writes is parsed back.
 
 Every save writes manifest ``version: 3`` — the :mod:`repro.index.binfmt`
 binary columnar snapshot that loads through ``mmap`` and materializes per
@@ -20,6 +21,7 @@ shard on first probe — and version 3 is the only one that loads.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import shutil
 from pathlib import Path
@@ -31,6 +33,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Union,
 )
@@ -68,6 +71,9 @@ SHARD_TABLES_FILE = "tables.jsonl"
 #: Per-shard write-ahead journal (``repro.index.journal``), living next to
 #: the shard snapshot it mutates.
 JOURNAL_FILE = "journal.jsonl"
+#: :func:`build_corpus_stream`'s per-shard token spill, written in pass 1
+#: and deleted in pass 2; it only ever exists in the staging directory.
+_SPILL_FILE = "tokens.spill"
 
 
 # -- shared persistence helpers ------------------------------------------------
@@ -94,10 +100,10 @@ def _save_shard(
     """
     shard_dir.mkdir(parents=True, exist_ok=True)
     extras = _write_shard_index(shard_dir, index)
-    store.save(shard_dir / SHARD_TABLES_FILE)
+    offsets = store.save(shard_dir / SHARD_TABLES_FILE)
     # Row-offset sidecar: lets Shard.open open the table store without
     # parsing (or even reading) tables.jsonl — see store.TableStore.open.
-    write_offsets_sidecar(shard_dir / SHARD_TABLES_FILE)
+    write_offsets_sidecar(shard_dir / SHARD_TABLES_FILE, offsets)
     return extras
 
 
@@ -302,17 +308,24 @@ def build_corpus_stream(
     """Stream ``tables`` straight to a persisted corpus directory.
 
     The O(shard)-memory build path for corpora too large to hold at once
-    (the million-table corpus): pass 1 routes each table's JSON row directly to its
-    staged shard's ``tables.jsonl`` (nothing retained in memory); pass 2
-    loads the staged shards back *one at a time*, indexes each through the
-    same :func:`analyze_table` path as the in-memory builder, folds the
-    shared statistics, and writes the shard snapshot before moving on —
-    peak memory is one shard, not the corpus.  Document frequencies are
-    order-independent counts, so the shard-major statistics fold produces
-    rankings bit-identical to the in-memory build of the same tables.
+    (the million-table corpus), parsing each table exactly once.  Pass 1
+    takes each table while it is still in hand: its JSON row goes to its
+    staged shard's ``tables.jsonl`` and its :func:`analyze_table` tokens
+    go to a spill file beside it (nothing retained in memory).  Pass 2
+    indexes the shards *one at a time* from their spills alone — no row
+    is read back or re-parsed — folds the shared statistics, writes the
+    shard snapshot and its offsets sidecar, and deletes the spill before
+    moving on: peak memory is one shard's index, not the corpus.
+    Document frequencies are order-independent counts, so the shard-major
+    statistics fold produces rankings bit-identical to the in-memory
+    build of the same tables.
 
-    The directory swap is the same crash-safe transaction every save uses
-    (:class:`_SaveTransaction`).  Returns the corpus path; open it with
+    A repeated table id raises ``ValueError`` naming the staged
+    ``tables.jsonl:<line>`` of the repeat; equal ids hash to equal
+    shards, so no duplicate can hide across two shards.  The directory
+    swap is the same crash-safe transaction every save uses
+    (:class:`_SaveTransaction`), so a failed build leaves an existing
+    corpus at ``save`` untouched.  Returns the corpus path; open it with
     :func:`~repro.index.sharded.load_corpus`.
     """
     from .sharded import shard_of
@@ -322,39 +335,63 @@ def build_corpus_stream(
         raise ValueError("num_shards must be >= 1")
     txn = _SaveTransaction(save)
 
-    # Pass 1: spill every table to its shard's tables.jsonl, exactly the
-    # bytes TableStore.save would write (one JSON object per line).
+    # Pass 1: each table's row bytes — exactly what TableStore.save
+    # writes — and one spill line [table_id, row length, header, context,
+    # content tokens] per table, both in its shard's line order.
     shard_dirs = [txn.shard_dir(i) for i in range(n)]
-    handles = [
-        (d / SHARD_TABLES_FILE).open("w", encoding="utf-8")
-        for d in shard_dirs
-    ]
-    try:
+    with contextlib.ExitStack() as files:
+        rows = [
+            files.enter_context((d / SHARD_TABLES_FILE).open("wb"))
+            for d in shard_dirs
+        ]
+        spills = [
+            files.enter_context((d / _SPILL_FILE).open("w", encoding="utf-8"))
+            for d in shard_dirs
+        ]
         for table in tables:
-            fh = handles[shard_of(table.table_id, n)]
-            fh.write(json.dumps(table.to_dict(), ensure_ascii=False))
-            fh.write("\n")
-    finally:
-        for fh in handles:
-            fh.close()
+            shard = shard_of(table.table_id, n)
+            row = json.dumps(table.to_dict(), ensure_ascii=False)
+            data = row.encode("utf-8") + b"\n"
+            rows[shard].write(data)
+            fields = analyze_table(table)
+            spills[shard].write(json.dumps([
+                table.table_id, len(data),
+                fields["header"], fields["context"], fields["content"],
+            ]))
+            spills[shard].write("\n")
 
-    # Pass 2: index one shard at a time (duplicate ids surface here, from
-    # TableStore.load's path:line contract — equal ids hash to equal
-    # shards, so no duplicate can hide across two spill files).
+    # Pass 2: index one shard at a time from its spill, whose line numbers
+    # are the rows' line numbers.
     stats = TermStatistics()
     shard_entries: List[Dict[str, Any]] = []
     for shard_dir in shard_dirs:
-        store = TableStore.load(shard_dir / SHARD_TABLES_FILE)
+        tables_path = shard_dir / SHARD_TABLES_FILE
+        spill_path = shard_dir / _SPILL_FILE
         index = InvertedIndex()
-        for table in store:
-            fields = analyze_table(table)
-            index.add_document(table.table_id, fields)
-            stats.add_document([t for toks in fields.values() for t in toks])
+        offsets = [0]
+        seen: Set[str] = set()
+        with spill_path.open("r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                table_id, nbytes, header, context, content = json.loads(line)
+                if not table_id:
+                    raise ValueError("table must have a table_id")
+                if table_id in seen:
+                    raise ValueError(
+                        f"{tables_path}:{lineno}: duplicate table id "
+                        f"{table_id!r}"
+                    )
+                seen.add(table_id)
+                index.add_document(table_id, {
+                    "header": header, "context": context, "content": content,
+                })
+                stats.add_document(header + context + content)
+                offsets.append(offsets[-1] + nbytes)
+        spill_path.unlink()
         entry: Dict[str, Any] = {
-            "dir": shard_dir.name, "num_tables": len(store),
+            "dir": shard_dir.name, "num_tables": len(seen),
         }
         entry.update(_write_shard_index(shard_dir, index))
-        write_offsets_sidecar(shard_dir / SHARD_TABLES_FILE)
+        write_offsets_sidecar(tables_path, offsets)
         shard_entries.append(entry)
     return txn.finish(
         shard_entries, stats, journal_seq=0, boosts=dict(FIELD_BOOSTS)

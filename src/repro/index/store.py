@@ -257,14 +257,15 @@ class TableStore:
 
     # -- persistence -----------------------------------------------------------
 
-    def save(self, path: Union[str, Path]) -> None:
+    def save(self, path: Union[str, Path]) -> List[int]:
         """Write the store as JSON-lines, one table per line.
 
         Surviving file rows are copied byte-for-byte (no parse +
         re-serialize round trip), then the in-memory rows serialize after
         them, so ``load(save(s))`` round-trips both contents and ordering.
         All bytes are gathered *before* the target opens, so saving over
-        the store's own backing file is safe.
+        the store's own backing file is safe.  Returns the written rows'
+        offsets, as :func:`scan_line_offsets` would read them back.
         """
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -277,9 +278,12 @@ class TableStore:
         for table in self._added.values():
             line = json.dumps(table.to_dict(), ensure_ascii=False)
             chunks.append(line.encode("utf-8") + b"\n")
+        offsets = [0]
         with path.open("wb") as fh:
             for chunk in chunks:
                 fh.write(chunk)
+                offsets.append(offsets[-1] + len(chunk))
+        return offsets
 
 
 # -- row-offset machinery ------------------------------------------------------
@@ -313,21 +317,25 @@ def scan_line_offsets(path: Union[str, Path]) -> List[int]:
 
 
 def write_offsets_sidecar(
-    tables_path: Union[str, Path], sidecar_path: Optional[Path] = None
+    tables_path: Union[str, Path],
+    offsets: Sequence[int],
+    sidecar_path: Optional[Path] = None,
 ) -> Path:
-    """Derive and write the ``tables.offsets`` sidecar for a tables file.
+    """Write the ``tables.offsets`` sidecar for a tables file.
 
-    Layout: magic, ``u64`` row count, ``count + 1`` little-endian ``i64``
-    offsets (the last is the data size), then a ``u32`` CRC-32 of the
-    offset bytes.  Every reader cross-checks the CRC, the row count, and
-    the recorded data size against the actual file, and falls back to
-    :func:`scan_line_offsets` on any mismatch — a stale or corrupt
-    sidecar degrades to a slower open, never to wrong rows.
+    ``offsets`` are the row offsets in :func:`scan_line_offsets`'s form,
+    counted by the file's writer as it wrote (what :meth:`TableStore.save`
+    returns), so no save reads its file back.  Layout: magic, ``u64`` row
+    count, ``count + 1`` little-endian ``i64`` offsets (the last is the
+    data size), then a ``u32`` CRC-32 of the offset bytes.  Every reader
+    cross-checks the CRC, the row count, and the recorded data size
+    against the actual file, and falls back to :func:`scan_line_offsets`
+    on any mismatch — a stale or corrupt sidecar degrades to a slower
+    open, never to wrong rows.
     """
     tables_path = Path(tables_path)
     if sidecar_path is None:
         sidecar_path = tables_path.parent / TABLES_OFFSETS_FILE
-    offsets = scan_line_offsets(tables_path)
     payload = struct.pack("<Q", len(offsets) - 1)
     payload += struct.pack(f"<{len(offsets)}q", *offsets)
     blob = _OFFSETS_MAGIC + payload + struct.pack("<I", zlib.crc32(payload))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..text.tokenize import tokenize
 from .compiled import CompiledTable
@@ -69,6 +69,39 @@ def shared_cell_format(
         is_th, bold, italic, underline, code, header_tag, background,
         css_class,
     )
+
+
+#: :func:`_format_flags`'s cache: ``id(fmt)`` -> ``(fmt, flags)``.  Holding
+#: the format keeps its id from being reused while the entry lives.
+_FORMAT_FLAGS: Dict[int, Tuple[CellFormat, Dict[str, object]]] = {}
+
+
+def _format_flags(fmt: CellFormat) -> Dict[str, object]:
+    """The ``"f"`` dict :meth:`WebTable.to_dict` writes for ``fmt``.
+
+    Built once per format object, not once per cell: formats are interned
+    by :func:`shared_cell_format`, so a corpus serializes a handful of
+    them.  Keyed on identity because a frozen dataclass hashes all its
+    fields on every lookup; bounded like :func:`shared_cell_format`, by
+    starting over when a hostile page brings more than 1024 formats.
+    """
+    hit = _FORMAT_FLAGS.get(id(fmt))
+    if hit is not None:
+        return hit[1]
+    flags: Dict[str, object] = {
+        "th": fmt.is_th,
+        "b": fmt.bold,
+        "i": fmt.italic,
+        "u": fmt.underline,
+        "c": fmt.code,
+        "h": fmt.header_tag,
+        "bg": fmt.background,
+        "cls": fmt.css_class,
+    }
+    if len(_FORMAT_FLAGS) >= 1024:
+        _FORMAT_FLAGS.clear()
+    _FORMAT_FLAGS[id(fmt)] = (fmt, flags)
+    return flags
 
 
 @dataclass(frozen=True)
@@ -273,7 +306,11 @@ class WebTable:
     # -- serialization ------------------------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-compatible representation (formats reduced to flags)."""
+        """JSON-compatible representation (formats reduced to flags).
+
+        Cells of one format share one ``"f"`` dict (see
+        :func:`_format_flags`): serialize the result, don't edit it.
+        """
         return {
             "table_id": self.table_id,
             "url": self.url,
@@ -282,22 +319,7 @@ class WebTable:
             "num_header_rows": self.num_header_rows,
             "context": [[s.text, s.score] for s in self.context],
             "grid": [
-                [
-                    {
-                        "t": cell.text,
-                        "f": {
-                            "th": cell.fmt.is_th,
-                            "b": cell.fmt.bold,
-                            "i": cell.fmt.italic,
-                            "u": cell.fmt.underline,
-                            "c": cell.fmt.code,
-                            "h": cell.fmt.header_tag,
-                            "bg": cell.fmt.background,
-                            "cls": cell.fmt.css_class,
-                        },
-                    }
-                    for cell in row
-                ]
+                [{"t": cell.text, "f": _format_flags(cell.fmt)} for cell in row]
                 for row in self.grid
             ],
         }

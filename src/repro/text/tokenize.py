@@ -49,6 +49,10 @@ def stem(token: str) -> str:
     >>> stem("movies") == stem("movie")
     True
     """
+    # Every rule below needs a trailing "s" or "e"; most tokens have
+    # neither and skip the whole chain ("" falls through and is kept).
+    if token[-1:] not in "se":
+        return token
     if len(token) > 4 and token.endswith("ies"):
         return token[:-3] + "y"
     if len(token) > 3 and token.endswith("ie"):

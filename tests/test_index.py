@@ -196,7 +196,7 @@ class TestOffsetsSidecar:
     def test_sidecar_round_trips_the_scan(self, tmp_path):
         path = write_tables_file(tmp_path, lazy_fixture_tables())
         scanned = scan_line_offsets(path)
-        sidecar = write_offsets_sidecar(path)
+        sidecar = write_offsets_sidecar(path, scanned)
         assert sidecar == tmp_path / TABLES_OFFSETS_FILE
         loaded = read_offsets_sidecar(
             sidecar, expected_rows=4, data_size=path.stat().st_size
@@ -223,7 +223,7 @@ class TestOffsetsSidecar:
 
     def test_corrupt_sidecar_is_rejected(self, tmp_path):
         path = write_tables_file(tmp_path, lazy_fixture_tables())
-        sidecar = write_offsets_sidecar(path)
+        sidecar = write_offsets_sidecar(path, scan_line_offsets(path))
         size = path.stat().st_size
         good = sidecar.read_bytes()
 
@@ -240,7 +240,7 @@ class TestOffsetsSidecar:
 
     def test_stale_sidecar_is_rejected(self, tmp_path):
         path = write_tables_file(tmp_path, lazy_fixture_tables())
-        sidecar = write_offsets_sidecar(path)
+        sidecar = write_offsets_sidecar(path, scan_line_offsets(path))
         size = path.stat().st_size
         # Row-count disagreement (index snapshot grew).
         assert read_offsets_sidecar(sidecar, 5, size) is None
@@ -255,7 +255,7 @@ class TestLazyTableStore:
         tables = lazy_fixture_tables() if tables is None else tables
         path = write_tables_file(tmp_path, tables)
         if sidecar:
-            write_offsets_sidecar(path)
+            write_offsets_sidecar(path, scan_line_offsets(path))
         return TableStore.open(path, [t.table_id for t in tables]), path
 
     def test_open_get_matches_eager(self, tmp_path):

@@ -1,5 +1,7 @@
 """Unit tests for repro.tables.table (WebTable model)."""
 
+import json
+
 import pytest
 
 from repro.tables.table import Cell, CellFormat, ContextSnippet, WebTable
@@ -117,3 +119,57 @@ class TestSerialization:
         assert t.num_header_rows == 1
         assert t.column_values(1) == ["1", "2"]
         assert t.grid[0][0].fmt.is_th
+
+    def test_format_flags_match_each_cell(self):
+        # More distinct (un-interned) formats than the flags cache holds:
+        # every cell still serializes its own format's flags.
+        formats = [
+            CellFormat(is_th=i % 2 == 0, bold=i % 3 == 0, italic=i % 5 == 0,
+                       underline=i % 7 == 0, code=i % 11 == 0,
+                       header_tag=i % 13 == 0, background=f"#{i:06x}",
+                       css_class=f"c{i}")
+            for i in range(1500)
+        ]
+        t = WebTable(grid=[[Cell(str(i), f) for i, f in enumerate(formats)]])
+        for _ in range(2):
+            cells = t.to_dict()["grid"][0]
+            assert [c["f"] for c in cells] == [
+                {"th": f.is_th, "b": f.bold, "i": f.italic, "u": f.underline,
+                 "c": f.code, "h": f.header_tag, "bg": f.background,
+                 "cls": f.css_class}
+                for f in formats
+            ]
+
+    def test_row_json_is_unchanged(self):
+        # The tables.jsonl bytes of a table, as written before the "f"
+        # dicts were shared between cells.
+        assert json.dumps(make_table().to_dict(), ensure_ascii=False) == (
+            '{"table_id": "t1", "url": "http://example.com", '
+            '"page_title": "Explorers - wiki", "num_title_rows": 1, '
+            '"num_header_rows": 1, "context": [["List of explorers", 0.9]], '
+            '"grid": [[{"t": "Explorers", "f": {"th": false, "b": true, '
+            '"i": false, "u": false, "c": false, "h": false, "bg": "", '
+            '"cls": ""}}, {"t": "", "f": {"th": false, "b": false, '
+            '"i": false, "u": false, "c": false, "h": false, "bg": "", '
+            '"cls": ""}}, {"t": "", "f": {"th": false, "b": false, '
+            '"i": false, "u": false, "c": false, "h": false, "bg": "", '
+            '"cls": ""}}], [{"t": "Name", "f": {"th": true, "b": false, '
+            '"i": false, "u": false, "c": false, "h": false, "bg": "", '
+            '"cls": ""}}, {"t": "Nationality", "f": {"th": true, "b": false, '
+            '"i": false, "u": false, "c": false, "h": false, "bg": "", '
+            '"cls": ""}}, {"t": "Areas", "f": {"th": true, "b": false, '
+            '"i": false, "u": false, "c": false, "h": false, "bg": "", '
+            '"cls": ""}}], [{"t": "Abel Tasman", "f": {"th": false, '
+            '"b": false, "i": false, "u": false, "c": false, "h": false, '
+            '"bg": "", "cls": ""}}, {"t": "Dutch", "f": {"th": false, '
+            '"b": false, "i": false, "u": false, "c": false, "h": false, '
+            '"bg": "", "cls": ""}}, {"t": "Oceania", "f": {"th": false, '
+            '"b": false, "i": false, "u": false, "c": false, "h": false, '
+            '"bg": "", "cls": ""}}], [{"t": "Vasco da Gama", "f": '
+            '{"th": false, "b": false, "i": false, "u": false, "c": false, '
+            '"h": false, "bg": "", "cls": ""}}, {"t": "Portuguese", "f": '
+            '{"th": false, "b": false, "i": false, "u": false, "c": false, '
+            '"h": false, "bg": "", "cls": ""}}, {"t": "Sea route to India", '
+            '"f": {"th": false, "b": false, "i": false, "u": false, '
+            '"c": false, "h": false, "bg": "", "cls": ""}}]]}'
+        )
