@@ -1,22 +1,21 @@
 """Compare the five inference algorithms of Table 2 on one query.
 
 Runs table-independent inference ("none"), the table-centric collective
-algorithm, constrained alpha-expansion, loopy BP, and TRW-S on the same
-column mapping problem, reporting objective score (Eq. 9), number of
-relevant tables, accuracy against ground truth, and wall-clock time.
+algorithm, constrained alpha-expansion, loopy BP, and TRW-S on the column
+mapping problem the served engine built for the query, reporting objective
+score (Eq. 9), number of relevant tables, accuracy against ground truth,
+and wall-clock time.
 
 Run:  python examples/inference_comparison.py
 """
 
 import time
 
-from repro import CorpusConfig, generate_corpus
-from repro.core import DEFAULT_PARAMS, build_problem
+from repro import CorpusConfig, EngineConfig, WWTService, generate_corpus
 from repro.core.labels import LabelSpace
 from repro.corpus import GroundTruth
 from repro.evaluation.metrics import f1_error, gold_assignment
 from repro.inference import REGISTRY
-from repro.pipeline import two_stage_probe
 from repro.query import query_by_id
 
 
@@ -26,10 +25,9 @@ def main() -> None:
     bindings = {wq.query_id: (wq.domain_key, wq.attr_keys)}
     truth = GroundTruth.from_provenance(synthetic.provenance, bindings)
 
-    probe = two_stage_probe(wq.query, synthetic.corpus)
-    problem = build_problem(
-        wq.query, probe.tables, synthetic.corpus.stats, DEFAULT_PARAMS
-    )
+    service = WWTService(synthetic.corpus, EngineConfig(cache_size=0))
+    full = service.answer_full(wq.query)
+    probe, problem = full.probe, full.problem
     space = LabelSpace(wq.query.q)
     gold = gold_assignment(truth, wq.query_id, probe.tables, space)
 

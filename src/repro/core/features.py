@@ -2,8 +2,8 @@
 
 The pipeline evaluates :class:`~repro.core.model.ColumnFeatures` (SegSim,
 Cover, PMI² per query column) twice for every stage-1 table of every query:
-once inside ``two_stage_probe``'s confidence pass and again when the
-serving facade assembles the full inference problem moments later.  The
+once in the probe's confidence stage and again when the query plan's
+``column_map`` stage assembles the full inference problem moments later.  The
 features depend only on the query's analyzed keywords, the table's
 content, and the corpus statistics — none of which change between the two
 calls — so :class:`FeatureCache` memoizes them per ``(query, table)`` and

@@ -1,11 +1,16 @@
 """Experiment harness: run every method over the 59-query workload.
 
-Builds the synthetic corpus, runs the two-stage probe once per query (the
-candidate set is shared by all methods, as in the paper), evaluates each
-method's column mapping against ground truth with the F1 error of
-Section 5, and supports the easy/hard split and the 7-group binning used by
-Figures 5-6 and Table 2.  ``tests/test_reproduction.py`` pins what this
-module computes at full scale against ``tests/reproduction.json``.
+Builds the synthetic corpus and answers each query once through the served
+engine (:class:`~repro.service.WWTService`, caches off), keeping the
+answer's candidate set and labeling problem.  Every method runs over those
+candidates (shared by all methods, as in the paper); WWT, Table 2's solvers
+and the edge ablations re-solve that problem, and only Fig. 8's unsegmented
+run builds its own, over the same candidates.  Each method's column mapping
+is evaluated against ground truth with the F1 error of Section 5, and the
+easy/hard split and the 7-group binning of Figures 5-6 and Table 2 are
+supported.
+``tests/test_reproduction.py`` pins what this module computes at full scale
+against ``tests/reproduction.json``.
 """
 
 from __future__ import annotations
@@ -22,12 +27,13 @@ from ..core.edges import MappingEdge, all_similar_pairs
 from ..core.features import BoundedCache
 from ..core.labels import LabelSpace
 from ..core.model import ColumnMappingProblem, build_problem
-from ..core.params import DEFAULT_PARAMS, UNSEGMENTED_PARAMS, ModelParams
+from ..core.params import UNSEGMENTED_PARAMS
 from ..corpus.generator import CorpusConfig, SyntheticCorpus, generate_corpus
 from ..corpus.groundtruth import GroundTruth
 from ..inference import get_algorithm, table_centric_inference
-from ..pipeline.probe import ProbeConfig, ProbeResult, two_stage_probe
+from ..pipeline.probe import ProbeResult
 from ..query.workload import WORKLOAD, WorkloadQuery
+from ..service import EngineConfig, WWTService
 from .answer_quality import answer_row_error
 from .metrics import f1_error, gold_assignment
 
@@ -60,11 +66,11 @@ class WorkloadEnvironment:
 
     synthetic: SyntheticCorpus
     truth: GroundTruth
+    #: query_id -> the served answer's candidate set.
     candidates: Dict[str, ProbeResult]
+    #: query_id -> the served answer's labeling problem (default weights).
+    problems: Dict[str, ColumnMappingProblem]
     queries: List[WorkloadQuery] = field(default_factory=lambda: list(WORKLOAD))
-    _problems: Dict[Tuple[str, ModelParams], ColumnMappingProblem] = field(
-        default_factory=dict, repr=False
-    )
 
     def gold(self, wq: WorkloadQuery) -> Dict[Tuple[int, int], int]:
         """Dense gold labels over the query's candidate tables."""
@@ -72,25 +78,6 @@ class WorkloadEnvironment:
         return gold_assignment(
             self.truth, wq.query_id, self.candidates[wq.query_id].tables, labels
         )
-
-    def problem(
-        self, wq: WorkloadQuery, params: ModelParams = DEFAULT_PARAMS
-    ) -> ColumnMappingProblem:
-        """The query's labeling problem, built once per parameter set.
-
-        Every WWT variant (Table 2's five algorithms, the edge ablations)
-        solves the same problem, and building it — the edges above all —
-        costs more than most of the solvers.
-        """
-        key = (wq.query_id, params)
-        if key not in self._problems:
-            self._problems[key] = build_problem(
-                wq.query,
-                self.candidates[wq.query_id].tables,
-                self.synthetic.corpus.stats,
-                params,
-            )
-        return self._problems[key]
 
 
 #: Bounded: a sweep over many (scale, seed) points must not pin every
@@ -104,7 +91,12 @@ def build_environment(
     queries: Optional[Sequence[WorkloadQuery]] = None,
     use_cache: bool = True,
 ) -> WorkloadEnvironment:
-    """Generate the corpus, ground truth, and per-query candidate sets."""
+    """Generate the corpus and ground truth, and answer every query once.
+
+    Each query's candidates and problem are what
+    :meth:`~repro.service.WWTService.answer_full` serves, so a method
+    evaluated here is evaluated on the system that answers the queries.
+    """
     cache_key = (scale, seed)
     if use_cache and queries is None:
         cached_env = _ENV_CACHE.get(cache_key)
@@ -116,14 +108,17 @@ def build_environment(
     bindings = {wq.query_id: (wq.domain_key, wq.attr_keys) for wq in workload}
     truth = GroundTruth.from_provenance(synthetic.provenance, bindings)
 
+    service = WWTService(synthetic.corpus, EngineConfig(cache_size=0))
     candidates: Dict[str, ProbeResult] = {}
-    for i, wq in enumerate(workload):
-        candidates[wq.query_id] = two_stage_probe(
-            wq.query, synthetic.corpus, ProbeConfig(seed=seed + i)
-        )
+    problems: Dict[str, ColumnMappingProblem] = {}
+    for wq in workload:
+        full = service.answer_full(wq.query)
+        candidates[wq.query_id] = full.probe
+        problems[wq.query_id] = full.problem
 
     env = WorkloadEnvironment(
-        synthetic=synthetic, truth=truth, candidates=candidates, queries=workload
+        synthetic=synthetic, truth=truth, candidates=candidates,
+        problems=problems, queries=workload,
     )
     if use_cache and queries is None:
         _ENV_CACHE.put(cache_key, env)
@@ -148,13 +143,21 @@ class MethodRun:
         return _mean([self.errors[q] for q in ids])
 
 
-def _run_wwt(
-    env: WorkloadEnvironment,
-    wq: WorkloadQuery,
-    params: ModelParams,
-    inference: str,
-) -> Dict[Tuple[int, int], int]:
-    return get_algorithm(inference)(env.problem(wq, params)).labels
+def _solve(inference: str) -> MethodFn:
+    """Re-solve the served problem with one of Table 2's algorithms."""
+    algorithm = get_algorithm(inference)
+    return lambda env, wq: algorithm(env.problems[wq.query_id]).labels
+
+
+def _unsegmented(env: WorkloadEnvironment, wq: WorkloadQuery) -> Labels:
+    """Fig. 8: the served candidates under unsegmented header features."""
+    problem = build_problem(
+        wq.query,
+        env.candidates[wq.query_id].tables,
+        env.synthetic.corpus.stats,
+        UNSEGMENTED_PARAMS,
+    )
+    return table_centric_inference(problem).labels
 
 
 def _raw_edges(
@@ -201,7 +204,7 @@ def _method_fn(name: str) -> MethodFn:
     if name in _EDGE_ABLATIONS:
         ablate = _EDGE_ABLATIONS[name]
         return lambda env, wq: table_centric_inference(
-            ablate(env, env.problem(wq))
+            ablate(env, env.problems[wq.query_id])
         ).labels
     basic_params = BasicParams()
 
@@ -231,16 +234,12 @@ def _method_fn(name: str) -> MethodFn:
         "basic": basic,
         "nbrtext": nbrtext,
         "pmi2": pmi,
-        "wwt": lambda env, wq: _run_wwt(env, wq, DEFAULT_PARAMS, "table-centric"),
-        "wwt-unsegmented": lambda env, wq: _run_wwt(
-            env, wq, UNSEGMENTED_PARAMS, "table-centric"
-        ),
-        "wwt-none": lambda env, wq: _run_wwt(env, wq, DEFAULT_PARAMS, "none"),
-        "wwt-alpha": lambda env, wq: _run_wwt(
-            env, wq, DEFAULT_PARAMS, "alpha-expansion"
-        ),
-        "wwt-bp": lambda env, wq: _run_wwt(env, wq, DEFAULT_PARAMS, "bp"),
-        "wwt-trws": lambda env, wq: _run_wwt(env, wq, DEFAULT_PARAMS, "trws"),
+        "wwt": _solve("table-centric"),
+        "wwt-unsegmented": _unsegmented,
+        "wwt-none": _solve("none"),
+        "wwt-alpha": _solve("alpha-expansion"),
+        "wwt-bp": _solve("bp"),
+        "wwt-trws": _solve("trws"),
     }
     return table[name]
 

@@ -3,9 +3,9 @@
 Reifies the serving pipeline as an :class:`ExecutionPlan` of named
 :class:`Stage` steps run under a shared :class:`ExecutionContext` that
 carries a wall-clock deadline and a :class:`Span` tree of per-stage
-timings and counters.  The serving facade, ``two_stage_probe``, the
-evaluation harness, and the benchmarks all execute queries through this
-engine, so every latency number in the system is a view over the same
+timings and counters.  The serving facade runs every query through
+this engine (the evaluation harness and the benchmarks read its
+answers), so every latency number in the system is a view over the same
 span tree; :class:`Stats` is the one accumulator that folds those spans
 (and the HTTP server's admission events) into ``/stats`` counters.
 
@@ -39,17 +39,11 @@ from .context import (
 from .plan import ExecutionPlan, Stage
 from .state import QueryState
 from .stats import StageStats, Stats, percentile
-from .query import (
-    PROBE_STAGES,
-    QUERY_STAGES,
-    build_probe_plan,
-    build_query_plan,
-)
+from .query import QUERY_STAGES, build_query_plan
 
 __all__ = [
     "ExecutionContext",
     "ExecutionPlan",
-    "PROBE_STAGES",
     "QUERY_STAGES",
     "QueryState",
     "SPAN_DEGRADED",
@@ -59,7 +53,6 @@ __all__ = [
     "Stage",
     "StageStats",
     "Stats",
-    "build_probe_plan",
     "build_query_plan",
     "percentile",
 ]

@@ -47,10 +47,8 @@ from .state import QueryState
 
 __all__ = [
     "FALLBACK_INFERENCE",
-    "PROBE_STAGES",
     "QUERY_STAGES",
     "build_query_plan",
-    "build_probe_plan",
 ]
 
 #: The inference ``column_map`` runs once the deadline has passed:
@@ -205,37 +203,20 @@ def _stage_rank(ctx: ExecutionContext, s: QueryState) -> None:
 
 # -- the plan -------------------------------------------------------------
 
-#: The candidate-retrieval sub-sequence (Section 2.2.1), reusable on its
-#: own by :func:`~repro.pipeline.probe.two_stage_probe`.
-PROBE_STAGES = (
+#: The full query plan, in execution order.
+QUERY_STAGES = (
+    Stage("parse", _stage_parse),
     Stage("probe.index1", _stage_index1, skippable=True),
     Stage("probe.read1", _stage_read1, skippable=True),
     Stage("probe.confidence", _stage_confidence, skippable=True),
     Stage("probe.index2", _stage_index2, skippable=True),
     Stage("probe.read2", _stage_read2),
-)
-
-#: The full query plan, in execution order.
-QUERY_STAGES = (
-    (Stage("parse", _stage_parse),)
-    + PROBE_STAGES
-    + (
-        Stage(
-            "column_map",
-            _stage_column_map,
-            fallback=_stage_column_map_fallback,
-        ),
-        Stage("consolidate", _stage_consolidate),
-        Stage("rank", _stage_rank),
-    )
+    Stage("column_map", _stage_column_map, fallback=_stage_column_map_fallback),
+    Stage("consolidate", _stage_consolidate),
+    Stage("rank", _stage_rank),
 )
 
 
 def build_query_plan() -> ExecutionPlan:
     """The full query plan, every stage in execution order."""
     return ExecutionPlan(QUERY_STAGES, name="query")
-
-
-def build_probe_plan() -> ExecutionPlan:
-    """Just the candidate-retrieval stages (``two_stage_probe``'s plan)."""
-    return ExecutionPlan(PROBE_STAGES, name="probe")

@@ -28,8 +28,8 @@ __all__ = ["QueryState"]
 class QueryState:
     """Everything one query's staged execution reads and produces.
 
-    Inputs are set by the caller (service facade, ``two_stage_probe``, or
-    a test harness); the remaining fields start at their defaults and are
+    Inputs are set by the caller (the service facade, or a test driving
+    the plan); the remaining fields start at their defaults and are
     filled in by the stages that produce them.  A skipped stage leaves
     its outputs at their defaults — downstream stages are written to
     tolerate that (an empty candidate list consolidates to an empty

@@ -1,6 +1,6 @@
 """The corpus contract the query pipeline is written against.
 
-``two_stage_probe`` (Section 2.2.1) and the PMI² containment probes
+The two-stage probe (Section 2.2.1) and the PMI² containment probes
 (Section 3.2.3) only need five operations from a corpus: disjunctive ranked
 retrieval, conjunctive containment, table reads, and the corpus-global
 :class:`~repro.text.tfidf.TermStatistics` that keeps every similarity's IDF

@@ -1,6 +1,6 @@
 """End-to-end query pipeline: probe, mapping, consolidation."""
 
-from .probe import ProbeConfig, ProbeResult, two_stage_probe
+from .probe import ProbeConfig, ProbeResult
 from .wwt import QueryTiming, WWTAnswer
 
 __all__ = [
@@ -8,5 +8,4 @@ __all__ = [
     "ProbeResult",
     "QueryTiming",
     "WWTAnswer",
-    "two_stage_probe",
 ]

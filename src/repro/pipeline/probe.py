@@ -7,24 +7,21 @@ the column mapper is *most confident* about — retrieving tables by content
 overlap.  The paper reports the second stage fired for 65% of queries and
 contributed about half of all relevant tables.
 
-Since the execution-engine refactor the probe is defined as the staged
-sub-plan ``probe.index1 -> probe.read1 -> probe.confidence ->
-probe.index2 -> probe.read2`` (stage bodies in :mod:`repro.exec.query`);
-:func:`two_stage_probe` runs that plan to completion under a fresh,
-unbounded :class:`~repro.exec.context.ExecutionContext`, keeping the
-exact pre-refactor behaviour.  Budgeted callers (the serving facade) run
-the plan stages themselves and read their timings off the spans.
+The probe runs as the stages ``probe.index1 -> probe.read1 ->
+probe.confidence -> probe.index2 -> probe.read2`` of the one query plan
+(stage bodies in :mod:`repro.exec.query`); this module holds their
+tunables, their result record and the helpers they call.  A query's
+candidate set is ``WWTService.answer_full(query).probe``.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from ..core.features import FeatureCache
 from ..core.model import build_problem
-from ..core.params import DEFAULT_PARAMS, ModelParams
+from ..core.params import ModelParams
 from ..core.pmi import PmiScorer
 from ..index.protocol import CorpusProtocol
 from ..query.model import Query
@@ -38,7 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 __all__ = [
     "ProbeConfig",
     "ProbeResult",
-    "two_stage_probe",
     "table_confidences",
     "trim_hits",
 ]
@@ -121,53 +117,3 @@ def table_confidences(
             best = max(best, mass)
         confidences.append(best)
     return confidences
-
-
-def two_stage_probe(
-    query: Query,
-    corpus: CorpusProtocol,
-    config: Optional[ProbeConfig] = None,
-    params: ModelParams = DEFAULT_PARAMS,
-    rng: Optional[random.Random] = None,
-    feature_cache: Optional[FeatureCache] = None,
-    pmi_scorer: Optional[PmiScorer] = None,
-) -> ProbeResult:
-    """Run the Section 2.2.1 candidate retrieval.
-
-    ``corpus`` is any :class:`~repro.index.protocol.CorpusProtocol` corpus
-    — usually a :class:`~repro.index.ShardedCorpus`; results do not
-    depend on the shard count (see DESIGN.md, "Sharded index &
-    persistence").
-
-    The stage-2 row sample draws from a private ``random.Random`` seeded
-    with ``config.seed`` (never the module-global generator), so concurrent
-    probes and cached reruns are bit-reproducible.  Pass ``rng`` to thread
-    your own generator instead (it is consumed; share one only for
-    deliberately coupled sampling sequences).
-
-    ``feature_cache`` (when given) is populated by the confidence pass's
-    :func:`~repro.core.model.build_problem` call, so a caller assembling
-    the full inference problem right after this probe — the serving
-    facade — reuses every stage-1 table's features instead of recomputing
-    them (see DESIGN.md, "Hot-path engine").  ``pmi_scorer`` forwards to
-    the same call (only consulted when ``params.w3`` is non-zero).
-    """
-    # Imported here, not at module scope: repro.exec.query imports this
-    # module's stage helpers, so the probe reaches the engine lazily.
-    from ..exec.context import ExecutionContext
-    from ..exec.query import build_probe_plan
-    from ..exec.state import QueryState
-
-    if config is None:
-        config = ProbeConfig()
-    state = QueryState(
-        query=query,
-        corpus=corpus,
-        probe_config=config,
-        params=params,
-        rng=rng if rng is not None else random.Random(config.seed),
-        feature_cache=feature_cache,
-        pmi_scorer=pmi_scorer,
-    )
-    build_probe_plan().run(ExecutionContext(root_name="probe"), state)
-    return state.probe

@@ -117,34 +117,46 @@ def extract_grid(table_el: ElementNode) -> List[List[Cell]]:
     return rows
 
 
-def is_data_table(
-    table_el: ElementNode, grid: Optional[List[List[Cell]]] = None
-) -> Tuple[bool, str]:
+def is_data_table(table_el: ElementNode) -> Tuple[bool, str]:
     """Apply the relational-data heuristics of Section 2.1.
 
     Returns ``(accepted, reason)`` where ``reason`` names the failed test for
     rejected candidates (``"ok"`` otherwise).
     """
-    if grid is None:
-        grid = extract_grid(table_el)
+    reason, _grid = _screen(table_el)
+    return reason == "ok", reason
 
+
+def _screen(table_el: ElementNode) -> Tuple[str, List[List[Cell]]]:
+    """The first failed Section 2.1 test (``"ok"`` if none) and the grid.
+
+    Forms and nested tables are rejected from the element alone, before
+    any grid is built (the grid is then empty): an outer table's grid walks
+    its whole nested subtree, so building one per nesting level made
+    extraction quadratic in the nesting depth.
+    """
     # Forms / interactive widgets are never data tables.
     for node in table_el.iter_descendants():
         if isinstance(node, ElementNode) and node.tag in _FORM_TAGS:
-            return False, "form"
+            return "form", []
         if isinstance(node, ElementNode) and node.tag == "table":
-            return False, "nested"
+            return "nested", []
+    grid = extract_grid(table_el)
+    return _grid_verdict(grid), grid
 
+
+def _grid_verdict(grid: List[List[Cell]]) -> str:
+    """The first failed grid-shape test of Section 2.1, or ``"ok"``."""
     if len(grid) < 2:
-        return False, "too_few_rows"
+        return "too_few_rows"
     width = len(grid[0])
     if width < 2:
-        return False, "single_column"
+        return "single_column"
 
     cells = [c for row in grid for c in row]
     non_empty = [c for c in cells if not c.is_empty()]
     if not non_empty or len(non_empty) < 0.5 * len(cells):
-        return False, "mostly_empty"
+        return "mostly_empty"
 
     # Calendars: wide grids of small day numbers.
     numeric_small = [
@@ -152,12 +164,12 @@ def is_data_table(
         if c.is_numeric() and 0 <= _to_float(c.text) <= 31 and len(c.text.strip()) <= 2
     ]
     if width >= 5 and len(numeric_small) >= 0.8 * len(non_empty):
-        return False, "calendar"
+        return "calendar"
 
     # Layout tables: paragraph-sized cells.
     avg_chars = sum(len(c.text) for c in non_empty) / len(non_empty)
     if avg_chars > 200:
-        return False, "layout_long_cells"
+        return "layout_long_cells"
 
     # Layout tables: wildly ragged rows.  Rows with at most one non-empty
     # cell are title/banner rows and split header rows may be sparse, so we
@@ -167,14 +179,14 @@ def is_data_table(
     if body_widths:
         mode_count = max(body_widths.count(w) for w in set(body_widths))
         if mode_count < 0.6 * len(body_widths):
-            return False, "ragged"
+            return "ragged"
 
     # Lists-in-disguise: almost no distinct values.
     distinct = {c.text.strip().lower() for c in non_empty}
     if len(distinct) < 3:
-        return False, "degenerate_content"
+        return "degenerate_content"
 
-    return True, "ok"
+    return "ok"
 
 
 def _to_float(text: str) -> float:
@@ -202,9 +214,8 @@ def extract_tables(
     for idx, table_el in enumerate(root.find_all("table")):
         if census is not None:
             census.table_tags += 1
-        grid = extract_grid(table_el)
-        ok, reason = is_data_table(table_el, grid)
-        if not ok:
+        reason, grid = _screen(table_el)
+        if reason != "ok":
             if census is not None:
                 census.record_rejection(reason)
             continue

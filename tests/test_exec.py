@@ -19,6 +19,7 @@ from repro.core.model import build_problem
 from repro.exec import (
     ExecutionContext,
     ExecutionPlan,
+    QUERY_STAGES,
     QueryState,
     SPAN_DEGRADED,
     SPAN_OK,
@@ -26,7 +27,6 @@ from repro.exec import (
     Span,
     Stage,
     Stats,
-    build_probe_plan,
     build_query_plan,
     percentile,
 )
@@ -233,11 +233,10 @@ class TestExecutionPlan:
     def test_probe_timing_spans_match_plan(self):
         """The shared timing-field mapping is pinned to the plan's actual
         probe stage names — renames must touch both or fail here."""
-        from repro.exec.query import PROBE_STAGES
         from repro.pipeline.wwt import _PROBE_TIMING_SPANS
 
         assert [span for _, span in _PROBE_TIMING_SPANS] == [
-            s.name for s in PROBE_STAGES
+            s.name for s in QUERY_STAGES if s.name.startswith("probe.")
         ]
         assert [fld for fld, _ in _PROBE_TIMING_SPANS] == [
             "index1", "read1", "confidence", "index2", "read2",
@@ -249,10 +248,6 @@ class TestExecutionPlan:
             "parse", "probe.index1", "probe.read1", "probe.confidence",
             "probe.index2", "probe.read2", "column_map", "consolidate",
             "rank",
-        ]
-        assert build_probe_plan().stage_names() == [
-            "probe.index1", "probe.read1", "probe.confidence",
-            "probe.index2", "probe.read2",
         ]
 
 
@@ -506,6 +501,7 @@ class TestExecutorBitIdentity:
 
 class TestProbeThroughExecutor:
     def test_budgeted_probe_degrades_instead_of_erroring(self, small_env):
+        """A budget gone before the first stage skips the whole probe."""
         clock = FakeClock()
         ctx = ExecutionContext(deadline_ms=1.0, clock=clock)
         clock.advance(1.0)  # budget already gone before the first stage
@@ -516,7 +512,7 @@ class TestProbeThroughExecutor:
             params=EngineConfig().params,
             rng=random.Random(0),
         )
-        build_probe_plan().run(ctx, state)
+        build_query_plan().run(ctx, state)
         assert ctx.degraded
         assert state.probe.tables == []
         assert not state.probe.used_second_stage
@@ -595,7 +591,11 @@ class TestServiceDegradation:
             rng=random.Random(config.probe.seed),
         )
         ctx = ExecutionContext()
-        build_probe_plan().run(ctx, state)
+        # The plan up to (not including) column_map: parse and the probe.
+        names = [stage.name for stage in QUERY_STAGES]
+        ExecutionPlan(QUERY_STAGES[: names.index("column_map")]).run(
+            ctx, state
+        )
 
         with ctx.span("column_map"):
             _stage_column_map_fallback(ctx, state)

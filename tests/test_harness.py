@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.params import UNSEGMENTED_PARAMS
 from repro.evaluation.answer_quality import answer_rows
 from repro.evaluation.harness import (
     METHODS,
@@ -14,6 +13,7 @@ from repro.evaluation.harness import (
     split_easy_hard,
 )
 from repro.query.workload import query_by_id
+from repro.service import EngineConfig, WWTService
 
 
 class TestMethodRuns:
@@ -47,16 +47,24 @@ class TestMethodRuns:
         with pytest.raises(KeyError):
             run_method(small_env, "bogus")
 
-    def test_problem_built_once_per_parameter_set(self, small_env):
-        wq = small_env.queries[0]
-        assert small_env.problem(wq) is small_env.problem(wq)
-        assert small_env.problem(wq, UNSEGMENTED_PARAMS) is not (
-            small_env.problem(wq)
+    def test_wwt_labels_are_the_served_labels(self, small_env):
+        """One evaluation path: the harness scores what the engine serves."""
+        run = run_method(small_env, "wwt")
+        service = WWTService(
+            small_env.synthetic.corpus, EngineConfig(cache_size=0)
         )
+        for wq in small_env.queries:
+            served = service.answer_full(wq.query)
+            assert run.labels[wq.query_id] == served.mapping.labels, (
+                wq.query_id
+            )
+            assert [t.table_id for t in served.probe.tables] == [
+                t.table_id for t in small_env.candidates[wq.query_id].tables
+            ]
 
     def test_edge_ablations_share_the_problem_not_the_edges(self, small_env):
         wq = query_by_id("country | currency")
-        full = small_env.problem(wq)
+        full = small_env.problems[wq.query_id]
         before = list(full.edges)
         runs = {
             method: run_method(small_env, method, [wq.query_id])

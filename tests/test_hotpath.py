@@ -37,8 +37,8 @@ from repro.index import (
     read_index_bin,
     write_index_bin,
 )
+from repro.exec import ExecutionContext, QueryState, build_query_plan
 from repro.inference import REGISTRY, max_marginals
-from repro.pipeline.probe import two_stage_probe
 from repro.query.model import Query
 from repro.service import EngineConfig, WWTService
 from repro.tables.table import WebTable
@@ -203,7 +203,7 @@ class TestFeatureCache:
         assert tables, "fixture query retrieved no candidates"
         return wq.query, tables, small_env.synthetic.corpus.stats
 
-    def _problems_equal(self, a, b):
+    def _assert_same_problem(self, a, b):
         assert a.node_potentials == b.node_potentials
         assert a.features == b.features
         assert a.table_relevance == b.table_relevance
@@ -221,8 +221,8 @@ class TestFeatureCache:
             query, tables, stats, DEFAULT_PARAMS, feature_cache=cache
         )
         assert cache.hits == len(tables)
-        self._problems_equal(first, cold)
-        self._problems_equal(second, cold)
+        self._assert_same_problem(first, cold)
+        self._assert_same_problem(second, cold)
 
     def test_incremental_extension_computes_only_new_tables(self, probe_setup):
         query, tables, stats = probe_setup
@@ -236,7 +236,7 @@ class TestFeatureCache:
             query, full, stats, DEFAULT_PARAMS, feature_cache=cache
         )
         assert cache.misses - misses_before == len(full) - len(stage1)
-        self._problems_equal(
+        self._assert_same_problem(
             extended, build_problem(query, full, stats, DEFAULT_PARAMS)
         )
 
@@ -288,7 +288,7 @@ class TestFeatureCache:
             query, tables, stats, DEFAULT_PARAMS, feature_cache=cache
         )
         assert len(cache) == 0
-        self._problems_equal(
+        self._assert_same_problem(
             problem, build_problem(query, tables, stats, DEFAULT_PARAMS)
         )
 
@@ -302,8 +302,8 @@ class TestMaxMarginalReuse:
     SOLVE_ROWS = staticmethod(max_marginals._solve_rows)
 
     def _run(self, env, cache, monkeypatch):
-        """Probe + problem + table-centric per query, as the engine's plan
-        and the benchmark's replay do; returns (repr, solves, tables)."""
+        """The engine's query plan per query (probe, problem, table-centric)
+        under ``cache``; returns (repr, solves, tables)."""
         solves = []
         solve_rows = self.SOLVE_ROWS
 
@@ -313,18 +313,17 @@ class TestMaxMarginalReuse:
 
         monkeypatch.setattr(max_marginals, "_solve_rows", counting_solve_rows)
         corpus = env.synthetic.corpus
-        algorithm = REGISTRY.get_algorithm("table-centric")
         out, shapes = [], []
         for wq in env.queries[: self.QUERIES]:
             solves.append(0)
             if cache is not None:
                 cache.clear()  # a query starts cold, like an uncached one
-            probe = two_stage_probe(wq.query, corpus, feature_cache=cache)
-            problem = build_problem(
-                wq.query, probe.tables, corpus.stats, DEFAULT_PARAMS,
-                feature_cache=cache,
+            state = QueryState(
+                query=wq.query, corpus=corpus, params=DEFAULT_PARAMS,
+                inference="table-centric", feature_cache=cache,
             )
-            mapping = algorithm(problem)
+            build_query_plan().run(ExecutionContext(), state)
+            probe, problem, mapping = state.probe, state.problem, state.mapping
             out.append(repr((
                 problem.edges,
                 sorted(mapping.labels.items()),
@@ -580,16 +579,20 @@ class TestCompiledTable:
         journaled = build_corpus_index(tables[:split])
         wq = small_env.queries[0]
 
-        before = two_stage_probe(wq.query, journaled)
+        def served_probe(corpus):
+            service = WWTService(corpus, EngineConfig(cache_size=0))
+            return service.answer_full(wq.query).probe
+
+        before = served_probe(journaled)
         old_stats = journaled.stats
         build_problem(wq.query, before.tables, old_stats, DEFAULT_PARAMS)
         journaled.add_tables(tables[split:])
         assert journaled.stats is not old_stats
 
-        live = two_stage_probe(wq.query, journaled)
+        live = served_probe(journaled)
         assert any(t._compiled is not None for t in live.tables)
         rebuilt_corpus = build_corpus_index([fresh_copy(t) for t in tables])
-        rebuilt = two_stage_probe(wq.query, rebuilt_corpus)
+        rebuilt = served_probe(rebuilt_corpus)
         assert [t.table_id for t in live.tables] == [
             t.table_id for t in rebuilt.tables
         ]

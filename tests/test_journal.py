@@ -17,9 +17,9 @@ from repro.index import (
 )
 from repro.index.builder import JOURNAL_FILE, read_manifest
 from repro.index.journal import append_records, read_journal
-from repro.pipeline.probe import ProbeConfig, two_stage_probe
+from repro.pipeline.probe import ProbeConfig
 from repro.query.workload import WORKLOAD
-from repro.service import WWTService
+from repro.service import EngineConfig, WWTService
 from repro.tables.table import WebTable
 
 
@@ -276,17 +276,19 @@ class TestRankingEquivalence:
         corpus.close()
         reloaded.close()
 
-    def test_two_stage_probe_matches_rebuild(self, tmp_path, split):
+    def test_served_probe_matches_rebuild(self, tmp_path, split):
         base, added, deleted, live = split
         build_corpus_index(base, num_shards=2, save=tmp_path / "c")
         corpus = load_corpus(tmp_path / "c")
         corpus.add_tables(added)
         corpus.delete_tables(deleted)
         rebuilt = build_sharded_corpus(live, 2)
-        config = ProbeConfig(seed=9)
+        config = EngineConfig(cache_size=0, probe=ProbeConfig(seed=9))
+        mutated_service = WWTService(corpus, config)
+        rebuilt_service = WWTService(rebuilt, config)
         for wq in WORKLOAD[:8]:
-            a = two_stage_probe(wq.query, corpus, config)
-            b = two_stage_probe(wq.query, rebuilt, config)
+            a = mutated_service.answer_full(wq.query).probe
+            b = rebuilt_service.answer_full(wq.query).probe
             assert a.stage1_ids == b.stage1_ids, wq.query_id
             assert a.stage2_ids == b.stage2_ids, wq.query_id
             assert [t.table_id for t in a.tables] == [

@@ -6,7 +6,7 @@ import repro.core.model as core_model
 import repro.pipeline.probe as probe_module
 from repro.core.model import build_problem
 from repro.evaluation.answer_quality import answer_row_error, answer_rows
-from repro.pipeline.probe import ProbeConfig, table_confidences, two_stage_probe
+from repro.pipeline.probe import ProbeConfig, table_confidences
 from repro.query.model import Query
 from repro.query.workload import query_by_id
 from repro.service import EngineConfig, WWTService
@@ -19,10 +19,16 @@ def uncached_service(corpus, **config):
     )
 
 
+def served_probe(query, corpus, config=None):
+    """The candidate set the engine serves for ``query``."""
+    service = uncached_service(corpus, probe=config or ProbeConfig())
+    return service.answer_full(query).probe
+
+
 class TestTwoStageProbe:
     def test_probe_returns_candidates(self, small_env):
         wq = query_by_id("country | currency")
-        result = two_stage_probe(wq.query, small_env.synthetic.corpus)
+        result = served_probe(wq.query, small_env.synthetic.corpus)
         assert result.num_candidates > 0
         assert len(result.stage1_ids) > 0
         ids = [t.table_id for t in result.tables]
@@ -41,15 +47,15 @@ class TestTwoStageProbe:
         from repro.index.builder import build_corpus_index
 
         corpus = build_corpus_index([])
-        result = two_stage_probe(Query.parse("anything"), corpus)
+        result = served_probe(Query.parse("anything"), corpus)
         assert result.tables == []
         assert not result.used_second_stage
 
     def test_probe_deterministic_given_seed(self, small_env):
         wq = query_by_id("country | gdp")
         config = ProbeConfig(seed=3)
-        a = two_stage_probe(wq.query, small_env.synthetic.corpus, config)
-        b = two_stage_probe(wq.query, small_env.synthetic.corpus, config)
+        a = served_probe(wq.query, small_env.synthetic.corpus, config)
+        b = served_probe(wq.query, small_env.synthetic.corpus, config)
         assert [t.table_id for t in a.tables] == [t.table_id for t in b.tables]
 
 

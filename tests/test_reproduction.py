@@ -193,17 +193,22 @@ def test_header_rows(env):
     })
 
 
-def test_fig7_running_time(env):
+def test_fig7_running_time(env, runs):
     """Stage shares read off the span tree, caches off (wall-clock, so
     bounds): the two index probes are a sliver of a query, the column
-    mapper is most of it, and PMI² is the expensive method (§5.1)."""
+    mapper is most of it, and PMI² is the expensive method (§5.1).  The
+    same served answers carry the labels every pinned WWT number scores:
+    the reproduction is the served engine, query by query."""
     bounds = DATA["fig7_running_time"]
     service = WWTService(
         env.synthetic.corpus, EngineConfig(cache_size=0)
     )
+    wwt = runs("wwt")
     slices = {}
     for wq in env.queries:
-        timing = service.answer(wq.query).timing
+        full = service.answer_full(wq.query)
+        assert wwt.labels[wq.query_id] == full.mapping.labels, wq.query_id
+        timing = full.timing
         stages = timing.as_dict()
         assert sum(stages.values()) == pytest.approx(timing.total)
         for stage, seconds in stages.items():

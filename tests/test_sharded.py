@@ -18,9 +18,17 @@ from repro.index import (
     load_corpus,
     shard_of,
 )
-from repro.pipeline.probe import ProbeConfig, two_stage_probe
+from repro.exec import ExecutionContext, QueryState, build_query_plan
+from repro.pipeline.probe import ProbeConfig
 from repro.query.workload import WORKLOAD
+from repro.service import EngineConfig, WWTService
 from repro.tables.table import WebTable
+
+
+def served_probes(corpus, config):
+    """``query -> candidate set`` as the engine serves it under ``config``."""
+    service = WWTService(corpus, EngineConfig(cache_size=0, probe=config))
+    return lambda query: service.answer_full(query).probe
 
 
 def make_tables(n=12, prefix="t"):
@@ -162,14 +170,15 @@ class TestRankingEquivalence:
                     ) == oracle.docs_containing_all(terms, fields)
 
     @pytest.mark.parametrize("k", [2, 4])
-    def test_two_stage_probe_identical(self, sharded_by_k, k):
+    def test_served_probe_identical(self, sharded_by_k, k):
         # One shard's search is pinned to the bare-index oracle above;
         # this carries the whole probe across shard counts.
-        mono = sharded_by_k[1]
         config = ProbeConfig(seed=9)
+        mono = served_probes(sharded_by_k[1], config)
+        sharded = served_probes(sharded_by_k[k], config)
         for wq in WORKLOAD[:8]:
-            a = two_stage_probe(wq.query, mono, config)
-            b = two_stage_probe(wq.query, sharded_by_k[k], config)
+            a = mono(wq.query)
+            b = sharded(wq.query)
             assert a.stage1_ids == b.stage1_ids, wq.query_id
             assert a.stage2_ids == b.stage2_ids, wq.query_id
             assert a.used_second_stage == b.used_second_stage
@@ -188,9 +197,11 @@ class TestPersistence:
         assert loaded.num_tables == sharded.num_tables
         assert loaded.stats.num_docs == sharded.stats.num_docs
         config = ProbeConfig(seed=1)
+        saved_probe = served_probes(sharded, config)
+        loaded_probe = served_probes(loaded, config)
         for wq in WORKLOAD[:4]:
-            a = two_stage_probe(wq.query, sharded, config)
-            b = two_stage_probe(wq.query, loaded, config)
+            a = saved_probe(wq.query)
+            b = loaded_probe(wq.query)
             assert a.stage1_ids == b.stage1_ids
             assert a.stage2_ids == b.stage2_ids
 
@@ -405,9 +416,9 @@ class TestProbeDeterminism:
     def test_same_seed_same_result(self, small_env):
         corpus = small_env.synthetic.corpus
         wq = WORKLOAD[0]
-        config = ProbeConfig(seed=123)
-        a = two_stage_probe(wq.query, corpus, config)
-        b = two_stage_probe(wq.query, corpus, config)
+        probe = served_probes(corpus, ProbeConfig(seed=123))
+        a = probe(wq.query)
+        b = probe(wq.query)
         assert a.stage1_ids == b.stage1_ids
         assert a.stage2_ids == b.stage2_ids
         assert a.seed_table_ids == b.seed_table_ids
@@ -416,24 +427,27 @@ class TestProbeDeterminism:
         corpus = small_env.synthetic.corpus
         wq = WORKLOAD[0]
         config = ProbeConfig(seed=123)
-        a = two_stage_probe(wq.query, corpus, config)
-        b = two_stage_probe(
-            wq.query, corpus, config, rng=random.Random(123)
+        a = served_probes(corpus, config)(wq.query)
+        # The plan run by hand, its row sample drawn from a caller's
+        # generator rather than one the parse stage seeds.
+        state = QueryState(
+            query=wq.query, corpus=corpus, probe_config=config,
+            params=EngineConfig().params, inference="table-centric",
+            rng=random.Random(123),
         )
-        assert a.stage2_ids == b.stage2_ids
+        build_query_plan().run(ExecutionContext(), state)
+        assert a.stage2_ids == state.probe.stage2_ids
 
     def test_concurrent_probes_reproducible(self, sharded_by_k):
         """Sharded scatter-gather in flight must not perturb sampling."""
         from concurrent.futures import ThreadPoolExecutor
 
         corpus = sharded_by_k[4]
-        config = ProbeConfig(seed=5)
+        probe = served_probes(corpus, ProbeConfig(seed=5))
         queries = [wq.query for wq in WORKLOAD[:6]]
-        baseline = [two_stage_probe(q, corpus, config) for q in queries]
+        baseline = [probe(q) for q in queries]
         with ThreadPoolExecutor(max_workers=4) as pool:
-            concurrent = list(
-                pool.map(lambda q: two_stage_probe(q, corpus, config), queries)
-            )
+            concurrent = list(pool.map(probe, queries))
         for a, b in zip(baseline, concurrent):
             assert a.stage1_ids == b.stage1_ids
             assert a.stage2_ids == b.stage2_ids

@@ -1,5 +1,7 @@
 """Unit tests for table extraction + context scoring (Sections 2.1.1-2.1.2)."""
 
+import time
+
 from repro.html import parse_html
 from repro.tables import ExtractionCensus, extract_grid, extract_tables, is_data_table
 from repro.tables.context import extract_context
@@ -132,6 +134,20 @@ class TestExtractTables:
         assert census.table_tags == 2
         assert census.rejected.get("form") == 1
         assert abs(census.yield_fraction - 0.5) < 1e-9
+
+    def test_deep_nesting_extracts_in_linear_time(self):
+        """An outer table is rejected as nested before any grid is built:
+        one grid per level walks the whole subtree below it, which made
+        1 000 levels take seconds."""
+        depth = 1000
+        root = parse_html(
+            "<table><tr><td>" * depth + "x" + "</td></tr></table>" * depth
+        )
+        census = ExtractionCensus()
+        start = time.perf_counter()
+        assert extract_tables(root, census=census) == []
+        assert time.perf_counter() - start < 0.5
+        assert census.rejected == {"nested": 999, "too_few_rows": 1}
 
     def test_ids_unique_per_page(self):
         html = page(DATA_TABLE + DATA_TABLE.replace("Denali", "Aconcagua"))
