@@ -1,6 +1,6 @@
 """The paper's core contribution: the column mapper's graphical model."""
 
-from .edges import MappingEdge, build_edges, column_pair_similarity
+from .edges import MappingEdge, build_edges
 from .features import BoundedCache, FeatureCache, query_feature_key
 from .labels import LabelSpace
 from .model import ColumnFeatures, ColumnMappingProblem, build_problem
@@ -36,7 +36,6 @@ __all__ = [
     "UNSEGMENTED_PARAMS",
     "build_edges",
     "build_problem",
-    "column_pair_similarity",
     "enumerate_grid",
     "estimate_reliabilities",
     "query_feature_key",

@@ -10,23 +10,30 @@ The paper's custom edge potential needs three ingredients computed here:
 * **normalized similarity** ``nsim(tc, t'c') = sim / (λ + Σ sim)`` with
   λ = 0.3, neighbors below 0.1 raw similarity ignored.
 
-Column-pair candidates are *blocked* on shared normalized cell values, so
-building edges over a hundred candidate tables stays fast.
+All three run in one pass over integer column ids ``0..n-1``, numbered in
+``(table, column)`` order: column pairs are *blocked* on shared normalized
+cell values, only the columns of a blocked pair are weighed, and each
+table pair is matched apart (DESIGN.md, "The column-pair kernel").
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from itertools import combinations, repeat
 from math import sqrt
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from operator import mul
+from typing import (
+    Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from ..flow.bipartite import one_to_one_pairs
+from ..tables.compiled import CompiledColumn
 from ..tables.table import WebTable
 from ..text.tfidf import TermStatistics
 
-__all__ = ["SIM_FLOOR", "NSIM_LAMBDA", "ColumnProfile", "MappingEdge", "build_edges"]
+__all__ = [
+    "SIM_FLOOR", "NSIM_LAMBDA", "MappingEdge", "all_similar_pairs", "build_edges",
+]
 
 #: Neighbors with raw similarity below this are ignored (Section 3.3).
 SIM_FLOOR = 0.1
@@ -34,11 +41,37 @@ SIM_FLOOR = 0.1
 NSIM_LAMBDA = 0.3
 #: Weight of content similarity vs header similarity in the matching.
 CONTENT_WEIGHT = 0.8
+HEADER_WEIGHT = 1.0 - CONTENT_WEIGHT
+#: A value held by more columns than this (e.g. "euro" everywhere) is too
+#: common to block on.
+STOP_VALUE_COLUMNS = 60
+#: A column with fewer distinct values than this blocks on one shared value.
+SMALL_COLUMN = 4
+
+#: The default of every ``b.get(t, 0.0)`` in a cosine (an endless repeat
+#: holds no state).
+_ZEROS = repeat(0.0)
+
+_Key = Tuple[int, int]  # (table_idx, col_idx)
+#: A column's weighed comparison data: values, token weights and norm,
+#: header weights and norm.
+_Profile = Tuple[
+    FrozenSet[str], Mapping[str, float], float, Mapping[str, float], float
+]
+
+
+class MappingEdge(NamedTuple):
+    """A max-matching edge between columns of two tables."""
+
+    a: _Key
+    b: _Key
+    sim: float  # raw similarity
+    nsim_ab: float  # normalized from a's perspective
+    nsim_ba: float  # normalized from b's perspective
 
 
 class _IdfTable(Dict[str, float]):
-    """``stats.idf`` per token, each computed once: one per ``build_edges``
-    call, shared by every column profile of the call."""
+    """``stats.idf`` per token, each computed once per call."""
 
     def __init__(self, stats: TermStatistics) -> None:
         super().__init__()
@@ -50,7 +83,7 @@ class _IdfTable(Dict[str, float]):
 
 
 def _weighted(
-    counts: Dict[str, int], idf: Optional[Mapping[str, float]]
+    counts: Dict[str, int], idf: Optional[_IdfTable]
 ) -> Tuple[Mapping[str, float], float]:
     """Raw token counts times IDF, in the counts' own order, and the norm.
 
@@ -59,50 +92,17 @@ def _weighted(
     """
     weighted: Mapping[str, float] = counts
     if idf is not None:
-        weighted = {t: c * idf[t] for t, c in counts.items()}
-    norm = sqrt(
-        sum(w * w for w in weighted.values())  # reprolint: disable=R003 -- the compiled counts are in the column's first-occurrence token order, fixed by the input table
-    )
-    return weighted, norm
-
-
-@dataclass
-class ColumnProfile:
-    """One column's comparison data under one corpus-statistics regime."""
-
-    table_idx: int
-    col_idx: int
-    values: FrozenSet[str]
-    token_counts: Mapping[str, float]
-    token_norm: float
-    header_counts: Mapping[str, float]
-    header_norm: float
-
-    @classmethod
-    def build(
-        cls,
-        table_idx: int,
-        col_idx: int,
-        table: WebTable,
-        idf: Optional[Mapping[str, float]],
-    ) -> ColumnProfile:
-        """Re-weight the table's compiled column; no cell is tokenized.
-
-        ``idf`` maps a token to its IDF (``build_edges`` passes one table
-        per call); ``None`` weighs every token 1.
-        """
-        column = table.compiled().columns[col_idx]
-        token_counts, token_norm = _weighted(column.token_counts, idf)
-        header_counts, header_norm = _weighted(column.header_counts, idf)
-        return cls(
-            table_idx=table_idx,
-            col_idx=col_idx,
-            values=column.values,
-            token_counts=token_counts,
-            token_norm=token_norm,
-            header_counts=header_counts,
-            header_norm=header_norm,
+        weighted = dict(
+            zip(counts, map(mul, counts.values(), map(idf.__getitem__, counts)))
         )
+    values = weighted.values()
+    return weighted, sqrt(sum(map(mul, values, values)))  # reprolint: disable=R003 -- the compiled counts are in the column's first-occurrence token order, fixed by the input table
+
+
+def _profile(column: CompiledColumn, idf: Optional[_IdfTable]) -> _Profile:
+    tokens, token_norm = _weighted(column.token_counts, idf)
+    header, header_norm = _weighted(column.header_counts, idf)
+    return column.values, tokens, token_norm, header, header_norm
 
 
 def _cosine(
@@ -112,86 +112,88 @@ def _cosine(
         return 0.0
     if len(b) < len(a):
         a, an, b, bn = b, bn, a, an
-    dot = sum(
-        w * b.get(t, 0.0) for t, w in a.items()  # reprolint: disable=R003 -- the compiled counts are in the column's first-occurrence token order, fixed by the input table
-    )
+    dot: float = sum(map(mul, a.values(), map(b.get, a, _ZEROS)))  # reprolint: disable=R003 -- the compiled counts are in the column's first-occurrence token order, fixed by the input table
     return dot / (an * bn)
 
 
-def column_pair_similarity(a: ColumnProfile, b: ColumnProfile) -> float:
-    """Weighted content + header similarity between two column profiles."""
-    if a.values and b.values:
-        inter = len(a.values & b.values)
-        overlap = inter / (len(a.values) + len(b.values) - inter)
-    else:
-        overlap = 0.0
-    content = 0.5 * (overlap + _cosine(a.token_counts, a.token_norm,
-                                       b.token_counts, b.token_norm))
-    header = _cosine(a.header_counts, a.header_norm,
-                     b.header_counts, b.header_norm)
-    return CONTENT_WEIGHT * content + (1.0 - CONTENT_WEIGHT) * header
-
-
-@dataclass(frozen=True)
-class MappingEdge:
-    """A max-matching edge between columns of two tables."""
-
-    a: Tuple[int, int]  # (table_idx, col_idx)
-    b: Tuple[int, int]
-    sim: float  # raw similarity
-    nsim_ab: float  # normalized from a's perspective
-    nsim_ba: float  # normalized from b's perspective
-
-
-_ColumnKey = Tuple[int, int]  # (table_idx, col_idx)
-
-
-def _blocked_pairs(
+def _scored_pairs(
     tables: Sequence[WebTable], stats: Optional[TermStatistics]
-) -> Tuple[
-    Dict[_ColumnKey, ColumnProfile], List[Tuple[_ColumnKey, _ColumnKey]]
-]:
-    """Profile every column and block the cross-table candidate pairs.
+) -> Tuple[List[_Key], List[Tuple[int, int, float]]]:
+    """Number the columns, block the candidate pairs and score them.
 
-    Blocking: column pairs (different tables) sharing >= 2 normalized cell
-    values, or 1 when either column is tiny.  Returns the profiles and the
-    candidate ``(a, b)`` pairs (``a < b``); their order follows set
+    Returns each id's ``(table, column)`` key and every candidate
+    ``(a, b, sim)`` with ids ``a < b`` in different tables.  Blocking:
+    pairs sharing >= 2 normalized cell values, stop values not counted, or
+    1 when either column is small.  The pairs' order follows set
     iteration, so callers sort before anything order-sensitive.
     """
-    idf = _IdfTable(stats) if stats is not None else None
-    profiles: Dict[_ColumnKey, ColumnProfile] = {}
-    by_value: Dict[str, List[_ColumnKey]] = defaultdict(list)
+    keys: List[_Key] = []
+    columns: List[CompiledColumn] = []
+    by_value: Dict[str, List[int]] = defaultdict(list)
     for ti, table in enumerate(tables):
+        compiled = table.compiled().columns
         for ci in range(table.num_cols):
-            profile = ColumnProfile.build(ti, ci, table, idf)
-            profiles[(ti, ci)] = profile
-            for value in profile.values:
-                by_value[value].append((ti, ci))
+            cid = len(keys)
+            keys.append((ti, ci))
+            columns.append(compiled[ci])
+            for value in compiled[ci].values:
+                by_value[value].append(cid)
 
-    # Each value's columns are ascending, so every combination is (a, b)
-    # with a < b; same-table pairs are counted and dropped below.
-    shared: Counter[Tuple[_ColumnKey, _ColumnKey]] = Counter()
-    for _value, cols in by_value.items():
-        if len(cols) > 60:
-            continue  # stop-value (e.g. "euro" everywhere) — too common to block on
-        if len(cols) > 1:
-            shared.update(itertools.combinations(cols, 2))
+    # Each value's ids ascend, so every combination is (a, b) with a < b.
+    # A pair's count is its shared values, stop values aside.
+    shared: Counter[Tuple[int, int]] = Counter()
+    has_stop_value = [False] * len(keys)
+    for ids in by_value.values():
+        if len(ids) > STOP_VALUE_COLUMNS:
+            for cid in ids:
+                has_stop_value[cid] = True
+        elif len(ids) > 1:
+            shared.update(combinations(ids, 2))
+    small = [len(column.values) < SMALL_COLUMN for column in columns]
+    candidates = [
+        (a, b, count) for (a, b), count in shared.items()
+        if keys[a][0] != keys[b][0] and (count >= 2 or small[a] or small[b])
+    ]
 
-    candidates: List[Tuple[_ColumnKey, _ColumnKey]] = []
-    for (a, b), cnt in shared.items():
-        if a[0] == b[0]:
-            continue
-        small = min(len(profiles[a].values), len(profiles[b].values)) < 4
-        if cnt >= 2 or (small and cnt >= 1):
-            candidates.append((a, b))
-    return profiles, candidates
+    idf = _IdfTable(stats) if stats is not None else None
+    profiles = {
+        c: _profile(columns[c], idf)
+        for c in {c for a, b, _count in candidates for c in (a, b)}
+    }
+    scored: List[Tuple[int, int, float]] = []
+    for a, b, inter in candidates:
+        va, ta, tna, ha, hna = profiles[a]
+        vb, tb, tnb, hb, hnb = profiles[b]
+        if has_stop_value[a] or has_stop_value[b]:
+            inter = len(va & vb)
+        # A blocked pair shares a value, so neither value set is empty.
+        overlap = inter / (len(va) + len(vb) - inter)
+        content = 0.5 * (overlap + _cosine(ta, tna, tb, tnb))
+        header = _cosine(ha, hna, hb, hnb)
+        scored.append((a, b, CONTENT_WEIGHT * content + HEADER_WEIGHT * header))
+    return keys, scored
+
+
+def _flow_matching(
+    pairs: List[Tuple[int, int, float]], kept: List[Tuple[int, int, float]]
+) -> List[Tuple[int, int, float]]:
+    """One table pair's matching over a matrix of its candidates' columns."""
+    ids_a = sorted({a for a, _b, _sim in pairs})
+    ids_b = sorted({b for _a, b, _sim in pairs})
+    pos_a = {c: i for i, c in enumerate(ids_a)}
+    pos_b = {c: i for i, c in enumerate(ids_b)}
+    sims = {(pos_a[a], pos_b[b]): sim for a, b, sim in kept}
+    return [
+        (ids_a[ia], ids_b[ib], sims[(ia, ib)])
+        for ia, ib in one_to_one_pairs(sims, len(ids_a), len(ids_b))
+    ]
 
 
 def all_similar_pairs(
     tables: Sequence[WebTable],
     stats: Optional[TermStatistics] = None,
     sim_floor: float = SIM_FLOOR,
-) -> List[Tuple[_ColumnKey, _ColumnKey, float]]:
+) -> List[Tuple[_Key, _Key, float]]:
     """Every cross-table column pair above the similarity floor.
 
     This is the *unprotected* neighbor structure the NbrText baseline uses
@@ -199,14 +201,9 @@ def all_similar_pairs(
     exactly the ad hoc variant the paper shows to be fragile.  Returns
     ``(a, b, sim)`` triples.
     """
-    profiles, candidates = _blocked_pairs(tables, stats)
-    out: List[Tuple[_ColumnKey, _ColumnKey, float]] = []
-    for a, b in candidates:
-        sim = column_pair_similarity(profiles[a], profiles[b])
-        if sim >= sim_floor:
-            out.append((a, b, sim))
-    out.sort()
-    return out
+    keys, scored = _scored_pairs(tables, stats)
+    scored.sort()
+    return [(keys[a], keys[b], sim) for a, b, sim in scored if sim >= sim_floor]
 
 
 def build_edges(
@@ -219,46 +216,34 @@ def build_edges(
 
     Returns max-matching edges with both directional nsim values filled in.
     """
-    profiles, candidates = _blocked_pairs(tables, stats)
-    candidate_pairs: Dict[
-        Tuple[int, int], List[Tuple[_ColumnKey, _ColumnKey]]
-    ] = defaultdict(list)
-    for a, b in candidates:
-        candidate_pairs[(a[0], b[0])].append((a, b))
+    keys, scored = _scored_pairs(tables, stats)
+    by_tables: Dict[Tuple[int, int], List[Tuple[int, int, float]]] = defaultdict(list)
+    for pair in scored:
+        by_tables[keys[pair[0]][0], keys[pair[1]][0]].append(pair)
 
-    # Per table pair: maximum one-one matching over candidate column pairs.
-    matched: List[Tuple[Tuple[int, int], Tuple[int, int], float]] = []
-    for (ta, tb), pairs in candidate_pairs.items():
-        cols_a = sorted({a[1] for a, _b in pairs})
-        cols_b = sorted({b[1] for _a, b in pairs})
-        pos_a = {c: i for i, c in enumerate(cols_a)}
-        pos_b = {c: i for i, c in enumerate(cols_b)}
-        sims: Dict[Tuple[int, int], float] = {}
-        for a, b in pairs:
-            sim = column_pair_similarity(profiles[a], profiles[b])
-            if sim >= sim_floor:
-                sims[(pos_a[a[1]], pos_b[b[1]])] = sim
-        if not sims:
-            continue
-        for ia, ib in one_to_one_pairs(sims, len(cols_a), len(cols_b)):
-            matched.append(((ta, cols_a[ia]), (tb, cols_b[ib]), sims[(ia, ib)]))
+    # Per table pair: the maximum one-to-one matching.  Positive pairs that
+    # share no column are their own unique optimum (``one_to_one_pairs``).
+    matched: List[Tuple[int, int, float]] = []
+    for pairs in by_tables.values():
+        kept = [p for p in pairs if p[2] >= sim_floor and p[2] > 0]
+        if len(kept) < 2 or (
+            len({p[0] for p in kept}) == len(kept) == len({p[1] for p in kept})
+        ):
+            matched.extend(kept)
+        else:
+            matched.extend(_flow_matching(pairs, kept))
 
-    # nsim normalization per column over its matched neighbors.  Blocking
-    # order follows set iteration (hash-seed dependent); summing in edge
-    # order makes every float a function of the edge set alone.
+    # nsim normalization per column over its matched neighbors, summed in
+    # edge order so every float is a function of the edge set alone.
     matched.sort()
-    sim_sums: Dict[Tuple[int, int], float] = defaultdict(float)
+    sums = [0.0] * len(keys)
     for a, b, sim in matched:
-        sim_sums[a] += sim
-        sim_sums[b] += sim
-
+        sums[a] += sim
+        sums[b] += sim
     return [
         MappingEdge(
-            a=a,
-            b=b,
-            sim=sim,
-            nsim_ab=sim / (nsim_lambda + sim_sums[a]),
-            nsim_ba=sim / (nsim_lambda + sim_sums[b]),
+            keys[a], keys[b], sim,
+            sim / (nsim_lambda + sums[a]), sim / (nsim_lambda + sums[b]),
         )
         for a, b, sim in matched
     ]

@@ -68,10 +68,6 @@ class ColumnMappingProblem:
         #: The query's shared memo; inference reuses solved max-marginals
         #: through it (content-keyed, so re-weighted problems share it too).
         self.feature_cache = feature_cache
-        self.neighbors: Dict[Tuple[int, int], List[Tuple[int, MappingEdge]]] = {}
-        for idx, edge in enumerate(edges):
-            self.neighbors.setdefault(edge.a, []).append((idx, edge))
-            self.neighbors.setdefault(edge.b, []).append((idx, edge))
 
     # -- structure ---------------------------------------------------------------
 

@@ -33,17 +33,23 @@ def tune_model_params(
 
     Returns (best params, best mean error, the full trace).  Feature
     extraction runs once per query with ``base_params``'s feature switches
-    (``use_segmented``); every grid point must share those switches.
+    (``use_segmented``); every grid point must share those switches.  When
+    they are the served problem's, the environment's problem is re-weighted
+    and nothing is extracted again.
     """
     wanted = set(query_ids) if query_ids is not None else None
     problems: List[Tuple[ColumnMappingProblem, Dict, LabelSpace]] = []
     for wq in env.queries:
         if wanted is not None and wq.query_id not in wanted:
             continue
-        probe = env.candidates[wq.query_id]
-        problem = build_problem(
-            wq.query, probe.tables, env.synthetic.corpus.stats, base_params
-        )
+        problem = env.problems[wq.query_id]
+        if problem.params.use_segmented != base_params.use_segmented:
+            problem = build_problem(
+                wq.query,
+                env.candidates[wq.query_id].tables,
+                env.synthetic.corpus.stats,
+                base_params,
+            )
         problems.append((problem, env.gold(wq), LabelSpace(wq.query.q)))
 
     algorithm = get_algorithm(inference)

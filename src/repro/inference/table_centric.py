@@ -33,21 +33,24 @@ def _messages(
 ) -> Dict[Tuple[int, int], List[float]]:
     """Stage 2: aggregate neighbor distributions along nsim edges."""
     labels = problem.labels
+    query_labels = labels.query_labels()
     we = problem.params.we
     msgs: Dict[Tuple[int, int], List[float]] = {
         tc: [0.0] * labels.size for tc in problem.columns()
     }
-    for edge in problem.edges:
-        dist_a = distributions.get(edge.a)
-        dist_b = distributions.get(edge.b)
-        # Messages flow only on query labels (Eq. 4 excludes nr; na carries
-        # no rescue semantics and confident senders put little mass on it),
-        # and only from confident senders.
-        for l in labels.query_labels():
-            if dist_b and confident.get(edge.b, False):
-                msgs[edge.a][l] += we * edge.nsim_ab * dist_b[l]
-            if dist_a and confident.get(edge.a, False):
-                msgs[edge.b][l] += we * edge.nsim_ba * dist_a[l]
+    # Messages flow only on query labels (Eq. 4 excludes nr; na carries no
+    # rescue semantics and confident senders put little mass on it), and
+    # only from confident senders.  ``we * nsim * p`` multiplies left to
+    # right, so hoisting ``we * nsim`` out of the label loop keeps every
+    # product.
+    for a, b, _sim, nsim_ab, nsim_ba in problem.edges:
+        for sender, receiver, nsim in ((b, a, nsim_ab), (a, b, nsim_ba)):
+            dist = distributions.get(sender)
+            if dist and confident.get(sender, False):
+                weight = we * nsim
+                msg = msgs[receiver]
+                for l in query_labels:
+                    msg[l] += weight * dist[l]
     return msgs
 
 

@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.core.params import DEFAULT_PARAMS, ModelParams, enumerate_grid
+from repro.core.params import (
+    DEFAULT_PARAMS, UNSEGMENTED_PARAMS, ModelParams, enumerate_grid,
+)
+from repro.evaluation import tuning
 from repro.evaluation.tuning import tune_basic_params, tune_model_params
 
 
@@ -40,6 +43,33 @@ class TestTuneOnEnvironment:
         )
         assert len(trace) == 2
         assert err == min(e for _p, e in trace)
+
+    def test_served_problems_are_reweighted_not_rebuilt(
+        self, small_env, monkeypatch
+    ):
+        """With the served feature switches, training re-weights
+        ``env.problems`` and extracts nothing; the trace is the one of the
+        version that rebuilt every problem (values recorded from it)."""
+        calls = []
+        real = tuning.build_problem
+        monkeypatch.setattr(
+            tuning, "build_problem",
+            lambda *a, **k: calls.append(a) or real(*a, **k),
+        )
+        grid = [DEFAULT_PARAMS, DEFAULT_PARAMS.with_values(w4=2.0)]
+        ids = [wq.query_id for wq in small_env.queries[:4]]
+        _best, _err, trace = tune_model_params(small_env, grid, query_ids=ids)
+        assert [e for _p, e in trace] == [22.22222222222222, 13.88888888888889]
+        _best, _err, trace = tune_model_params(small_env, grid)
+        assert [e for _p, e in trace] == [31.285924201611326, 33.7294598065846]
+        assert calls == []
+
+        ids = [wq.query_id for wq in small_env.queries[:2]]
+        tune_model_params(
+            small_env, [UNSEGMENTED_PARAMS], query_ids=ids,
+            base_params=UNSEGMENTED_PARAMS,
+        )
+        assert len(calls) == 2
 
     def test_feature_switch_mismatch_rejected(self, small_env):
         ids = [wq.query_id for wq in small_env.queries[:2]]
