@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8080,
                        help="TCP port; 0 binds an ephemeral port")
     serve.add_argument("--workers", type=int, default=4,
-                       help="worker threads draining the request queue")
+                       help="requests running the engine at once")
     serve.add_argument("--queue-depth", type=int, default=64,
                        help="bounded request-queue depth (full -> 429)")
     serve.add_argument("--rate-limit", type=float, default=None,

@@ -5,10 +5,10 @@ engine (:class:`~repro.service.WWTService`, caches off), keeping the
 answer's candidate set and labeling problem.  Every method runs over those
 candidates (shared by all methods, as in the paper); WWT, Table 2's solvers
 and the edge ablations re-solve that problem, and only Fig. 8's unsegmented
-run builds its own, over the same candidates.  Each method's column mapping
-is evaluated against ground truth with the F1 error of Section 5, and the
-easy/hard split and the 7-group binning of Figures 5-6 and Table 2 are
-supported.
+run extracts features again, over the same candidates and edges.  Each
+method's column mapping is evaluated against ground truth with the F1 error
+of Section 5, and the easy/hard split and the 7-group binning of Figures
+5-6 and Table 2 are supported.
 ``tests/test_reproduction.py`` pins what this module computes at full scale
 against ``tests/reproduction.json``.
 """
@@ -27,7 +27,7 @@ from ..core.edges import MappingEdge, all_similar_pairs
 from ..core.features import BoundedCache
 from ..core.labels import LabelSpace
 from ..core.model import ColumnMappingProblem, build_problem
-from ..core.params import UNSEGMENTED_PARAMS
+from ..core.params import UNSEGMENTED_PARAMS, ModelParams
 from ..corpus.generator import CorpusConfig, SyntheticCorpus, generate_corpus
 from ..corpus.groundtruth import GroundTruth
 from ..inference import get_algorithm, table_centric_inference
@@ -47,6 +47,7 @@ __all__ = [
     "bin_queries",
     "answer_row_errors",
     "probe_statistics",
+    "reextracted_problem",
 ]
 
 #: Queries whose per-method errors all lie within this band are "easy".
@@ -149,15 +150,31 @@ def _solve(inference: str) -> MethodFn:
     return lambda env, wq: algorithm(env.problems[wq.query_id]).labels
 
 
-def _unsegmented(env: WorkloadEnvironment, wq: WorkloadQuery) -> Labels:
-    """Fig. 8: the served candidates under unsegmented header features."""
+def reextracted_problem(
+    env: WorkloadEnvironment, wq: WorkloadQuery, params: ModelParams
+) -> ColumnMappingProblem:
+    """The served problem with its features extracted again under
+    ``params``' feature switches (``use_segmented``).
+
+    Section 3.3's edges depend only on the tables and the corpus
+    statistics, so the served problem's edges are attached, not rebuilt.
+    """
     problem = build_problem(
         wq.query,
         env.candidates[wq.query_id].tables,
         env.synthetic.corpus.stats,
-        UNSEGMENTED_PARAMS,
+        params,
+        with_edges=False,
     )
-    return table_centric_inference(problem).labels
+    problem.edges = env.problems[wq.query_id].edges
+    return problem
+
+
+def _unsegmented(env: WorkloadEnvironment, wq: WorkloadQuery) -> Labels:
+    """Fig. 8: the served candidates under unsegmented header features."""
+    return table_centric_inference(
+        reextracted_problem(env, wq, UNSEGMENTED_PARAMS)
+    ).labels
 
 
 def _raw_edges(

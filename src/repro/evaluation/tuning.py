@@ -13,10 +13,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..baselines.basic import BasicParams, basic_method
 from ..core.labels import LabelSpace
-from ..core.model import ColumnMappingProblem, build_problem
+from ..core.model import ColumnMappingProblem
 from ..core.params import DEFAULT_PARAMS, ModelParams
 from ..inference import get_algorithm
-from .harness import WorkloadEnvironment
+from .harness import WorkloadEnvironment, reextracted_problem
 from .metrics import f1_error
 
 __all__ = ["tune_model_params", "tune_basic_params"]
@@ -35,7 +35,9 @@ def tune_model_params(
     extraction runs once per query with ``base_params``'s feature switches
     (``use_segmented``); every grid point must share those switches.  When
     they are the served problem's, the environment's problem is re-weighted
-    and nothing is extracted again.
+    and nothing is extracted again; otherwise features are extracted over
+    the served candidates and the served edges kept
+    (:func:`~repro.evaluation.harness.reextracted_problem`).
     """
     wanted = set(query_ids) if query_ids is not None else None
     problems: List[Tuple[ColumnMappingProblem, Dict, LabelSpace]] = []
@@ -44,12 +46,7 @@ def tune_model_params(
             continue
         problem = env.problems[wq.query_id]
         if problem.params.use_segmented != base_params.use_segmented:
-            problem = build_problem(
-                wq.query,
-                env.candidates[wq.query_id].tables,
-                env.synthetic.corpus.stats,
-                base_params,
-            )
+            problem = reextracted_problem(env, wq, base_params)
         problems.append((problem, env.gold(wq), LabelSpace(wq.query.q)))
 
     algorithm = get_algorithm(inference)

@@ -37,7 +37,7 @@ import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, List, Optional, Union
 
 from .binfmt import SHARD_BIN_FILE, read_index_bin, write_index_bin
 from .builder import (
@@ -112,19 +112,22 @@ class ScrubReport:
         }
 
 
-def _verify_tables(shard_dir: Path, entry: Dict[str, Any], record_issue: Any) -> bool:
-    """Check one shard's table store; returns True when it verifies."""
+def _verify_tables(
+    shard_dir: Path, entry: Dict[str, Any], record_issue: Any
+) -> Optional[TableStore]:
+    """Check one shard's table store; returns it when it verifies (the
+    cross-checks read it), else ``None``."""
     tables_path = shard_dir / SHARD_TABLES_FILE
     if not tables_path.is_file():
         record_issue(
             shard_dir.name, "missing", f"{tables_path} is missing"
         )
-        return False
+        return None
     try:
         store = TableStore.load(tables_path)
     except ValueError as exc:  # reprolint: disable=R008 -- the corrupt store IS the scrub finding; record_issue reports it and verification of this shard continues with the snapshot checks
         record_issue(shard_dir.name, "tables", str(exc))
-        return False
+        return None
     if len(store) != int(entry["num_tables"]):
         record_issue(
             shard_dir.name,
@@ -132,8 +135,8 @@ def _verify_tables(shard_dir: Path, entry: Dict[str, Any], record_issue: Any) ->
             f"{tables_path} holds {len(store)} tables but the manifest "
             f"records {entry['num_tables']}",
         )
-        return False
-    return True
+        return None
+    return store
 
 
 def _verify_journal(shard_dir: Path, record_issue: Any) -> None:
@@ -178,7 +181,8 @@ def verify_corpus(path: Union[str, Path]) -> ScrubReport:
         if not shard_dir.is_dir():
             record_issue(entry["dir"], "missing", f"{shard_dir} is missing")
             continue
-        tables_ok = _verify_tables(shard_dir, entry, record_issue)
+        store = _verify_tables(shard_dir, entry, record_issue)
+        tables_ok = store is not None
         _verify_journal(shard_dir, record_issue)
 
         bin_path = shard_dir / SHARD_BIN_FILE
@@ -221,9 +225,8 @@ def verify_corpus(path: Union[str, Path]) -> ScrubReport:
                 entry["dir"], "decode", str(exc), repairable=tables_ok
             )
             continue
-        if not tables_ok:
+        if store is None:
             continue  # cross-checks need both sides intact
-        store = TableStore.load(shard_dir / SHARD_TABLES_FILE)
         if index.num_docs != len(store):
             record_issue(
                 entry["dir"],

@@ -3,9 +3,10 @@
 A stdlib-only serving layer that puts :class:`~repro.service.WWTService`
 behind a real socket with explicit overload behaviour:
 
-- **admission control** — a worker pool drains one bounded request
-  queue (:class:`ServeConfig.queue_depth <ServeConfig>`), and per-client
-  token buckets (:class:`RateLimiter`) throttle hot clients; both
+- **admission control** — each request runs on its connection's thread
+  once one of ``workers`` execution slots is free, waiting for it in one
+  bounded FIFO line (:class:`ServeConfig.queue_depth <ServeConfig>`), and
+  per-client token buckets (:class:`RateLimiter`) throttle hot clients; both
   refusals answer 429 with a ``Retry-After`` header instead of letting
   latency grow without bound;
 - **SLO-driven degradation** — a per-request ``deadline_ms`` budget

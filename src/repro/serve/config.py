@@ -3,7 +3,7 @@
 :class:`ServeConfig` is to :class:`~repro.serve.server.ReproServer` what
 :class:`~repro.service.EngineConfig` is to the engine — one frozen,
 validated, dict-round-trippable value holding every serving-layer
-setting a deployment varies: worker-pool width, bounded-queue depth,
+setting a deployment varies: execution slots, bounded-line depth,
 per-client token-bucket rates, the default per-request deadline, the
 client-identity header, and the HTTP socket parameters.  The body-size
 cap (:data:`~repro.serve.server.MAX_BODY_BYTES`), the ``Retry-After``
@@ -39,11 +39,11 @@ class ServeConfig:
     host: str = "127.0.0.1"
     #: TCP port; 0 binds an ephemeral port (tests, benchmarks).
     port: int = 8080
-    #: Worker threads draining the request queue — the execution
-    #: concurrency bound (handler threads only do socket I/O).
+    #: Execution slots — how many requests run the engine at once, each
+    #: on its own connection's handler thread.
     workers: int = 4
-    #: Bounded request-queue depth; a full queue rejects with 429 +
-    #: ``Retry-After`` instead of queueing unboundedly.
+    #: How many admitted requests may wait for a slot; a full line
+    #: rejects with 429 + ``Retry-After`` instead of queueing unboundedly.
     queue_depth: int = 64
     #: Per-client token-bucket sustained rate in requests/second
     #: (``None`` disables rate limiting).

@@ -1,37 +1,35 @@
-"""The HTTP front door: bounded queue, worker pool, SLO-driven shedding.
+"""The HTTP front door: a bounded line, execution slots, SLO-driven shedding.
 
 :class:`ReproServer` wraps a :class:`~repro.service.WWTService` behind a
-stdlib ``ThreadingHTTPServer``.  The request lifecycle is::
+stdlib ``ThreadingHTTPServer``.  Each ``POST /query`` runs start to
+finish on its connection's handler thread::
 
-    handler thread (per connection)          worker pool (fixed width)
-    ------------------------------           -------------------------
-    parse + validate body        --+
-    rate-limit (token bucket)      |  429 + Retry-After on refusal
-    enqueue into bounded queue   --+  429 + Retry-After when full
-    wait on the job's future   <-----  drain queue, deduct queue wait
-                                       from the deadline, run the
-                                       engine (shed to degraded under
-                                       pressure), resolve the future
+    parse + validate body
+    rate-limit (token bucket)         429 + Retry-After on refusal
+    join the FIFO line                429 + Retry-After when it is full
+    wait to head the line with a free slot (``workers`` slots)
+    deduct the wait from the deadline, run the engine (shed to degraded
+    under pressure), free the slot
     serialize the envelope
 
-Handler threads only do socket I/O and waiting; the worker pool is the
-*execution* concurrency bound, and the bounded queue is the only place
-requests wait — so memory under overload is capped at
-``queue_depth + workers`` in-flight requests and everything beyond that
-is told to back off instead of queueing to death.
+One condition variable guards the line, the running count and the
+draining flag.  ``workers`` caps how many requests execute at once and
+the line is the only place requests wait, so memory under overload is
+capped at ``queue_depth + workers`` admitted requests and everything
+beyond that is told to back off instead of queueing to death.
 
 Deadlines are end-to-end: a request's ``deadline_ms`` (or the config's
-default) covers queue wait plus execution.  Time spent queued is
-deducted before the engine runs, so a request that waited out most of
-its budget executes under a near-zero budget and comes back degraded
-(flagged in the envelope) rather than blowing the SLO or timing out.
+default) covers its wait in line plus execution.  The wait is deducted
+before the engine runs, so a request that waited out most of its budget
+executes under a near-zero budget and comes back degraded (flagged in
+the envelope) rather than blowing the SLO or timing out.
 
 An engine error fails its request: the client gets a 500 ``internal``
 envelope carrying the error's message (a torn shard's names its file),
 and ``/stats`` counts it in ``errors_internal``.
 
-Shutdown is graceful: new work is refused with 503, queued work drains
-through the workers, then the listener closes.
+Shutdown is graceful: new work is refused with 503, every request
+already in line or running is answered, then the listener closes.
 """
 
 from __future__ import annotations
@@ -39,19 +37,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import queue
 import threading
-from concurrent.futures import Future
+from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Protocol,
-    Tuple,
-)
+from typing import Any, Callable, Deque, Dict, Optional, Protocol, Tuple
 
 from ..exec.context import wall_clock
 from ..exec.stats import Stats
@@ -83,7 +72,7 @@ __all__ = [
     "ReproServer",
 ]
 
-#: Smallest budget handed to the engine once queue wait consumed the
+#: Smallest budget handed to the engine once the wait in line consumed the
 #: request's deadline: small enough that every between-stage check fires
 #: (maximal shedding), positive so the context accepts it.
 MIN_BUDGET_MS = 0.01
@@ -105,11 +94,19 @@ _REFUSAL_COUNTS = {
 }
 
 
+def _draining_error() -> ServeError:
+    """The 503 every request gets once shutdown has begun."""
+    return ServeError(
+        ERROR_SHUTTING_DOWN, "server is shutting down",
+        status=503, retry_after_s=RETRY_AFTER_S,
+    )
+
+
 class AnswerService(Protocol):
     """What the server needs from the engine — the ``WWTService`` surface.
 
     A Protocol rather than the concrete class so tests can stand in a
-    stub (e.g. one that blocks on an event to make queue states
+    stub (e.g. one that blocks on an event to make line states
     deterministic).
     """
 
@@ -120,20 +117,6 @@ class AnswerService(Protocol):
     def stats(self) -> ServiceStats:
         """Snapshot the engine's serving counters."""
         ...  # pragma: no cover - protocol stub
-
-
-@dataclasses.dataclass
-class _Job:
-    """One admitted request travelling from handler to worker."""
-
-    request: QueryRequest
-    #: Resolves to ``(response, queue_ms)`` or an exception.
-    future: Future[Tuple[QueryResponse, float]]
-    #: Clock reading at admission (queue-wait measurement origin).
-    enqueued_at: float
-    #: End-to-end budget (request's, else the config default); ``None``
-    #: means unbounded.
-    deadline_ms: Optional[float]
 
 
 class _HTTPServer(ThreadingHTTPServer):
@@ -198,8 +181,8 @@ class _Handler(BaseHTTPRequestHandler):
     # -- routes -----------------------------------------------------------
 
     def do_GET(self) -> None:
-        """``/healthz`` and ``/stats`` — served inline (never queued), so
-        they stay responsive while the worker pool is saturated."""
+        """``/healthz`` and ``/stats`` — answered at once (never in line),
+        so they stay responsive while every execution slot is busy."""
         front = self.server.repro
         if self.path == "/healthz":
             status, payload = front.health_payload()
@@ -229,17 +212,17 @@ class _Handler(BaseHTTPRequestHandler):
         client = self.headers.get(
             front.config.client_header, self.client_address[0]
         )
-        future = None
+        request = None
         try:
             raw = self._read_body()
-            future = front.admit(client, raw)
-            response, queue_ms = future.result()
+            request = front.admit(client, raw)
+            response, queue_ms = front.execute(request)
         except ServeError as exc:
             front.count_refusal(exc)
             self._refuse(exc)
             return
-        except Exception as exc:  # reprolint: disable=R008 -- any failure becomes a counted 500: a worker's was counted in errors_internal by the worker, one raised before admission is counted here
-            if future is None:
+        except Exception as exc:  # reprolint: disable=R008 -- any failure becomes a counted 500: an engine error was counted in errors_internal by execute, one raised before admission is counted here
+            if request is None:
                 front.count_internal_error()
             self.close_connection = True
             self._send_json(
@@ -293,7 +276,7 @@ class ReproServer:
         self.config = config if config is not None else ServeConfig()
         self._clock = clock
         self._started_at = clock()
-        #: Admission outcomes, the in-flight gauge and worker latencies
+        #: Admission outcomes, the in-flight gauge and execution latencies
         #: (count names are :class:`ServerStats` field names).
         self._stats = Stats()
         self._limiter = (
@@ -304,22 +287,21 @@ class ReproServer:
             )
             if self.config.rate_limit is not None else None
         )
-        #: Bounded admission queue; ``None`` entries are the shutdown
-        #: sentinels that release the workers after the drain.
-        self._queue: queue.Queue[Optional[_Job]] = queue.Queue(
-            maxsize=self.config.queue_depth
-        )
-        self._workers: List[threading.Thread] = []
         self._httpd: Optional[_HTTPServer] = None
         self._accept_thread: Optional[threading.Thread] = None
-        self._state_lock = threading.Lock()
+        #: Guards the line, the running count and the draining flag; every
+        #: change to them notifies all waiters.
+        self._gate = threading.Condition()
+        #: Admitted requests waiting for a slot, in arrival order.
+        self._line: Deque[QueryRequest] = deque()
+        self._running = 0
         self._draining = False
         self._stopped = threading.Event()
 
     # -- lifecycle --------------------------------------------------------
 
     def start(self) -> ReproServer:
-        """Bind the socket, start the worker pool and the accept loop.
+        """Bind the socket and start the accept loop.
 
         Returns ``self`` so ``server = ReproServer(...).start()`` reads
         naturally; with ``port=0`` the bound ephemeral port is available
@@ -331,13 +313,6 @@ class ReproServer:
             (self.config.host, self.config.port), _Handler
         )
         self._httpd.repro = self
-        for i in range(self.config.workers):
-            worker = threading.Thread(
-                target=self._worker_loop, name=f"repro-serve-worker-{i}",
-                daemon=True,
-            )
-            worker.start()
-            self._workers.append(worker)
         self._accept_thread = threading.Thread(
             target=self._httpd.serve_forever, name="repro-serve-accept",
             daemon=True,
@@ -348,36 +323,18 @@ class ReproServer:
     def shutdown(self) -> None:
         """Drain and stop (idempotent).
 
-        New requests are refused with 503 immediately; jobs already
-        admitted drain through the worker pool (every waiting client gets
-        its answer); then the workers exit, the accept loop stops, and
-        the listening socket closes.  The engine (``service``) is *not*
-        closed — its owner closes it.
+        New requests are refused with 503 immediately; every request
+        already in line or running is answered; then the accept loop
+        stops and the listening socket closes.  The engine (``service``)
+        is *not* closed — its owner closes it.
         """
-        with self._state_lock:
-            if self._draining:
-                self._stopped.wait()
-                return
+        with self._gate:
+            first = not self._draining
             self._draining = True
-        # FIFO queue: each sentinel lands behind every admitted job, so a
-        # worker only sees its sentinel after real work is done.
-        for _ in self._workers:
-            self._queue.put(None)
-        for worker in self._workers:
-            worker.join()
-        # A request that raced past the draining check may have enqueued
-        # behind the sentinels; fail it over to 503 so its handler thread
-        # is released rather than waiting forever.
-        while True:
-            try:
-                job = self._queue.get_nowait()
-            except queue.Empty:  # reprolint: disable=R008 -- the empty queue is this drain loop's termination condition, not a failure; stragglers found before it get set_exception below
-                break
-            if job is not None:
-                job.future.set_exception(ServeError(
-                    ERROR_SHUTTING_DOWN, "server is shutting down",
-                    status=503, retry_after_s=RETRY_AFTER_S,
-                ))
+            self._gate.wait_for(lambda: not self._line and not self._running)
+        if not first:
+            self._stopped.wait()
+            return
         if self._httpd is not None:
             self._httpd.shutdown()
             self._httpd.server_close()
@@ -397,23 +354,16 @@ class ReproServer:
     def __exit__(self, *exc: object) -> None:
         self.shutdown()
 
-    # -- admission (called from handler threads) --------------------------
+    # -- a request's path (called from handler threads) -------------------
 
-    def admit(
-        self, client: str, raw_body: bytes
-    ) -> Future[Tuple[QueryResponse, float]]:
-        """Run one request through admission into the worker pool.
+    def admit(self, client: str, raw_body: bytes) -> QueryRequest:
+        """Check one request before it may join the line.
 
-        Returns the job's future, which resolves to ``(response,
-        queue_ms)`` or to whatever the engine raised on a worker; raises
-        :class:`ServeError` on any refusal (rate limit, full queue,
-        draining, invalid body).
+        Returns the parsed request; raises :class:`ServeError` on a
+        refusal (draining, rate limit, invalid body).
         """
         if self.is_draining:
-            raise ServeError(
-                ERROR_SHUTTING_DOWN, "server is shutting down",
-                status=503, retry_after_s=RETRY_AFTER_S,
-            )
+            raise _draining_error()
         if self._limiter is not None:
             granted, retry_after_s = self._limiter.try_acquire(client)
             if not granted:
@@ -423,30 +373,74 @@ class ReproServer:
                     f"{self.config.rate_limit:g} req/s rate",
                     status=429, retry_after_s=retry_after_s,
                 )
-        request = parse_query_payload(raw_body)
-        job = _Job(
-            request=request,
-            future=Future(),
-            enqueued_at=self._clock(),
-            deadline_ms=(
-                request.deadline_ms if request.deadline_ms is not None
-                else self.config.default_deadline_ms
-            ),
+        return parse_query_payload(raw_body)
+
+    def execute(self, request: QueryRequest) -> Tuple[QueryResponse, float]:
+        """Answer an admitted request on the calling thread.
+
+        Joins the line (:class:`ServeError` 429 when ``queue_depth``
+        requests already wait, 503 once draining), waits until it heads
+        the line with one of ``workers`` slots free, deducts the wait
+        from the deadline and runs the engine.  Returns ``(response,
+        queue_ms)``; whatever the engine raises propagates, counted in
+        ``errors_internal``.
+        """
+        joined_at = self._clock()
+        with self._gate:
+            if self._draining:
+                raise _draining_error()
+            if len(self._line) >= self.config.queue_depth:
+                raise ServeError(
+                    ERROR_QUEUE_FULL,
+                    f"request queue is full ({self.config.queue_depth} deep)",
+                    status=429, retry_after_s=RETRY_AFTER_S,
+                )
+            self._stats.record({"accepted": 1})
+            self._line.append(request)
+            while (
+                self._line[0] is not request
+                or self._running >= self.config.workers
+            ):
+                self._gate.wait()
+            self._line.popleft()
+            self._running += 1
+            if self._line and self._running < self.config.workers:
+                # The new head may take a slot freed before it woke.
+                self._gate.notify_all()
+        started_at = self._clock()
+        queue_wait_s = max(0.0, started_at - joined_at)
+        self._stats.record({"in_flight": 1}, [("queue_wait", queue_wait_s)])
+        deadline_ms = (
+            request.deadline_ms if request.deadline_ms is not None
+            else self.config.default_deadline_ms
         )
-        # Counted before the put: once enqueued, a worker may finish the
-        # job before this thread runs again, and no snapshot may show a
-        # completion ahead of its admission.  A full queue takes it back.
-        self._stats.record({"accepted": 1})
+        if deadline_ms is not None:
+            # The deadline is end-to-end: what the line consumed is gone.
+            # A request that waited out its budget runs under
+            # MIN_BUDGET_MS — every stage check fires, the engine sheds to
+            # its cheapest path, and the client gets a degraded answer
+            # instead of a timeout.
+            remaining = deadline_ms - queue_wait_s * 1000.0
+            request = dataclasses.replace(
+                request, deadline_ms=max(remaining, MIN_BUDGET_MS)
+            )
+        failed, degraded = True, False
         try:
-            self._queue.put_nowait(job)
-        except queue.Full:
-            self._stats.record({"accepted": -1})
-            raise ServeError(
-                ERROR_QUEUE_FULL,
-                f"request queue is full ({self.config.queue_depth} deep)",
-                status=429, retry_after_s=RETRY_AFTER_S,
-            ) from None
-        return job.future
+            response = self.service.answer(request)
+            failed, degraded = False, response.degraded
+        finally:
+            self._stats.record(
+                {
+                    "in_flight": -1,
+                    "errors_internal" if failed else "completed": 1,
+                    "shed_degraded": int(degraded),
+                },
+                [("handle", self._clock() - started_at)],
+            )
+            with self._gate:
+                self._running -= 1
+                self._gate.notify_all()
+        return response, queue_wait_s * 1000.0
 
     def count_refusal(self, exc: ServeError) -> None:
         """Fold one refusal into the serving counters."""
@@ -454,50 +448,9 @@ class ReproServer:
         self._stats.record({name: 1})
 
     def count_internal_error(self) -> None:
-        """Count a 500 raised before admission (a worker counts its own)."""
+        """Count a 500 raised before admission (:meth:`execute` counts
+        the engine's)."""
         self._stats.record({"errors_internal": 1})
-
-    # -- the worker pool --------------------------------------------------
-
-    def _worker_loop(self) -> None:
-        """Drain the queue: deduct queue wait from the budget, run the
-        engine, resolve the future."""
-        while True:
-            job = self._queue.get()
-            if job is None:  # shutdown sentinel: drain complete
-                return
-            picked_up = self._clock()
-            queue_wait_s = max(0.0, picked_up - job.enqueued_at)
-            self._stats.record({"in_flight": 1}, [("queue_wait", queue_wait_s)])
-            degraded = False
-            failed = False
-            try:
-                request = job.request
-                if job.deadline_ms is not None:
-                    # The deadline is end-to-end: what the queue consumed
-                    # is gone.  A request that waited out its budget runs
-                    # under MIN_BUDGET_MS — every stage check fires, the
-                    # engine sheds to its cheapest path, and the client
-                    # gets a degraded answer instead of a timeout.
-                    remaining = job.deadline_ms - queue_wait_s * 1000.0
-                    request = dataclasses.replace(
-                        request, deadline_ms=max(remaining, MIN_BUDGET_MS)
-                    )
-                response = self.service.answer(request)
-                degraded = response.degraded
-                job.future.set_result((response, queue_wait_s * 1000.0))
-            except BaseException as exc:
-                failed = True
-                job.future.set_exception(exc)
-            finally:
-                self._stats.record(
-                    {
-                        "in_flight": -1,
-                        "errors_internal" if failed else "completed": 1,
-                        "shed_degraded": int(degraded),
-                    },
-                    [("handle", self._clock() - picked_up)],
-                )
 
     # -- observability ----------------------------------------------------
 
@@ -521,13 +474,13 @@ class ReproServer:
     @property
     def is_draining(self) -> bool:
         """Has shutdown begun?  (New work is refused with 503.)"""
-        with self._state_lock:
+        with self._gate:
             return self._draining
 
     @property
     def queue_depth(self) -> int:
-        """Jobs waiting in the bounded queue right now (approximate)."""
-        return self._queue.qsize()
+        """Requests waiting in line right now."""
+        return len(self._line)
 
     @property
     def uptime_s(self) -> float:

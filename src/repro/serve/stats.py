@@ -22,11 +22,11 @@ __all__ = ["ServerStats"]
 class ServerStats:
     """Point-in-time serving-layer counters of one server."""
 
-    #: Requests admitted past rate limiting into the queue.
+    #: Requests admitted past rate limiting into the line.
     accepted: int
     #: Requests answered (2xx, degraded included).
     completed: int
-    #: 429s from a full request queue.
+    #: 429s from a full line.
     rejected_queue_full: int
     #: 429s from an empty client token bucket.
     rejected_rate_limited: int
@@ -36,25 +36,25 @@ class ServerStats:
     rejected_shutdown: int
     #: Completed answers that came back degraded (deadline shed).
     shed_degraded: int
-    #: 500s — the engine raised on a worker, or the handler raised
-    #: unexpectedly before admission.
+    #: 500s — the engine raised, or the handler raised unexpectedly
+    #: before admission.
     errors_internal: int
-    #: Jobs waiting in the bounded queue right now.
+    #: Requests waiting in line right now.
     queue_depth: int
-    #: Jobs currently executing on worker threads.
+    #: Requests holding an execution slot right now.
     in_flight: int
     #: Seconds since the server started (monotonic clock seam).
     uptime_s: float
-    #: Time jobs spent queued before a worker picked them up.
+    #: Time requests spent in line before a slot took them.
     queue_wait: StageStats
-    #: Worker execution time (engine call, excluding queue wait).
+    #: Execution time (engine call, excluding the wait in line).
     handle: StageStats
 
     @classmethod
     def of(cls, stats: Stats, queue_depth: int, uptime_s: float) -> ServerStats:
         """Project one :meth:`Stats.snapshot` (a consistent instant: never
         ``completed + errors_internal + in_flight > accepted`` while every
-        500 comes from a worker)."""
+        500 comes from the engine)."""
         counts, latencies = stats.snapshot()
 
         def count(name: str) -> int:

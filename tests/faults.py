@@ -9,11 +9,13 @@ each armed point to ask the rules first whether to raise InjectedFault
 - ``shard.materialize``: ``Shard._read`` (the shard's directory name)
 - ``store.get``: ``TableStore.get`` (the table id)
 - ``journal.append``: ``repro.index.sharded.append_records`` (none)
-- ``serve.worker``: ``WWTService.answer`` (none)
+- ``serve.worker``: ``WWTService.answer``, which a ``ReproServer`` handler
+  thread calls per admitted request (none)
 
 A policy is a plain callable: does the n-th matching call fire?  A rule
 counts only calls it matches (its point, and its key unless ``None``);
-a lock guards the counters, as serve workers trip concurrently.
+a lock guards the counters, as concurrent served requests trip them from
+several handler threads.
 """
 
 import random

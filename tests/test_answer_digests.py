@@ -4,7 +4,9 @@
 the sorted labels, the sorted per-column distributions and the ranked
 answer rows with their support and sources.  ``answer_digests.json`` pins
 it for the full-scale environment of ``test_reproduction.py`` (seed 42,
-default inference) and for ``small_env`` under every ``REGISTRY`` solver.
+default inference) and for ``small_env`` under every ``REGISTRY`` solver;
+``small_env``'s corpus rebuilt over 2 and 4 shards, and saved and
+reopened, must give its 1-shard pin.
 A change that claims bit-identity must leave every value as it is; a
 change that moves answers on purpose re-records them with::
 
@@ -24,6 +26,7 @@ from pathlib import Path
 import pytest
 
 from repro.evaluation.harness import build_environment
+from repro.index import build_corpus_index, load_corpus
 from repro.inference import REGISTRY
 from repro.service import EngineConfig, WWTService
 
@@ -74,6 +77,23 @@ def test_full_scale_digest():
 @pytest.mark.parametrize("inference", REGISTRY.names())
 def test_small_env_digest(small_env, inference):
     assert small_env_digest(small_env, inference) == pinned()["small_env"][inference]
+
+
+def test_small_env_digest_over_shards_and_disk(small_env, tmp_path):
+    """The corpus's partitioning and its round trip through disk do not
+    move answers: 2 shards, 4 shards and a saved, reopened corpus all give
+    the 1-shard pin."""
+    queries = [wq.query for wq in small_env.queries]
+    pin = pinned()["small_env"]["table-centric"]
+    tables = list(small_env.synthetic.corpus)
+    assert small_env.synthetic.corpus.num_shards == 1
+    for num_shards in (2, 4):
+        corpus = build_corpus_index(tables, num_shards=num_shards)
+        assert corpus.num_shards == num_shards
+        assert answer_digest(corpus, queries) == pin, f"{num_shards} shards"
+    small_env.synthetic.corpus.save(tmp_path / "saved")
+    with load_corpus(tmp_path / "saved") as reopened:
+        assert answer_digest(reopened, queries) == pin, "saved and reopened"
 
 
 def record():

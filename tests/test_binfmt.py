@@ -670,6 +670,26 @@ class TestGoldenFixture:
             assert isinstance(entry["index_crc32"], int)
 
 
+class TestVerify:
+    def test_verify_parses_each_shard_store_once(self, tmp_path, monkeypatch):
+        """The store the table check parsed is the one the index
+        cross-check reads; ``tables.jsonl`` is not parsed again."""
+        from repro.index.scrub import verify_corpus
+        from repro.index.store import TableStore
+
+        build_corpus_index(fixture_tables(), num_shards=3, save=tmp_path / "c")
+        real, loaded = TableStore.load.__func__, []
+
+        def counting_load(cls, path):
+            loaded.append(path.parent.name)
+            return real(cls, path)
+
+        monkeypatch.setattr(TableStore, "load", classmethod(counting_load))
+        report = verify_corpus(tmp_path / "c")
+        assert report.ok and report.shards_checked == 3
+        assert sorted(loaded) == ["shard-0000", "shard-0001", "shard-0002"]
+
+
 class TestCrossVersion:
     @staticmethod
     def v2_dir(tmp_path):

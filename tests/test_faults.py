@@ -174,7 +174,7 @@ class TestInjectorSeam:
         assert run() == run()
 
     def test_concurrent_checks_lose_no_count(self):
-        """Serve workers check concurrently: no evaluation or fire is lost."""
+        """Served requests check concurrently: no evaluation or fire is lost."""
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:

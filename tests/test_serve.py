@@ -664,27 +664,56 @@ class TestServerAdmission:
             server.shutdown()
 
     def test_admission_is_counted_before_its_job_can_finish(self):
-        """Regression: ``admit`` enqueued the job and counted it only
-        afterwards, so a worker could finish it in between and ``/stats``
-        read ``accepted 0, completed 1``."""
+        """No snapshot may show a request running or finished before it
+        was counted as accepted: each event the request records is
+        checked the moment it lands."""
         server = start_stub(StubService(), workers=1)
-        enqueue = server._queue.put_nowait
-        seen = []
+        record, events = server._stats.record, []
 
-        def enqueue_then_let_it_finish(job):
-            enqueue(job)
-            job.future.result(timeout=10)
-            wait_until(lambda: server.stats().in_flight == 0)
-            seen.append(server.stats())
+        def record_then_snapshot(counts=None, latencies=()):
+            record(counts, latencies)
+            events.append(server.stats())
 
-        server._queue.put_nowait = enqueue_then_let_it_finish
+        server._stats.record = record_then_snapshot
         try:
             with ServeClient(server.host, server.port) as client:
                 assert client.query(QUERY_BODY)[0] == 200
-            [mid] = seen
-            assert (mid.accepted, mid.completed, mid.in_flight) == (1, 1, 0)
-            assert server.stats().accepted == 1
+            assert len(events) == 3  # accepted, started, finished
+            for s in events:
+                assert s.completed + s.errors_internal + s.in_flight <= (
+                    s.accepted
+                )
+            last = events[-1]
+            assert (last.accepted, last.completed, last.in_flight) == (1, 1, 0)
         finally:
+            server.shutdown()
+
+    def test_waiting_requests_reach_the_engine_in_arrival_order(self):
+        stub = StubService(block=True)
+        server = start_stub(stub, workers=1, queue_depth=5)
+        queries = ["first | a"] + [f"waiter{i} | b" for i in range(5)]
+        statuses = []
+
+        def post(text):
+            with ServeClient(server.host, server.port) as client:
+                statuses.append(client.query({"query": text})[0])
+
+        posters = [threading.Thread(target=post, args=(q,)) for q in queries]
+        try:
+            posters[0].start()
+            assert stub.started.wait(timeout=10)
+            for waiting, poster in enumerate(posters[1:], start=1):
+                poster.start()
+                wait_until(lambda n=waiting: server.queue_depth == n)
+            stub.release.set()
+            for poster in posters:
+                poster.join(timeout=30)
+            assert statuses == [200] * len(queries)
+            assert [str(r.query) for r in stub.requests] == [
+                str(QueryRequest.parse(q).query) for q in queries
+            ]
+        finally:
+            stub.release.set()
             server.shutdown()
 
     def test_routing_envelopes(self):
@@ -797,6 +826,39 @@ class TestServerAdmission:
         assert server.stats().rejected_shutdown == 1
         # shutdown() is idempotent.
         server.shutdown()
+
+    def test_shutdown_answers_running_and_waiting_requests(self):
+        stub = StubService(block=True)
+        server = start_stub(stub, workers=1)
+        results = []
+
+        def post():
+            with ServeClient(server.host, server.port) as client:
+                results.append(client.query(QUERY_BODY))
+
+        posters = [threading.Thread(target=post) for _ in range(3)]
+        posters[0].start()
+        assert stub.started.wait(timeout=10)
+        for waiting, poster in enumerate(posters[1:], start=1):
+            poster.start()
+            wait_until(lambda n=waiting: server.queue_depth == n)
+        stopper = threading.Thread(target=server.shutdown)
+        stopper.start()
+        wait_until(lambda: server.is_draining)
+        with ServeClient(server.host, server.port) as client:
+            status, _, body = client.query(QUERY_BODY)
+        assert (status, body["error"]["code"]) == (503, ERROR_SHUTTING_DOWN)
+        assert stopper.is_alive()  # the drain waits for all three
+        stub.release.set()
+        stopper.join(timeout=30)
+        assert not stopper.is_alive()
+        # shutdown() returned only after the line emptied and all ran.
+        stats = server.stats()
+        assert (stats.accepted, stats.completed) == (3, 3)
+        for poster in posters:
+            poster.join(timeout=30)
+        assert [status for status, _, _ in results] == [200, 200, 200]
+        assert stats.rejected_shutdown == 1 and stats.queue_depth == 0
 
     def test_start_twice_refused(self):
         server = start_stub(StubService())

@@ -5,7 +5,7 @@ import pytest
 from repro.core.params import (
     DEFAULT_PARAMS, UNSEGMENTED_PARAMS, ModelParams, enumerate_grid,
 )
-from repro.evaluation import tuning
+from repro.evaluation import run_method, tuning
 from repro.evaluation.tuning import tune_basic_params, tune_model_params
 
 
@@ -51,9 +51,9 @@ class TestTuneOnEnvironment:
         ``env.problems`` and extracts nothing; the trace is the one of the
         version that rebuilt every problem (values recorded from it)."""
         calls = []
-        real = tuning.build_problem
+        real = tuning.reextracted_problem
         monkeypatch.setattr(
-            tuning, "build_problem",
+            tuning, "reextracted_problem",
             lambda *a, **k: calls.append(a) or real(*a, **k),
         )
         grid = [DEFAULT_PARAMS, DEFAULT_PARAMS.with_values(w4=2.0)]
@@ -70,6 +70,36 @@ class TestTuneOnEnvironment:
             base_params=UNSEGMENTED_PARAMS,
         )
         assert len(calls) == 2
+
+    def test_unsegmented_paths_keep_the_served_edges(
+        self, small_env, monkeypatch
+    ):
+        """Fig. 8's run and unsegmented training extract features again but
+        build no edges: Section 3.3's edges depend only on the tables and
+        the corpus statistics, so the served problem's are reused."""
+        from repro.core import model
+        from repro.core.edges import build_edges
+        from repro.evaluation.harness import reextracted_problem
+
+        wq = small_env.queries[0]
+        served = small_env.problems[wq.query_id]
+        rebuilt = build_edges(served.tables, small_env.synthetic.corpus.stats)
+        assert repr(rebuilt) == repr(served.edges)
+        problem = reextracted_problem(small_env, wq, UNSEGMENTED_PARAMS)
+        assert problem.edges is served.edges
+        assert problem.params == UNSEGMENTED_PARAMS
+
+        calls = []
+        monkeypatch.setattr(
+            model, "build_edges", lambda *a, **k: calls.append(a) or [],
+        )
+        ids = [wq.query_id for wq in small_env.queries[:3]]
+        run_method(small_env, "wwt-unsegmented", query_ids=ids)
+        tune_model_params(
+            small_env, [UNSEGMENTED_PARAMS], query_ids=ids,
+            base_params=UNSEGMENTED_PARAMS,
+        )
+        assert calls == []
 
     def test_feature_switch_mismatch_rejected(self, small_env):
         ids = [wq.query_id for wq in small_env.queries[:2]]
