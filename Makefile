@@ -1,10 +1,24 @@
 # Convenience targets; everything also runs as the plain commands shown.
 PYTHONPATH := src
 
-.PHONY: test coverage lint reprolint typecheck check docs docs-coverage
+.PHONY: test coverage lint reprolint typecheck check docs docs-coverage \
+	bench-serve
 
 test:
 	PYTHONPATH=$(PYTHONPATH) python -m pytest -x -q
+
+# One side of the serving claim's paired runs: serve_zipf, tracing off,
+# seeds 211-213, result records into OUT, run from the checkout TREE
+# (default: this one).  Run it for both trees, then `python -m
+# benchmarks.e2e compare PARENT_OUT CHANGE_OUT` (README, "Serving over HTTP").
+TREE ?= .
+bench-serve:
+	@test -n "$(OUT)" || \
+		{ echo "usage: make bench-serve OUT=dir [TREE=checkout]"; exit 2; }
+	cd "$(TREE)" && for seed in 211 212 213; do \
+		python3 benchmarks/e2e/run.py --workload serve_zipf --trace 0 \
+			--seed $$seed --out "$(abspath $(OUT))" || exit 1; \
+	done
 
 # Branch coverage over repro.index + the stdlib gate (tools/coverage_gate:
 # package line floor, binfmt.py at 100% branch). Needs `pip install

@@ -37,7 +37,7 @@ import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from .binfmt import SHARD_BIN_FILE, read_index_bin, write_index_bin
 from .builder import (
@@ -161,8 +161,14 @@ def verify_corpus(path: Union[str, Path]) -> ScrubReport:
     defect rather than stopping at the first, so one pass sizes the
     damage.
     """
-    path = Path(path)
+    return _scrub(Path(path))[0]
+
+
+def _scrub(path: Path) -> Tuple[ScrubReport, Dict[str, TableStore]]:
+    """:func:`verify_corpus`'s pass, plus the verified table store of each
+    shard whose snapshot is repairable, so a repair parses none again."""
     report = ScrubReport(path=str(path))
+    stores: Dict[str, TableStore] = {}
 
     def record_issue(
         shard: str, kind: str, message: str, repairable: bool = False
@@ -173,7 +179,7 @@ def verify_corpus(path: Union[str, Path]) -> ScrubReport:
         manifest = read_manifest(path)
     except ValueError as exc:  # reprolint: disable=R008 -- an unreadable manifest IS the scrub finding; record_issue reports it and the scrub ends (nothing else is walkable without it)
         record_issue("", "manifest", str(exc))
-        return report
+        return report, stores
 
     for entry in manifest["shards"]:
         shard_dir = path / entry["dir"]
@@ -183,6 +189,8 @@ def verify_corpus(path: Union[str, Path]) -> ScrubReport:
             continue
         store = _verify_tables(shard_dir, entry, record_issue)
         tables_ok = store is not None
+        if store is not None:  # kept for a repair until the snapshot verifies
+            stores[entry["dir"]] = store
         _verify_journal(shard_dir, record_issue)
 
         bin_path = shard_dir / SHARD_BIN_FILE
@@ -227,6 +235,7 @@ def verify_corpus(path: Union[str, Path]) -> ScrubReport:
             continue
         if store is None:
             continue  # cross-checks need both sides intact
+        del stores[entry["dir"]]
         if index.num_docs != len(store):
             record_issue(
                 entry["dir"],
@@ -241,17 +250,16 @@ def verify_corpus(path: Union[str, Path]) -> ScrubReport:
                 f"{bin_path} document ids do not match "
                 f"{SHARD_TABLES_FILE} (same count, different ids/order)",
             )
-    return report
+    return report, stores
 
 
-def _rebuild_index(shard_dir: Path, boosts: Dict[str, float]) -> InvertedIndex:
-    """Re-derive one shard's index from its (verified) table store.
+def _rebuild_index(store: TableStore, boosts: Dict[str, float]) -> InvertedIndex:
+    """Re-derive one shard's index from its verified table store.
 
     Mirrors the builder exactly — same :func:`analyze_table` fields, same
     insertion order as the store — so a shard originally written by the
     builder re-encodes to bit-identical snapshot bytes.
     """
-    store = TableStore.load(shard_dir / SHARD_TABLES_FILE)
     index = InvertedIndex(boosts=boosts)
     for table in store:
         index.add_document(table.table_id, analyze_table(table))
@@ -272,7 +280,7 @@ def repair_corpus(path: Union[str, Path]) -> ScrubReport:
     subsequent :func:`verify_corpus` would be clean except for those.
     """
     path = Path(path)
-    found = verify_corpus(path)
+    found, stores = _scrub(path)
     report = ScrubReport(
         path=str(path), shards_checked=found.shards_checked
     )
@@ -288,7 +296,7 @@ def repair_corpus(path: Union[str, Path]) -> ScrubReport:
         if entry["dir"] not in broken:
             continue
         shard_dir = path / entry["dir"]
-        index = _rebuild_index(shard_dir, boosts)
+        index = _rebuild_index(stores[entry["dir"]], boosts)
         bin_path = shard_dir / SHARD_BIN_FILE
         tmp_path = shard_dir / f".{SHARD_BIN_FILE}.repairing"
         nbytes, crc = write_index_bin(tmp_path, index)

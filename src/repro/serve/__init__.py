@@ -41,6 +41,7 @@ from .client import HTTPReply, ServeClient
 from .config import ServeConfig
 from .protocol import (
     ERROR_BAD_JSON,
+    ERROR_BAD_REQUEST,
     ERROR_BODY_TOO_LARGE,
     ERROR_INTERNAL,
     ERROR_INVALID_VALUE,
@@ -94,4 +95,5 @@ __all__ = [
     "ERROR_NOT_FOUND",
     "ERROR_METHOD_NOT_ALLOWED",
     "ERROR_INTERNAL",
+    "ERROR_BAD_REQUEST",
 ]

@@ -41,6 +41,7 @@ __all__ = [
     "ERROR_NOT_FOUND",
     "ERROR_METHOD_NOT_ALLOWED",
     "ERROR_INTERNAL",
+    "ERROR_BAD_REQUEST",
 ]
 
 #: Body is not decodable JSON at all.
@@ -65,6 +66,8 @@ ERROR_NOT_FOUND = "not_found"
 ERROR_METHOD_NOT_ALLOWED = "method_not_allowed"
 #: The engine raised unexpectedly; the request was not answered.
 ERROR_INTERNAL = "internal"
+#: The request head is malformed or unsupported (400/414/431/501/505).
+ERROR_BAD_REQUEST = "bad_request"
 
 #: Wire fields :func:`parse_query_payload` accepts (``limit`` is an
 #: ergonomic alias for ``page_size``).

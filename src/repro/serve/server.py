@@ -1,9 +1,11 @@
 """The HTTP front door: a bounded line, execution slots, SLO-driven shedding.
 
 :class:`ReproServer` wraps a :class:`~repro.service.WWTService` behind a
-stdlib ``ThreadingHTTPServer``.  Each ``POST /query`` runs start to
-finish on its connection's handler thread::
+stdlib ``ThreadingHTTPServer``; the handler reads each request head itself
+and sends each response in one write.  A ``POST /query`` runs on its
+connection's handler thread::
 
+    read the head                     400/414/431/501/505 bad_request
     parse + validate body
     rate-limit (token bucket)         429 + Retry-After on refusal
     join the FIFO line                429 + Retry-After when it is full
@@ -24,6 +26,11 @@ before the engine runs, so a request that waited out most of its budget
 executes under a near-zero budget and comes back degraded (flagged in
 the envelope) rather than blowing the SLO or timing out.
 
+The head reader takes a request line and at most 100 header lines of at
+most 64 KiB each.  It refuses a malformed line, obs-fold, Transfer-Encoding
+and conflicting Content-Length values; the refusal is a counted JSON
+envelope with ``Connection: close``.
+
 An engine error fails its request: the client gets a 500 ``internal``
 envelope carrying the error's message (a torn shard's names its file),
 and ``/stats`` counts it in ``errors_internal``.
@@ -37,6 +44,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 import threading
 from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -50,6 +58,7 @@ from .admission import RateLimiter
 from .config import ServeConfig
 from .protocol import (
     ERROR_BAD_JSON,
+    ERROR_BAD_REQUEST,
     ERROR_BODY_TOO_LARGE,
     ERROR_INTERNAL,
     ERROR_METHOD_NOT_ALLOWED,
@@ -85,6 +94,11 @@ MAX_BODY_BYTES = 65536
 #: ``Retry-After`` seconds advertised on queue-full and draining refusals.
 RETRY_AFTER_S = 1
 
+#: Head limits: bytes in a request (414) or header (431) line, header lines.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+_HTTP_VERSION = re.compile(r"HTTP/([0-9]{1,4})\.([0-9]{1,4})")
+
 #: Refusal code -> the ``ServerStats`` count it lands in (anything else
 #: is a malformed request).
 _REFUSAL_COUNTS = {
@@ -92,6 +106,11 @@ _REFUSAL_COUNTS = {
     ERROR_RATE_LIMITED: "rejected_rate_limited",
     ERROR_SHUTTING_DOWN: "rejected_shutdown",
 }
+
+
+def _bad_head(message: str, status: int = 400) -> ServeError:
+    """The refusal of a request head the server will not read."""
+    return ServeError(ERROR_BAD_REQUEST, message, status=status)
 
 
 def _draining_error() -> ServeError:
@@ -131,14 +150,13 @@ class _HTTPServer(ThreadingHTTPServer):
 
 
 class _Handler(BaseHTTPRequestHandler):
-    """Per-connection request handler: routing, admission, serialization."""
+    """Per-connection request handler: head, routing, admission, replies."""
 
     protocol_version = "HTTP/1.1"
     #: Drop idle keep-alive connections instead of pinning threads.
     timeout = 30
-    #: Headers and body go out as separate writes; with Nagle on, the
-    #: second segment stalls behind the peer's delayed ACK (~40ms per
-    #: response on Linux).  TCP_NODELAY sends both immediately.
+    #: A 100 Continue and its response are two writes; with Nagle on, the
+    #: second stalls behind the peer's delayed ACK (~40ms on Linux).
     disable_nagle_algorithm = True
     server: _HTTPServer
 
@@ -148,33 +166,97 @@ class _Handler(BaseHTTPRequestHandler):
         """Silence the default per-request stderr line (stats endpoint and
         the server's counters are the observability surface)."""
 
+    def parse_request(self) -> bool:
+        """Read the request head in place of ``http.server``'s parser:
+        ``True`` when a ``do_*`` route may run, ``False`` once a bad head
+        is refused or the peer closed (a blank line, EOF mid-head)."""
+        self.close_connection = True
+        self.fields: Dict[str, str] = {}  # lower-cased name -> first value
+        try:
+            return self._read_head()
+        except ServeError as exc:  # reprolint: disable=R008 -- send_error counts the refusal in rejected_invalid and answers it
+            self.send_error(exc.status, exc.message)
+            return False
+
+    def _read_head(self) -> bool:
+        raw = self.raw_requestline
+        self.requestline = line = raw.decode("iso-8859-1").rstrip("\r\n")
+        words = line.split()
+        if not raw.endswith(b"\n") or not words:
+            return False
+        match = _HTTP_VERSION.fullmatch(words[-1])
+        if len(words) != 3 or match is None:
+            raise _bad_head(f"malformed request line {line[:80]!r}")
+        self.command, path, self.request_version = words
+        version = (int(match[1]), int(match[2]))
+        if version >= (2, 0):
+            raise _bad_head(f"{words[2]} is not supported", 505)
+        # gh-87389: a path starting with '//' reads as a scheme-relative URI.
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        fields = self.fields
+        for _ in range(_MAX_HEADERS + 1):
+            raw = self.rfile.readline(_MAX_LINE + 1)
+            if len(raw) > _MAX_LINE:
+                raise _bad_head(f"header line over {_MAX_LINE} bytes", 431)
+            if raw in (b"\r\n", b"\n"):
+                break
+            if not raw.endswith(b"\n"):
+                return False
+            name, colon, value = raw.decode("iso-8859-1").partition(":")
+            if not (colon and name and name.strip(" \t") == name):
+                raise _bad_head(f"malformed or folded header {name[:80]!r}")
+            name, value = name.lower(), value.strip(" \t\r\n")
+            first = fields.setdefault(name, value)
+            if first != value and name == "content-length":
+                raise _bad_head("conflicting Content-Length values")
+        else:
+            raise _bad_head(f"more than {_MAX_HEADERS} header lines", 431)
+        if "transfer-encoding" in fields:
+            raise _bad_head("chunked request bodies are not supported "
+                            "(Transfer-Encoding): send Content-Length")
+        connection = fields.get("connection", "").lower()
+        self.close_connection = connection == "close" or (
+            version < (1, 1) and connection != "keep-alive"
+        )
+        expect = fields.get("expect", "").lower()
+        if version >= (1, 1) and expect == "100-continue":
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        return True
+
+    def send_error(self, code: int, message: Optional[str] = None,
+                   explain: Optional[str] = None) -> None:
+        """Refuse a bad request head (``http.server`` sends 414 and 501
+        here too) with a counted ``bad_request`` envelope."""
+        exc = _bad_head(message or self.responses[code][0], code)
+        self.server.repro.count_refusal(exc)
+        self._refuse(exc)
+
     def _send_json(
         self,
         status: int,
         payload: Dict[str, Any],
         retry_after_s: Optional[float] = None,
     ) -> None:
-        """Write one JSON response with correct framing."""
+        """Write one JSON response, status line to body, in one write."""
         body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
+        head = (
+            f"HTTP/1.1 {status} {self.responses[status][0]}\r\n"
+            f"Server: {self.version_string()}\r\n"
+            f"Date: {self.date_time_string()}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n"
+        )
         if retry_after_s is not None:
-            self.send_header("Retry-After", str(max(1, math.ceil(retry_after_s))))
+            head += f"Retry-After: {max(1, math.ceil(retry_after_s))}\r\n"
         if self.close_connection:
             # Say so: a keep-alive client that is not told reuses the
             # connection, and its next request dies against the close.
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+            head += "Connection: close\r\n"
+        self.wfile.write(head.encode("latin-1") + b"\r\n" + body)
 
     def _refuse(self, exc: ServeError) -> None:
-        """Write a :class:`ServeError`'s envelope and drop the connection.
-
-        The request body may be unread at refusal time, which would
-        desynchronize HTTP/1.1 keep-alive framing — closing is the safe
-        exit.
-        """
+        """Write a :class:`ServeError`'s envelope and drop the connection:
+        the body may be unread, and keep-alive framing would desync."""
         self.close_connection = True
         self._send_json(exc.status, exc.envelope(), exc.retry_after_s)
 
@@ -209,8 +291,8 @@ class _Handler(BaseHTTPRequestHandler):
                 ERROR_NOT_FOUND, f"no resource at {self.path}", status=404,
             ))
             return
-        client = self.headers.get(
-            front.config.client_header, self.client_address[0]
+        client = self.fields.get(
+            front.config.client_header.lower(), self.client_address[0]
         )
         request = None
         try:
@@ -233,7 +315,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_body(self) -> bytes:
         """Read the request body, enforcing presence and the size cap."""
-        length_header = self.headers.get("Content-Length")
+        length_header = self.fields.get("content-length")
         try:
             length = int(length_header) if length_header is not None else 0
         except ValueError as exc:

@@ -30,7 +30,7 @@ class ServerStats:
     rejected_queue_full: int
     #: 429s from an empty client token bucket.
     rejected_rate_limited: int
-    #: 400s from malformed/invalid request bodies.
+    #: Malformed request heads (``bad_request``) and invalid bodies.
     rejected_invalid: int
     #: 503s refused while draining for shutdown.
     rejected_shutdown: int

@@ -273,6 +273,37 @@ class TestIndexCommands:
         assert main(["index", "verify", str(corpus_dir)],
                     out=io.StringIO()) == 0
 
+    def test_repair_reads_the_torn_shards_tables_once(
+        self, tmp_path, monkeypatch
+    ):
+        """The repair rebuilds from the rows its verify pass parsed."""
+        from repro.index.store import TableStore
+
+        corpus_dir = tmp_path / "corpus"
+        assert main(
+            ["index", "build", "--out", str(corpus_dir), "--scale", "0.05",
+             "--num-shards", "3"],
+            out=io.StringIO(),
+        ) == 0
+        before = self.tree_bytes(corpus_dir)
+        victim = corpus_dir / "shard-0001" / "index.bin"
+        blob = bytearray(victim.read_bytes())
+        blob[len(blob) // 2] ^= 0xFF
+        victim.write_bytes(bytes(blob))
+        loaded = []
+        real_load = TableStore.load.__func__
+
+        def spy(cls, path):
+            loaded.append(Path(path).parent.name)
+            return real_load(cls, path)
+
+        monkeypatch.setattr(TableStore, "load", classmethod(spy))
+        out = io.StringIO()
+        assert main(["index", "repair", str(corpus_dir)], out=out) == 0
+        assert "repaired shard-0001" in out.getvalue()
+        assert sorted(loaded) == ["shard-0000", "shard-0001", "shard-0002"]
+        assert self.tree_bytes(corpus_dir) == before
+
     def test_incremental_add_compact_flow(self, tmp_path):
         """The README quickstart: index build -> add -> compact."""
         corpus_dir = str(tmp_path / "corpus")

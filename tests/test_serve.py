@@ -1,7 +1,10 @@
 """Tests for the HTTP serving layer: protocol, admission, overload."""
 
+import http.client
 import io
 import json
+import socket
+import sys
 import threading
 import time
 
@@ -17,6 +20,7 @@ from repro.pipeline.wwt import QueryTiming
 from repro.query.model import Query
 from repro.serve import (
     ERROR_BAD_JSON,
+    ERROR_BAD_REQUEST,
     ERROR_BODY_TOO_LARGE,
     ERROR_INTERNAL,
     ERROR_INVALID_VALUE,
@@ -873,6 +877,295 @@ class TestServerAdmission:
             with ServeClient(server.host, server.port) as client:
                 assert client.healthz()[0] == 200
         assert server.is_draining
+
+
+# ---------------------------------------------------------------------------
+# The request head over raw sockets
+
+
+class RawConnection:
+    """One client socket speaking bytes, for heads ``ServeClient`` would
+    never send."""
+
+    def __init__(self, server):
+        self.sock = socket.create_connection(
+            (server.host, server.port), timeout=5
+        )
+        self.reader = self.sock.makefile("rb")
+
+    def send(self, data):
+        self.sock.sendall(data)
+
+    def response(self):
+        """``(status line, {lower-cased name: value}, body)`` of the next
+        response; a 100 Continue comes back as one with an empty body."""
+        status = self.reader.readline()
+        headers = {}
+        for line in iter(self.reader.readline, b"\r\n"):
+            assert line, "connection closed mid-head"
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.lower()] = value.strip()
+        body = self.reader.read(int(headers.get("content-length", 0)))
+        return status.decode("latin-1").rstrip("\r\n"), headers, body
+
+    def at_eof(self):
+        return self.reader.read() == b""
+
+    def close(self):
+        self.reader.close()
+        self.sock.close()
+
+
+def _post(path=b"/query", headers=b""):
+    """A ``POST`` of the stub's query, with ``headers`` before the blank
+    line."""
+    body = b'{"query": "country | currency"}'
+    return b"POST %s HTTP/1.1\r\nContent-Length: %d\r\n%s\r\n%s" % (
+        path, len(body), headers, body
+    )
+
+
+@pytest.fixture(scope="class")
+def stub_server():
+    server = start_stub(StubService())
+    yield server
+    server.shutdown()
+
+
+@pytest.fixture()
+def raw(stub_server):
+    conn = RawConnection(stub_server)
+    yield conn
+    conn.close()
+
+
+def exchange(server, data):
+    """Send one head on a fresh connection and read one response; the
+    last item says whether a ``Connection: close`` was kept (EOF next)."""
+    conn = RawConnection(server)
+    try:
+        conn.send(data)
+        status, headers, body = conn.response()
+        closed = headers.get("connection") == "close" and conn.at_eof()
+        return status, headers, body, closed
+    finally:
+        conn.close()
+
+
+_HEAD_PIECES = st.sampled_from([
+    b"GET ", b"POST ", b"PUT ", b"/healthz ", b"/query ", b"//query ",
+    b"/stats ", b"HTTP/1.1", b"HTTP/1.0", b"HTTP/2.0", b"HTTP/1.x", b" ",
+    b"\t", b"\r\n", b"\n", b"\r", b":", b"Content-Length: 7",
+    b"Content-Length: -1", b"Content-Length: 99999999",
+    b"Transfer-Encoding: chunked", b"Expect: 100-continue",
+    b"Connection: close", b"Connection: keep-alive", b"x-client-id: a",
+    b'{"query": "a | b"}', b"\x00", b"\xff",
+])
+
+_HEADS = st.one_of(
+    st.binary(max_size=8192),
+    st.lists(
+        st.one_of(_HEAD_PIECES, st.binary(max_size=64)), max_size=60
+    ).map(b"".join),
+).filter(lambda head: len(head) <= 8192)
+
+
+class TestHeadContract:
+    """The request head's wire behaviour, pinned over raw sockets."""
+
+    def test_expect_100_continue_then_200(self, raw):
+        body = b'{"query": "country | currency"}'
+        raw.send(
+            b"POST /query HTTP/1.1\r\nContent-Length: %d\r\n"
+            b"Expect: 100-continue\r\n\r\n" % len(body)
+        )
+        assert raw.response() == ("HTTP/1.1 100 Continue", {}, b"")
+        raw.send(body)
+        status, _, reply = raw.response()
+        assert status == "HTTP/1.1 200 OK"
+        assert json.loads(reply)["answer"]["query"] == "country | currency"
+
+    def test_http10_gets_200_and_close(self, stub_server):
+        status, headers, _, closed = exchange(
+            stub_server, b"GET /healthz HTTP/1.0\r\n\r\n"
+        )
+        assert status == "HTTP/1.1 200 OK"
+        assert headers["connection"] == "close" and closed
+
+    def test_http10_keep_alive_is_honoured(self, raw):
+        for _ in range(2):
+            raw.send(b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n")
+            status, headers, _ = raw.response()
+            assert status == "HTTP/1.1 200 OK"
+            assert "connection" not in headers
+
+    def test_connection_close_is_honoured(self, stub_server):
+        status, headers, _, closed = exchange(
+            stub_server, _post(headers=b"Connection: close\r\n")
+        )
+        assert status == "HTTP/1.1 200 OK"
+        assert headers["connection"] == "close" and closed
+
+    def test_two_requests_reuse_one_socket(self, raw):
+        for _ in range(2):
+            raw.send(_post())
+            status, headers, _ = raw.response()
+            assert status == "HTTP/1.1 200 OK"
+            assert "connection" not in headers
+
+    def test_lower_case_names_and_bare_lf(self, stub_server):
+        body = b'{"query": "country | currency"}'
+        status, _, reply, _ = exchange(
+            stub_server,
+            b"POST /query HTTP/1.1\ncontent-length: %d\nx-client-id: a\n\n"
+            % len(body) + body,
+        )
+        assert status == "HTTP/1.1 200 OK"
+        assert "answer" in json.loads(reply)
+
+    def test_double_slash_routes_to_query(self, stub_server):
+        status, _, _, _ = exchange(stub_server, _post(path=b"//query"))
+        assert status == "HTTP/1.1 200 OK"
+
+    @pytest.mark.parametrize("head, status", [
+        (b"GET /healthz HTTP/1.1\r\nX: " + b"a" * 65536 + b"\r\n\r\n", 431),
+        (b"GET /healthz HTTP/1.1\r\n" + b"X: a\r\n" * 101 + b"\r\n", 431),
+        (b"GET /" + b"a" * 65536 + b" HTTP/1.1\r\n\r\n", 414),
+    ], ids=["long-header-line", "101-headers", "long-request-line"])
+    def test_oversized_heads(self, stub_server, head, status):
+        line = exchange(stub_server, head)[0]
+        assert line.startswith(f"HTTP/1.1 {status} ")
+
+    def test_a_hundred_header_lines_are_read(self, stub_server):
+        head = b"GET /healthz HTTP/1.1\r\n" + b"X: a\r\n" * 100 + b"\r\n"
+        assert exchange(stub_server, head)[0] == "HTTP/1.1 200 OK"
+
+    @pytest.mark.parametrize("head, status", [
+        (b"HELLO\r\n\r\n", 400),
+        (b"GET /healthz\r\n\r\n", 400),
+        (b"GET /healthz HTTP/1.1 extra\r\n\r\n", 400),
+        (b"GET /healthz HTTP/1.x\r\n\r\n", 400),
+        (b"GET /healthz HTTP/\xb2.1\r\n\r\n", 400),
+        (b"GET /healthz HTTP/2.0\r\n\r\n", 505),
+        (b"PUT /query HTTP/1.1\r\n\r\n", 501),
+        (b"GET /healthz HTTP/1.1\r\n" + b"X: a\r\n" * 101 + b"\r\n", 431),
+        (b"GET /" + b"a" * 65536 + b" HTTP/1.1\r\n\r\n", 414),
+        (b"GET /healthz HTTP/1.1\r\nno colon\r\n\r\n", 400),
+        (b"GET /healthz HTTP/1.1\r\nX : a\r\n\r\n", 400),
+    ], ids=[
+        "no-version", "two-words", "four-words", "bad-version",
+        "non-ascii-digit", "http2", "unknown-method", "101-headers",
+        "long-request-line", "no-colon", "space-before-colon",
+    ])
+    def test_bad_heads_get_a_status_line_and_the_json_envelope(
+        self, stub_server, head, status
+    ):
+        before = stub_server.stats()
+        line, headers, body, closed = exchange(stub_server, head)
+        assert line.startswith(f"HTTP/1.1 {status} ")
+        assert headers["content-type"] == "application/json"
+        assert headers["connection"] == "close" and closed
+        assert json.loads(body)["error"]["code"] == ERROR_BAD_REQUEST
+        after = stub_server.stats()
+        assert after.rejected_invalid == before.rejected_invalid + 1
+        assert after.accepted == before.accepted
+
+    @pytest.mark.parametrize("head, message", [
+        (_post(headers=b"Content-Length: 3\r\n"),
+         "conflicting Content-Length"),
+        (b"POST /query HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+         b"1f\r\n" + b'{"query": "country | currency"}' + b"\r\n0\r\n\r\n",
+         "chunked"),
+        (_post(headers=b"X-Client-Id: a\r\n\tb\r\n"), "folded"),
+    ], ids=["two-content-lengths", "transfer-encoding", "obs-fold"])
+    def test_untrustworthy_framing_is_a_400_and_a_close(
+        self, stub_server, head, message
+    ):
+        before = stub_server.stats().rejected_invalid
+        line, headers, body, closed = exchange(stub_server, head)
+        assert line == "HTTP/1.1 400 Bad Request"
+        assert headers["connection"] == "close" and closed
+        error = json.loads(body)["error"]
+        assert error["code"] == ERROR_BAD_REQUEST
+        assert message in error["message"]
+        assert stub_server.stats().rejected_invalid == before + 1
+
+    def test_repeated_equal_content_length_is_accepted(self, stub_server):
+        body = b'{"query": "country | currency"}'
+        head = _post(headers=b"Content-Length: %d\r\n" % len(body))
+        assert exchange(stub_server, head)[0] == "HTTP/1.1 200 OK"
+
+    @settings(
+        derandomize=True, max_examples=300, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow,
+                               HealthCheck.data_too_large,
+                               HealthCheck.function_scoped_fixture],
+    )
+    @given(head=_HEADS)
+    def test_any_head_gets_a_status_line_or_a_clean_close(
+        self, stub_server, head
+    ):
+        """Whatever a client sends as its head (at most 8 KiB, then EOF),
+        the server answers with an ``HTTP/1.1`` status line or closes
+        within 5 s, raises nothing, and keeps serving."""
+        errors = []
+        stub_server._httpd.handle_error = (
+            lambda request, address: errors.append(sys.exc_info()[1])
+        )
+        sock = socket.create_connection(
+            (stub_server.host, stub_server.port), timeout=5
+        )
+        try:
+            sock.sendall(head)
+            sock.shutdown(socket.SHUT_WR)
+            reply = b""
+            deadline = time.monotonic() + 5
+            while time.monotonic() < deadline:
+                try:
+                    chunk = sock.recv(65536)
+                except ConnectionResetError:
+                    break
+                if not chunk:
+                    break
+                reply += chunk
+            else:
+                raise AssertionError("no close within 5 s")
+        finally:
+            sock.close()
+        assert reply == b"" or reply.startswith(b"HTTP/1.1 ")
+        assert errors == []
+        with ServeClient(stub_server.host, stub_server.port) as client:
+            assert client.healthz()[0] == 200
+
+    def test_query_is_served_without_the_stdlib_header_parser(
+        self, raw, monkeypatch
+    ):
+        calls = []
+        real = http.client.parse_headers
+        monkeypatch.setattr(
+            http.client, "parse_headers",
+            lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs),
+        )
+        raw.send(_post())
+        assert raw.response()[0] == "HTTP/1.1 200 OK"
+        assert calls == []
+
+    def test_a_200_is_one_write(self, stub_server, raw, monkeypatch):
+        writes = []
+        real = socket.socket.sendall
+
+        def sendall(sock, data, *args):
+            if sock.getsockname()[1] == stub_server.port:
+                writes.append(bytes(data))
+            return real(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, "sendall", sendall)
+        raw.send(_post())
+        status, _, body = raw.response()
+        assert status == "HTTP/1.1 200 OK"
+        assert len(writes) == 1
+        assert writes[0].startswith(b"HTTP/1.1 200 OK\r\n")
+        assert writes[0].endswith(b"\r\n\r\n" + body)
 
 
 # ---------------------------------------------------------------------------
